@@ -26,6 +26,7 @@
 //! folds the accumulated delta into fresh base columns.
 
 use crate::error::BlasError;
+use crate::gen_cache::{GenCache, GenKey};
 use blas_engine::{
     choose_shards, estimate_plan, exec, lower_plan, lower_plan_costed, lower_twig,
     lower_twigstack, order_twig_joins, CostModel, ExecConfig, ExecStats, PhysPlan, PoolHandle,
@@ -39,7 +40,6 @@ use blas_translate::{
 };
 use blas_xml::{DocStats, Document, NodeId, SchemaGraph, TagId, TagInterner};
 use blas_xpath::QueryTree;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -310,51 +310,10 @@ impl PlanCacheStats {
 /// where every hot plan vanishes at once.
 const PLAN_CACHE_CAP: usize = 1024;
 
-/// Plan-cache key: query string × requested choice × generation.
-type PlanKey = (String, EngineChoice, u64);
-
-/// The state behind the plan-cache mutex: resolved plans plus the
-/// insertion clock bounded eviction orders by.
-#[derive(Debug, Default)]
-struct PlanCache {
-    map: HashMap<PlanKey, (Arc<PreparedPlan>, u64)>,
-    /// Monotone insertion clock; an entry's stamp defines "oldest".
-    clock: u64,
-    /// Entries evicted by the capacity bound (generation pruning at
-    /// publish time is not counted — that is invalidation, not
-    /// pressure).
-    evictions: u64,
-}
-
-impl PlanCache {
-    /// Insert under the cap. At `PLAN_CACHE_CAP`, evict entries of
-    /// superseded generations first (only a pinned [`DbSnapshot`] can
-    /// hit them again, and it simply re-prepares), then the oldest
-    /// entries by insertion order until there is room.
-    fn insert_bounded(&mut self, key: PlanKey, plan: Arc<PreparedPlan>, live_gen: u64) {
-        if self.map.len() >= PLAN_CACHE_CAP && !self.map.contains_key(&key) {
-            let before = self.map.len();
-            self.map.retain(|&(_, _, g), _| g == live_gen);
-            self.evictions += (before - self.map.len()) as u64;
-            while self.map.len() >= PLAN_CACHE_CAP {
-                let oldest = self
-                    .map
-                    .iter()
-                    .min_by_key(|(_, &(_, stamp))| stamp)
-                    .map(|(k, _)| k.clone());
-                match oldest {
-                    Some(k) => {
-                        self.map.remove(&k);
-                        self.evictions += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        self.clock += 1;
-        self.map.insert(key, (plan, self.clock));
-    }
-}
+/// The plan cache: resolved plans keyed by query string × requested
+/// choice (× generation, through [`GenKey`]) under the shared bounded
+/// policy of [`GenCache`].
+type PlanCache = GenCache<(String, EngineChoice), Arc<PreparedPlan>>;
 
 /// Take a mutex even if a previous holder panicked. Every critical
 /// section in this module is a handful of map/pointer operations with
@@ -507,8 +466,6 @@ pub struct BlasDb {
     /// delta-adjusted cardinalities. Publishing prunes entries of
     /// superseded generations.
     plan_cache: Mutex<PlanCache>,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
     /// Observers notified after every generation publication — the
     /// invalidation signal for caches layered above the database
     /// (e.g. the server's result cache).
@@ -602,9 +559,7 @@ impl BlasDb {
             base,
             writer: Mutex::new(WriterState { base_store: store, edits: DeltaEdits::new() }),
             pool: OnceLock::new(),
-            plan_cache: Mutex::new(PlanCache::default()),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
+            plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
             publish_hooks: Mutex::new(PublishHooks::default()),
             compactions: AtomicU64::new(0),
         }
@@ -724,10 +679,10 @@ impl BlasDb {
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         let cache = lock_recover(&self.plan_cache);
         PlanCacheStats {
-            hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            entries: cache.map.len(),
-            evictions: cache.evictions,
+            hits: cache.hits(),
+            misses: cache.misses(),
+            entries: cache.len(),
+            evictions: cache.evictions(),
         }
     }
 
@@ -735,7 +690,7 @@ impl BlasDb {
     /// measurement aid — generation-keyed entries never go stale, so
     /// correctness never requires this, even under mutation.
     pub fn clear_plan_cache(&self) {
-        lock_recover(&self.plan_cache).map.clear();
+        lock_recover(&self.plan_cache).clear();
     }
 
     /// Register a hook invoked after every generation publication
@@ -761,12 +716,10 @@ impl BlasDb {
         xpath: &str,
         choice: EngineChoice,
     ) -> Result<(Arc<PreparedPlan>, bool), BlasError> {
-        let key = (xpath.to_string(), choice, gen.number);
-        if let Some((hit, _)) = lock_recover(&self.plan_cache).map.get(&key) {
-            self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+        let key = GenKey { scope: 0, key: (xpath.to_string(), choice), generation: gen.number };
+        if let Some(hit) = lock_recover(&self.plan_cache).get(&key) {
             return Ok((Arc::clone(hit), true));
         }
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
         let query = blas_xpath::parse(xpath)?;
         let prepared = Arc::new(self.prepare(gen, &query, choice)?);
         // "Superseded" means older than the latest published
@@ -775,7 +728,7 @@ impl BlasDb {
         // generation write lock first, so nesting the read inside the
         // cache lock would invert that order.
         let live_gen = self.generation();
-        lock_recover(&self.plan_cache).insert_bounded(key, Arc::clone(&prepared), live_gen);
+        lock_recover(&self.plan_cache).insert(key, Arc::clone(&prepared), live_gen);
         Ok((prepared, false))
     }
 
@@ -1353,7 +1306,7 @@ impl BlasDb {
         let number = cur.number + 1;
         *cur = Arc::new(DbGen::new(number, store));
         drop(cur);
-        lock_recover(&self.plan_cache).map.retain(|&(_, _, g), _| g == number);
+        lock_recover(&self.plan_cache).prune_superseded(0, number);
         for hook in &lock_recover(&self.publish_hooks).0 {
             hook(number);
         }

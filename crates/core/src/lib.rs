@@ -35,6 +35,7 @@
 mod collection;
 mod db;
 mod error;
+mod gen_cache;
 
 pub use collection::{BlasCollection, DocId};
 pub use db::{
@@ -42,6 +43,7 @@ pub use db::{
     Translator,
 };
 pub use error::BlasError;
+pub use gen_cache::{GenCache, GenKey};
 
 // Re-export the executor configuration and the persistent worker pool
 // for callers that drive the engine crates directly.

@@ -21,7 +21,7 @@
 //! `xpath`, …) never poison; the stream stays aligned.
 
 use crate::json::{self, Json};
-use crate::proto::{write_frame, FrameReader, ReadEvent};
+use crate::proto::{frame_buf, json_frame, send_frame, FrameReader, ReadEvent};
 use crate::wire::{self, Request, Response};
 use std::collections::HashMap;
 use std::io;
@@ -85,6 +85,10 @@ impl From<io::Error> for ClientError {
         ClientError::Io(e)
     }
 }
+
+/// Room for a typical binary request (an XPath and a few flags), so
+/// encoding one does not regrow its frame buffer.
+const REQUEST_HINT: usize = 128;
 
 /// One decoded `query` response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +177,7 @@ impl Client {
                     ("method".into(), Json::str(method)),
                     ("params".into(), params),
                 ]);
-                self.write_poisoning(req.to_string().as_bytes())?;
+                self.write_poisoning(json_frame(&req))?;
                 let bytes = self.read_frame()?;
                 let text = std::str::from_utf8(&bytes).map_err(|_| {
                     self.poison();
@@ -188,10 +192,10 @@ impl Client {
                 let req = Request::from_json(method, &params).map_err(|(code, message)| {
                     ClientError::Rpc { code: code.as_str().into(), message }
                 })?;
-                let mut payload = Vec::new();
-                wire::encode_request(id, &req, &mut payload)
+                let mut frame = frame_buf(REQUEST_HINT);
+                wire::encode_request(id, &req, &mut frame)
                     .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                self.write_poisoning(&payload)?;
+                self.write_poisoning(frame)?;
                 let bytes = self.read_frame()?;
                 let (sid, resp) = wire::decode_response(&bytes).map_err(|e| {
                     self.poison();
@@ -224,11 +228,11 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("response has neither result nor error".into()))
     }
 
-    /// Write one frame; any failure — including a timeout that may
-    /// have left a partial frame on the socket — poisons the
-    /// connection before surfacing.
-    fn write_poisoning(&mut self, payload: &[u8]) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, payload).map_err(|e| {
+    /// Send one frame (begun with [`frame_buf`]) in one write; any
+    /// failure — including a timeout that may have left a partial frame
+    /// on the socket — poisons the connection before surfacing.
+    fn write_poisoning(&mut self, mut frame: Vec<u8>) -> Result<(), ClientError> {
+        send_frame(&mut self.stream, &mut frame).map_err(|e| {
             self.poison();
             ClientError::Io(e)
         })
@@ -475,8 +479,8 @@ impl MuxConn {
             return Err(ClientError::Poisoned);
         }
         let sid = shared.next_stream.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut payload = Vec::new();
-        wire::encode_request(sid, req, &mut payload)
+        let mut frame = frame_buf(REQUEST_HINT);
+        wire::encode_request(sid, req, &mut frame)
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         let (tx, rx) = mpsc::channel();
         shared
@@ -489,7 +493,7 @@ impl MuxConn {
                 .write_lock
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Err(e) = write_frame(&mut &shared.stream, &payload) {
+            if let Err(e) = send_frame(&mut &shared.stream, &mut frame) {
                 // A partial frame poisons the whole shared socket.
                 shared.kill();
                 return Err(ClientError::Io(e));

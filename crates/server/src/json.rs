@@ -131,6 +131,26 @@ impl Json {
         }
     }
 
+    /// Roughly the length [`Json::write`] will produce — exact for a
+    /// [`Json::Raw`] splice, generous for scalars, short only by what
+    /// string escapes add. Pre-size a buffer with it and a spliced node
+    /// array is copied once instead of grown into by doubling.
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Num(_) | Json::Uint(_) => 24,
+            Json::Str(s) => s.len() + 8,
+            Json::Arr(items) => 2 + items.iter().map(|v| 1 + v.len_hint()).sum::<usize>(),
+            Json::Obj(fields) => {
+                2 + fields
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.len_hint())
+                    .sum::<usize>()
+            }
+            Json::Raw(s) => s.len(),
+        }
+    }
+
     /// Serialize (compact, no whitespace).
     pub fn write(&self, out: &mut String) {
         match self {

@@ -6,7 +6,7 @@
 //!
 //! The pieces:
 //!
-//! - [`proto`] — framing ([`FrameReader`], [`write_frame`]) and the
+//! - [`proto`] — framing ([`FrameReader`], [`proto::send_frame`]) and the
 //!   typed [`ErrorCode`] vocabulary.
 //! - [`json`] — a minimal total JSON reader/writer sized for this
 //!   protocol.

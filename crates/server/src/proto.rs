@@ -19,14 +19,47 @@ use std::io::{self, Read, Write};
 /// Hard bound on one frame's payload.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// Write one frame (length prefix + payload) and flush.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+/// Bytes of length prefix in front of every payload.
+const PREFIX_BYTES: usize = 4;
+
+/// Start a frame: a buffer with the length prefix reserved and room
+/// for `payload_hint` more bytes. Append the payload, then hand it to
+/// [`send_frame`] — prefix and payload leave in one write, where two
+/// writes on a `TCP_NODELAY` socket are two syscalls and two segments.
+pub fn frame_buf(payload_hint: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(PREFIX_BYTES + payload_hint);
+    frame.extend_from_slice(&[0; PREFIX_BYTES]);
+    frame
+}
+
+/// [`frame_buf`] holding `msg` rendered as the payload.
+pub fn json_frame(msg: &Json) -> Vec<u8> {
+    let mut text = String::with_capacity(PREFIX_BYTES + msg.len_hint());
+    text.push_str("\0\0\0\0");
+    msg.write(&mut text);
+    text.into_bytes()
+}
+
+/// Fill in the prefix of a frame begun with [`frame_buf`] and send it
+/// with a single `write_all`, then flush.
+pub fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let len = frame
+        .len()
+        .checked_sub(PREFIX_BYTES)
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..PREFIX_BYTES].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(frame)?;
     w.flush()
+}
+
+/// Write one frame (length prefix + payload) and flush. Copies
+/// `payload` behind its prefix first; a caller that can encode straight
+/// into a [`frame_buf`] skips the copy.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = frame_buf(payload.len());
+    frame.extend_from_slice(payload);
+    send_frame(w, &mut frame)
 }
 
 /// One step of frame reading.
@@ -276,6 +309,86 @@ mod tests {
         bytes.truncate(bytes.len() - 2);
         let mut r = FrameReader::new();
         assert!(r.poll(&mut io::Cursor::new(bytes)).is_err());
+    }
+
+    /// Counts `write` calls; takes whatever it is given, like a socket
+    /// with buffer space.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write_and_the_bytes_are_unchanged() {
+        use crate::wire::{self, NodesBlob, Request, Response};
+        use std::sync::Arc;
+
+        // What the wire has always carried: BE length, then the payload.
+        fn expected(payload: &[u8]) -> Vec<u8> {
+            let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+            bytes.extend_from_slice(payload);
+            bytes
+        }
+
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!((w.writes, &w.bytes), (1, &expected(b"hello")));
+
+        // The server's JSON reply path.
+        let nodes = Arc::new(NodesBlob::from_triples([(1u32, 8u32, 1u16), (2, 3, 2)].into_iter()));
+        let resp = Response::Query {
+            generation: 3,
+            engine: "auto".into(),
+            cached: true,
+            count: 2,
+            elements_visited: 9,
+            nodes: Some(nodes),
+        };
+        let json = resp.to_json(&Json::uint(7));
+        let mut w = CountingWriter::default();
+        let mut frame = json_frame(&json);
+        assert!(frame.capacity() >= frame.len() && json.len_hint() >= json.to_string().len());
+        send_frame(&mut w, &mut frame).unwrap();
+        assert_eq!((w.writes, &w.bytes), (1, &expected(json.to_string().as_bytes())));
+
+        // The server's binary reply path and the clients' request path.
+        let mut payload = Vec::new();
+        wire::encode_response(5, &resp, &mut payload);
+        let mut w = CountingWriter::default();
+        let mut frame = frame_buf(resp.binary_len_hint());
+        wire::encode_response(5, &resp, &mut frame);
+        assert!(resp.binary_len_hint() >= payload.len());
+        send_frame(&mut w, &mut frame).unwrap();
+        assert_eq!((w.writes, &w.bytes), (1, &expected(&payload)));
+
+        let req = Request::Stats { db: "aux".into() };
+        let mut payload = Vec::new();
+        wire::encode_request(1, &req, &mut payload).unwrap();
+        let mut w = CountingWriter::default();
+        let mut frame = frame_buf(0);
+        wire::encode_request(1, &req, &mut frame).unwrap();
+        send_frame(&mut w, &mut frame).unwrap();
+        assert_eq!((w.writes, &w.bytes), (1, &expected(&payload)));
+
+        // The bound still holds, checked before anything is written.
+        let mut w = CountingWriter::default();
+        let mut huge = frame_buf(0);
+        huge.resize(PREFIX_BYTES + MAX_FRAME_BYTES + 1, 0);
+        assert!(send_frame(&mut w, &mut huge).is_err());
+        assert_eq!(w.writes, 0);
     }
 
     /// A reader fed one byte at a time (worst-case fragmentation)

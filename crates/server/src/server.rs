@@ -47,9 +47,18 @@
 //! occupancy concern: a per-document [`BlasDb::on_publish`] hook
 //! prunes that document's superseded generations the moment a new one
 //! is published — other documents' entries are untouched — and a
-//! capacity bound evicts oldest-first beyond that. Entries hold the
-//! node array pre-serialized in both encodings ([`NodesBlob`]), so a
-//! hit replays bytes whichever protocol the connection speaks.
+//! capacity bound evicts oldest-first beyond that — the same
+//! [`GenCache`] the database's plan cache is.
+//!
+//! A miss pays for the reply it sends. `labels:false, cache:false`
+//! answers with the two counts and encodes nothing. A reply that
+//! carries labels, or an entry that is stored, gets the node array's
+//! canonical binary triples ([`NodesBlob::encode`], one pre-sized
+//! pass). The JSON text is rendered by the first JSON reply that
+//! carries the labels and kept on the blob, so from then on a hit
+//! replays bytes whichever protocol the connection speaks — and an
+//! entry a count-only request stored still answers a later
+//! `labels:true` request as a hit.
 //!
 //! ## Shutdown
 //!
@@ -60,12 +69,13 @@
 //! every task handle before shutdown returns.
 
 use crate::json::{self, Json};
-use crate::proto::{err_response, write_frame, ErrorCode, FrameReader, ReadEvent};
+use crate::proto::{
+    err_response, frame_buf, json_frame, send_frame, ErrorCode, FrameReader, ReadEvent,
+};
 use crate::wire::{self, NodesBlob, Request, Response};
-use blas::{BlasCollection, BlasDb, DocId, EngineChoice};
+use blas::{BlasCollection, BlasDb, DocId, EngineChoice, GenCache, GenKey};
 use blas_engine::{PoolHandle, TaskHandle};
-use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -187,109 +197,47 @@ impl Drop for Permit {
     }
 }
 
-/// One cached query answer: counts plus the node array pre-serialized
-/// in both encodings, so a hit replays bytes instead of re-walking
-/// labels.
+/// One cached query answer: the counts plus the node array's
+/// canonical binary triples (its JSON text appears on the blob the
+/// first time a JSON reply carries it).
+#[derive(Clone)]
 struct CachedResult {
     count: u64,
     elements_visited: u64,
     nodes: Arc<NodesBlob>,
 }
 
-/// Result-cache key: document × query string × engine token ×
-/// generation.
-type ResultKey = (u32, String, String, u64);
+/// Result-cache key: query string × engine token, scoped by document
+/// and generation through [`GenKey`].
+type ResultKey = GenKey<(String, String)>;
 
-/// The result cache: same bounded-eviction policy as the plan cache
-/// (superseded generations first, then oldest by insertion), plus
-/// per-document publish-hook pruning.
+/// The result cache: the shared bounded [`GenCache`] policy
+/// (superseded generations first, then oldest by insertion) under one
+/// mutex, plus a count of entries the per-document publish hooks
+/// invalidated.
 struct ResultCache {
-    map: Mutex<ResultMap>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    map: Mutex<GenCache<(String, String), CachedResult>>,
     invalidated: AtomicU64,
-}
-
-#[derive(Default)]
-struct ResultMap {
-    entries: HashMap<ResultKey, (Arc<CachedResult>, u64)>,
-    clock: u64,
 }
 
 impl ResultCache {
     fn new(cap: usize) -> Self {
-        Self {
-            map: Mutex::new(ResultMap::default()),
-            cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-        }
+        Self { map: Mutex::new(GenCache::new(cap)), invalidated: AtomicU64::new(0) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ResultMap> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, GenCache<(String, String), CachedResult>> {
         self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn get(&self, key: &ResultKey) -> Option<Arc<CachedResult>> {
-        let found = self.lock().entries.get(key).map(|(e, _)| Arc::clone(e));
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: ResultKey, entry: Arc<CachedResult>, live_gen: u64) {
-        if self.cap == 0 {
-            return;
-        }
-        let doc = key.0;
-        let mut map = self.lock();
-        if map.entries.len() >= self.cap && !map.entries.contains_key(&key) {
-            // Drop the inserting document's superseded generations
-            // first (other documents' entries may still be live at
-            // their own generations), then oldest across the board.
-            map.entries.retain(|&(d, _, _, g), _| d != doc || g == live_gen);
-            while map.entries.len() >= self.cap {
-                let oldest = map
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, &(_, stamp))| stamp)
-                    .map(|(k, _)| k.clone());
-                match oldest {
-                    Some(k) => {
-                        map.entries.remove(&k);
-                    }
-                    None => break,
-                }
-            }
-        }
-        map.clock += 1;
-        let stamp = map.clock;
-        map.entries.insert(key, (entry, stamp));
+    fn get(&self, key: &ResultKey) -> Option<CachedResult> {
+        self.lock().get(key).cloned()
     }
 
     /// The publish-hook side: a new generation of `doc` supersedes
     /// every entry keyed below it *for that document*.
     fn invalidate_superseded(&self, doc: u32, live_gen: u64) {
-        let mut map = self.lock();
-        let before = map.entries.len();
-        map.entries.retain(|&(d, _, _, g), _| d != doc || g >= live_gen);
-        let dropped = (before - map.entries.len()) as u64;
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    fn clear(&self) -> usize {
-        let mut map = self.lock();
-        let n = map.entries.len();
-        map.entries.clear();
-        n
-    }
-
-    fn len(&self) -> usize {
-        self.lock().entries.len()
+        let dropped = self.lock().prune_superseded(doc, live_gen);
+        self.invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
     }
 }
 
@@ -422,16 +370,17 @@ impl Server {
     /// Current serving counters.
     pub fn stats(&self) -> ServerStats {
         let i = &self.inner;
+        let cache = i.cache.lock();
         ServerStats {
             served: i.served.load(Ordering::Relaxed),
             overloaded: i.overloaded.load(Ordering::Relaxed),
             connections_accepted: i.conns_accepted.load(Ordering::Relaxed),
             connections_rejected: i.conns_rejected.load(Ordering::Relaxed),
             timeouts: i.timeouts.load(Ordering::Relaxed),
-            cache_hits: i.cache.hits.load(Ordering::Relaxed),
-            cache_misses: i.cache.misses.load(Ordering::Relaxed),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
             cache_invalidated: i.cache.invalidated.load(Ordering::Relaxed),
-            cache_entries: i.cache.len(),
+            cache_entries: cache.len(),
         }
     }
 
@@ -500,7 +449,7 @@ fn accept_loop(
                 );
                 let mut s = stream;
                 let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
-                let _ = write_frame(&mut s, resp.to_string().as_bytes());
+                let _ = send_json(&mut s, &resp);
             }
         }
     }
@@ -537,7 +486,7 @@ fn serve_connection(inner: Arc<Inner>, stream: TcpStream) {
                             ErrorCode::Timeout,
                             "connection idle past the read timeout",
                         );
-                        let _ = write_frame(&mut &stream, resp.to_string().as_bytes());
+                        let _ = send_json(&mut &stream, &resp);
                         return;
                     }
                 }
@@ -586,13 +535,26 @@ fn serve_connection(inner: Arc<Inner>, stream: TcpStream) {
                 ErrorCode::BadRequest,
                 "JSON protocol disabled on this server",
             );
-            let _ = write_frame(&mut &stream, resp.to_string().as_bytes());
+            let _ = send_json(&mut &stream, &resp);
             return;
         }
         let mut reader = FrameReader::new();
         reader.prime(first_byte);
         serve_json(inner, stream, reader);
     }
+}
+
+/// One JSON frame, one write.
+fn send_json(w: &mut impl Write, msg: &Json) -> io::Result<()> {
+    send_frame(w, &mut json_frame(msg))
+}
+
+/// A binary response frame: encoded straight behind the reserved
+/// length prefix of a buffer sized for it.
+fn binary_frame(stream_id: u64, resp: &Response) -> Vec<u8> {
+    let mut frame = frame_buf(resp.binary_len_hint());
+    wire::encode_response(stream_id, resp, &mut frame);
+    frame
 }
 
 fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader) {
@@ -608,7 +570,7 @@ fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader)
                 } else {
                     respond(&inner, &bytes)
                 };
-                if write_frame(&mut stream, resp.to_string().as_bytes()).is_err() {
+                if send_json(&mut stream, &resp).is_err() {
                     return;
                 }
                 if stopping {
@@ -627,7 +589,7 @@ fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader)
                             ErrorCode::Timeout,
                             "connection idle past the read timeout",
                         );
-                        let _ = write_frame(&mut stream, resp.to_string().as_bytes());
+                        let _ = send_json(&mut stream, &resp);
                         return;
                     }
                 }
@@ -638,7 +600,7 @@ fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader)
                     ErrorCode::FrameTooLarge,
                     &format!("frame of {n} bytes exceeds the limit"),
                 );
-                let _ = write_frame(&mut stream, resp.to_string().as_bytes());
+                let _ = send_json(&mut stream, &resp);
                 return;
             }
             Ok(ReadEvent::Eof) | Err(_) => return,
@@ -658,26 +620,20 @@ struct MuxWriter {
 
 impl MuxWriter {
     fn send(&self, stream_id: u64, resp: &Response) {
-        let mut payload = Vec::new();
-        wire::encode_response(stream_id, resp, &mut payload);
+        let mut frame = binary_frame(stream_id, resp);
         let _guard = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        if write_frame(&mut &*self.stream, &payload).is_err() {
+        if send_frame(&mut &*self.stream, &mut frame).is_err() {
             self.dead.store(true, Ordering::Release);
         }
     }
 }
 
 fn send_binary_error(stream: &TcpStream, stream_id: u64, code: ErrorCode, message: &str) {
-    let mut payload = Vec::new();
-    wire::encode_response(
-        stream_id,
-        &Response::Error { code, message: message.into() },
-        &mut payload,
-    );
-    let _ = write_frame(&mut &*stream, &payload);
+    let resp = Response::Error { code, message: message.into() };
+    let _ = send_frame(&mut &*stream, &mut binary_frame(stream_id, &resp));
 }
 
 /// The multiplexed binary serve loop. The connection task reads
@@ -902,7 +858,7 @@ fn dispatch_inner(inner: &Inner, req: &Request, permit: Option<Permit>) -> Metho
             Ok(Response::Generation { generation })
         }
         Request::ClearCache => {
-            let cleared = inner.cache.clear();
+            let cleared = inner.cache.lock().clear();
             Ok(Response::Info(Json::Obj(vec![(
                 "cleared".into(),
                 Json::uint(cleared as u64),
@@ -965,50 +921,45 @@ fn query(
 
     let snap = handle.snapshot();
     let generation = snap.generation();
-    let key: ResultKey = (doc, xpath.to_string(), engine_tok.to_string(), generation);
-    let (entry, cached) = match use_cache {
-        true => match inner.cache.get(&key) {
-            Some(hit) => (hit, true),
-            None => (execute(inner, &snap, xpath, choice, &key, true)?, false),
-        },
-        false => (execute(inner, &snap, xpath, choice, &key, false)?, false),
-    };
-    Ok(Response::Query {
+    let reply = |cached: bool, count: u64, elements_visited: u64, nodes| Response::Query {
         generation,
         engine: engine_tok.to_string(),
         cached,
-        count: entry.count,
-        elements_visited: entry.elements_visited,
-        nodes: want_labels.then(|| Arc::clone(&entry.nodes)),
-    })
+        count,
+        elements_visited,
+        nodes,
+    };
+    // The key (two string copies) exists only when the cache is in play.
+    let key = use_cache.then(|| ResultKey {
+        scope: doc,
+        key: (xpath.to_string(), engine_tok.to_string()),
+        generation,
+    });
+    if let Some(hit) = key.as_ref().and_then(|key| inner.cache.get(key)) {
+        let nodes = want_labels.then_some(hit.nodes);
+        return Ok(reply(true, hit.count, hit.elements_visited, nodes));
+    }
+
+    let result = snap.query(xpath, choice).map_err(query_error)?;
+    let count = result.nodes.len() as u64;
+    let elements_visited = result.stats.elements_visited;
+    // Encode only for a reader: the reply's labels, or a cache entry
+    // (which must be able to answer a later `labels:true` hit).
+    let nodes = (want_labels || key.is_some()).then(|| {
+        Arc::new(NodesBlob::encode(result.nodes.iter().map(|d| (d.start, d.end, d.level))))
+    });
+    if let (Some(key), Some(nodes)) = (key, &nodes) {
+        let entry = CachedResult { count, elements_visited, nodes: Arc::clone(nodes) };
+        inner.cache.lock().insert(key, entry, generation);
+    }
+    Ok(reply(false, count, elements_visited, nodes.filter(|_| want_labels)))
 }
 
-fn execute(
-    inner: &Inner,
-    snap: &blas::DbSnapshot<'_>,
-    xpath: &str,
-    choice: EngineChoice,
-    key: &ResultKey,
-    store: bool,
-) -> Result<Arc<CachedResult>, (ErrorCode, String)> {
-    let result = snap.query(xpath, choice).map_err(|e| match &e {
-        blas::BlasError::XPath(_) | blas::BlasError::Parse(_) => {
-            (ErrorCode::Xpath, e.to_string())
-        }
+fn query_error(e: blas::BlasError) -> (ErrorCode, String) {
+    match &e {
+        blas::BlasError::XPath(_) | blas::BlasError::Parse(_) => (ErrorCode::Xpath, e.to_string()),
         _ => (ErrorCode::Internal, e.to_string()),
-    })?;
-    let nodes = NodesBlob::from_triples(
-        result.nodes.iter().map(|d| (d.start, d.end, d.level)),
-    );
-    let entry = Arc::new(CachedResult {
-        count: result.nodes.len() as u64,
-        elements_visited: result.stats.elements_visited,
-        nodes: Arc::new(nodes),
-    });
-    if store {
-        inner.cache.insert(key.clone(), Arc::clone(&entry), snap.generation());
     }
-    Ok(entry)
 }
 
 fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodResult {
@@ -1016,12 +967,7 @@ fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodRe
     let choice: EngineChoice = engine_tok
         .parse()
         .map_err(|e: blas::BlasError| (ErrorCode::BadRequest, e.to_string()))?;
-    let info = handle.plan_info(xpath, choice).map_err(|e| match &e {
-        blas::BlasError::XPath(_) | blas::BlasError::Parse(_) => {
-            (ErrorCode::Xpath, e.to_string())
-        }
-        _ => (ErrorCode::Internal, e.to_string()),
-    })?;
+    let info = handle.plan_info(xpath, choice).map_err(query_error)?;
     Ok(Response::Info(Json::Obj(vec![
         ("engine".into(), Json::str(info.engine.to_string())),
         ("translator".into(), Json::str(format!("{:?}", info.translator))),
@@ -1035,6 +981,10 @@ fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodRe
 fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
     let delta = db.delta_stats();
     let plan = db.plan_cache_stats();
+    let (result_hits, result_misses, result_entries) = {
+        let cache = inner.cache.lock();
+        (cache.hits(), cache.misses(), cache.len())
+    };
     Json::Obj(vec![
         ("db".into(), Json::str(inner.coll.name(DocId(doc)))),
         ("documents".into(), Json::uint(inner.coll.len() as u64)),
@@ -1068,16 +1018,13 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
         (
             "result_cache".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::uint(inner.cache.hits.load(Ordering::Relaxed))),
-                (
-                    "misses".into(),
-                    Json::uint(inner.cache.misses.load(Ordering::Relaxed)),
-                ),
+                ("hits".into(), Json::uint(result_hits)),
+                ("misses".into(), Json::uint(result_misses)),
                 (
                     "invalidated".into(),
                     Json::uint(inner.cache.invalidated.load(Ordering::Relaxed)),
                 ),
-                ("entries".into(), Json::uint(inner.cache.len() as u64)),
+                ("entries".into(), Json::uint(result_entries as u64)),
             ]),
         ),
         (
@@ -1099,4 +1046,66 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, MuxClient};
+    use std::sync::Barrier;
+
+    const SRC: &str = "<db><e><n>a</n><n>b</n></e><e><n>c</n></e></db>";
+
+    /// The stored entry for `//n` under `auto` at generation 0.
+    fn stored(server: &Server) -> Arc<NodesBlob> {
+        let key = ResultKey { scope: 0, key: ("//n".into(), "auto".into()), generation: 0 };
+        server.inner.cache.get(&key).expect("entry is stored").nodes
+    }
+
+    #[test]
+    fn json_text_is_rendered_by_the_first_json_labels_reply_and_racers_share_it() {
+        let db = Arc::new(BlasDb::load(SRC).unwrap());
+        let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+
+        // Stored and sent with labels over the binary wire; hit again
+        // over binary; hit count-only over JSON. Nobody needed text.
+        let mux = MuxClient::connect(addr, None).unwrap();
+        let first = mux.query("//n", "auto").unwrap();
+        assert_eq!((first.cached, first.nodes.len()), (false, 3));
+        assert!(mux.query("//n", "auto").unwrap().cached);
+        let mut json = Client::connect(addr, None).unwrap();
+        assert!(json.query_count("//n", "auto", true).unwrap().cached);
+        let blob = stored(&server);
+        assert!(!blob.json_rendered(), "no JSON labels reply has asked yet");
+
+        // Two JSON connections ask for the labels at once.
+        let barrier = Barrier::new(2);
+        let replies: Vec<Json> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut client = Client::connect(addr, None).unwrap();
+                        let params = Json::Obj(vec![("xpath".into(), Json::str("//n"))]);
+                        barrier.wait();
+                        client.call("query", params).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(blob.json_rendered());
+        for reply in &replies {
+            assert_eq!(reply.get("cached"), Some(&Json::Bool(true)));
+            assert_eq!(
+                reply.get("nodes").map(Json::to_string).as_deref(),
+                Some(blob.json().as_str()),
+                "both racers got the one rendered text"
+            );
+        }
+        // The same blob, not a re-stored one, and it still answers binary.
+        assert!(Arc::ptr_eq(&blob, &stored(&server)));
+        assert_eq!(mux.query("//n", "auto").unwrap().nodes, first.nodes);
+        server.shutdown();
+    }
 }

@@ -304,17 +304,18 @@ fn u32_param(params: &Json, key: &str) -> Result<u32, (ErrorCode, String)> {
         .ok_or_else(|| (ErrorCode::BadRequest, format!("missing u32 param {key:?}")))
 }
 
-/// A result node array pre-serialized in **both** wire encodings, so a
-/// cache hit replays as a memcpy whichever protocol the connection
-/// speaks: `json()` is the `[[start,end,level],…]` text spliced via
-/// [`Json::Raw`]; `bin()` is the same triples as raw little-endian
-/// 10-byte records.
+/// A result node array in the wire's encodings: `bin()` is the
+/// canonical form, raw little-endian 10-byte `(start, end, level)`
+/// records; `json()` is the same triples as `[[start,end,level],…]`
+/// text, spliced into a response via [`Json::Raw`].
 ///
-/// The binary side is canonical; the JSON side is derived lazily so a
-/// binary-decoded blob ([`NodesBlob::from_bin`], the client hot path)
-/// never pays JSON serialization it won't use. The server's
-/// [`NodesBlob::from_triples`] pre-renders both, so a cache hit is a
-/// memcpy in either encoding. Equality compares the canonical bytes.
+/// The binary side always exists. The JSON side is rendered **on first
+/// use** and kept, so a blob that only ever travels the binary wire —
+/// a result-cache entry nobody asked for over JSON, a binary-decoded
+/// reply ([`NodesBlob::from_bin`], the client hot path) — never pays
+/// for text, while every JSON reply after the first replays it as a
+/// memcpy. Concurrent first uses race benignly: one render wins and
+/// every caller sees that text. Equality compares the canonical bytes.
 #[derive(Debug, Clone)]
 pub struct NodesBlob {
     /// Binary encoding: `count × (u32 start, u32 end, u16 level)` LE.
@@ -333,16 +334,28 @@ impl PartialEq for NodesBlob {
 impl Eq for NodesBlob {}
 
 impl NodesBlob {
-    /// Serialize `(start, end, level)` triples into both encodings.
-    pub fn from_triples(triples: impl Iterator<Item = (u32, u32, u16)> + Clone) -> NodesBlob {
-        let mut bin = Vec::new();
+    /// Serialize `(start, end, level)` triples into the canonical
+    /// binary form in one pre-sized pass; the JSON side stays
+    /// unrendered until [`NodesBlob::json`] is first called. This is
+    /// what the server builds for a result it stores or sends.
+    pub fn encode(triples: impl Iterator<Item = (u32, u32, u16)>) -> NodesBlob {
+        let mut bin = Vec::with_capacity(triples.size_hint().0 * NODE_BYTES);
         for (s, e, l) in triples {
             bin.extend_from_slice(&s.to_le_bytes());
             bin.extend_from_slice(&e.to_le_bytes());
             bin.extend_from_slice(&l.to_le_bytes());
         }
-        let blob = NodesBlob { bin, json: std::sync::OnceLock::new() };
-        blob.json(); // pre-render: cache hits must replay, not serialize
+        NodesBlob { bin, json: std::sync::OnceLock::new() }
+    }
+
+    /// Serialize triples into **both** encodings eagerly. The server
+    /// no longer calls this — it answers from [`NodesBlob::encode`] and
+    /// renders JSON when a JSON reply first needs it — but callers that
+    /// want the whole cost paid up front (and the benchmark's replay of
+    /// it) keep the eager form.
+    pub fn from_triples(triples: impl Iterator<Item = (u32, u32, u16)> + Clone) -> NodesBlob {
+        let blob = NodesBlob::encode(triples);
+        blob.json();
         blob
     }
 
@@ -361,7 +374,9 @@ impl NodesBlob {
     /// The JSON encoding, rendered on first use.
     pub fn json(&self) -> &Arc<String> {
         self.json.get_or_init(|| {
-            let mut json = String::from("[");
+            // "[4294967295,4294967295,65535]," is the widest triple.
+            let mut json = String::with_capacity(2 + self.len() * 30);
+            json.push('[');
             for (i, (s, e, l)) in self.triples().into_iter().enumerate() {
                 if i > 0 {
                     json.push(',');
@@ -369,8 +384,15 @@ impl NodesBlob {
                 let _ = fmt::Write::write_fmt(&mut json, format_args!("[{s},{e},{l}]"));
             }
             json.push(']');
+            json.shrink_to_fit();
             Arc::new(json)
         })
+    }
+
+    /// Whether the JSON side has been rendered yet.
+    #[cfg(test)]
+    pub(crate) fn json_rendered(&self) -> bool {
+        self.json.get().is_some()
     }
 
     /// Number of nodes in the blob.
@@ -434,6 +456,20 @@ pub enum Response {
 }
 
 impl Response {
+    /// What to pre-size a frame with before [`encode_response`]: covers
+    /// a query reply whole — its node array is the only part that is
+    /// ever large — and leaves an info reply's text to `Vec` growth.
+    pub(crate) fn binary_len_hint(&self) -> usize {
+        // Stream id, opcode and the widest fixed query fields.
+        let envelope = 48;
+        envelope
+            + match self {
+                Response::Query { nodes: Some(blob), .. } => blob.bin().len(),
+                Response::Error { message, .. } => message.len(),
+                _ => 0,
+            }
+    }
+
     /// Render as the JSON protocol's response object.
     pub fn to_json(&self, id: &Json) -> Json {
         match self {
