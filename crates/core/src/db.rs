@@ -11,19 +11,25 @@
 //!   it in place** (O(1) in the data size: header validation only).
 //!
 //! Whichever way, the same executor answers queries from the same
-//! clustered scans. The mapped path keeps nothing but the store's
-//! columns; the document tree, the schema graph and the per-node label
-//! vectors are *derived* views, rebuilt lazily on first use (only the
-//! Unfold translator and the debugging accessors need them).
+//! clustered scans, and nothing on the query path ever needs a tree:
+//! the schema graph the Unfold translator asks for is read off each
+//! generation's **SP run directory** (a P-label *is* a source path, so
+//! the distinct live P-labels are the document's path summary). The
+//! document tree and the per-node label vectors survive only as
+//! explicit generation-0 accessors ([`BlasDb::document`],
+//! [`BlasDb::labels`], [`BlasDb::stats`]), built on first call.
 //!
 //! A database is **mutable** after open: [`BlasDb::insert_subtree`],
 //! [`BlasDb::delete`] and [`BlasDb::retag`] record edits in a delta
 //! layer over the immutable base columns
 //! ([`blas_storage::delta`]) and publish the result as the next
-//! *generation* — an atomic swap readers never block on. A reader
+//! *generation* — an atomic swap readers never block on. A mutation
+//! costs what it changes: it finds the tuples it touches by seeking,
+//! never by scanning, and edits the writer's log in place. A reader
 //! pins a generation with [`BlasDb::snapshot`] and sees exactly that
 //! state for as long as it holds the handle; [`BlasDb::compact`]
-//! folds the accumulated delta into fresh base columns.
+//! folds the accumulated delta into fresh base columns without
+//! holding the writer lock for the fold.
 
 use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
@@ -33,7 +39,7 @@ use blas_engine::{
     TwigQuery, DEFAULT_MIN_SHARD_ELEMS,
 };
 use blas_labeling::{label_document, DLabel, DocumentLabels, PLabelDomain};
-use blas_storage::{DeltaEdits, MappedBytes, NodeRecord, NodeStore};
+use blas_storage::{DeltaEdits, DeltaStore, MappedBytes, NodeRecord, NodeStore};
 use blas_translate::{
     bind, render_algebra, render_sql, translate_dlabeling, translate_pushup, translate_split,
     translate_unfold, Plan,
@@ -41,8 +47,8 @@ use blas_translate::{
 use blas_xml::{DocStats, Document, NodeId, SchemaGraph, TagId, TagInterner};
 use blas_xpath::QueryTree;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Which query translation algorithm to run (§4.1).
@@ -347,44 +353,55 @@ impl fmt::Debug for PublishHooks {
 }
 
 /// One published generation of the database: an immutable store (base
-/// columns ⊎ delta) plus the derived views — document tree, label
-/// vectors, schema graph — rebuilt lazily against exactly this
-/// generation. Readers pin a generation through [`BlasDb::snapshot`];
-/// the `Arc` keeps its columns alive however many generations the
-/// writer publishes meanwhile.
+/// columns ⊎ delta) and the one view derived from it, the schema
+/// graph — decoded from the store's live P-labels on the first
+/// translation that asks, in O(distinct source paths). Readers pin a
+/// generation through [`BlasDb::snapshot`]; the `Arc` keeps its
+/// columns alive however many generations the writer publishes
+/// meanwhile.
 #[derive(Debug)]
 struct DbGen {
     /// Monotone generation counter; 0 is the state at open.
     number: u64,
     store: NodeStore,
-    doc: OnceLock<Document>,
-    labels: OnceLock<DocumentLabels>,
+    /// Compactions completed when this generation was published.
+    /// Carried here, not in a counter beside `current`, so one pinned
+    /// `Arc` reads a generation number and the count that goes with it.
+    compactions: u64,
     schema: OnceLock<SchemaGraph>,
 }
 
-impl DbGen {
-    fn new(number: u64, store: NodeStore) -> Self {
-        Self {
-            number,
-            store,
-            doc: OnceLock::new(),
-            labels: OnceLock::new(),
-            schema: OnceLock::new(),
-        }
-    }
-}
-
 /// The writer's private side of the generation machinery, serialized
-/// by one mutex: mutations and compactions hold it for their whole
-/// validate → rebuild → publish span; readers never touch it.
+/// by one mutex: a mutation holds it for its validate → edit → publish
+/// span, a compaction only to install what it folded; readers never
+/// touch it.
 #[derive(Debug)]
 struct WriterState {
     /// The delta-free store the cumulative edit log replays onto.
     /// Starts as the store at open; each compaction replaces it with
     /// the freshly folded columns.
     base_store: NodeStore,
-    /// The cumulative edit log since the last compaction.
+    /// The cumulative edit log since the last compaction, edited in
+    /// place. `inserted` stays in start order, which aligns it with
+    /// the published store: entry `i` is global row `base rows + i`.
     edits: DeltaEdits,
+}
+
+/// Background-compaction hand-off: whether a request is waiting, and
+/// whether a compactor thread is alive to serve it.
+#[derive(Debug, Default)]
+struct Background {
+    requested: bool,
+    running: bool,
+}
+
+/// A generation folded off the writer lock, waiting to be installed.
+#[derive(Debug)]
+struct Fold {
+    /// The generation the fold read.
+    pin: Arc<DbGen>,
+    /// Its live tuples as fresh delta-free columns.
+    folded: NodeStore,
 }
 
 /// Observable size of the mutable delta layer
@@ -425,6 +442,12 @@ impl DbSnapshot<'_> {
         &self.gen.store
     }
 
+    /// The pinned generation's schema graph — what the Unfold
+    /// translator unfolds against — read off the store's live P-labels.
+    pub fn schema(&self) -> &SchemaGraph {
+        self.db.gen_schema(&self.gen)
+    }
+
     /// Run `xpath` against the pinned generation — same pipeline and
     /// plan cache as [`BlasDb::query`], keyed by this generation.
     pub fn query(&self, xpath: &str, choice: EngineChoice) -> Result<QueryResult, BlasError> {
@@ -436,9 +459,8 @@ impl DbSnapshot<'_> {
 /// A loaded, labeled, indexed XML document — the unit of querying.
 ///
 /// Only the clustered store, the tag table and the P-label domain are
-/// materialized eagerly; the document tree, schema graph and label
-/// vectors are rebuilt on demand (which is what lets
-/// [`BlasDb::open_mapped`] return in O(1)).
+/// materialized eagerly (which is what lets [`BlasDb::open_mapped`]
+/// return in O(1)); queries need nothing else.
 #[derive(Debug)]
 pub struct BlasDb {
     tags: TagInterner,
@@ -448,12 +470,24 @@ pub struct BlasDb {
     /// ([`BlasDb::store`], [`BlasDb::document`], [`BlasDb::labels`],
     /// [`BlasDb::schema`]) have a stable address to borrow from.
     base: Arc<DbGen>,
+    /// Generation 0's document tree: set at load, otherwise rebuilt
+    /// from the columns by the first [`BlasDb::document`] call. No
+    /// query, plan or mutation reads it.
+    base_doc: OnceLock<Document>,
+    /// Generation 0's per-node label vectors ([`BlasDb::labels`]).
+    base_labels: OnceLock<DocumentLabels>,
     /// The latest published generation. Readers clone the `Arc` out
     /// without holding the lock across a query; the writer swaps it
     /// under [`BlasDb::writer`].
     current: RwLock<Arc<DbGen>>,
-    /// Serializes mutations and compaction.
+    /// Serializes mutations and the install step of a compaction.
     writer: Mutex<WriterState>,
+    /// Serializes whole compactions (fold + install), so two requests
+    /// queue instead of folding the same delta twice. Never taken
+    /// while holding `writer`.
+    compactor: Mutex<()>,
+    /// [`BlasDb::compact_in_background`]'s hand-off to its thread.
+    background: Mutex<Background>,
     /// The persistent worker pool parallel queries execute on; created
     /// on the first parallel query and shared by every query (and
     /// every thread querying this database) thereafter.
@@ -470,14 +504,11 @@ pub struct BlasDb {
     /// invalidation signal for caches layered above the database
     /// (e.g. the server's result cache).
     publish_hooks: Mutex<PublishHooks>,
-    /// Completed delta-folding compactions ([`BlasDb::compact`]).
-    compactions: AtomicU64,
 }
 
 impl BlasDb {
     /// Parse, label and index an XML document (the index generator of
-    /// Fig. 6). The schema graph is inferred from the instance on
-    /// first use.
+    /// Fig. 6).
     pub fn load(xml: &str) -> Result<Self, BlasError> {
         Self::from_document(Document::parse(xml)?)
     }
@@ -489,8 +520,8 @@ impl BlasDb {
         let tags = doc.tags().clone();
         let domain = labels.domain;
         let db = Self::assemble(store, tags, domain);
-        let _ = db.base.doc.set(doc);
-        let _ = db.base.labels.set(labels);
+        let _ = db.base_doc.set(doc);
+        let _ = db.base_labels.set(labels);
         Ok(db)
     }
 
@@ -502,14 +533,13 @@ impl BlasDb {
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, BlasError> {
         let snap = blas_storage::snapshot::decode(bytes)
             .map_err(|e| BlasError::Snapshot(e.to_string()))?;
-        let tags = interner_from_names(&snap.tag_names)?;
-        let domain = PLabelDomain::with_digits(snap.num_tags as usize, snap.digits)?;
+        let (tags, domain) = tags_and_domain(&snap.tag_names, snap.num_tags, snap.digits)?;
         let store = NodeStore::from_records(snap.records);
         let db = Self::assemble(store, tags, domain);
         // Materialize (and thereby validate) the tree now, preserving
         // this path's historical load-time strictness.
         let doc = document_from_store(&db.base.store, &db.tags)?;
-        let _ = db.base.doc.set(doc);
+        let _ = db.base_doc.set(doc);
         Ok(db)
     }
 
@@ -545,23 +575,30 @@ impl BlasDb {
             .map_err(|e| BlasError::Io(format!("{}: {e}", path.display())))?;
         let (store, meta) = NodeStore::from_mapped(mapped)
             .map_err(|e| BlasError::Snapshot(e.to_string()))?;
-        let tags = interner_from_names(&meta.tag_names)?;
-        let domain = PLabelDomain::with_digits(meta.num_tags as usize, meta.digits)?;
+        let (tags, domain) = tags_and_domain(&meta.tag_names, meta.num_tags, meta.digits)?;
         Ok(Self::assemble(store, tags, domain))
     }
 
     fn assemble(store: NodeStore, tags: TagInterner, domain: PLabelDomain) -> Self {
-        let base = Arc::new(DbGen::new(0, store.clone()));
+        let base = Arc::new(DbGen {
+            number: 0,
+            store: store.clone(),
+            compactions: 0,
+            schema: OnceLock::new(),
+        });
         Self {
             tags,
             domain,
             current: RwLock::new(Arc::clone(&base)),
             base,
+            base_doc: OnceLock::new(),
+            base_labels: OnceLock::new(),
             writer: Mutex::new(WriterState { base_store: store, edits: DeltaEdits::new() }),
+            compactor: Mutex::new(()),
+            background: Mutex::new(Background::default()),
             pool: OnceLock::new(),
             plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
             publish_hooks: Mutex::new(PublishHooks::default()),
-            compactions: AtomicU64::new(0),
         }
     }
 
@@ -570,19 +607,23 @@ impl BlasDb {
         Arc::clone(&read_recover(&self.current))
     }
 
-    /// A generation's document tree, rebuilt from its columns on first
-    /// use and cached for the generation's lifetime.
-    fn gen_document<'a>(&'a self, gen: &'a DbGen) -> &'a Document {
-        gen.doc.get_or_init(|| {
-            document_from_store(&gen.store, &self.tags)
-                .expect("published generations encode a consistent tree")
-        })
-    }
-
     /// A generation's schema graph (the Unfold translator's input),
-    /// inferred from that generation's instance.
+    /// read off its path directory: every distinct live P-label decodes
+    /// digit by digit into a root-first tag path, and the set of those
+    /// paths determines the graph. O(distinct source paths + |delta|);
+    /// no tuple is visited and no tree is built.
     fn gen_schema<'a>(&'a self, gen: &'a DbGen) -> &'a SchemaGraph {
-        gen.schema.get_or_init(|| SchemaGraph::infer(self.gen_document(gen)))
+        gen.schema.get_or_init(|| {
+            // Keys were validated when the store was built or opened
+            // and mutations only write labels of existing tags, so a
+            // key that does not decode cannot occur; skipping it keeps
+            // this path panic-free regardless.
+            let paths = gen.store.live_plabels().into_iter().filter_map(|p| {
+                let path = self.domain.path_of_plabel(p).ok()?;
+                Some(path.into_iter().map(|t| self.tags.name(t)).collect::<Vec<_>>())
+            });
+            SchemaGraph::from_source_paths(paths)
+        })
     }
 
     /// The persistent worker pool shared by every parallel query
@@ -943,9 +984,10 @@ impl BlasDb {
             .collect()
     }
 
-    /// Dataset statistics (the Fig. 12 row for this document), given
-    /// the serialized size. Rebuilds the document tree if this
-    /// database came from a snapshot and it has not been needed yet.
+    /// Dataset statistics (the Fig. 12 row for this document **as of
+    /// generation 0**), given the serialized size. Goes through
+    /// [`BlasDb::document`], so on a mapped database the first call
+    /// rebuilds the tree.
     pub fn stats(&self, bytes: usize) -> DocStats {
         DocStats::new(self.document(), bytes)
     }
@@ -957,11 +999,14 @@ impl BlasDb {
     }
 
     /// The parsed document **as of generation 0** (the state at open).
-    /// For snapshot-born databases the tree is **rebuilt from the
-    /// stored D-labels on first call** (tuples in start order nest by
-    /// their intervals) and cached; query execution itself never needs
-    /// it. Mutations do not change what this returns — pin a
-    /// generation with [`BlasDb::snapshot`] for post-edit state.
+    /// A database built by [`BlasDb::load`] / [`BlasDb::from_document`]
+    /// / [`BlasDb::from_snapshot`] already holds it; a mapped one
+    /// **rebuilds it from the stored D-labels on the first call**
+    /// (tuples in start order nest by their intervals; O(nodes)) and
+    /// keeps it. This is an explicit accessor for inspection and
+    /// statistics: no query, plan, explain or mutation ever calls it,
+    /// and mutations do not change what it returns — pin a generation
+    /// with [`BlasDb::snapshot`] for post-edit state.
     ///
     /// # Panics
     ///
@@ -970,15 +1015,20 @@ impl BlasDb {
     /// [`blas_storage::snapshot::verify_checksum`] both reject such
     /// inputs with typed errors instead.
     pub fn document(&self) -> &Document {
-        self.gen_document(&self.base)
+        self.base_doc.get_or_init(|| {
+            document_from_store(&self.base.store, &self.tags)
+                .expect("a snapshot that passed its checks encodes a consistent tree")
+        })
     }
 
     /// The bi-labeling of every node **as of generation 0**, indexed
-    /// by `NodeId`. Derived lazily from the store's columns for
-    /// snapshot-born databases (node ids are assigned in document
-    /// order, which is row order).
+    /// by `NodeId`: the label vectors computed at load, or — for a
+    /// snapshot-born database — decoded from the generation-0 columns
+    /// on the first call (node ids are assigned in document order,
+    /// which is row order). Like [`BlasDb::document`], an explicit
+    /// accessor nothing on the query or mutation path reads.
     pub fn labels(&self) -> &DocumentLabels {
-        self.base.labels.get_or_init(|| DocumentLabels {
+        self.base_labels.get_or_init(|| DocumentLabels {
             dlabels: self.base.store.doc_labels_vec(),
             plabels: self.base.store.doc_plabels_vec(),
             domain: self.domain,
@@ -999,9 +1049,10 @@ impl BlasDb {
         &self.base.store
     }
 
-    /// The schema graph **as of generation 0**, inferred from the
-    /// instance on first use (the Unfold translator's input). Queries
-    /// translate against their own generation's schema.
+    /// The schema graph **as of generation 0** (the Unfold
+    /// translator's input), read off the generation-0 SP run
+    /// directory on first use. Queries translate against their own
+    /// generation's schema ([`DbSnapshot::schema`]).
     pub fn schema(&self) -> &SchemaGraph {
         self.gen_schema(&self.base)
     }
@@ -1023,7 +1074,7 @@ impl BlasDb {
             self.tags.iter().map(|(_, n)| n.to_string()).collect();
         let folded;
         let store = if gen.store.delta().is_some_and(|d| !d.is_noop()) {
-            folded = NodeStore::from_records(materialize(&gen.store));
+            folded = gen.store.folded();
             &folded
         } else {
             &gen.store
@@ -1055,13 +1106,17 @@ impl BlasDb {
     }
 
     /// The current generation number: 0 at open, +1 per successful
-    /// mutation or compaction.
+    /// mutation or real compaction.
     pub fn generation(&self) -> u64 {
         read_recover(&self.current).number
     }
 
     /// Size of the mutable layer on the current generation, plus the
-    /// lifetime compaction count.
+    /// lifetime compaction count **as of that generation**: all five
+    /// fields are read off one pinned generation, so a caller polling
+    /// `compactions` (as the benchmark's `await_compaction` does) sees
+    /// the count move exactly when the folded generation is the one
+    /// being served.
     pub fn delta_stats(&self) -> DeltaStats {
         let gen = self.current_gen();
         let (inserted, deleted, retags) = gen
@@ -1073,7 +1128,7 @@ impl BlasDb {
             inserted,
             deleted,
             retags,
-            compactions: self.compactions.load(Ordering::Relaxed),
+            compactions: gen.compactions,
         }
     }
 
@@ -1111,7 +1166,7 @@ impl BlasDb {
         // Stable while we hold the writer lock: publications happen
         // only under it.
         let gen = self.current_gen();
-        let Some((_, parent)) = gen.store.get_by_start(parent_start) else {
+        let Some((row, parent)) = gen.store.get_by_start(parent_start) else {
             return Err(BlasError::Mutation(format!(
                 "no live node starts at unit {parent_start}"
             )));
@@ -1149,24 +1204,15 @@ impl BlasDb {
             &tag_map,
             &mut new_recs,
         );
-        let grown = unit - p_end;
-        // The parent and every ancestor stretch around the fragment:
-        // displace and re-insert with the end pushed out. (Exactly the
-        // live nodes whose interval contains the parent's end unit.)
-        let spine: Vec<u32> = gen
-            .store
-            .scan_all()
-            .filter(|(_, r)| r.start <= parent_start && r.end >= p_end)
-            .map(|(_, r)| r.start)
-            .collect();
-        let mut edits = ws.edits.clone();
-        for s in spine {
-            let mut rec = ws.displace(&mut edits, s);
-            rec.end += grown;
-            edits.inserted.push(rec);
+        // The parent and every ancestor stretch around the fragment;
+        // Algorithm 2 run backwards names them in `depth` probes.
+        if ws.edits.insert_under(&gen.store, &self.domain, row, unit - p_end, new_recs).is_none() {
+            return Err(BlasError::Mutation(format!(
+                "node [{parent_start}, {p_end}] has no ancestor chain: the store's P-labels \
+                 and D-labels disagree"
+            )));
         }
-        edits.inserted.extend(new_recs);
-        self.commit_edits(&mut ws, edits)
+        self.commit(&mut ws, &gen)
     }
 
     /// Delete the subtree rooted at the node whose D-label starts at
@@ -1179,25 +1225,14 @@ impl BlasDb {
     pub fn delete(&self, start: u32) -> Result<u64, BlasError> {
         let mut ws = lock_recover(&self.writer);
         let gen = self.current_gen();
-        let Some((_, target)) = gen.store.get_by_start(start) else {
+        let Some((row, target)) = gen.store.get_by_start(start) else {
             return Err(BlasError::Mutation(format!("no live node starts at unit {start}")));
         };
         if target.level == 1 {
             return Err(BlasError::Mutation("cannot delete the document root".to_string()));
         }
-        let (s, e) = (target.start, target.end);
-        let doomed: Vec<u32> = gen
-            .store
-            .scan_all()
-            .skip_while(|(_, r)| r.start < s)
-            .take_while(|(_, r)| r.start <= e)
-            .map(|(_, r)| r.start)
-            .collect();
-        let mut edits = ws.edits.clone();
-        for ds in doomed {
-            let _ = ws.displace(&mut edits, ds);
-        }
-        self.commit_edits(&mut ws, edits)
+        ws.edits.delete_subtree(&gen.store, row);
+        self.commit(&mut ws, &gen)
     }
 
     /// Rename the node whose D-label starts at unit `start` to
@@ -1217,41 +1252,14 @@ impl BlasDb {
         };
         let mut ws = lock_recover(&self.writer);
         let gen = self.current_gen();
-        let Some((_, target)) = gen.store.get_by_start(start) else {
+        let Some((row, target)) = gen.store.get_by_start(start) else {
             return Err(BlasError::Mutation(format!("no live node starts at unit {start}")));
         };
-        let (s, e, lvl, old_tag) = (target.start, target.end, target.level, target.tag);
-        if old_tag == tag {
+        if target.tag == tag {
             return Ok(gen.number);
         }
-        let h = self.domain.digits();
-        let base = self.domain.base();
-        let (old_d, new_d) = (old_tag.index() as u128 + 1, tag.index() as u128 + 1);
-        let affected: Vec<(u32, u16)> = gen
-            .store
-            .scan_all()
-            .skip_while(|(_, r)| r.start < s)
-            .take_while(|(_, r)| r.start <= e)
-            .filter(|(_, r)| u32::from(r.level - lvl) < h)
-            .map(|(_, r)| (r.start, r.level))
-            .collect();
-        let mut edits = ws.edits.clone();
-        for (astart, alevel) in affected {
-            let mut rec = ws.displace(&mut edits, astart);
-            let d = u32::from(alevel - lvl);
-            let scale = base.pow(h - 1 - d);
-            rec.plabel = if new_d >= old_d {
-                rec.plabel + (new_d - old_d) * scale
-            } else {
-                rec.plabel - (old_d - new_d) * scale
-            };
-            if d == 0 {
-                rec.tag = tag;
-            }
-            edits.inserted.push(rec);
-        }
-        edits.retags += 1;
-        self.commit_edits(&mut ws, edits)
+        ws.edits.retag_subtree(&gen.store, &self.domain, row, tag);
+        self.commit(&mut ws, &gen)
     }
 
     /// Fold the delta into fresh base columns and publish the result
@@ -1260,51 +1268,125 @@ impl BlasDb {
     /// their columns — compaction never blocks or invalidates them —
     /// and the compacted state is query-identical to the delta-layered
     /// one it replaces.
+    ///
+    /// The O(live tuples) fold runs against a pinned generation
+    /// **without the writer lock**: mutations keep publishing while it
+    /// runs, and the lock is taken only to re-base what arrived
+    /// meanwhile onto the folded columns and swap — O(|edits|).
+    /// Concurrent calls queue on a compaction-only mutex.
     pub fn compact(&self) -> u64 {
+        let _one_at_a_time = lock_recover(&self.compactor);
+        match self.fold() {
+            Some(fold) => self.install(fold),
+            None => self.generation(),
+        }
+    }
+
+    /// Ask for a [`BlasDb::compact`] in the background and return
+    /// immediately. Queries keep answering — from the delta-layered
+    /// generation until the compactor publishes, from the folded one
+    /// after.
+    ///
+    /// The fold runs on a **compactor thread of its own**, started by
+    /// the first request and gone once no request is waiting — never
+    /// on the query pool, where a thread helping while it waits for its
+    /// own µs-scale query would pick the O(n) fold up and run it
+    /// inline. Requests made while one is already waiting coalesce:
+    /// that compaction folds everything published before it starts.
+    pub fn compact_in_background(self: &Arc<Self>) {
+        {
+            let mut bg = lock_recover(&self.background);
+            bg.requested = true;
+            if std::mem::replace(&mut bg.running, true) {
+                return; // the live compactor will see the request
+            }
+        }
+        let db = Arc::clone(self);
+        let compactor = std::thread::Builder::new().name("blas-compactor".into()).spawn(move || loop {
+            {
+                let mut bg = lock_recover(&db.background);
+                if !std::mem::take(&mut bg.requested) {
+                    // Checked and cleared under one lock hold: a
+                    // request either saw `running` and is served by
+                    // this loop, or starts the next thread.
+                    bg.running = false;
+                    return;
+                }
+            }
+            // A panicking fold must not end the thread with `running`
+            // still set (later requests would never be served); every
+            // lock it could have held recovers from poison.
+            let _ = catch_unwind(AssertUnwindSafe(|| db.compact()));
+        });
+        if compactor.is_err() {
+            // No thread to be had: fold on the caller's.
+            *lock_recover(&self.background) = Background::default();
+            self.compact();
+        }
+    }
+
+    /// Compaction, step one (no lock held): pin the current generation
+    /// and fold its live tuples into fresh columns. `None` when it
+    /// carries nothing to fold.
+    fn fold(&self) -> Option<Fold> {
+        let pin = self.current_gen();
+        if pin.store.delta().is_none_or(DeltaStore::is_noop) {
+            return None;
+        }
+        let folded = pin.store.folded();
+        Some(Fold { pin, folded })
+    }
+
+    /// Compaction, step two (writer lock held): make the folded
+    /// columns the base, re-express the edits that arrived since the
+    /// pin against them, and publish. D-label starts survive a fold,
+    /// so the re-base is [`DeltaEdits::rebased`] over the log alone.
+    fn install(&self, fold: Fold) -> u64 {
         let mut ws = lock_recover(&self.writer);
         let gen = self.current_gen();
-        if gen.store.delta().is_none_or(blas_storage::DeltaStore::is_noop) {
-            return gen.number;
-        }
-        let compacted = NodeStore::from_records(materialize(&gen.store));
-        ws.base_store = compacted.clone();
-        ws.edits = DeltaEdits::new();
-        let number = self.publish(compacted);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        number
-    }
-
-    /// Queue a [`BlasDb::compact`] on the database's worker pool and
-    /// return immediately (inline on a zero-worker pool). Queries keep
-    /// answering — from the delta-layered generation until the
-    /// compactor publishes, from the folded one after.
-    pub fn compact_in_background(self: &Arc<Self>) {
-        let db = Arc::clone(self);
-        self.pool().spawn_detached(move || {
-            db.compact();
-        });
-    }
-
-    /// Rebuild the writer-side delta from `edits`, publish the next
-    /// generation, and commit the log — in that order, so a rejected
-    /// script leaves both the log and the published state untouched.
-    fn commit_edits(&self, ws: &mut WriterState, edits: DeltaEdits) -> Result<u64, BlasError> {
-        let store = ws
-            .base_store
-            .apply_edits(&edits)
-            .map_err(|e| BlasError::Mutation(e.to_string()))?;
+        let Fold { pin, folded } = fold;
+        let edits = if gen.number == pin.number {
+            DeltaEdits::new()
+        } else {
+            ws.edits.rebased(&pin.store, &folded)
+        };
+        let store = if edits.is_empty() {
+            folded.clone()
+        } else {
+            match folded.apply_edits(&edits) {
+                Ok(store) => store,
+                // Unreachable for a log this database wrote; give the
+                // fold up rather than publish a state we cannot build.
+                Err(_) => return gen.number,
+            }
+        };
+        ws.base_store = folded;
         ws.edits = edits;
-        Ok(self.publish(store))
+        self.publish(store, gen.compactions + 1)
+    }
+
+    /// Rebuild the delta from the log a mutation just edited in place
+    /// and publish the next generation. A log the store rejects is
+    /// rolled back to the one `gen` — the generation still published —
+    /// was built from, so a rejected script leaves both untouched.
+    fn commit(&self, ws: &mut WriterState, gen: &DbGen) -> Result<u64, BlasError> {
+        match ws.base_store.apply_edits(&ws.edits) {
+            Ok(store) => Ok(self.publish(store, gen.compactions)),
+            Err(e) => {
+                ws.edits = gen.store.pending_edits();
+                Err(BlasError::Mutation(e.to_string()))
+            }
+        }
     }
 
     /// Swap in the next generation (writer lock held by the caller)
     /// and drop plan-cache entries of superseded generations — they
     /// can only be hit again by a pinned [`DbSnapshot`], which will
     /// simply re-prepare.
-    fn publish(&self, store: NodeStore) -> u64 {
+    fn publish(&self, store: NodeStore, compactions: u64) -> u64 {
         let mut cur = write_recover(&self.current);
         let number = cur.number + 1;
-        *cur = Arc::new(DbGen::new(number, store));
+        *cur = Arc::new(DbGen { number, store, compactions, schema: OnceLock::new() });
         drop(cur);
         lock_recover(&self.plan_cache).prune_superseded(0, number);
         for hook in &lock_recover(&self.publish_hooks).0 {
@@ -1314,58 +1396,11 @@ impl BlasDb {
     }
 }
 
-impl WriterState {
-    /// Remove the live tuple starting at `start` from `edits`' view of
-    /// the store — a pending insert is withdrawn, a base row is
-    /// tombstoned — and return it so the caller can re-insert a
-    /// modified copy (or drop it for a delete).
-    fn displace(&self, edits: &mut DeltaEdits, start: u32) -> NodeRecord {
-        if let Some(pos) = edits.inserted.iter().position(|r| r.start == start) {
-            return edits.inserted.remove(pos);
-        }
-        let row = self
-            .base_store
-            .row_of_start(start)
-            .expect("a live tuple is a base row or a pending insert");
-        let r = self.base_store.record(row);
-        let rec = NodeRecord {
-            plabel: r.plabel,
-            start: r.start,
-            end: r.end,
-            level: r.level,
-            tag: r.tag,
-            data: r.data.map(str::to_string),
-        };
-        edits.deleted_rows.push(row.0);
-        rec
-    }
-}
-
 /// The document watermark: one past the last used D-label unit, which
-/// is exactly the root's (inclusive) end — the root is unit 0, spans
-/// everything, and can never be deleted.
+/// is exactly the root's (inclusive) end — the root starts at unit 0,
+/// spans everything, and can never be deleted.
 fn watermark(store: &NodeStore) -> u32 {
-    store
-        .scan_all()
-        .next()
-        .map(|(_, r)| r.end)
-        .expect("a store always holds at least the root")
-}
-
-/// Owned copies of every live tuple in document order — the input
-/// [`NodeStore::from_records`] folds into fresh delta-free columns.
-fn materialize(store: &NodeStore) -> Vec<NodeRecord> {
-    store
-        .scan_all()
-        .map(|(_, r)| NodeRecord {
-            plabel: r.plabel,
-            start: r.start,
-            end: r.end,
-            level: r.level,
-            tag: r.tag,
-            data: r.data.map(str::to_string),
-        })
-        .collect()
+    store.get_by_start(0).map(|(_, root)| root.end).expect("a store always holds the root")
 }
 
 /// Label `id`'s subtree in preorder with the unit accounting of
@@ -1422,10 +1457,16 @@ fn resolved_translator(translator: Translator, engine: Engine) -> Translator {
     }
 }
 
-/// Build a tag interner from a snapshot's tag table, rejecting
-/// duplicate names (interning would collapse them, leaving dangling
-/// tag ids that panic on later name lookups).
-fn interner_from_names(names: &[String]) -> Result<TagInterner, BlasError> {
+/// Build the tag interner and P-label domain a snapshot declares,
+/// rejecting duplicate names (interning would collapse them, leaving
+/// dangling tag ids that panic on later name lookups) and a domain
+/// with more tag digits than the table has names (a P-label could
+/// then decode to a tag the table cannot name).
+fn tags_and_domain(
+    names: &[String],
+    num_tags: u32,
+    digits: u32,
+) -> Result<(TagInterner, PLabelDomain), BlasError> {
     let mut tags = TagInterner::new();
     for name in names {
         tags.intern(name);
@@ -1433,7 +1474,13 @@ fn interner_from_names(names: &[String]) -> Result<TagInterner, BlasError> {
     if tags.len() != names.len() {
         return Err(BlasError::Snapshot("duplicate names in tag table".to_string()));
     }
-    Ok(tags)
+    if num_tags as usize > names.len() {
+        return Err(BlasError::Snapshot(format!(
+            "P-label domain of {num_tags} tags over a table of {}",
+            names.len()
+        )));
+    }
+    Ok((tags, PLabelDomain::with_digits(num_tags as usize, digits)?))
 }
 
 /// Rebuild the document tree from a store's columns: records are in
@@ -1468,6 +1515,9 @@ fn document_from_store(store: &NodeStore, tags: &TagInterner) -> Result<Document
     // are range-checked against the table when a snapshot decodes.
     Ok(doc)
 }
+
+#[cfg(test)]
+mod mutation_tests;
 
 #[cfg(test)]
 mod tests {

@@ -259,33 +259,12 @@ impl PoolHandle {
         self.core.shared.submitted.load(Ordering::Acquire)
     }
 
-    /// Submit one fire-and-forget job: no scope, no completion handle
-    /// — it runs on a resident worker as queue order allows (the
-    /// background compactor's entry point). On the zero-worker inline
-    /// pool the job runs synchronously on the calling thread, since
-    /// nobody else would ever drain it. The body runs under
-    /// `catch_unwind`, so a panicking detached job cannot poison a
-    /// worker; its payload is dropped (a detached job has no join
-    /// point to re-raise at — anything that must be observed belongs
-    /// in state the job updates itself).
-    pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        let job = move || {
-            let _ = catch_unwind(AssertUnwindSafe(f));
-        };
-        if self.core.threads == 0 {
-            job();
-        } else {
-            self.push(Box::new(job), true);
-        }
-    }
-
     /// Submit one `'static` job and get a [`TaskHandle`] to collect
     /// its result (or panic) later. This is the serving layer's
-    /// connection-task primitive: like [`PoolHandle::spawn_detached`]
-    /// there is no scope — the job owns everything it captures — but
-    /// the completion is observable and joinable, which is what lets
-    /// a server *drain* in-flight connections on shutdown instead of
-    /// abandoning them. A panicking body is caught and delivered as
+    /// connection-task primitive: there is no scope — the job owns
+    /// everything it captures — but the completion is observable and
+    /// joinable, which is what lets a server *drain* in-flight
+    /// connections on shutdown instead of abandoning them. A panicking body is caught and delivered as
     /// `Err` at the join point; the worker survives. On the
     /// zero-worker inline pool the job runs synchronously on the
     /// calling thread and the returned handle is already complete.

@@ -28,6 +28,16 @@ pub enum LabelError {
         /// Number of tags the domain was built for.
         num_tags: usize,
     },
+    /// A number that is not the P-label of any node in this domain: it
+    /// lies outside `[0, m)` (some digit would exceed the tag count),
+    /// has a non-zero digit after a zero (a source path has no gaps),
+    /// or uses all `H` digits (no room left for the `/` slot).
+    NotANodeLabel {
+        /// The offending number.
+        plabel: u128,
+        /// Which of the three conditions failed.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for LabelError {
@@ -43,6 +53,9 @@ impl fmt::Display for LabelError {
             }
             Self::TagOutOfRange { tag_index, num_tags } => {
                 write!(f, "tag index {tag_index} out of range (domain has {num_tags} tags)")
+            }
+            Self::NotANodeLabel { plabel, reason } => {
+                write!(f, "{plabel} is not a node P-label: {reason}")
             }
         }
     }

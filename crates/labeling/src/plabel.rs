@@ -185,6 +185,46 @@ impl PLabelDomain {
         Ok(self.path_interval(true, tags)?.p1)
     }
 
+    /// The exact inverse of [`PLabelDomain::plabel_of_path`]: decode a
+    /// node P-label digit by digit (most significant first: the node's
+    /// own tag, then its parent's, … down to the root, then zeros
+    /// only) into its root-first source path. Because a P-label *is*
+    /// its node's source path, the distinct P-labels of a document are
+    /// its path summary — this is how a schema graph is read off the
+    /// SP run directory without touching a tree.
+    pub fn path_of_plabel(&self, plabel: u128) -> Result<Vec<TagId>, LabelError> {
+        if plabel >= self.m {
+            return Err(LabelError::NotANodeLabel { plabel, reason: "outside the domain" });
+        }
+        let mut path = Vec::new();
+        let mut weight = self.weight(0);
+        let mut rest = plabel;
+        for _ in 0..self.digits {
+            let digit = rest / weight;
+            rest %= weight;
+            weight /= self.base;
+            if digit != 0 {
+                path.push(TagId(digit as u32 - 1));
+            } else if rest != 0 {
+                return Err(LabelError::NotANodeLabel {
+                    plabel,
+                    reason: "non-zero digit after a zero",
+                });
+            } else {
+                path.reverse();
+                return Ok(path);
+            }
+        }
+        Err(LabelError::NotANodeLabel { plabel, reason: "no digit left for the / slot" })
+    }
+
+    /// Algorithm 2 run backwards: the P-label of a node's **parent**
+    /// is the node's own with its leading digit shifted out (0 — the
+    /// empty path — for the root).
+    pub fn parent_plabel(&self, plabel: u128) -> u128 {
+        (plabel % self.weight(0)) * self.base
+    }
+
     /// **Algorithm 2** — label every node of `doc` by one DFS, using the
     /// incremental identity
     /// `plabel(child) = (tag+1)·base^(H−1) + plabel(parent)/base`
@@ -370,6 +410,29 @@ mod tests {
             .map(|id| doc.node(id).text.as_deref().unwrap_or(""))
             .collect();
         assert_eq!(matched, ["c"]);
+    }
+
+    #[test]
+    fn path_of_plabel_rejects_what_no_node_can_carry() {
+        // Base 3 (tags 0 and 1), 3 digits: labels are d1·9 + d2·3 + d3.
+        let dom = PLabelDomain::with_digits(2, 3).unwrap();
+        let t = |i: u32| TagId(i);
+        // /t0/t1 → digits (t1+1, t0+1, 0) = (2, 1, 0).
+        assert_eq!(dom.path_of_plabel(2 * 9 + 3).unwrap(), [t(0), t(1)]);
+        assert_eq!(dom.path_of_plabel(0).unwrap(), []);
+        let reason = |p| match dom.path_of_plabel(p) {
+            Err(LabelError::NotANodeLabel { plabel, reason }) if plabel == p => reason,
+            other => panic!("{p}: {other:?}"),
+        };
+        // A digit above the tag count can only come from outside [0, m).
+        assert_eq!(reason(27), "outside the domain");
+        assert_eq!(reason(u128::MAX), "outside the domain");
+        // (1, 0, 2): a tag below the `/` slot.
+        assert_eq!(reason(9 + 2), "non-zero digit after a zero");
+        // (0, 1, 0): the node's own digit is missing.
+        assert_eq!(reason(3), "non-zero digit after a zero");
+        // (1, 1, 1): three tags leave no `/` digit in a 3-digit domain.
+        assert_eq!(reason(13), "no digit left for the / slot");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * Def. 3.3 / Prop. 3.2 — a suffix path query selects exactly the
 //!   nodes whose source path is contained in it.
 
-use blas_labeling::{assign_dlabels, PLabelDomain};
+use blas_labeling::{assign_dlabels, LabelError, PLabelDomain};
 use blas_xml::{Document, TagId};
 use proptest::prelude::*;
 
@@ -117,6 +117,45 @@ proptest! {
         for id in doc.node_ids() {
             let sp = doc.source_path(id);
             prop_assert_eq!(plabels[id.index()], dom.plabel_of_path(&sp).unwrap());
+        }
+    }
+
+    /// `path_of_plabel` is the exact inverse of `plabel_of_path` over
+    /// random alphabets and depths: every anchored path round-trips.
+    #[test]
+    fn path_of_plabel_inverts_plabel_of_path(
+        num_tags in 1usize..40,
+        max_depth in 1u16..9,
+        picks in prop::collection::vec(0u32..1000, 0..9),
+    ) {
+        let dom = PLabelDomain::new(num_tags, max_depth).unwrap();
+        let path: Vec<TagId> = picks
+            .iter()
+            .take(max_depth as usize)
+            .map(|p| TagId(p % num_tags as u32))
+            .collect();
+        let plabel = dom.plabel_of_path(&path).unwrap();
+        prop_assert_eq!(dom.path_of_plabel(plabel).unwrap(), path.clone());
+        // Shifting the leading digit out names the parent's path.
+        if let Some((_, parent)) = path.split_last() {
+            prop_assert_eq!(dom.parent_plabel(plabel), dom.plabel_of_path(parent).unwrap());
+        }
+    }
+
+    /// Every number in a small domain either decodes to a path that
+    /// re-encodes to itself or is rejected with the typed error — never
+    /// a panic, never a lossy decode.
+    #[test]
+    fn path_of_plabel_is_total_and_exact(num_tags in 0usize..5, digits in 1u32..5) {
+        let dom = PLabelDomain::with_digits(num_tags, digits).unwrap();
+        for p in 0..dom.m() + 3 {
+            match dom.path_of_plabel(p) {
+                Ok(path) => prop_assert_eq!(dom.plabel_of_path(&path).unwrap(), p),
+                Err(e) => prop_assert!(
+                    matches!(e, LabelError::NotANodeLabel { plabel, .. } if plabel == p),
+                    "{:?}", e
+                ),
+            }
         }
     }
 }

@@ -25,14 +25,25 @@
 //! cumulative [`DeltaEdits`] log on every mutation** (O(delta), not
 //! O(base)), which keeps it an immutable value: generations share it
 //! behind an `Arc` and readers never observe a half-applied edit.
+//!
+//! The log itself is the writer's one mutable structure, edited **in
+//! place**: the three structural mutations
+//! ([`DeltaEdits::insert_under`], [`DeltaEdits::delete_subtree`],
+//! [`DeltaEdits::retag_subtree`]) find the tuples they touch by seeking
+//! the published store (`depth` directory probes for an ancestor
+//! spine, a start-order seek for a subtree), so a write costs
+//! O(depth · log n + fragment + |delta|) whatever the base size. After
+//! a compaction folded a pinned generation off the writer lock,
+//! [`DeltaEdits::rebased`] re-expresses what arrived meanwhile against
+//! the folded columns in O(|edits|).
 
 use std::fmt;
 use std::ops::Range;
 
-use blas_labeling::DLabel;
+use blas_labeling::{DLabel, PLabelDomain};
 use blas_xml::TagId;
 
-use crate::relation::{NodeRecord, NodeStore, RowId, Run, NO_VALUE};
+use crate::relation::{NodeRecord, NodeStore, RecordView, RowId, Run, NO_VALUE};
 use crate::snapshot::SnapshotError;
 
 /// The cumulative mutation log applied against one base store. This
@@ -61,6 +72,164 @@ impl DeltaEdits {
     pub fn is_empty(&self) -> bool {
         self.inserted.is_empty() && self.deleted_rows.is_empty() && self.retags == 0
     }
+
+    // --- the writer's in-place mutations -----------------------------
+    //
+    // All three take `store`, the store **built from this log** (the
+    // currently published generation), and rows of it. They rely on
+    // the alignment `DeltaStore::build` establishes when `inserted` is
+    // in start order: global row `store.len() + i` is `inserted[i]`.
+    // Each of them leaves `inserted` in start order again, so the next
+    // store built from the log is aligned in turn.
+
+    /// Replace the live tuples at `rows` by copies rewritten with `f`:
+    /// a pending insert is rewritten where it sits, a base row is
+    /// tombstoned and its rewritten copy appended (the caller restores
+    /// start order once it is done appending).
+    fn rewrite(
+        &mut self,
+        store: &NodeStore,
+        rows: impl IntoIterator<Item = RowId>,
+        mut f: impl FnMut(&mut NodeRecord),
+    ) {
+        let n = store.len();
+        for row in rows {
+            if row.index() >= n {
+                f(&mut self.inserted[row.index() - n]);
+            } else {
+                let mut rec = store.record(row).to_owned();
+                f(&mut rec);
+                self.deleted_rows.push(row.0);
+                self.inserted.push(rec);
+            }
+        }
+    }
+
+    /// Bring `inserted` — the old start-ordered log followed by what
+    /// one mutation appended — back into start order. The stable sort
+    /// merges pre-sorted stretches, so this is cheap on what is nearly
+    /// sorted already.
+    fn restore_start_order(&mut self) {
+        self.inserted.sort_by_key(|r| r.start);
+    }
+
+    /// Append `fragment` — already labeled, `grown` units wide, placed
+    /// at the parent's old end unit — as the last child of the live
+    /// tuple at `parent`: the parent and every ancestor stretch by
+    /// `grown` units, no other tuple moves. `None` (log untouched)
+    /// when the store cannot name the parent's ancestors.
+    pub fn insert_under(
+        &mut self,
+        store: &NodeStore,
+        domain: &PLabelDomain,
+        parent: RowId,
+        grown: u32,
+        fragment: Vec<NodeRecord>,
+    ) -> Option<()> {
+        let spine = store.spine_rows(domain, parent)?;
+        self.rewrite(store, spine, |rec| rec.end += grown);
+        self.inserted.extend(fragment);
+        self.restore_start_order();
+        Some(())
+    }
+
+    /// Remove the subtree rooted at the live tuple at `root`: base
+    /// rows are tombstoned, pending inserts withdrawn.
+    pub fn delete_subtree(&mut self, store: &NodeStore, root: RowId) {
+        let n = store.len();
+        let top = store.record(root);
+        // Start order is row order on both sides, so the withdrawn
+        // inserts are one contiguous stretch of the log.
+        let mut withdrawn: Option<Range<usize>> = None;
+        for (row, _) in store.scan_from(top.start).take_while(|(_, r)| r.start <= top.end) {
+            match row.index().checked_sub(n) {
+                None => self.deleted_rows.push(row.0),
+                Some(i) => withdrawn.get_or_insert(i..i).end = i + 1,
+            }
+        }
+        if let Some(stretch) = withdrawn {
+            self.inserted.drain(stretch);
+        }
+    }
+
+    /// Rename the live tuple at `root` to `tag`. A tag is one
+    /// positional digit of every descendant's P-label, so the whole
+    /// subtree is rewritten: a descendant at distance `d` moves by
+    /// `|tag' − tag| · base^(H−1−d)`.
+    pub fn retag_subtree(
+        &mut self,
+        store: &NodeStore,
+        domain: &PLabelDomain,
+        root: RowId,
+        tag: TagId,
+    ) {
+        let top = store.record(root);
+        let (old_digit, new_digit) = (u128::from(top.tag.0) + 1, u128::from(tag.0) + 1);
+        // The per-distance digit weights, hoisted out of the row loop.
+        let mut scales = vec![domain.base().pow(domain.digits() - 1)];
+        for _ in 1..domain.digits() {
+            scales.push(scales[scales.len() - 1] / domain.base());
+        }
+        let rows = store
+            .scan_from(top.start)
+            .take_while(|(_, r)| r.start <= top.end)
+            .filter(|(_, r)| usize::from(r.level.wrapping_sub(top.level)) < scales.len())
+            .map(|(row, _)| row);
+        self.rewrite(store, rows, |rec| {
+            let scale = scales[usize::from(rec.level.wrapping_sub(top.level))];
+            rec.plabel = if new_digit >= old_digit {
+                rec.plabel + (new_digit - old_digit) * scale
+            } else {
+                rec.plabel - (old_digit - new_digit) * scale
+            };
+            if rec.start == top.start {
+                rec.tag = tag;
+            }
+        });
+        self.restore_start_order();
+        self.retags += 1;
+    }
+
+    /// Re-express this log — cumulative against `pinned`'s base
+    /// columns — against `folded`, the delta-free fold of `pinned`
+    /// (an earlier state of the same log). D-label starts are never
+    /// renumbered or reclaimed, so they identify a tuple across the
+    /// fold: a tuple pending at pin time that is no longer identically
+    /// pending becomes a tombstone of its folded row, a base row
+    /// tombstoned since likewise, and every insert not identically
+    /// pending at pin time stays an insert. O(|edits|), never O(base).
+    pub fn rebased(&self, pinned: &NodeStore, folded: &NodeStore) -> DeltaEdits {
+        let Some(pd) = pinned.delta() else { return self.clone() };
+        let folded_row = |start: u32| {
+            folded.row_of_start(start).expect("a tuple live at pin time is a folded row").0
+        };
+        let mut out = DeltaEdits { retags: self.retags - pd.retag_count(), ..DeltaEdits::new() };
+        for &row in self.deleted_rows.iter().filter(|&&row| !pd.is_deleted_row(row)) {
+            out.deleted_rows.push(folded_row(pinned.record(RowId(row)).start));
+        }
+        let n = pinned.len();
+        let mut now = self.inserted.iter().peekable();
+        for i in 0..pd.inserted_len() {
+            let was = pinned.record(RowId((n + i) as u32));
+            while let Some(rec) = now.next_if(|r| r.start < was.start) {
+                out.inserted.push(rec.clone());
+            }
+            match now.next_if(|r| r.start == was.start) {
+                Some(rec) if same_tuple(rec, &was) => {}
+                changed => {
+                    out.deleted_rows.push(folded_row(was.start));
+                    out.inserted.extend(changed.cloned());
+                }
+            }
+        }
+        out.inserted.extend(now.cloned());
+        out
+    }
+}
+
+fn same_tuple(rec: &NodeRecord, view: &RecordView<'_>) -> bool {
+    (rec.plabel, rec.dlabel(), rec.tag, rec.data.as_deref())
+        == (view.plabel, view.dlabel(), view.tag, view.data)
 }
 
 /// Structural rejection of a [`DeltaEdits`] log against its base.
@@ -323,6 +492,11 @@ impl DeltaStore {
         self.ins_labels[i].start
     }
 
+    /// Index of the first inserted tuple starting at or after `start`.
+    pub(crate) fn ins_lower_bound(&self, start: u32) -> usize {
+        self.ins_labels.partition_point(|l| l.start < start)
+    }
+
     /// Raw parts of inserted tuple `i`: (plabel, dlabel, tag,
     /// value id). The caller resolves the value id to a string.
     pub(crate) fn ins_parts(&self, i: usize) -> (u128, DLabel, TagId, u32) {
@@ -378,6 +552,11 @@ impl DeltaStore {
         self.sp_keys[i]
     }
 
+    /// Entries in the SP key directory (distinct inserted P-labels).
+    pub(crate) fn sp_key_count(&self) -> usize {
+        self.sp_keys.len()
+    }
+
     /// SP run of directory entry `i`.
     pub(crate) fn sp_run_at(&self, i: usize) -> Run<'_> {
         self.sp_run_at_positions(self.sp_positions(i))
@@ -413,6 +592,11 @@ impl DeltaStore {
     /// Sorted starts of all tombstoned base rows.
     pub(crate) fn del_starts(&self) -> &[u32] {
         &self.del_starts
+    }
+
+    /// All tombstoned base rows, ascending.
+    pub(crate) fn del_rows(&self) -> &[u32] {
+        &self.del_rows
     }
 
     /// Tombstoned `(plabel, start)` pairs with plabel exactly `p`.
@@ -466,6 +650,11 @@ impl DeltaStore {
     /// Distinct strings interned by the delta (beyond the base).
     pub fn value_count(&self) -> usize {
         self.values.len()
+    }
+
+    /// Global ids of the delta-interned strings, in string order.
+    pub(crate) fn value_ids_sorted(&self) -> impl Iterator<Item = u32> + '_ {
+        self.values_sorted.iter().map(|&local| self.base_values + 1 + local)
     }
 
     /// Does any edit touch SD key `t`?
@@ -605,6 +794,148 @@ pub fn decode_edits(bytes: &[u8]) -> Result<DeltaEdits, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::ROW_VISITS;
+    use blas_labeling::label_document;
+    use blas_xml::Document;
+
+    /// `<r>` over `groups` `<s>` groups of `<i><v>…</v>×4</i>` items:
+    /// every document has depth 4 and the same 4 source paths,
+    /// whatever its size.
+    fn grouped(groups: usize, items: usize) -> (Document, PLabelDomain, NodeStore) {
+        let item = "<i><v>1</v><v>2</v><v>3</v><v>4</v></i>";
+        let src = format!("<r>{}</r>", format!("<s>{}</s>", item.repeat(items)).repeat(groups));
+        let doc = Document::parse(&src).unwrap();
+        let labels = label_document(&doc).unwrap();
+        let store = NodeStore::build(&doc, &labels);
+        (doc, labels.domain, store)
+    }
+
+    /// The records of one more `<i>` item appended at unit `at` under a
+    /// level-2 parent with P-label `parent`, labeled as `BlasDb` labels
+    /// a fragment (Algorithm 2's incremental identity).
+    fn item_fragment(doc: &Document, domain: &PLabelDomain, parent: u128, at: u32) -> Vec<NodeRecord> {
+        let top = domain.base().pow(domain.digits() - 1);
+        let (i, v) = (doc.tags().get("i").unwrap(), doc.tags().get("v").unwrap());
+        let i_plabel = (u128::from(i.0) + 1) * top + parent / domain.base();
+        let v_plabel = (u128::from(v.0) + 1) * top + i_plabel / domain.base();
+        let mut out = vec![rec(i_plabel, at, at + 13, 3, i.0, None)];
+        for k in 0..4 {
+            let s = at + 1 + 3 * k;
+            out.push(NodeRecord { plabel: v_plabel, ..rec(0, s, s + 2, 4, v.0, Some("9")) });
+        }
+        out
+    }
+
+    /// Live tuples of `store`, owned, in document order.
+    fn live(store: &NodeStore) -> Vec<NodeRecord> {
+        store.scan_all().map(|(_, r)| r.to_owned()).collect()
+    }
+
+    /// Run `f` and return how many rows it visited on this thread.
+    fn visits(f: impl FnOnce()) -> u64 {
+        let before = ROW_VISITS.with(|c| c.get());
+        f();
+        ROW_VISITS.with(|c| c.get()) - before
+    }
+
+    /// Recompute every P-label of `recs` (document order) from the
+    /// tags on the path above it: the oracle the incremental retag
+    /// arithmetic is checked against.
+    fn relabel(recs: &mut [NodeRecord], domain: &PLabelDomain) {
+        let mut path: Vec<TagId> = Vec::new();
+        for r in recs {
+            path.truncate(usize::from(r.level) - 1);
+            path.push(r.tag);
+            r.plabel = domain.plabel_of_path(&path).unwrap();
+        }
+    }
+
+    /// The script both tests run: insert an item under the last `<s>`,
+    /// retag the first base item, delete the second base item, then
+    /// retag and delete the freshly inserted (pending) item — each
+    /// committed before the next. Returns the rows each of the five
+    /// mutations visited, the final layered store and its log, and
+    /// what a from-scratch edit of the tuple list says the result is.
+    fn run_script(groups: usize, items: usize) -> ([u64; 5], NodeStore, DeltaEdits, Vec<NodeRecord>) {
+        let (doc, domain, base) = grouped(groups, items);
+        let s_tag = doc.tags().get("s").unwrap();
+        let mut log = DeltaEdits::new();
+        let mut store = base.clone();
+        let mut oracle = live(&base);
+        let mut cost = [0u64; 5];
+
+        // Insert: the last <s> closes one unit before the root does.
+        let root_end = oracle[0].end;
+        let parent = oracle.iter().rfind(|r| r.level == 2).unwrap().clone();
+        assert_eq!(parent.end + 1, root_end);
+        let frag = item_fragment(&doc, &domain, parent.plabel, parent.end);
+        let row = store.row_of_start(parent.start).unwrap();
+        cost[0] = visits(|| log.insert_under(&store, &domain, row, 14, frag.clone()).unwrap());
+        store = base.apply_edits(&log).unwrap();
+        for r in oracle.iter_mut().filter(|r| r.start <= parent.start && r.end >= parent.end) {
+            r.end += 14;
+        }
+        oracle.extend(frag);
+
+        // Units: r=0, s=1, first item [2, 15], second item [16, 29].
+        for (slot, start, delete) in
+            [(1, 2, false), (2, 16, true), (3, parent.end, false), (4, parent.end, true)]
+        {
+            let (row, top) = store.get_by_start(start).map(|(row, r)| (row, r.to_owned())).unwrap();
+            assert_eq!(doc.tags().name(top.tag), if slot == 4 { "s" } else { "i" });
+            cost[slot] = visits(|| {
+                if delete {
+                    log.delete_subtree(&store, row);
+                } else {
+                    log.retag_subtree(&store, &domain, row, s_tag);
+                }
+            });
+            store = base.apply_edits(&log).unwrap();
+            if delete {
+                oracle.retain(|r| r.start < top.start || r.start > top.end);
+            } else {
+                oracle.iter_mut().find(|r| r.start == start).unwrap().tag = s_tag;
+                relabel(&mut oracle, &domain);
+            }
+        }
+        (cost, store, log, oracle)
+    }
+
+    #[test]
+    fn in_place_mutations_match_a_from_scratch_edit_and_keep_the_log_aligned() {
+        let (_, store, mut log, oracle) = run_script(3, 4);
+        assert_eq!(live(&store), oracle);
+        // The store's indexed delta and the writer's log are the same
+        // edits: recovering the log from the store round-trips, entry
+        // for entry (which is what lets a rejected commit roll back).
+        log.deleted_rows.sort_unstable();
+        assert_eq!(store.pending_edits(), log);
+        assert_eq!(log.retags, 2);
+        // The seek and the path summary agree with a full scan.
+        for from in [0, 1, 17, 30, 1000] {
+            let seek: Vec<u32> = store.scan_from(from).map(|(_, r)| r.start).collect();
+            let scan: Vec<u32> =
+                oracle.iter().map(|r| r.start).filter(|&s| s >= from).collect();
+            assert_eq!(seek, scan, "scan_from({from})");
+        }
+        let mut paths: Vec<u128> = oracle.iter().map(|r| r.plabel).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        assert_eq!(store.live_plabels(), paths);
+    }
+
+    #[test]
+    fn a_mutation_visits_the_same_rows_on_a_2k_and_a_200k_node_document() {
+        let (small, store, ..) = run_script(4, 100);
+        assert_eq!(store.live_len(), 2005 - 5);
+        let (large, store, ..) = run_script(4, 10_000);
+        assert_eq!(store.live_len(), 200_005 - 5);
+        // Same depth, same fragment: insert (spine probes), retag and
+        // delete of a 5-node base subtree (seek + walk) and of a
+        // pending one cost exactly the same whatever lies around them.
+        assert_eq!(small, large);
+        assert!(small.iter().all(|&v| (1..=40).contains(&v)), "{small:?}");
+    }
 
     fn rec(plabel: u128, start: u32, end: u32, level: u16, tag: u32, data: Option<&str>) -> NodeRecord {
         NodeRecord { plabel, start, end, level, tag: TagId(tag), data: data.map(str::to_string) }

@@ -77,9 +77,9 @@ use crate::mapped::MappedBytes;
 use crate::packed::{BitpackCol, LabelPlanesCol, PlaneCol};
 use crate::scan::{PackedRun, RunLike, ScanRun};
 use crate::snapshot::{self, SnapshotError, SnapshotMeta};
-use blas_labeling::{DLabel, DocumentLabels};
+use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
 use blas_xml::{Document, TagId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
@@ -202,25 +202,38 @@ impl LabelColumn {
         }
     }
 
-    /// Position of the label with this `start`, by binary search over
-    /// the start-ordered column (O(log n) point reads when packed).
-    fn search_start(&self, start: u32) -> Option<usize> {
+    /// `start` of the label at position `i` (one plane read when
+    /// packed, where [`LabelColumn::get`] costs three).
+    #[inline]
+    fn start_at(&self, i: usize) -> u32 {
         match self {
-            Self::Raw(c) => c.binary_search_by(|l| l.start.cmp(&start)).ok(),
-            Self::Packed(p) => {
-                let plane = p.starts.as_ref();
-                let (mut lo, mut hi) = (0usize, plane.len());
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if plane.get(mid) < start {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                (lo < plane.len() && plane.get(lo) == start).then_some(lo)
+            Self::Raw(c) => c[i].start,
+            Self::Packed(p) => p.starts.as_ref().get(i),
+        }
+    }
+
+    /// First position in `range` whose start is `>= start`, by binary
+    /// search (O(log n) point reads when packed). The column must be
+    /// start-ascending over `range`: the whole document-order column
+    /// is, and so is every single run of a clustered permutation.
+    fn lower_bound_start(&self, range: Range<usize>, start: u32) -> usize {
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.start_at(mid) < start {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo
+    }
+
+    /// Position of the label with this `start` in the start-ordered
+    /// document column.
+    fn search_start(&self, start: u32) -> Option<usize> {
+        let at = self.lower_bound_start(0..self.len(), start);
+        (at < self.len() && self.start_at(at) == start).then_some(at)
     }
 }
 
@@ -649,6 +662,22 @@ impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for EitherIter<A,
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Rows this thread has touched through the point-read, seek and
+    /// probe paths ([`NodeStore::record`], the live-row walk, the
+    /// ancestor probe). Test-only: the cost pins read it to show a
+    /// mutation's work does not grow with the base.
+    pub(crate) static ROW_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count one row touched (compiled out of non-test builds).
+#[inline(always)]
+fn visit_row() {
+    #[cfg(test)]
+    ROW_VISITS.with(|c| c.set(c.get() + 1));
+}
+
 /// The derived B+ tree indexes, built lazily from the columns on first
 /// use. Keeping them out of the construction path is what lets a
 /// mapped snapshot open in O(1): nothing here is needed by the
@@ -776,7 +805,7 @@ impl NodeStore {
                 doc.node(id).text.as_deref(),
             );
         }
-        Self::from_columns(columns)
+        columns.into_store()
     }
 
     /// Build from pre-labeled records (tests, generators, snapshot
@@ -789,7 +818,7 @@ impl NodeStore {
             let d = DLabel { start: r.start, end: r.end, level: r.level };
             columns.push_owned(r.plabel, d, r.tag, r.data);
         }
-        Self::from_columns(columns)
+        columns.into_store()
     }
 
     /// Open a store **directly over a snapshot mapping** with zero
@@ -813,6 +842,16 @@ impl NodeStore {
             let (cols, meta) = {
                 let view = snapshot::TypedView::parse(&source)?;
                 let meta = view.meta()?;
+                // The SP run keys are the document's path summary: the
+                // schema graph is decoded from them, digit by digit,
+                // into tag ids. Validate that here, with the rest of
+                // the directory, so every key names a path of the
+                // domain's tags.
+                let domain = PLabelDomain::with_digits(meta.num_tags as usize, meta.digits)
+                    .map_err(|_| SnapshotError::Corrupt("P-label domain overflows u128"))?;
+                if view.sp_keys.iter().any(|&key| domain.path_of_plabel(key).is_err()) {
+                    return Err(SnapshotError::Corrupt("SP run key is not a node P-label"));
+                }
                 let vid_sentinel = view.value_count() as u32;
                 let label_col = |s: &LabelSection<'_>| match *s {
                     LabelSection::Raw(sl) => LabelColumn::Raw(Col::from_mapped_slice(sl)),
@@ -889,50 +928,20 @@ impl NodeStore {
         }
     }
 
-    fn from_columns(columns: Columns) -> Self {
-        let Columns { labels, plabels, tags, value_ids, values, intern } = columns;
-        let n = labels.len();
+    /// Cluster finished columns, which every caller hands over in
+    /// start (document) order. `value_sorted` lists the value ids in
+    /// the order of their strings.
+    fn from_columns(columns: Columns, value_sorted: Vec<u32>) -> Self {
+        let Columns { labels, plabels, tags, value_ids, values, .. } = columns;
 
-        // SP permutation: stable clustering by plabel keeps the
-        // start-ascending document order inside each run.
-        let mut sp_perm: Vec<u32> = (0..n as u32).collect();
-        sp_perm.sort_unstable_by_key(|&i| (plabels[i as usize], labels[i as usize].start));
+        // Both clusterings keep the start-ascending document order
+        // inside each run.
+        let (sp_perm, sp_keys, sp_ends) = cluster(&plabels);
         let sp_labels: Vec<DLabel> = sp_perm.iter().map(|&i| labels[i as usize]).collect();
         let sp_values: Vec<u32> = sp_perm.iter().map(|&i| value_ids[i as usize]).collect();
-        let mut sp_keys: Vec<u128> = Vec::new();
-        let mut sp_ends: Vec<u32> = Vec::new();
-        for (pos, &row) in sp_perm.iter().enumerate() {
-            let p = plabels[row as usize];
-            match sp_keys.last() {
-                Some(&last) if last == p => *sp_ends.last_mut().expect("parallel") = pos as u32 + 1,
-                _ => {
-                    sp_keys.push(p);
-                    sp_ends.push(pos as u32 + 1);
-                }
-            }
-        }
-
-        // SD permutation, same construction keyed by tag.
-        let mut sd_perm: Vec<u32> = (0..n as u32).collect();
-        sd_perm.sort_unstable_by_key(|&i| (tags[i as usize], labels[i as usize].start));
+        let (sd_perm, sd_keys, sd_ends) = cluster(&tags);
         let sd_labels: Vec<DLabel> = sd_perm.iter().map(|&i| labels[i as usize]).collect();
         let sd_values: Vec<u32> = sd_perm.iter().map(|&i| value_ids[i as usize]).collect();
-        let mut sd_keys: Vec<u32> = Vec::new();
-        let mut sd_ends: Vec<u32> = Vec::new();
-        for (pos, &row) in sd_perm.iter().enumerate() {
-            let t = tags[row as usize];
-            match sd_keys.last() {
-                Some(&last) if last == t => *sd_ends.last_mut().expect("parallel") = pos as u32 + 1,
-                _ => {
-                    sd_keys.push(t);
-                    sd_ends.push(pos as u32 + 1);
-                }
-            }
-        }
-
-        // The intern map iterates in string order, which is exactly the
-        // sorted-value-id column the binary-search lookup needs.
-        let value_sorted: Vec<u32> = intern.values().copied().collect();
 
         Self::from_cols(StoreCols {
             labels: LabelColumn::Raw(Col::Owned(labels)),
@@ -1044,6 +1053,7 @@ impl NodeStore {
     /// into the delta's inserted tuples.
     #[inline]
     pub fn record(&self, row: RowId) -> RecordView<'_> {
+        visit_row();
         let i = row.index();
         let n = self.labels.len();
         if i >= n {
@@ -1118,15 +1128,19 @@ impl NodeStore {
         self.values.len() + self.delta.as_deref().map_or(0, DeltaStore::value_count)
     }
 
-    /// Global rows of all **live** tuples in start (document) order:
-    /// base rows minus tombstones, merged with delta inserts.
-    fn live_rows(&self) -> impl Iterator<Item = RowId> + '_ {
+    /// Global rows of the **live** tuples starting at or after unit
+    /// `from`, in start (document) order: base rows minus tombstones,
+    /// merged with delta inserts. Seeking costs two binary searches;
+    /// the walk itself touches only the rows it yields (and the
+    /// tombstones between them).
+    fn live_rows_from(&self, from: u32) -> impl Iterator<Item = RowId> + '_ {
         let delta = self.delta.as_deref();
         let n = self.labels.len();
         let dn = delta.map_or(0, DeltaStore::inserted_len);
-        let mut bi = 0usize;
-        let mut di = 0usize;
+        let mut bi = self.labels.lower_bound_start(0..n, from);
+        let mut di = delta.map_or(0, |d| d.ins_lower_bound(from));
         std::iter::from_fn(move || {
+            visit_row();
             if let Some(d) = delta {
                 while bi < n && d.is_deleted_row(bi as u32) {
                     bi += 1;
@@ -1150,7 +1164,174 @@ impl NodeStore {
 
     /// All live tuples in start (document) order.
     pub fn scan_all(&self) -> impl Iterator<Item = (RowId, RecordView<'_>)> {
-        self.live_rows().map(move |row| (row, self.record(row)))
+        self.scan_from(0)
+    }
+
+    /// The live tuples starting at or after unit `from`, in start
+    /// (document) order — a seek, not a scan: a subtree `[s, e]` is
+    /// `scan_from(s)` taken while `start <= e`, at a cost independent
+    /// of how many tuples precede it.
+    pub fn scan_from(&self, from: u32) -> impl Iterator<Item = (RowId, RecordView<'_>)> {
+        self.live_rows_from(from).map(move |row| (row, self.record(row)))
+    }
+
+    /// The distinct P-labels that have at least one **live** tuple,
+    /// ascending: the base run directory with each run's length
+    /// adjusted by the delta's tombstones and inserts, plus the
+    /// delta-only keys. A P-label is its node's source path, so this is
+    /// the generation's path summary, read in O(distinct paths +
+    /// |delta|) without visiting a tuple.
+    pub fn live_plabels(&self) -> Vec<u128> {
+        let Some(d) = self.delta.as_deref().filter(|d| !d.is_noop()) else {
+            return self.sp_keys.to_vec();
+        };
+        let mut out = Vec::with_capacity(self.sp_keys.len() + d.sp_key_count());
+        let mut di = 0usize;
+        for (i, &key) in self.sp_keys.iter().enumerate() {
+            while di < d.sp_key_count() && d.sp_key(di) < key {
+                out.push(d.sp_key(di));
+                di += 1;
+            }
+            let mut live = self.sp_run_range(i).len() - d.dels_for_plabel(key).len();
+            if di < d.sp_key_count() && d.sp_key(di) == key {
+                live += d.sp_run_at(di).len();
+                di += 1;
+            }
+            if live > 0 {
+                out.push(key);
+            }
+        }
+        out.extend((di..d.sp_key_count()).map(|i| d.sp_key(i)));
+        out
+    }
+
+    /// The last live tuple of P-label `p`'s merged SP run that starts
+    /// at or before unit `start` — a directory probe plus one binary
+    /// search per side, no scan.
+    fn last_of_plabel_at_or_before(&self, p: u128, start: u32) -> Option<RowId> {
+        let delta = self.delta.as_deref();
+        let upper = start.checked_add(1);
+        let from_base = self.sp_keys.binary_search(&p).ok().and_then(|at| {
+            let run = self.sp_run_range(at);
+            let mut pos = upper.map_or(run.end, |u| self.sp_labels.lower_bound_start(run.clone(), u));
+            while pos > run.start {
+                pos -= 1;
+                visit_row();
+                let row = self.sp_rows.get(pos);
+                if delta.is_none_or(|d| !d.is_deleted_row(row)) {
+                    return Some((self.sp_labels.start_at(pos), row));
+                }
+            }
+            None
+        });
+        let from_delta = delta.and_then(|d| {
+            let run = d.sp_run(p);
+            let pos = run.labels.partition_point(|l| l.start <= start);
+            (pos > 0).then(|| (run.labels[pos - 1].start, run.rows[pos - 1]))
+        });
+        from_base.max(from_delta).map(|(_, row)| RowId(row))
+    }
+
+    /// The live tuple at `row` followed by each of its ancestors,
+    /// nearest first, found by running Algorithm 2 **backwards**: a
+    /// parent's P-label is its child's with the leading digit shifted
+    /// out, and two tuples with the same full source path cannot nest,
+    /// so the ancestor at each level is the last tuple of that P-label
+    /// starting at or before the node. `depth` directory probes;
+    /// `None` when an ancestor is missing (only a store whose labels
+    /// contradict each other — e.g. a crafted mapping — can do that).
+    pub fn spine_rows(&self, domain: &PLabelDomain, row: RowId) -> Option<Vec<RowId>> {
+        let node = self.record(row);
+        let mut spine = vec![row];
+        let mut plabel = domain.parent_plabel(node.plabel);
+        while plabel != 0 {
+            spine.push(self.last_of_plabel_at_or_before(plabel, node.start)?);
+            plabel = domain.parent_plabel(plabel);
+        }
+        Some(spine)
+    }
+
+    /// The cumulative edit log this store's delta was built from,
+    /// recovered from its indexed form: inserted tuples in start order
+    /// (so entry `i` is global row `len() + i`), tombstoned rows
+    /// ascending. O(|delta|).
+    pub fn pending_edits(&self) -> DeltaEdits {
+        let Some(d) = self.delta.as_deref() else { return DeltaEdits::new() };
+        let n = self.labels.len();
+        DeltaEdits {
+            inserted: (n..n + d.inserted_len())
+                .map(|row| self.record(RowId(row as u32)).to_owned())
+                .collect(),
+            deleted_rows: d.del_rows().to_vec(),
+            retags: d.retag_count(),
+        }
+    }
+
+    /// Fold the delta into fresh, delta-free base columns holding
+    /// exactly the live tuples (what a compaction publishes and what a
+    /// snapshot of a mutated database serializes) — column for column
+    /// what [`NodeStore::from_records`] builds from the live tuples,
+    /// without materializing a record or re-interning a string: every
+    /// distinct string already has exactly one global value id, so the
+    /// new intern table is a renumbering of the old ids in order of
+    /// first live appearance, and its string order is the old tables'
+    /// string orders merged. O(live tuples).
+    pub fn folded(&self) -> NodeStore {
+        /// Marks an old id whose string the arena cannot produce (only a
+        /// mapping that escaped its checksum): folded as "no value",
+        /// which is how a scan would read it.
+        const DROPPED: u32 = NO_VALUE - 1;
+        let delta = self.delta.as_deref();
+        let n = self.labels.len();
+        let mut columns = Columns::with_capacity(self.live_len());
+        // Old global id → new id (`NO_VALUE` = not seen yet). Delta
+        // ids sit one past the base range (see `DeltaStore`).
+        let mut renumbered =
+            vec![NO_VALUE; self.values.len() + 1 + delta.map_or(0, DeltaStore::value_count)];
+        for row in self.live_rows_from(0) {
+            let i = row.index();
+            let (plabel, label, tag, old) = match delta {
+                Some(d) if i >= n => d.ins_parts(i - n),
+                _ => (
+                    self.plabel_at(i),
+                    self.labels.get(i),
+                    TagId(self.tags.get(i)),
+                    self.value_ids.get(i),
+                ),
+            };
+            let value_id = match renumbered.get_mut(old as usize) {
+                None => NO_VALUE,
+                Some(slot) => {
+                    if *slot == NO_VALUE {
+                        *slot = match self.value(old) {
+                            Some(s) => {
+                                columns.values.push(s.to_string());
+                                columns.values.len() as u32 - 1
+                            }
+                            None => DROPPED,
+                        };
+                    }
+                    if *slot == DROPPED { NO_VALUE } else { *slot }
+                }
+            };
+            columns.push_columns(plabel, label, tag, value_id);
+        }
+        // New ids in string order: each old table lists its ids in
+        // string order already, so keep the survivors of both and
+        // merge the two sequences.
+        let survivors = |old: u32| Some(renumbered[old as usize]).filter(|&new| new < DROPPED);
+        let mut from_delta =
+            delta.into_iter().flat_map(DeltaStore::value_ids_sorted).filter_map(survivors).peekable();
+        let mut value_sorted = Vec::with_capacity(columns.values.len());
+        for new in self.value_sorted.iter().copied().filter_map(survivors) {
+            let s = &columns.values[new as usize];
+            while let Some(d) = from_delta.next_if(|&d| columns.values[d as usize] < *s) {
+                value_sorted.push(d);
+            }
+            value_sorted.push(new);
+        }
+        value_sorted.extend(from_delta);
+        Self::from_columns(columns, value_sorted)
     }
 
     /// The live document-order tuples as one run (the baseline's full
@@ -1184,8 +1365,7 @@ impl NodeStore {
     /// All **base** D-labels in document order, as an owned vector (a
     /// full plane decode when the store is a packed v3 mapping). The
     /// `*_vec` accessors feed snapshot encoding and ignore any delta;
-    /// compaction materializes live tuples via [`NodeStore::scan_all`]
-    /// first.
+    /// a delta-carrying store is folded ([`NodeStore::folded`]) first.
     pub fn doc_labels_vec(&self) -> Vec<DLabel> {
         self.labels.to_vec()
     }
@@ -1459,7 +1639,7 @@ impl NodeStore {
     ) -> impl Iterator<Item = (RowId, RecordView<'a>)> + 'a {
         let want = self.value_id(value);
         let take = if want.is_some() { usize::MAX } else { 0 };
-        self.live_rows()
+        self.live_rows_from(0)
             .take(take)
             .filter(move |&row| Some(self.value_id_of_row(row)) == want)
             .map(move |row| (row, self.record(row)))
@@ -1594,6 +1774,48 @@ impl NodeStore {
     }
 }
 
+/// One physical clustering of start-ordered rows by `keys[row]`: the
+/// permutation sorted by `(key, start)` plus its run directory
+/// (distinct keys ascending, exclusive end position of each run).
+///
+/// Rows arrive in start order, so a **stable counting scatter** by key
+/// *is* that order: one hash probe per row to find its run, then array
+/// passes — O(n + k log k) for k distinct keys (a few hundred source
+/// paths or tags), where sorting the permutation by comparison pays
+/// O(n log n) cache-missing key reads. This is most of what building,
+/// loading or folding a store costs.
+fn cluster<K: Copy + Ord + std::hash::Hash>(keys: &[K]) -> (Vec<u32>, Vec<K>, Vec<u32>) {
+    // Runs are numbered in order of discovery first, ranked after.
+    let mut found: HashMap<K, u32> = HashMap::new();
+    let mut sizes: Vec<u32> = Vec::new();
+    let mut run_of_row: Vec<u32> = Vec::with_capacity(keys.len());
+    for &key in keys {
+        let run = *found.entry(key).or_insert_with(|| {
+            sizes.push(0);
+            sizes.len() as u32 - 1
+        });
+        sizes[run as usize] += 1;
+        run_of_row.push(run);
+    }
+    let mut runs: Vec<(K, u32)> = found.into_iter().collect();
+    runs.sort_unstable();
+    let mut next = vec![0u32; sizes.len()];
+    let mut ends = Vec::with_capacity(runs.len());
+    let mut filled = 0u32;
+    for &(_, run) in &runs {
+        next[run as usize] = filled;
+        filled += sizes[run as usize];
+        ends.push(filled);
+    }
+    let mut perm = vec![0u32; keys.len()];
+    for (row, &run) in run_of_row.iter().enumerate() {
+        let pos = &mut next[run as usize];
+        perm[*pos as usize] = row as u32;
+        *pos += 1;
+    }
+    (perm, runs.into_iter().map(|(key, _)| key).collect(), ends)
+}
+
 /// Column accumulator shared by the construction paths.
 struct Columns {
     labels: Vec<DLabel>,
@@ -1638,6 +1860,14 @@ impl Columns {
             },
         };
         self.push_columns(plabel, label, tag, value_id);
+    }
+
+    /// Finish a store whose strings went through `intern`: the map
+    /// iterates in string order, which is exactly the sorted-value-id
+    /// column the binary-search lookup needs.
+    fn into_store(self) -> NodeStore {
+        let value_sorted = self.intern.values().copied().collect();
+        NodeStore::from_columns(self, value_sorted)
     }
 
     fn intern_new(&mut self, s: String) -> u32 {
@@ -2045,6 +2275,12 @@ mod tests {
         let rebuilt = NodeStore::from_records(live);
 
         assert_eq!(layered.live_len(), rebuilt.len());
+        // Folding renumbers value ids instead of re-interning strings;
+        // the columns must come out exactly as the rebuild's do (the
+        // dropped "b", the delta-only "zz" sorting last, the shared "a").
+        let bytes = |s: &NodeStore| snapshot::encode_store(s, &["t".to_string()], 1, 2);
+        assert_eq!(bytes(&layered.folded()), bytes(&rebuilt));
+        assert_eq!(layered.folded().value_count(), rebuilt.value_count());
         assert_eq!(layered.len(), s.len(), "base row count is delta-independent");
         // Full document-order scan, record by record.
         let got: Vec<_> = layered.scan_all().map(|(_, r)| fields(r)).collect();

@@ -184,7 +184,15 @@ proptest! {
         let (doc, owned) = build(&src);
         let tag_names: Vec<String> =
             doc.tags().iter().map(|(_, n)| n.to_string()).collect();
-        let bytes = snapshot::encode_store(&owned, &tag_names, 7, 3);
+        // The mapped open decodes every SP run key against the declared
+        // domain, so declare the one the labels were computed in.
+        let domain = blas_labeling::PLabelDomain::for_document(&doc).unwrap();
+        let bytes = snapshot::encode_store(
+            &owned,
+            &tag_names,
+            domain.num_tags() as u32,
+            domain.digits(),
+        );
         let (mapped, path) = open_mapped_store(&bytes);
         prop_assert_eq!(mapped.len(), owned.len());
         prop_assert_eq!(mapped.sp_run_count(), owned.sp_run_count());

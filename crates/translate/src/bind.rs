@@ -101,8 +101,8 @@ fn bind_path(
         // Too long to match anything in this document, or tags beyond
         // the domain: provably empty.
         Err(LabelError::PathTooLong { .. } | LabelError::TagOutOfRange { .. }) => BoundSource::Empty,
-        Err(LabelError::DomainOverflow { .. }) => {
-            unreachable!("domain construction already succeeded")
+        Err(LabelError::DomainOverflow { .. } | LabelError::NotANodeLabel { .. }) => {
+            unreachable!("path_interval neither builds a domain nor decodes a label")
         }
     }
 }

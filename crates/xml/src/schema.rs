@@ -11,7 +11,7 @@ use crate::tree::Document;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed graph over tag names: `parent → child` edges.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchemaGraph {
     children: BTreeMap<String, BTreeSet<String>>,
     roots: BTreeSet<String>,
@@ -63,6 +63,30 @@ impl SchemaGraph {
             }
         }
         schema.set_depth_bound(doc.depth());
+        schema
+    }
+
+    /// Build a schema from a document's **path summary**: its distinct
+    /// root-first source paths, in any order. Edges are the adjacent
+    /// pairs of every path, the root is the tag of every one-tag path,
+    /// and the depth bound is the longest path — for the path set of a
+    /// document this is exactly [`SchemaGraph::infer`] of that
+    /// document, at a cost independent of its node count.
+    pub fn from_source_paths<'a, P>(paths: impl IntoIterator<Item = P>) -> Self
+    where
+        P: AsRef<[&'a str]>,
+    {
+        let mut schema = Self::new();
+        for path in paths {
+            let path = path.as_ref();
+            if let [root] = path {
+                schema.declare_root(root);
+            }
+            for pair in path.windows(2) {
+                schema.declare_edge(pair[0], pair[1]);
+            }
+            schema.depth_bound = schema.depth_bound.max(path.len() as u16);
+        }
         schema
     }
 
@@ -245,6 +269,20 @@ mod tests {
         assert_eq!(kids, ["c", "d"]);
         assert_eq!(s.depth_bound(), 3);
         assert!(!s.is_recursive());
+    }
+
+    #[test]
+    fn from_source_paths_equals_infer() {
+        let doc = Document::parse("<a><b><c/></b><b><d><b/></d></b><c/></a>").unwrap();
+        let mut paths: Vec<Vec<&str>> = doc
+            .node_ids()
+            .map(|id| doc.source_path(id).into_iter().map(|t| doc.tags().name(t)).collect())
+            .collect();
+        paths.sort();
+        paths.dedup();
+        paths.reverse(); // order must not matter
+        assert_eq!(SchemaGraph::from_source_paths(&paths), SchemaGraph::infer(&doc));
+        assert_eq!(SchemaGraph::from_source_paths(Vec::<Vec<&str>>::new()), SchemaGraph::new());
     }
 
     #[test]

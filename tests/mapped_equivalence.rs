@@ -162,6 +162,64 @@ fn duplicate_tag_table_is_a_typed_error() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The SP run directory is the document's path summary — the schema
+/// graph is decoded from its keys — and the mapped open does not
+/// stream the footer checksum. A crafted key (one that is no node's
+/// P-label, so decoding it would name a tag the table does not have)
+/// must therefore fail the O(directory) validation at open, typed,
+/// rather than panic inside the first `Unfold` query.
+#[test]
+fn crafted_sp_run_key_is_a_typed_error() {
+    // Tags a=0, b=1 → base 3, H = 3 digits, m = 27. Keys: /a = (1,0,0)
+    // = 9, /a/b = (2,1,0) = 21, ascending in section 8 (SP_KEYS).
+    let bytes = BlasDb::load("<a><b>x</b><b>y</b></a>").unwrap().to_snapshot();
+    let at = 64 + 7 * 24;
+    assert_eq!(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()), 8);
+    let off = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+    let key = |i: usize| u128::from_le_bytes(bytes[off + 16 * i..off + 16 * (i + 1)].try_into().unwrap());
+    assert_eq!((key(0), key(1)), (9, 21));
+    // Each stays ascending, so only the key check can object: (2,2,2)
+    // leaves no `/` digit, (2,0,2) has a tag below a zero, and the last
+    // is outside [0, m) altogether.
+    for (i, evil_key) in [26u128, 20, u128::MAX].into_iter().enumerate() {
+        let mut evil = bytes.clone();
+        evil[off + 16..off + 32].copy_from_slice(&evil_key.to_le_bytes());
+        let path = snapshot_file(&format!("spkey{i}"), &evil);
+        match BlasDb::open_mapped(&path) {
+            Err(blas::BlasError::Snapshot(msg)) => assert!(msg.contains("SP run key"), "{msg}"),
+            other => panic!("key {evil_key}: expected a snapshot error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+    // The intact file opens and unfolds.
+    let path = snapshot_file("spkeyok", &bytes);
+    let db = BlasDb::open_mapped(&path).unwrap();
+    let unfold = EngineChoice::rdbms().with_translator(Translator::Unfold);
+    assert_eq!(db.query("//b", unfold).unwrap().nodes.len(), 2);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A P-label domain declaring more tags than the tag table names would
+/// let a label decode to an unnameable tag: refused on both open paths.
+#[test]
+fn domain_wider_than_the_tag_table_is_a_typed_error() {
+    use blas_storage::NodeRecord;
+    use blas_xml::TagId;
+    let snap = snapshot::Snapshot {
+        records: vec![
+            NodeRecord { plabel: 4 * 125, start: 0, end: 3, level: 1, tag: TagId(0), data: None },
+        ],
+        tag_names: vec!["a".into()],
+        num_tags: 4,
+        digits: 4,
+    };
+    let bytes = snapshot::encode(&snap);
+    assert!(matches!(BlasDb::from_snapshot(&bytes), Err(blas::BlasError::Snapshot(_))));
+    let path = snapshot_file("widedomain", &bytes);
+    assert!(matches!(BlasDb::open_mapped(&path), Err(blas::BlasError::Snapshot(_))));
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// Parse the v3 section table (19 entries of 24 bytes at offset 64:
 /// id u32, encoding u32, offset u64, length u64) and return the
 /// `(offset, len)` of the first section with a plane-led packed
