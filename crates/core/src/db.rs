@@ -80,8 +80,8 @@ pub enum Engine {
     /// the paper's citation \[6\]; same answers as [`Engine::Twig`].
     TwigStack,
     /// Cost-based selection: [`BlasDb::query`] lowers every applicable
-    /// candidate (rdbms over Unfold and Push-up, twig and twigstack
-    /// over Push-up), prices each with [`blas_engine::opt`]'s
+    /// candidate (rdbms over Unfold and Push-up, twig over Push-up),
+    /// prices each with [`blas_engine::opt`]'s
     /// cardinality estimates from the SP/SD run directories, and runs
     /// the cheapest. Same answers as every manual engine.
     Auto,
@@ -103,11 +103,10 @@ impl fmt::Display for Engine {
 /// whole pipeline — parse → decompose → bind → lower → execute — in
 /// one call.
 ///
-/// With `shards > 1` the whole operator DAG (scans, structural joins,
-/// union arms, twig branches) executes as dependency-counted jobs on
-/// the database's persistent worker pool ([`BlasDb::pool`]); `shards
-/// == 1` (the default) is the sequential fallback that never touches
-/// the pool.
+/// The plan always executes on the calling thread. With `shards > 1`
+/// each wide clustered scan splits into shard groups scanned as jobs
+/// on the database's persistent worker pool ([`BlasDb::pool`]);
+/// `shards == 1` (the default) never touches the pool.
 ///
 /// ```
 /// use blas::{BlasDb, EngineChoice};
@@ -164,20 +163,10 @@ impl EngineChoice {
         Self { engine: Engine::TwigStack, ..Self::auto() }
     }
 
-    /// The relational engine with the plan executed `shards`-way
-    /// parallel on the database's persistent pool: independent
-    /// operators (join sides, union arms, twig branches) run
-    /// concurrently and large clustered scans additionally shard
-    /// (small scans stay whole). Linear stretches of the plan are
-    /// **chain-collapsed** — a sole just-released consumer runs as a
-    /// continuation of its producer's job — and operator jobs recycle
-    /// their scratch buffers through per-worker caches, so even a
-    /// µs-scale point query pays for at most one queue round-trip per
-    /// genuine fork, not one per operator (see
-    /// [`ExecStats::scratch_hits`] for the observable side of the
-    /// recycling).
-    ///
-    /// [`ExecStats::scratch_hits`]: blas_engine::ExecStats::scratch_hits
+    /// The relational engine with large clustered scans split
+    /// `shards` ways over the database's persistent pool (small scans
+    /// stay whole, so a µs-scale point query submits no job at all).
+    /// Joins and unions run on the calling thread either way.
     pub const fn parallel(shards: usize) -> Self {
         Self { shards, ..Self::rdbms() }
     }
@@ -627,15 +616,14 @@ impl BlasDb {
     }
 
     /// The persistent worker pool shared by every parallel query
-    /// against this database — scans, structural joins, unions and
-    /// twig branches all run as jobs on these threads, for the
-    /// lifetime of the `BlasDb`.
+    /// against this database — the shard groups of wide clustered
+    /// scans run as jobs on these threads, for the lifetime of the
+    /// `BlasDb`.
     ///
     /// Created lazily on first use with
     /// [`PoolHandle::with_default_parallelism`]:
     /// `available_parallelism() − 1` resident workers (at least one),
-    /// because the thread that submits a query participates in
-    /// executing it. Sequential queries (`shards == 1`, the default
+    /// because the thread that runs a query scans one shard itself. Sequential queries (`shards == 1`, the default
     /// [`EngineChoice`]) never touch the pool, so purely sequential
     /// workloads spawn no threads at all.
     pub fn pool(&self) -> &PoolHandle {
@@ -685,10 +673,9 @@ impl BlasDb {
 
     /// Run an already parsed query tree: decompose → bind → lower →
     /// execute on the shared physical-plan executor. Parallel choices
-    /// (`shards > 1`) run the operator DAG on the database's
-    /// persistent [`BlasDb::pool`] under the executor's defaults —
-    /// chain collapsing on, per-worker scratch recycling on;
-    /// `shards == 1` executes sequentially without touching the pool.
+    /// (`shards > 1`) shard wide scans over the database's persistent
+    /// [`BlasDb::pool`]; `shards == 1` executes sequentially without
+    /// touching the pool.
     /// This entry point has no query string to key on, so it bypasses
     /// the plan cache and prepares the plan fresh each call.
     pub fn run(&self, query: &QueryTree, choice: EngineChoice) -> Result<QueryResult, BlasError> {
@@ -810,11 +797,14 @@ impl BlasDb {
     ///
     /// Candidates with [`Translator::Auto`] are the paper's own
     /// contenders — Unfold and Push-up on the relational engine
-    /// (§4.1.3 / §7), Push-up on the twig engines (§5.3.1 excludes
+    /// (§4.1.3 / §7), Push-up on the twig engine (§5.3.1 excludes
     /// Unfold there: no unions). An explicit translator narrows the
-    /// race to that translator across the three engines. Candidates
-    /// whose translation or twig conversion fails (e.g. unions on a
-    /// twig engine) drop out; the relational lowering always survives.
+    /// race to that translator across both engines. Candidates whose
+    /// translation or twig conversion fails (e.g. unions on the twig
+    /// engine) drop out; the relational lowering always survives.
+    /// TwigStack never races: it is the paper's Fig. 14 baseline,
+    /// reachable only as an explicit [`EngineChoice::twigstack`], and
+    /// never priced cheapest.
     fn prepare_auto(
         &self,
         gen: &DbGen,
@@ -827,9 +817,8 @@ impl BlasDb {
                 (Engine::Rdbms, Translator::Unfold),
                 (Engine::Rdbms, Translator::PushUp),
                 (Engine::Twig, Translator::PushUp),
-                (Engine::TwigStack, Translator::PushUp),
             ],
-            t => &[(Engine::Rdbms, t), (Engine::Twig, t), (Engine::TwigStack, t)],
+            t => &[(Engine::Rdbms, t), (Engine::Twig, t)],
         };
         let mut best: Option<PreparedPlan> = None;
         let mut best_max_scan = 0usize;
@@ -852,14 +841,9 @@ impl BlasDb {
                         continue;
                     }
                 },
-                Engine::TwigStack => match TwigQuery::from_plan(&bound) {
-                    Ok(q) => lower_twigstack(&q),
-                    Err(e) => {
-                        first_err.get_or_insert(e.into());
-                        continue;
-                    }
-                },
-                Engine::Auto => unreachable!("candidates are concrete engines"),
+                Engine::TwigStack | Engine::Auto => {
+                    unreachable!("candidates are the rdbms and twig engines")
+                }
             };
             let est = estimate_plan(&phys, &gen.store, &model);
             if best.as_ref().is_none_or(|b| est.cost_ns < b.est_cost_ns) {
@@ -886,10 +870,8 @@ impl BlasDb {
     }
 
     /// Execute a resolved plan: the database's persistent pool with
-    /// `shards`-way scan splitting when the plan asks for parallelism
-    /// (chain collapsing and per-worker scratch caches enabled — the
-    /// [`ExecConfig`] defaults), the no-pool sequential configuration
-    /// otherwise.
+    /// `shards`-way scan splitting when the plan asks for parallelism,
+    /// the no-pool sequential configuration otherwise.
     fn execute_prepared(&self, gen: &DbGen, prepared: &PreparedPlan) -> QueryResult {
         let config = if prepared.shards > 1 {
             ExecConfig::on_pool(self.pool().clone(), prepared.shards)
@@ -1634,45 +1616,42 @@ mod tests {
 
     #[test]
     fn parallel_queries_share_the_db_pool() {
-        let db = BlasDb::load(SAMPLE).unwrap();
-        let seq = db.query("/db/e/p/n", EngineChoice::auto()).unwrap();
+        // One `n` run of 10 000 tuples: with the default per-shard
+        // minimum (4 096) a 4-shard choice coalesces storage's four
+        // groups into exactly two, i.e. one pool job per query — the
+        // plan's only scan. Nothing else in the plan submits a job.
+        let xml = format!("<db>{}</db>", "<e><n>x</n></e>".repeat(10_000));
+        let db = BlasDb::load(&xml).unwrap();
+        let seq = db.query("/db/e/n", EngineChoice::rdbms()).unwrap();
         let before = db.pool().jobs_submitted();
         for _ in 0..3 {
-            let par = db.query("/db/e/p/n", EngineChoice::parallel(4)).unwrap();
+            let par = db.query("/db/e/n", EngineChoice::parallel(4)).unwrap();
             assert_eq!(par.nodes, seq.nodes);
+            assert_eq!(par.stats.elements_visited, seq.stats.elements_visited);
+            assert_eq!(par.stats.d_joins, seq.stats.d_joins);
+            assert_eq!(par.stats.join_input_tuples, seq.stats.join_input_tuples);
         }
-        // The operator jobs of every parallel query landed on the one
-        // persistent pool; sequential queries leave it untouched.
         let after = db.pool().jobs_submitted();
-        assert!(after > before);
-        let _ = db.query("/db/e/p/n", EngineChoice::auto()).unwrap();
+        assert_eq!(after - before, 3, "one shard job per query, on the one persistent pool");
+        // Sequential queries leave the pool untouched.
+        let _ = db.query("/db/e/n", EngineChoice::rdbms()).unwrap();
         assert_eq!(db.pool().jobs_submitted(), after);
     }
 
     #[test]
     fn parallel_point_queries_amortize_scheduling_overhead() {
+        // A point query's scans are far below the per-shard minimum, so
+        // a sharded choice costs it nothing: no pool job, same answer,
+        // same counters.
         let db = BlasDb::load(SAMPLE).unwrap();
-        let seq = db.query("/db/e/p/n", EngineChoice::auto()).unwrap();
-        assert_eq!(
-            seq.stats.scratch_checkouts, 0,
-            "sequential execution never touches the per-worker caches"
-        );
+        let seq = db.query("/db/e/p/n", EngineChoice::rdbms()).unwrap();
         let before = db.pool().jobs_submitted();
-        let (mut checkouts, mut hits) = (0u64, 0u64);
-        const RUNS: u64 = 64;
-        for _ in 0..RUNS {
+        for _ in 0..64 {
             let par = db.query("/db/e/p/n", EngineChoice::parallel(4)).unwrap();
             assert_eq!(par.nodes, seq.nodes);
-            checkouts += par.stats.scratch_checkouts;
-            hits += par.stats.scratch_hits;
+            assert_eq!(par.stats.elements_visited, seq.stats.elements_visited);
         }
-        // /db/e/p/n lowers to one linear chain (scan → materialize), so
-        // chain collapsing makes every execution exactly one queue job…
-        assert_eq!(db.pool().jobs_submitted() - before, RUNS);
-        // …which checked scratch out exactly once, and — with far more
-        // jobs than executing threads — mostly out of a warm cache.
-        assert_eq!(checkouts, RUNS, "one scratch checkout per job");
-        assert!(hits > 0, "some thread ran two jobs and must have recycled its scratch");
+        assert_eq!(db.pool().jobs_submitted(), before);
     }
 
     #[test]

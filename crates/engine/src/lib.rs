@@ -7,28 +7,22 @@
 //!   (`ClusteredScan{SP|SD}`, `ValueFilter`, `StructuralJoin`,
 //!   `Union`, `Materialize`, `TwigStackMatch`) in a flat arena DAG,
 //!   plus the three lowering strategies and the filter-pushdown pass.
-//! * [`exec`] — the one executor: runs any physical plan with pooled
-//!   buffers. Under a parallel [`ExecConfig`] the whole operator DAG
-//!   executes as dependency-counted jobs on the persistent worker
-//!   pool — join sides, union arms and twig branches concurrently,
-//!   with clustered scans additionally sharded into pool sub-jobs —
-//!   while `shards == 1` is the zero-copy sequential path. Linear
-//!   stretches **chain-collapse**: a sole just-released consumer runs
-//!   inline as a continuation of its producer's job, so only genuine
-//!   forks pay a queue round-trip and a µs-scale point query stays
-//!   within a constant factor of sequential even on one core.
+//! * [`exec`] — the one executor: runs any physical plan in arena
+//!   order on the calling thread with pooled buffers. Parallelism is
+//!   data partitioning inside one operator: under a sharded
+//!   [`ExecConfig`] a wide clustered scan splits its runs into shard
+//!   groups scanned as sub-jobs on the persistent worker pool and
+//!   merged back into start order; every other operator stays on the
+//!   calling thread.
 //! * [`opt`] — the cost-based optimizer behind `EngineChoice::Auto`:
 //!   O(log n) cardinalities from the SP/SD run directories, per-operator
 //!   ns/elem rates calibrated against the measured kernels, and the
 //!   engine/join-order/filter-placement/shard decisions derived from
 //!   them.
-//! * [`pool`] — the persistent work-stealing-lite worker pool those
-//!   jobs run on: fixed threads, one injector queue, scoped
-//!   submission, helping joins, panic propagation, and lock-free
-//!   per-worker scratch caches ([`pool::take_scratch`]) that recycle
-//!   operator scratch across jobs. One pool (typically owned by
-//!   `blas::BlasDb`) serves every scan, join, union and twig branch
-//!   across repeated queries.
+//! * [`pool`] — the persistent worker pool scan shards run on: fixed
+//!   threads, one injector queue, scoped submission, helping joins and
+//!   panic propagation. One pool (typically owned by `blas::BlasDb`)
+//!   serves every sharded scan across repeated queries.
 //! * [`rdbms`] — the relational engine (§5.2): lowers a [`BoundPlan`]
 //!   into the Fig. 11 operator shape (selections, semi-join D-joins,
 //!   unions).
@@ -68,12 +62,12 @@ pub mod stream;
 pub mod twig;
 pub mod twigstack;
 
-pub use exec::{ExecConfig, ExecProbe, ProbeEvent, DEFAULT_MIN_SHARD_ELEMS};
+pub use exec::{ExecConfig, DEFAULT_MIN_SHARD_ELEMS};
 pub use opt::{
     choose_shards, estimate_plan, lower_plan_costed, order_twig_joins, source_cardinality,
     CostModel, PlanEstimate,
 };
-pub use pool::{take_scratch, JobHandle, PoolHandle, Scope, Scratch, TaskHandle};
+pub use pool::{JobHandle, PoolHandle, Scope, TaskHandle};
 pub use physical::{
     lower_plan, lower_plan_raw, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern,
 };

@@ -31,8 +31,12 @@
 //! delegates here:
 //!
 //! * **engine/lowering** — `blas::BlasDb` lowers every applicable
-//!   candidate (rdbms over Unfold and Push-up, twig and twigstack over
-//!   Push-up) and keeps the cheapest estimate;
+//!   candidate (rdbms over Unfold and Push-up, twig over Push-up) and
+//!   keeps the cheapest estimate. The literal TwigStack lowering stays
+//!   priceable ([`estimate_plan`] handles its match operator) but no
+//!   longer races: it prices orders of magnitude worse on every query
+//!   the suites pin, so it is reachable only as an explicit engine
+//!   choice — the paper's Fig. 14 baseline;
 //! * **join order and filter placement** — [`order_twig_joins`] sorts
 //!   each twig node's child joins by ascending stream cardinality (the
 //!   bottom-up semi-joins against one parent commute, so smallest

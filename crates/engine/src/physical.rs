@@ -187,25 +187,15 @@ impl TwigPattern {
     }
 }
 
-/// Dependency metadata of a plan, derived once per plan (both vectors
-/// in a single walk) and memoized: the pooled executor reads it on
-/// every execution.
-#[derive(Debug, Clone)]
-struct PlanDeps {
-    input_counts: Vec<usize>,
-    consumers: Vec<Vec<OpId>>,
-    consumer_counts: Vec<usize>,
-}
-
 /// A physical plan: operators in topological (execution) order plus
 /// the root whose output is the query result.
 #[derive(Debug, Clone)]
 pub struct PhysPlan {
     ops: Vec<PhysOp>,
     root: OpId,
-    /// Memoized [`PlanDeps`]; excluded from equality (it is a pure
-    /// function of `ops`).
-    deps: std::sync::OnceLock<PlanDeps>,
+    /// Memoized [`PhysPlan::consumer_counts`]; excluded from equality
+    /// (it is a pure function of `ops`).
+    consumer_counts: std::sync::OnceLock<Vec<usize>>,
 }
 
 impl PartialEq for PhysPlan {
@@ -218,7 +208,7 @@ impl Eq for PhysPlan {}
 
 impl PhysPlan {
     fn empty() -> Self {
-        PhysPlan { ops: Vec::new(), root: 0, deps: std::sync::OnceLock::new() }
+        PhysPlan { ops: Vec::new(), root: 0, consumer_counts: std::sync::OnceLock::new() }
     }
     /// The operators in execution order.
     pub fn ops(&self) -> &[PhysOp] {
@@ -235,51 +225,19 @@ impl PhysPlan {
         self.root
     }
 
-    /// Compute (once) and cache the dependency metadata; repeated
-    /// executions of the same plan reuse it.
-    fn deps(&self) -> &PlanDeps {
-        self.deps.get_or_init(|| {
-            let mut input_counts = vec![0usize; self.ops.len()];
-            let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); self.ops.len()];
-            for (id, op) in self.ops.iter().enumerate() {
-                op.for_each_input(|input| {
-                    input_counts[id] += 1;
-                    consumers[input].push(id);
-                });
-            }
-            let consumer_counts = consumers.iter().map(Vec::len).collect();
-            PlanDeps { input_counts, consumers, consumer_counts }
-        })
-    }
-
-    /// Per-operator input-edge counts — the initial dependency counts
-    /// of the pooled DAG walk in [`crate::exec`]. An operator with
-    /// count 0 (a scan) is ready immediately; every other operator
-    /// becomes ready when its count has been decremented once per
-    /// input edge. Duplicate edges (an operator reading the same
-    /// input twice) are counted per edge, matching
-    /// [`PhysPlan::consumers`]. Memoized per plan.
-    pub fn input_counts(&self) -> &[usize] {
-        &self.deps().input_counts
-    }
-
-    /// Per-operator consumer lists (one entry per input *edge*, so an
-    /// operator consumed twice by the same join appears twice): the
-    /// adjacency the pooled executor walks to release dependents as
-    /// results complete — and to decide chain collapsing (a finishing
-    /// producer that releases exactly one now-ready consumer runs it
-    /// inline instead of queueing it). Memoized per plan.
-    pub fn consumers(&self) -> &[Vec<OpId>] {
-        &self.deps().consumers
-    }
-
-    /// Per-operator consuming-edge counts (`consumers()[i].len()`,
-    /// memoized): the sequential executor's initial
+    /// Per-operator consuming-edge counts (an operator read twice by
+    /// the same join counts twice), memoized: the executor's initial
     /// remaining-consumer credits — a result slot recycles its buffer
-    /// the moment its last consumer has read it. Precomputed here so
-    /// repeated executions of one plan skip the dependency walk.
+    /// the moment its last consumer has read it. Computed once per
+    /// plan so repeated executions skip the dependency walk.
     pub fn consumer_counts(&self) -> &[usize] {
-        &self.deps().consumer_counts
+        self.consumer_counts.get_or_init(|| {
+            let mut counts = vec![0usize; self.ops.len()];
+            for op in &self.ops {
+                op.for_each_input(|input| counts[input] += 1);
+            }
+            counts
+        })
     }
 
     /// Assemble a plan from raw operators already in topological
@@ -304,7 +262,7 @@ impl PhysPlan {
             });
         }
         assert!(root < ops.len(), "root {root} out of range for {} ops", ops.len());
-        PhysPlan { ops, root, deps: std::sync::OnceLock::new() }
+        PhysPlan { ops, root, consumer_counts: std::sync::OnceLock::new() }
     }
 
     fn push(&mut self, op: PhysOp) -> OpId {
@@ -336,10 +294,7 @@ impl PhysPlan {
         self,
         mut fuse: impl FnMut(&PhysOp, &PhysOp) -> bool,
     ) -> PhysPlan {
-        let mut consumers = vec![0usize; self.ops.len()];
-        for op in &self.ops {
-            op.for_each_input(|i| consumers[i] += 1);
-        }
+        let consumers = self.consumer_counts();
         // A scan is fused away when its only consumer is a ValueFilter
         // and the placement predicate approves the pair.
         let mut fused_into: Vec<Option<OpId>> = vec![None; self.ops.len()];

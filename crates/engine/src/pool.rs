@@ -1,14 +1,13 @@
 //! The persistent worker pool every parallel execution runs on.
 //!
-//! PR 2's executor spawned scoped threads *per sharded scan* —
-//! `shards − 1` OS threads created and torn down every time a single
-//! operator fanned out — and everything that was not a scan (joins,
-//! unions, twig branches) serialized on the coordinating thread. This
-//! module replaces that with a **work-stealing-lite pool**: a fixed
-//! set of worker threads created once (typically per [`BlasDb`],
+//! The executor's only parallelism is the sharded clustered scan: one
+//! scan's runs split into groups, each group a job. Those jobs run on a
+//! **work-stealing-lite pool** instead of per-scan thread spawns: a
+//! fixed set of worker threads created once (typically per [`BlasDb`],
 //! see `blas::BlasDb::pool`), one shared injector queue, and scoped
-//! job submission so jobs may borrow the store and the plan without
-//! `'static` gymnastics.
+//! job submission so jobs may borrow the store without `'static`
+//! gymnastics. The serving layer runs its connection tasks on the same
+//! kind of pool through [`PoolHandle::spawn_task`].
 //!
 //! Design points:
 //!
@@ -33,36 +32,23 @@
 //!   call — the same contract as `std::thread::scope`, minus the
 //!   per-call thread spawns.
 //! * **Panic propagation without poisoning.** Every job body runs
-//!   under `catch_unwind`. A fire-and-forget [`Scope::spawn`] job that
-//!   panics parks its payload in the scope, and [`scope`] re-raises it
-//!   after the barrier; a [`Scope::spawn_job`] panic is delivered
+//!   under `catch_unwind`. A [`Scope::spawn_job`] panic is delivered
 //!   through [`JobHandle::join`] as `Err(payload)` for the caller to
-//!   turn into an error. Either way the worker threads survive: the
-//!   pool keeps serving queries after a panicked job (tested by the
-//!   shared-pool stress suite).
-//!
-//! * **Per-worker scratch caches.** Every OS thread that executes
-//!   pool jobs — resident workers and helping submitters alike — owns
-//!   a private, lock-free cache of recycled scratch values
-//!   ([`take_scratch`]). A finishing job checks its scratch back in;
-//!   the next job on the same thread checks it out again, so per-job
-//!   scratch allocations amortize away once a worker has run more
-//!   than one job. The cache is thread-local: no atomics, no locks,
-//!   no cross-thread traffic on the checkout path.
+//!   re-raise or turn into an error; a panic in the [`scope`] body
+//!   itself is re-raised after the barrier. Either way the worker
+//!   threads survive: the pool keeps serving queries after a panicked
+//!   job (tested by the shared-pool stress suite).
 //!
 //! Sizing: one worker per available core minus one (the submitting
-//! thread helps) is the default used by `blas::BlasDb` —
+//! thread scans one shard itself) is the default used by `blas::BlasDb` —
 //! [`PoolHandle::with_default_parallelism`]. Oversubscribing is safe
 //! (jobs queue), undersubscribing only limits speedup.
 //!
 //! [`BlasDb`]: ../../blas/struct.BlasDb.html
 
-use std::any::Any;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -252,9 +238,9 @@ impl PoolHandle {
     }
 
     /// Monotone count of jobs ever submitted to this pool (scan
-    /// shards, operator jobs — everything). Test instrumentation:
-    /// lets a test assert that independent operators really were
-    /// separate pool jobs and that repeated queries reuse one pool.
+    /// shards, serving tasks — everything). Test instrumentation:
+    /// lets a test pin exactly how many shard jobs a plan fans out
+    /// and that repeated queries reuse one pool.
     pub fn jobs_submitted(&self) -> u64 {
         self.core.shared.submitted.load(Ordering::Acquire)
     }
@@ -291,20 +277,18 @@ impl PoolHandle {
         if self.core.threads == 0 {
             job();
         } else {
-            self.push(Box::new(job), true);
+            self.push(Box::new(job));
         }
         TaskHandle { slot, pool: self.clone() }
     }
 
-    fn push(&self, task: Task, notify: bool) {
+    fn push(&self, task: Task) {
         self.ensure_workers();
         let shared = &self.core.shared;
         shared.submitted.fetch_add(1, Ordering::AcqRel);
         let mut queue = shared.queue.lock().unwrap();
         queue.push_back(task);
-        if notify {
-            shared.work.notify_one();
-        }
+        shared.work.notify_one();
         drop(queue);
     }
 
@@ -318,12 +302,8 @@ impl PoolHandle {
     /// completer sees our registration (and takes the lock to
     /// broadcast — lock-notify, so the wakeup cannot fall between our
     /// check and our wait), or we see its done-flip in the re-check
-    /// and never park. Notified pushes ([`Scope::spawn`],
-    /// [`Scope::spawn_job`]) always notify; a **deferred** push
-    /// ([`Scope::spawn_deferred`]) wakes nobody and stays live only
-    /// because its pusher reaches the scope barrier and drains the
-    /// queue here — a helper never parks while the queue is non-empty
-    /// (the pop and the wait take the same lock).
+    /// and never park. A helper never parks while the queue is
+    /// non-empty (the pop and the wait take the same lock).
     fn wait_until(&self, done: &dyn Fn() -> bool) {
         let shared = &self.core.shared;
         loop {
@@ -349,7 +329,6 @@ impl PoolHandle {
             }
         }
     }
-
 }
 
 /// Wake pool waiters after a completion-state change — but only when
@@ -364,15 +343,6 @@ fn notify_progress(shared: &Shared) {
     shared.work.notify_all();
 }
 
-/// Completion state of one [`scope`] invocation.
-#[derive(Default)]
-struct ScopeSync {
-    /// Jobs spawned but not yet completed.
-    pending: AtomicUsize,
-    /// First panic payload from a fire-and-forget job.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
 /// Mark one job complete and wake parked waiters, if any. The SeqCst
 /// decrement is the done-flip half of the [`PoolHandle::wait_until`]
 /// wakeup protocol.
@@ -384,8 +354,8 @@ struct ScopeSync {
 /// `join()` the worker's own thread (deadlock or panic). Workers and
 /// tasks therefore only ever hold `Arc<Shared>`, which owns no
 /// threads.
-fn complete_one(sync: &ScopeSync, shared: &Shared) {
-    sync.pending.fetch_sub(1, Ordering::SeqCst);
+fn complete_one(pending: &AtomicUsize, shared: &Shared) {
+    pending.fetch_sub(1, Ordering::SeqCst);
     notify_progress(shared);
 }
 
@@ -398,12 +368,13 @@ fn complete_one(sync: &ScopeSync, shared: &Shared) {
 /// fresh (higher-ranked) for every [`scope`] call so that neither the
 /// scope nor anything carrying `'scope` can leak out of the closure —
 /// and `'env` is the environment the jobs may borrow from, which
-/// strictly outlives the barrier. Jobs that need to spawn dependents
-/// (the executor's DAG walk) simply capture the `&'scope Scope`
-/// reference they were handed, exactly as with `std::thread::scope`.
+/// strictly outlives the barrier. A job that needs to fan out further
+/// simply captures the `&'scope Scope` reference it was handed,
+/// exactly as with `std::thread::scope`.
 pub struct Scope<'scope, 'env: 'scope> {
     pool: PoolHandle,
-    sync: Arc<ScopeSync>,
+    /// Jobs spawned in this scope but not yet completed.
+    pending: Arc<AtomicUsize>,
     /// Invariant over `'scope` (the brand must not shrink or grow).
     _scope: PhantomData<fn(&'scope ()) -> &'scope ()>,
     /// Invariant over `'env`, like `std::thread::Scope`.
@@ -416,58 +387,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         &self.pool
     }
 
-    /// Submit a fire-and-forget job. A job may capture the
-    /// `&'scope Scope` it was spawned from and schedule further jobs —
-    /// this is what the executor's dependency-counted DAG walk uses. A
-    /// panicking body is caught, parked, and re-raised by [`scope`]
-    /// after all jobs have finished (the pool itself is unaffected).
-    pub fn spawn(&'scope self, body: impl FnOnce() + Send + 'scope) {
-        self.spawn_inner(body, true);
-    }
-
-    /// Like [`Scope::spawn`], but **without waking a worker**: the job
-    /// is queued and executed by whichever thread next drains the
-    /// queue — typically the spawning thread itself, which helps the
-    /// pool the moment it reaches the scope barrier. Liveness is
-    /// guaranteed by that barrier (the scope cannot end while the job
-    /// is queued, and a barrier-waiting thread pops jobs rather than
-    /// sleeping on a non-empty queue), not by a notification.
-    ///
-    /// Use for a job the caller would otherwise execute inline anyway:
-    /// on µs-scale executions the elided wakeup is the difference
-    /// between a queue *round-trip* (park, futex wake, context switch)
-    /// and a queue *push* (two uncontended mutex acquisitions). The
-    /// executor submits the first root of every plan this way — a
-    /// linear pipeline therefore runs entirely on the submitting
-    /// thread while still being observable as one queued job.
-    pub fn spawn_deferred(&'scope self, body: impl FnOnce() + Send + 'scope) {
-        self.spawn_inner(body, false);
-    }
-
-    fn spawn_inner(&'scope self, body: impl FnOnce() + Send + 'scope, notify: bool) {
-        self.sync.pending.fetch_add(1, Ordering::AcqRel);
-        let sync = Arc::clone(&self.sync);
-        let shared = Arc::clone(&self.pool.core.shared);
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                sync.panic.lock().unwrap().get_or_insert(payload);
-            }
-            complete_one(&sync, &shared);
-        });
-        // SAFETY: `scope` does not return until `pending` drops to
-        // zero, i.e. until this task has run to completion, and the
-        // `'scope` brand prevents any spawning capability from
-        // escaping that barrier; everything the closure borrows
-        // therefore outlives its execution. The transmute only erases
-        // the `'scope` bound to fit the queue's `'static` task type.
-        let task: Task = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task)
-        };
-        self.pool.push(task, notify);
-    }
-
     /// Submit a job whose result (or panic) the caller collects via
-    /// [`JobHandle::join`]. Used by sharded scans: the operator job
+    /// [`JobHandle::join`]. Used by sharded scans: the scanning thread
     /// fans its shard groups out as sub-jobs and joins them, helping
     /// the pool while it waits.
     pub fn spawn_job<T: Send + 'scope>(
@@ -478,8 +399,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             done: AtomicBool::new(false),
             result: Mutex::new(None),
         });
-        self.sync.pending.fetch_add(1, Ordering::AcqRel);
-        let sync = Arc::clone(&self.sync);
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        let pending = Arc::clone(&self.pending);
         let shared = Arc::clone(&self.pool.core.shared);
         let task_slot = Arc::clone(&slot);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
@@ -493,13 +414,18 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             // while the scope's environment is still guaranteed alive.
             // Nothing `'scope`-bounded may outlive `complete_one`.
             drop(task_slot);
-            complete_one(&sync, &shared);
+            complete_one(&pending, &shared);
         });
-        // SAFETY: as in `spawn` — the scope barrier outlives the task.
+        // SAFETY: `scope` does not return until `pending` drops to
+        // zero, i.e. until this task has run to completion, and the
+        // `'scope` brand prevents any spawning capability from
+        // escaping that barrier; everything the closure borrows
+        // therefore outlives its execution. The transmute only erases
+        // the `'scope` bound to fit the queue's `'static` task type.
         let task: Task = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task)
         };
-        self.pool.push(task, true);
+        self.pool.push(task);
         JobHandle { slot, pool: self.pool.clone() }
     }
 }
@@ -570,10 +496,10 @@ impl<T> TaskHandle<T> {
 }
 
 /// Run `f` with a [`Scope`] bound to `pool`, then block — helping the
-/// pool — until every job spawned within the scope has completed.
-/// Panics from fire-and-forget jobs are re-raised here (after the
-/// barrier, so the pool is never left with dangling borrows and its
-/// workers never die with the job).
+/// pool — until every job spawned within the scope has completed. A
+/// panic in `f` is re-raised here, after the barrier, so the pool is
+/// never left with dangling borrows and its workers never die with
+/// the job.
 ///
 /// The closure is higher-ranked over the `'scope` brand, so no value
 /// mentioning `'scope` — in particular no spawning capability — can be
@@ -585,116 +511,13 @@ pub fn scope<'env, R>(
 ) -> R {
     let scope = Scope {
         pool: pool.clone(),
-        sync: Arc::new(ScopeSync::default()),
+        pending: Arc::new(AtomicUsize::new(0)),
         _scope: PhantomData,
         _env: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-    let sync = Arc::clone(&scope.sync);
-    pool.wait_until(&|| sync.pending.load(Ordering::SeqCst) == 0);
-    let job_panic = scope.sync.panic.lock().unwrap().take();
-    match result {
-        Err(payload) => std::panic::resume_unwind(payload),
-        Ok(value) => {
-            if let Some(payload) = job_panic {
-                std::panic::resume_unwind(payload);
-            }
-            value
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-worker scratch caches
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// This thread's scratch cache: type-erased recycled values, one
-    /// entry per checked-in scratch set. Per-thread ≡ per-worker for
-    /// the resident pool threads (which live as long as the pool), and
-    /// generalizes for free to helping submitter threads. Type-erased
-    /// so the pool stays ignorant of what executors cache in it.
-    static SCRATCH_CACHE: RefCell<Vec<Box<dyn Any + Send>>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Spare scratch values one thread retains; beyond this, checked-in
-/// values are dropped instead of cached. Depth > 1 only occurs when a
-/// job helps the pool mid-job and the nested job checks out scratch of
-/// the same type, so a small cap loses nothing.
-const SCRATCH_CACHE_CAP: usize = 8;
-
-/// Check a scratch value of type `T` out of the **current thread's**
-/// cache, or default-construct one on a cache miss. The checkout is
-/// lock-free — one thread-local vector scan, no atomics — and the
-/// guard checks the value back into the same thread's cache on drop,
-/// so a worker that runs several jobs in sequence reuses one scratch
-/// set (with all its grown capacity) across all of them.
-///
-/// [`Scratch::reused`] reports whether the checkout was a cache hit;
-/// the executor surfaces that through the `scratch_hits` counter of
-/// `ExecStats` so tests can assert that recycling actually happens.
-pub fn take_scratch<T: Default + Send + 'static>() -> Scratch<T> {
-    let cached: Option<Box<T>> = SCRATCH_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let idx = cache.iter().position(|slot| slot.is::<T>())?;
-        let boxed = cache.swap_remove(idx);
-        Some(boxed.downcast::<T>().expect("slot matched T"))
-    });
-    match cached {
-        Some(value) => Scratch { value: Some(value), reused: true },
-        None => Scratch { value: Some(Box::new(T::default())), reused: false },
-    }
-}
-
-/// A scratch value checked out of the current thread's cache by
-/// [`take_scratch`]; dereferences to `T` and checks the value back in
-/// on drop (on the dropping thread — check-out and check-in happen on
-/// the same thread in normal use, since a job's scratch never outlives
-/// the job).
-///
-/// The value stays in its box for its whole cache lifetime, so a hit →
-/// use → check-in cycle moves one pointer and allocates nothing.
-pub struct Scratch<T: Send + 'static> {
-    value: Option<Box<T>>,
-    reused: bool,
-}
-
-impl<T: Send + 'static> Scratch<T> {
-    /// Whether this checkout recycled a cached value (`true`) or had
-    /// to default-construct a fresh one (`false`).
-    pub fn reused(&self) -> bool {
-        self.reused
-    }
-}
-
-impl<T: Send + 'static> Deref for Scratch<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.value.as_ref().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> DerefMut for Scratch<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.value.as_mut().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> Drop for Scratch<T> {
-    fn drop(&mut self) {
-        let Some(value) = self.value.take() else { return };
-        // try_with: during thread teardown the TLS may already be
-        // destroyed; then the value is simply dropped. The existing
-        // box is re-shelved as-is (an unsizing coercion, no
-        // allocation).
-        let _ = SCRATCH_CACHE.try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() < SCRATCH_CACHE_CAP {
-                cache.push(value as Box<dyn Any + Send>);
-            }
-        });
-    }
+    pool.wait_until(&|| scope.pending.load(Ordering::SeqCst) == 0);
+    result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
@@ -720,9 +543,8 @@ mod tests {
         let counter = AtomicU32::new(0);
         scope(&pool, |s| {
             for _ in 0..10 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                // Unjoined handles: the barrier alone must run them.
+                s.spawn_job(|| counter.fetch_add(1, Ordering::Relaxed));
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 10);
@@ -743,16 +565,14 @@ mod tests {
 
     #[test]
     fn jobs_can_spawn_dependent_jobs() {
-        // The DAG-walk shape: a completed job schedules its consumer
-        // by capturing the scope reference, std::thread::scope-style.
+        // A running job schedules a dependent by capturing the scope
+        // reference, std::thread::scope-style; the barrier covers both.
         let pool = PoolHandle::new(2);
         let order = Mutex::new(Vec::new());
         scope(&pool, |s| {
-            s.spawn(|| {
+            s.spawn_job(|| {
                 order.lock().unwrap().push("producer");
-                s.spawn(|| {
-                    order.lock().unwrap().push("consumer");
-                });
+                s.spawn_job(|| order.lock().unwrap().push("consumer"));
             });
         });
         assert_eq!(*order.lock().unwrap(), ["producer", "consumer"]);
@@ -767,7 +587,7 @@ mod tests {
         let inner_total = Mutex::new(0u64);
         let outer_total: u64 = scope(&pool, |s| {
             let outer: Vec<_> = (0..4u64).map(|i| s.spawn_job(move || i)).collect();
-            s.spawn(|| {
+            s.spawn_job(|| {
                 let inner: Vec<_> = (0..8u64).map(|i| s.spawn_job(move || i)).collect();
                 let sum: u64 = inner.into_iter().map(|h| h.join().unwrap()).sum();
                 *inner_total.lock().unwrap() = sum;
@@ -831,17 +651,20 @@ mod tests {
 
     #[test]
     fn spawned_panic_propagates_after_barrier_and_pool_survives() {
+        // The sharded-scan shape: a joined job's panic is re-raised in
+        // the scope body while a sibling job is still queued or running.
         let pool = PoolHandle::new(2);
         let done = AtomicBool::new(false);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             scope(&pool, |s| {
-                s.spawn(|| panic!("scope boom"));
-                s.spawn(|| {
-                    done.store(true, Ordering::Release);
-                });
+                let bad = s.spawn_job(|| panic!("scope boom"));
+                s.spawn_job(|| done.store(true, Ordering::Release));
+                if let Err(payload) = bad.join() {
+                    std::panic::resume_unwind(payload);
+                }
             })
         }));
-        assert!(caught.is_err(), "scope re-raises job panics");
+        assert!(caught.is_err(), "scope re-raises the body's panic");
         // The barrier ran every job before re-raising.
         assert!(done.load(Ordering::Acquire));
         let ok = scope(&pool, |s| s.spawn_job(|| 41u32).join()).unwrap();
@@ -900,95 +723,11 @@ mod tests {
     }
 
     #[test]
-    fn deferred_jobs_run_by_the_barrier_without_notification() {
-        // Zero workers: nobody could be notified anyway — the barrier
-        // itself must drain the deferred job.
-        let inline = PoolHandle::inline();
-        let ran = AtomicBool::new(false);
-        scope(&inline, |s| {
-            s.spawn_deferred(|| ran.store(true, Ordering::Release));
-        });
-        assert!(ran.load(Ordering::Acquire));
-        assert_eq!(inline.jobs_submitted(), 1, "deferred jobs still count as queue jobs");
-
-        // Resident workers: the deferred job completes by the barrier
-        // regardless of who picks it up, and the pool stays usable.
-        let pool = PoolHandle::new(2);
-        let counter = AtomicU32::new(0);
-        scope(&pool, |s| {
-            s.spawn_deferred(|| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-            s.spawn(|| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn scratch_misses_then_hits_on_one_thread() {
-        // A dedicated thread guarantees a cold cache regardless of what
-        // other tests ran on this thread before.
-        std::thread::spawn(|| {
-            let first = take_scratch::<Vec<u64>>();
-            assert!(!first.reused(), "cold cache must miss");
-            drop(first);
-            let mut second = take_scratch::<Vec<u64>>();
-            assert!(second.reused(), "checked-in scratch must be recycled");
-            second.push(7);
-            drop(second);
-            let third = take_scratch::<Vec<u64>>();
-            assert_eq!(*third, [7], "recycled value carries its state");
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn scratch_caches_are_per_thread() {
-        std::thread::spawn(|| {
-            drop(take_scratch::<Vec<u8>>()); // warm this thread
-            assert!(take_scratch::<Vec<u8>>().reused());
-            std::thread::spawn(|| {
-                assert!(
-                    !take_scratch::<Vec<u8>>().reused(),
-                    "another thread's cache must not be visible"
-                );
-            })
-            .join()
-            .unwrap();
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn scratch_distinguishes_types_and_respects_the_cap() {
-        std::thread::spawn(|| {
-            drop(take_scratch::<Vec<u16>>());
-            // A different type misses even though the cache is warm.
-            assert!(!take_scratch::<Vec<u32>>().reused());
-            // Concurrent checkouts beyond the cap are dropped, not
-            // cached: hold CAP + 2 guards at once, release them all.
-            let guards: Vec<Scratch<Vec<u16>>> =
-                (0..SCRATCH_CACHE_CAP + 2).map(|_| take_scratch()).collect();
-            drop(guards);
-            let cached = SCRATCH_CACHE.with(|c| {
-                c.borrow().iter().filter(|s| s.is::<Vec<u16>>()).count()
-            });
-            assert!(cached <= SCRATCH_CACHE_CAP, "cap bounds retained spares");
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
     fn handles_are_shared_across_clones() {
         let pool = PoolHandle::new(1);
         let clone = pool.clone();
         scope(&clone, |s| {
-            s.spawn(|| {});
+            s.spawn_job(|| {});
         });
         assert_eq!(pool.jobs_submitted(), 1, "clones share the injector");
     }

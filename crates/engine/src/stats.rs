@@ -1,22 +1,15 @@
 //! Per-query execution statistics.
 //!
-//! Under pooled parallel execution the counters follow an
-//! **accumulator-per-job** discipline: no `&mut ExecStats` is ever
-//! shared with a pool worker. Every operator job — and every scan
-//! shard sub-job — tallies into its own private `ExecStats`; the scan
-//! job [`absorb`]s its shards once at its join point (asserting the
-//! absorbed `elements_visited` equals the scan's total tuple count),
-//! and the coordinating thread absorbs every operator accumulator
-//! exactly once after the scope barrier, so a tuple can never be
-//! counted twice no matter how the DAG was scheduled. The equivalence
-//! property suite checks pooled counts equal sequential counts
-//! plan-for-plan across {1, 2, 4, 7} pool threads.
-//!
-//! Two counters are deliberately **outside** that contract:
-//! [`ExecStats::scratch_checkouts`] / [`ExecStats::scratch_hits`]
-//! observe the per-worker scratch caches of pooled execution and
-//! depend on which thread ran which job — scheduling facts, not query
-//! semantics.
+//! Every operator tallies into the one `&mut ExecStats` of the
+//! executing thread. The only work that leaves that thread is a
+//! sharded scan's pool sub-jobs, and no `&mut ExecStats` is ever
+//! shared with them: each shard tallies into its own private
+//! `ExecStats`, and the scan [`absorb`]s the shards once at its join
+//! point, asserting the absorbed `elements_visited` equals the scan's
+//! total tuple count — so a tuple can never be counted twice. Every
+//! field is a query-semantic count: the equivalence property suite
+//! checks that sharded and sequential execution agree on all of them,
+//! plan for plan, across {1, 2, 4, 7} pool threads.
 //!
 //! [`absorb`]: ExecStats::absorb
 
@@ -38,28 +31,6 @@ pub struct ExecStats {
     /// Wall-clock execution time (selections + joins, excluding
     /// index-build time, matching §5.2.3's measurement scope).
     pub elapsed: Duration,
-    /// Pooled-execution observability: operator **jobs** that checked a
-    /// scratch-buffer set ([`ExecBuffers`]) out of the per-worker cache
-    /// (`pool::take_scratch`). One per pool job, however many chained
-    /// operators the job ran inline. Always 0 under sequential
-    /// execution, which recycles through one caller-held set instead.
-    ///
-    /// Unlike every counter above, this and [`scratch_hits`] describe
-    /// *scheduling*, not query semantics: they are excluded from the
-    /// pooled ≡ sequential equivalence contract.
-    ///
-    /// [`ExecBuffers`]: crate::stream::ExecBuffers
-    /// [`scratch_hits`]: ExecStats::scratch_hits
-    pub scratch_checkouts: u64,
-    /// The subset of [`scratch_checkouts`] satisfied by a recycled set
-    /// — the worker had already finished an earlier operator job, so
-    /// its join flags, merge scratch and spare buffers (capacity
-    /// included) were reused instead of reallocated. The scratch-cache
-    /// test suite asserts this becomes non-zero as soon as a pool
-    /// executes more jobs than it has executing threads.
-    ///
-    /// [`scratch_checkouts`]: ExecStats::scratch_checkouts
-    pub scratch_hits: u64,
 }
 
 impl ExecStats {
@@ -71,8 +42,6 @@ impl ExecStats {
         self.d_joins += other.d_joins;
         self.join_input_tuples += other.join_input_tuples;
         self.elapsed += other.elapsed;
-        self.scratch_checkouts += other.scratch_checkouts;
-        self.scratch_hits += other.scratch_hits;
     }
 }
 
@@ -88,8 +57,6 @@ mod tests {
             join_input_tuples: 5,
             result_count: 3,
             elapsed: Duration::from_millis(2),
-            scratch_checkouts: 2,
-            scratch_hits: 1,
         };
         let b = ExecStats {
             elements_visited: 7,
@@ -97,8 +64,6 @@ mod tests {
             join_input_tuples: 1,
             result_count: 9,
             elapsed: Duration::from_millis(1),
-            scratch_checkouts: 3,
-            scratch_hits: 2,
         };
         a.absorb(&b);
         assert_eq!(a.elements_visited, 17);
@@ -106,7 +71,5 @@ mod tests {
         assert_eq!(a.join_input_tuples, 6);
         assert_eq!(a.result_count, 3, "result_count is not merged");
         assert_eq!(a.elapsed, Duration::from_millis(3));
-        assert_eq!(a.scratch_checkouts, 5);
-        assert_eq!(a.scratch_hits, 3);
     }
 }

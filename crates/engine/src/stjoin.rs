@@ -45,23 +45,6 @@ pub struct JoinScratch {
     stack: Vec<usize>,
 }
 
-impl JoinScratch {
-    /// Release any internal buffer whose capacity exceeds
-    /// `max_elems`, so a long-lived holder (the per-worker scratch
-    /// caches) does not pin the high-water footprint of the largest
-    /// join it ever ran. Within-query reuse never calls this.
-    pub fn trim(&mut self, max_elems: usize) {
-        for flags in [&mut self.anc, &mut self.desc] {
-            if flags.capacity() > max_elems {
-                *flags = Vec::new();
-            }
-        }
-        if self.stack.capacity() > max_elems {
-            self.stack = Vec::new();
-        }
-    }
-}
-
 /// Run the structural join, writing participation flags into `scratch`
 /// (cleared and resized; capacity is reused across calls). Inputs must
 /// be sorted by `start` (document order); this is the invariant every
@@ -157,23 +140,6 @@ pub struct MergeScratch {
     pub bounds: Vec<usize>,
     bounds_next: Vec<usize>,
     spare: Vec<DLabel>,
-}
-
-impl MergeScratch {
-    /// Release any internal buffer whose capacity exceeds
-    /// `max_elems` (see [`JoinScratch::trim`]): the spare ping-pong
-    /// buffer grows to the largest merged scan, which a long-lived
-    /// per-worker cache must not retain forever.
-    pub fn trim(&mut self, max_elems: usize) {
-        if self.spare.capacity() > max_elems {
-            self.spare = Vec::new();
-        }
-        for bounds in [&mut self.bounds, &mut self.bounds_next] {
-            if bounds.capacity() > max_elems {
-                *bounds = Vec::new();
-            }
-        }
-    }
 }
 
 /// Restore global start order over a buffer holding the concatenation

@@ -84,32 +84,8 @@ impl ExecBuffers {
     /// Return a stream's buffer to the pool, if it owned one.
     pub fn recycle(&mut self, labels: Labels<'_>) {
         if let Labels::Owned(v) = labels {
-            self.recycle_vec(v);
+            self.pool.push(v);
         }
-    }
-
-    /// Return a raw buffer to the pool.
-    pub fn recycle_vec(&mut self, v: Vec<DLabel>) {
-        self.pool.push(v);
-    }
-
-    /// Bound what a **long-lived** holder — the per-worker scratch
-    /// caches of `pool::take_scratch` — may retain: keep at most a few
-    /// spare buffers and none of unbounded size, so a worker that once
-    /// executed a huge scan does not pin that high-water capacity
-    /// forever. Within a single execution (the sequential path's
-    /// caller-held set) nothing calls this, so intra-query recycling
-    /// keeps full capacity.
-    pub fn trim(&mut self) {
-        /// Spare output buffers a cache entry keeps across jobs.
-        const MAX_SPARES: usize = 8;
-        /// Per-buffer retention bound (64 Ki entries; ≤ 1 MiB for the
-        /// label buffers).
-        const MAX_ELEMS: usize = 1 << 16;
-        self.pool.retain(|v| v.capacity() <= MAX_ELEMS);
-        self.pool.truncate(MAX_SPARES);
-        self.join.trim(MAX_ELEMS);
-        self.merge.trim(MAX_ELEMS);
     }
 }
 

@@ -24,10 +24,9 @@
 //! [`lower_twig`] turns it into a DAG of shared [`PhysOp::ClusteredScan`]
 //! streams and [`PhysOp::StructuralJoin`] semi-joins — the two stack
 //! passes made explicit — which the one executor in [`crate::exec`]
-//! runs. Under a parallel [`ExecConfig`] the independent twig
-//! branches execute concurrently as dependency-counted jobs on the
-//! persistent worker pool, and large streams shard into pool
-//! sub-jobs.
+//! runs on the calling thread. Under a sharded [`ExecConfig`] a large
+//! stream's scan splits into pool sub-jobs; the semi-join passes
+//! themselves never leave the thread.
 //!
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 //! [`PhysOp::StructuralJoin`]: crate::physical::PhysOp::StructuralJoin

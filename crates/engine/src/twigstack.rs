@@ -23,10 +23,10 @@
 //! engine entry point [`execute_twigstack`] is a lowering strategy —
 //! per-node [`PhysOp::ClusteredScan`] streams feeding the one
 //! holistic operator — over the shared executor in [`crate::exec`].
-//! Under a parallel [`ExecConfig`] the per-node streams load
-//! concurrently as pool jobs (sharding individually when large), and
-//! the match operator is released only when every stream has
-//! completed. The default twig engine in
+//! The per-node streams load one after another in arena order (each
+//! large one sharding into pool sub-jobs under a sharded
+//! [`ExecConfig`]), and the match operator runs after the last of
+//! them. The default twig engine in
 //! [`crate::twig`] computes the same answer with a semi-join DAG; the
 //! `ablation` Criterion bench compares the two.
 //!

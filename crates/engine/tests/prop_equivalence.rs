@@ -17,58 +17,6 @@ use proptest::prelude::*;
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
 
-/// Deterministic half of the scratch-cache property: when a pool
-/// executes more operator jobs than it has executing threads, the
-/// per-worker caches must actually recycle — observable through the
-/// `scratch_hits` counter — while results and semantic stats stay
-/// identical to sequential execution.
-#[test]
-fn scratch_cache_reuses_buffers_when_ops_exceed_workers() {
-    let doc = Document::parse(
-        "<a><b><c>x</c><d/></b><b><c>y</c><d/></b><a><b><c>x</c></b></a></a>",
-    )
-    .unwrap();
-    let labels = label_document(&doc).unwrap();
-    let store = NodeStore::build(&doc, &labels);
-    let q = parse("/a/b[c]/d").unwrap();
-    let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &labels.domain);
-    let twig = TwigQuery::from_plan(&bound).unwrap();
-    let plan = lower_twig(&twig);
-
-    let mut seq_stats = ExecStats::default();
-    let seq = execute(&plan, &store, &ExecConfig::default(), &mut seq_stats);
-
-    // A fresh 1-worker pool: at most two executing threads (the worker
-    // plus this helping thread), each of which can miss the cache at
-    // most once — their very first job. Default `min_shard_elems`, so
-    // no scan fan-out nests jobs inside jobs.
-    let pool = PoolHandle::new(1);
-    let config = ExecConfig::on_pool(pool.clone(), 2);
-    let (mut checkouts, mut hits) = (0u64, 0u64);
-    const RUNS: usize = 6;
-    for run in 0..RUNS {
-        let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &config, &mut stats);
-        assert_eq!(out, seq, "run {run}");
-        assert_eq!(stats.elements_visited, seq_stats.elements_visited);
-        assert_eq!(stats.d_joins, seq_stats.d_joins);
-        assert_eq!(stats.join_input_tuples, seq_stats.join_input_tuples);
-        checkouts += stats.scratch_checkouts;
-        hits += stats.scratch_hits;
-    }
-    assert_eq!(
-        checkouts,
-        pool.jobs_submitted(),
-        "every queue job checks scratch out exactly once"
-    );
-    assert!(checkouts as usize >= RUNS, "at least one job per execution");
-    assert!(
-        hits >= checkouts - 2,
-        "with two executing threads at most two checkouts may miss \
-         (got {hits} hits of {checkouts} checkouts)"
-    );
-}
-
 /// Persistent pools shared by every proptest case: {1, 2, 4, 7}
 /// resident workers. Reusing them across hundreds of random
 /// plans/stores is itself part of the property — one pool instance
@@ -181,11 +129,11 @@ proptest! {
         }
     }
 
-    /// Pooled parallel execution is an execution detail: for random
-    /// plans over random stores, running the dependency-counted DAG
-    /// walk on persistent pools of 1, 2, 4 or 7 worker threads (scan
-    /// fan-out forced on by `min_shard_elems: 1`) returns
-    /// byte-identical results and identical merged `ExecStats` totals
+    /// Sharded execution is an execution detail: for random plans over
+    /// random stores, the one arena-order walk with every clustered
+    /// scan fanned out over persistent pools of 1, 2, 4 or 7 worker
+    /// threads (`min_shard_elems: 1`) returns byte-identical results
+    /// and an identical `ExecStats` — every field but the wall clock —
     /// to sequential execution, on every lowering strategy (relational
     /// tree, twig semi-join DAG, holistic TwigStack). The pools are
     /// created once and shared across all cases, so this also
@@ -205,6 +153,7 @@ proptest! {
         if let Ok(p) = translate_pushup(&q) {
             plans.push(("pushup", p));
         }
+        let untimed = |stats: ExecStats| ExecStats { elapsed: Default::default(), ..stats };
         for (name, plan) in &plans {
             let bound = bind(plan, doc.tags(), &labels.domain);
             let mut phys = vec![("rdbms", lower_plan(&bound))];
@@ -215,53 +164,24 @@ proptest! {
             for (engine, pplan) in &phys {
                 let mut seq_stats = ExecStats::default();
                 let seq = execute(pplan, &store, &ExecConfig::default(), &mut seq_stats);
-                prop_assert_eq!(seq_stats.scratch_checkouts, 0, "sequential never checks out");
                 for (threads, pool) in shared_pools() {
-                    // Shards ≥ 2 so the pooled DAG path (and scan
-                    // fan-out) is always active, whatever the worker
-                    // count — a 1-thread pool must still be correct.
-                    // Chain collapsing is exercised in both settings:
-                    // on (the default) for every pool size, off for
-                    // the 2-thread pool as the one-job-per-operator
-                    // reference schedule.
+                    // Shards ≥ 2 so scan fan-out is always active,
+                    // whatever the worker count — a 1-thread pool must
+                    // still be correct.
                     let shards = (*threads).max(2);
-                    let collapse_modes: &[bool] =
-                        if *threads == 2 { &[true, false] } else { &[true] };
-                    for &collapse in collapse_modes {
-                        let config = ExecConfig::on_pool(pool.clone(), shards)
-                            .with_min_shard_elems(1)
-                            .with_collapse_chains(collapse);
-                        let mut par_stats = ExecStats::default();
-                        let par = execute(pplan, &store, &config, &mut par_stats);
-                        prop_assert_eq!(
-                            &par, &seq,
-                            "{}/{} @ {} pool threads (collapse {}) on {} over {}",
-                            engine, name, threads, collapse, qsrc, src
-                        );
-                        prop_assert_eq!(
-                            (
-                                par_stats.elements_visited,
-                                par_stats.d_joins,
-                                par_stats.join_input_tuples,
-                                par_stats.result_count,
-                            ),
-                            (
-                                seq_stats.elements_visited,
-                                seq_stats.d_joins,
-                                seq_stats.join_input_tuples,
-                                seq_stats.result_count,
-                            ),
-                            "stats must not depend on pooling: {}/{} @ {} pool threads \
-                             (collapse {}) on {} over {}",
-                            engine, name, threads, collapse, qsrc, src
-                        );
-                        // The scheduling-side counters are not part of
-                        // the equivalence contract, but every pooled
-                        // execution runs at least one job, and hits
-                        // can never exceed checkouts.
-                        prop_assert!(par_stats.scratch_checkouts >= 1);
-                        prop_assert!(par_stats.scratch_hits <= par_stats.scratch_checkouts);
-                    }
+                    let config = ExecConfig::on_pool(pool.clone(), shards).with_min_shard_elems(1);
+                    let mut par_stats = ExecStats::default();
+                    let par = execute(pplan, &store, &config, &mut par_stats);
+                    prop_assert_eq!(
+                        &par, &seq,
+                        "{}/{} @ {} pool threads on {} over {}",
+                        engine, name, threads, qsrc, src
+                    );
+                    prop_assert_eq!(
+                        untimed(par_stats), untimed(seq_stats.clone()),
+                        "stats must not depend on sharding: {}/{} @ {} pool threads on {} over {}",
+                        engine, name, threads, qsrc, src
+                    );
                 }
             }
         }

@@ -750,7 +750,7 @@ pub struct StoreCols {
 /// a delta-carrying store transparently splice base and delta at the
 /// run level (tombstoned base rows are cut out, inserted tuples are
 /// interleaved in start order), so everything above the scan layer —
-/// all three engines, sequential and pooled — sees base ⊎ delta
+/// all three engines, sequential and sharded — sees base ⊎ delta
 /// without knowing deltas exist. A store without a delta pays one
 /// `Option` check per scan and keeps every zero-copy path.
 #[derive(Debug, Clone)]
@@ -1649,7 +1649,7 @@ impl NodeStore {
 
     /// Tuples the SP range scan of `[p1, p2]` would yield, from the
     /// run directory alone — two binary searches, no run
-    /// materialization. The pooled executor asks this first so scans
+    /// materialization. The sharded scan asks this first so scans
     /// below its fan-out threshold never pay for shard preparation.
     pub fn plabel_range_size(&self, p1: u128, p2: u128) -> usize {
         let from = self.sp_keys.partition_point(|&k| k < p1);

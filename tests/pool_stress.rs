@@ -42,10 +42,14 @@ fn auction_queries_from_many_threads_share_one_pool() {
     let db = auction_db();
     let queries = query_set(DatasetId::Auction);
 
-    // Single-threaded sequential baseline per query.
+    // Single-threaded sequential baseline per query. The Fig. 14 set
+    // is point-sized at ×2, below the per-shard minimum; `//text`
+    // (≈ 9 k tuples) is wide enough that its scan really fans out.
     let baselines: Vec<(&str, Vec<DLabel>)> = queries
         .iter()
-        .map(|q| (q.xpath, db.query(q.xpath, EngineChoice::auto()).unwrap().nodes))
+        .map(|q| q.xpath)
+        .chain(["//text"])
+        .map(|xpath| (xpath, db.query(xpath, EngineChoice::auto()).unwrap().nodes))
         .collect();
 
     // Force pool creation now so every client observes the same
@@ -82,9 +86,10 @@ fn auction_queries_from_many_threads_share_one_pool() {
         executed.load(Ordering::Relaxed),
         CLIENT_THREADS * ROUNDS * baselines.len()
     );
-    // Every parallel query ran as jobs on the one persistent pool: the
-    // handle is the same instance and its monotone job counter moved
-    // (no per-query or per-scan thread pools were created).
+    // Every wide sharded scan ran its shards as jobs on the one
+    // persistent pool: the handle is the same instance and its monotone
+    // job counter moved (no per-query or per-scan thread pools were
+    // created).
     assert!(
         db.pool().jobs_submitted() > jobs_before,
         "parallel queries must submit jobs to the shared pool"
@@ -112,10 +117,14 @@ fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
         Some("injected failure")
     );
 
-    // A fire-and-forget job that panics: scope re-raises it after its
-    // barrier, which a caller observes as an unwind-shaped error.
+    // The sharded-scan shape: the joiner re-raises a shard's panic in
+    // the scope body, and scope re-raises it after its barrier, which a
+    // caller observes as an unwind-shaped error.
     let raised = catch_unwind(AssertUnwindSafe(|| {
-        pool::scope(&pool, |s| s.spawn(|| panic!("injected failure 2")))
+        pool::scope(&pool, |s| {
+            let shard = s.spawn_job(|| -> u32 { panic!("injected failure 2") });
+            shard.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        })
     }));
     assert!(raised.is_err());
 
@@ -130,13 +139,12 @@ fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
 
 #[test]
 fn chain_heavy_pipelines_collapse_under_contention() {
-    // Satellite of the chain-collapsing tentpole: long linear
-    // pipelines (scan → pass-through filters → materialize) fired from
-    // 8 OS threads at one shared pool. However contended the pool, a
-    // pure chain must cost exactly one queue job — every non-root
-    // operator rides inline — and one scratch checkout, while staying
-    // byte-identical to sequential execution.
-    use blas_engine::exec::{execute, ExecConfig, ExecProbe, ProbeEvent};
+    // Long linear pipelines (sharded scan → pass-through filters →
+    // materialize) fired from 8 OS threads at one shared pool. However
+    // contended the pool, every execution stays byte-identical to
+    // sequential, counts the same elements, and submits exactly the
+    // scan's shard jobs — the filters and the materialize add none.
+    use blas_engine::exec::{execute, ExecConfig};
     use blas_engine::physical::{PhysOp, PhysPlan};
     use blas_engine::ExecStats;
     use blas_translate::BoundSource;
@@ -164,53 +172,41 @@ fn chain_heavy_pipelines_collapse_under_contention() {
     assert!(!seq.is_empty(), "the workload must move real tuples");
 
     let pool = PoolHandle::new(3);
+    let config = ExecConfig::on_pool(pool.clone(), 4).with_min_shard_elems(1);
+    // One uncontended execution fixes the per-execution job count.
+    let jobs_before = pool.jobs_submitted();
+    execute(&plan, store, &config, &mut ExecStats::default());
+    let per_execution = pool.jobs_submitted() - jobs_before;
+    assert!((1..=3).contains(&per_execution), "the item scan fans out: {per_execution}");
+
     let jobs_before = pool.jobs_submitted();
     const ROUNDS_PER_CLIENT: usize = 6;
     std::thread::scope(|s| {
         for _ in 0..CLIENT_THREADS {
-            let (plan, seq, seq_stats, pool) = (&plan, &seq, &seq_stats, &pool);
+            let (plan, seq, seq_stats, config) = (&plan, &seq, &seq_stats, &config);
             s.spawn(move || {
-                let probe = ExecProbe::new();
                 for round in 0..ROUNDS_PER_CLIENT {
-                    probe.clear();
-                    // min_shard_elems = MAX: keep even the tag scan
-                    // whole, so the chain is the entire execution.
-                    let config = ExecConfig::on_pool(pool.clone(), 4)
-                        .with_min_shard_elems(usize::MAX)
-                        .with_probe(probe.clone());
                     let mut stats = ExecStats::default();
-                    let out = execute(plan, store, &config, &mut stats);
+                    let out = execute(plan, store, config, &mut stats);
                     assert_eq!(&out, seq, "round {round}");
                     assert_eq!(stats.elements_visited, seq_stats.elements_visited);
-                    let events = probe.events();
-                    assert_eq!(
-                        events.iter().filter(|e| matches!(e, ProbeEvent::Submitted(_))).count(),
-                        1,
-                        "a pure chain pays exactly one queue job: {events:?}"
-                    );
-                    assert_eq!(
-                        events.iter().filter(|e| matches!(e, ProbeEvent::Inlined(_))).count(),
-                        plan.ops().len() - 1,
-                        "every non-root operator runs inline: {events:?}"
-                    );
-                    assert_eq!(stats.scratch_checkouts, 1, "one checkout per queue job");
                 }
             });
         }
     });
     assert_eq!(
         pool.jobs_submitted() - jobs_before,
-        (CLIENT_THREADS * ROUNDS_PER_CLIENT) as u64,
-        "one queue job per pipeline execution, even from 8 clients"
+        (CLIENT_THREADS * ROUNDS_PER_CLIENT) as u64 * per_execution,
+        "only the scan's shard jobs, even from 8 clients"
     );
 }
 
 #[test]
 fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
-    // A continuation that panics unwinds the producer's pool job; the
-    // scope barrier must still re-raise it to the caller as an error,
-    // and the worker that ran it must survive to serve more queries.
-    use blas_engine::exec::{execute, ExecConfig, ExecProbe, ProbeEvent};
+    // An operator that panics after a sharded scan fanned out on the
+    // pool must unwind to the caller, and the same pool must keep
+    // serving healthy sharded plans byte-identical to sequential.
+    use blas_engine::exec::{execute, ExecConfig};
     use blas_engine::physical::{PhysOp, PhysPlan, TwigPattern};
     use blas_engine::ExecStats;
     use blas_translate::BoundSource;
@@ -220,7 +216,7 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
     // A deliberately inconsistent holistic pattern (root index out of
     // range): `PhysPlan::from_ops` only enforces the arena invariant,
     // so the plan builds — and the match operator panics the moment it
-    // runs, which is *inline*, as the sole consumer of its stream.
+    // runs, right after its stream's scan was sharded over the pool.
     let pattern = TwigPattern {
         parent: vec![None],
         children: vec![vec![]],
@@ -236,25 +232,17 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
     let plan = PhysPlan::from_ops(ops, 2);
 
     let pool = PoolHandle::new(2);
-    let probe = ExecProbe::new();
-    let config = ExecConfig::on_pool(pool.clone(), 2).with_probe(probe.clone());
+    let config = ExecConfig::on_pool(pool.clone(), 2).with_min_shard_elems(1);
+    let jobs_before = pool.jobs_submitted();
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         let mut stats = ExecStats::default();
         execute(&plan, store, &config, &mut stats)
     }));
-    assert!(unwound.is_err(), "the inlined panic must surface as an error to the caller");
-    let events = probe.events();
-    assert!(
-        events.contains(&ProbeEvent::Inlined(1)),
-        "the failing op must have been a chain-collapsed continuation: {events:?}"
-    );
-    assert!(
-        events.contains(&ProbeEvent::Started(1)) && !events.contains(&ProbeEvent::Finished(1)),
-        "the failing op started but never finished: {events:?}"
-    );
+    assert!(unwound.is_err(), "the operator's panic must surface as an error to the caller");
+    assert_eq!(pool.jobs_submitted() - jobs_before, 1, "the scan fanned out before the panic");
 
     // No worker died with the panic: the same pool instance keeps
-    // executing healthy plans, byte-identical to sequential.
+    // executing healthy sharded plans, byte-identical to sequential.
     let healthy = PhysPlan::from_ops(
         vec![
             PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
@@ -264,17 +252,13 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
         2,
     );
     let mut seq_stats = ExecStats::default();
-    let seq = execute(&healthy, store, &ExecConfig::default(), &mut seq_stats);
+    let seq = execute(&healthy, store, &ExecConfig::sequential(), &mut seq_stats);
     assert_eq!(seq.len(), 1);
     for _ in 0..3 {
         let mut stats = ExecStats::default();
-        let again = execute(
-            &healthy,
-            store,
-            &ExecConfig::on_pool(pool.clone(), 2),
-            &mut stats,
-        );
-        assert_eq!(again, seq, "pool must survive a panicked continuation");
+        let again = execute(&healthy, store, &config, &mut stats);
+        assert_eq!(again, seq, "pool must survive a panicked operator");
+        assert_eq!(stats.elements_visited, seq_stats.elements_visited);
     }
 }
 
