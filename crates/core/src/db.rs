@@ -241,6 +241,17 @@ pub struct QueryResult {
     pub stats: ExecStats,
 }
 
+/// Count-only output ([`BlasDb::count`]): how many nodes
+/// [`BlasDb::query`] would return, and what counting them cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryCount {
+    /// Matched nodes.
+    pub count: usize,
+    /// Counters of the count path: `elements_visited == 0` when the run
+    /// directory answered, otherwise exactly what the query reports.
+    pub stats: ExecStats,
+}
+
 /// A fully resolved, ready-to-execute plan: the unit the plan cache
 /// stores. Every Auto decision (engine, translator, shard count) has
 /// been made; execution is `exec::execute` and nothing else.
@@ -442,6 +453,14 @@ impl DbSnapshot<'_> {
     pub fn query(&self, xpath: &str, choice: EngineChoice) -> Result<QueryResult, BlasError> {
         let (prepared, _) = self.db.prepared(&self.gen, xpath, choice)?;
         Ok(self.db.execute_prepared(&self.gen, &prepared))
+    }
+
+    /// Count `xpath`'s matches in the pinned generation — same prepared
+    /// plan and plan-cache entry as [`DbSnapshot::query`]; see
+    /// [`BlasDb::count`].
+    pub fn count(&self, xpath: &str, choice: EngineChoice) -> Result<QueryCount, BlasError> {
+        let (prepared, _) = self.db.prepared(&self.gen, xpath, choice)?;
+        Ok(self.db.count_prepared(&self.gen, &prepared))
     }
 }
 
@@ -659,6 +678,29 @@ impl BlasDb {
         Ok(self.execute_prepared(&gen, &prepared))
     }
 
+    /// How many nodes [`BlasDb::query`] would return for `xpath`, without
+    /// building the result. Shares `query`'s prepared plan and plan-cache
+    /// key, so a count and a query of one XPath make one cache entry.
+    ///
+    /// A plan whose answer is one unfiltered clustered selection, or a
+    /// union of them over disjoint P-labels or tags (a suffix path, an
+    /// unfolded path), is counted off the run directory: no tuple is
+    /// read and `stats.elements_visited` is 0. Any other plan executes
+    /// as `query` does, minus the final copy, and reports the same
+    /// counters. The paper's elements-read figures measure `query`.
+    ///
+    /// ```
+    /// use blas::{BlasDb, EngineChoice};
+    ///
+    /// let db = BlasDb::load("<db><e><n>x</n></e><e><n>y</n></e></db>").unwrap();
+    /// let c = db.count("//n", EngineChoice::auto()).unwrap();
+    /// assert_eq!(c.count, db.query("//n", EngineChoice::auto()).unwrap().nodes.len());
+    /// assert_eq!(c.stats.elements_visited, 0, "answered from the run directory");
+    /// ```
+    pub fn count(&self, xpath: &str, choice: EngineChoice) -> Result<QueryCount, BlasError> {
+        self.snapshot().count(xpath, choice)
+    }
+
     /// Run `xpath` with an explicit translator × engine choice
     /// (sequential scans). Equivalent to [`BlasDb::query`] with a
     /// hand-built [`EngineChoice`].
@@ -869,18 +911,31 @@ impl BlasDb {
         Ok(best)
     }
 
-    /// Execute a resolved plan: the database's persistent pool with
-    /// `shards`-way scan splitting when the plan asks for parallelism,
-    /// the no-pool sequential configuration otherwise.
+    /// Execute a resolved plan.
     fn execute_prepared(&self, gen: &DbGen, prepared: &PreparedPlan) -> QueryResult {
-        let config = if prepared.shards > 1 {
+        let mut stats = ExecStats::default();
+        let nodes =
+            exec::execute(&prepared.phys, &gen.store, &self.exec_config(prepared), &mut stats);
+        QueryResult { nodes, stats }
+    }
+
+    /// [`BlasDb::execute_prepared`] through the executor's count sink.
+    fn count_prepared(&self, gen: &DbGen, prepared: &PreparedPlan) -> QueryCount {
+        let mut stats = ExecStats::default();
+        let count =
+            exec::count(&prepared.phys, &gen.store, &self.exec_config(prepared), &mut stats);
+        QueryCount { count, stats }
+    }
+
+    /// The database's persistent pool with `shards`-way scan splitting
+    /// when the plan asks for parallelism, the no-pool sequential
+    /// configuration otherwise.
+    fn exec_config(&self, prepared: &PreparedPlan) -> ExecConfig {
+        if prepared.shards > 1 {
             ExecConfig::on_pool(self.pool().clone(), prepared.shards)
         } else {
             ExecConfig::sequential()
-        };
-        let mut stats = ExecStats::default();
-        let nodes = exec::execute(&prepared.phys, &gen.store, &config, &mut stats);
-        QueryResult { nodes, stats }
+        }
     }
 
     fn translate(

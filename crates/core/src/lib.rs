@@ -39,8 +39,8 @@ mod gen_cache;
 
 pub use collection::{BlasCollection, DocId};
 pub use db::{
-    BlasDb, DbSnapshot, DeltaStats, Engine, EngineChoice, PlanCacheStats, PlanInfo, QueryResult,
-    Translator,
+    BlasDb, DbSnapshot, DeltaStats, Engine, EngineChoice, PlanCacheStats, PlanInfo, QueryCount,
+    QueryResult, Translator,
 };
 pub use error::BlasError;
 pub use gen_cache::{GenCache, GenKey};

@@ -18,6 +18,17 @@
 //! leave the thread: at BLAS's µs-scale plans a queue round-trip per
 //! operator costs more than the work it would overlap.
 //!
+//! # Counting
+//!
+//! [`count`] answers "how many?" without building the result. A
+//! suffix path is one P-label range selection and an unfolded path a
+//! union of P-label equality runs (§4.1), so for those plans the SP/SD
+//! run directory already holds the answer: an unfiltered scan, or a
+//! union of unfiltered scans over disjoint keys, is counted in a few
+//! binary searches and reads no tuple. Every other plan takes the same
+//! walk as [`execute_with`] and stops before the root
+//! [`PhysOp::Materialize`], whose copy a count never needs.
+//!
 //! # Sharded scans
 //!
 //! Parallelism is data partitioning inside one operator. With
@@ -49,7 +60,8 @@
 //! same order, same counters — which the equivalence property suite
 //! checks across {1, 2, 4, 7} pool threads on all three engines.
 
-use crate::physical::{PhysOp, PhysPlan};
+use crate::opt::source_cardinality;
+use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::pool::{self, PoolHandle};
 use crate::stats::ExecStats;
 use crate::stjoin::{filter_flagged_into, merge_segments, structural_match_into, MergeScratch};
@@ -171,29 +183,119 @@ pub fn execute_with(
     bufs: &mut ExecBuffers,
 ) -> Vec<DLabel> {
     let t0 = Instant::now();
+    let result = walk(plan, store, config, stats, bufs, plan.root()).into_vec(bufs);
+    stats.result_count = result.len();
+    stats.elapsed = t0.elapsed();
+    result
+}
+
+/// The count sink: how many nodes [`execute`] would return, without
+/// building the result.
+///
+/// When the answer is an unfiltered [`PhysOp::ClusteredScan`], or a
+/// [`PhysOp::Union`] of unfiltered scans whose key sets are disjoint
+/// (non-overlapping P-label intervals, or distinct tags — a node has
+/// one of each, so such a union has no duplicates to remove), the run
+/// directory's size accessors give the count — they already apply
+/// delta inserts and tombstones — and no tuple is read: `stats`
+/// reports `elements_visited == 0` and `d_joins == 0`. Every other
+/// plan runs the same walk as [`execute`], minus the root
+/// [`PhysOp::Materialize`] copy, and reports exactly the counters
+/// `execute` reports. Either way `stats.result_count` is the returned
+/// count.
+pub fn count(
+    plan: &PhysPlan,
+    store: &NodeStore,
+    config: &ExecConfig,
+    stats: &mut ExecStats,
+) -> usize {
+    let t0 = Instant::now();
+    let root = plan.root();
+    // The operator whose output length is the answer: a root
+    // Materialize only copies its input.
+    let answer = match plan.op(root) {
+        PhysOp::Materialize { input } if plan.consumer_counts()[root] == 0 => *input,
+        _ => root,
+    };
+    let n = directory_count(plan, answer, store).unwrap_or_else(|| {
+        let mut bufs = ExecBuffers::default();
+        walk(plan, store, config, stats, &mut bufs, answer).len()
+    });
+    stats.result_count = n;
+    stats.elapsed = t0.elapsed();
+    n
+}
+
+/// The one arena-order walk [`execute_with`] and [`count`] share. Runs
+/// every operator — except a root that is not `answer` (the root
+/// `Materialize` a count skips) — and returns `answer`'s output.
+fn walk<'a>(
+    plan: &PhysPlan,
+    store: &'a NodeStore,
+    config: &ExecConfig,
+    stats: &mut ExecStats,
+    bufs: &mut ExecBuffers,
+    answer: OpId,
+) -> Labels<'a> {
     let n = plan.ops().len();
     // Remaining-consumer counts: a slot recycles the moment its last
-    // consumer has read it (+1 on the root so it survives the loop).
+    // consumer has read it (+1 on the answer so it survives the loop).
     // Seeded from the plan's memoized dependency metadata, so repeated
     // executions skip the dependency walk.
     let mut uses: Vec<usize> = plan.consumer_counts().to_vec();
-    uses[plan.root()] += 1;
+    uses[answer] += 1;
     let mut results: Vec<Option<Labels<'_>>> = (0..n).map(|_| None).collect();
-    for id in 0..n {
+    for id in (0..n).filter(|&id| id != plan.root() || id == answer) {
         let out = exec_op(plan.op(id), &mut results, &mut uses, store, config, stats, bufs);
         results[id] = Some(out);
         plan.op(id).for_each_input(|i| release(&mut results, &mut uses, i, bufs));
     }
-    let result = results[plan.root()]
-        .take()
-        .expect("root result present")
-        .into_vec(bufs);
+    let out = results[answer].take().expect("answer present");
     for r in results.into_iter().flatten() {
         bufs.recycle(r);
     }
-    stats.result_count = result.len();
-    stats.elapsed = t0.elapsed();
-    result
+    out
+}
+
+/// The count of `answer`'s output read off the run directory, when
+/// its shape allows: `None` sends [`count`] down the walk.
+fn directory_count(plan: &PhysPlan, answer: OpId, store: &NodeStore) -> Option<usize> {
+    let unfiltered = |id: OpId| match plan.op(id) {
+        PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } => Some(source),
+        _ => None,
+    };
+    match plan.op(answer) {
+        PhysOp::Union { inputs } => {
+            let sources = inputs.iter().map(|&i| unfiltered(i)).collect::<Option<Vec<_>>>()?;
+            disjoint(&sources).then(|| sources.iter().map(|s| source_cardinality(store, s)).sum())
+        }
+        _ => unfiltered(answer).map(|s| source_cardinality(store, s)),
+    }
+}
+
+/// Whether no node can be selected by two of `sources`, so their union
+/// has no duplicates to remove. A node has exactly one P-label and one
+/// tag: SP selections (`PLabelEq(p)` is the interval `[p, p]`) whose
+/// intervals do not overlap are disjoint, and so are tag scans of
+/// distinct tags. Anything else — a repeated key, overlapping ranges,
+/// an SP selection beside a tag scan, a full scan — is not provably
+/// disjoint.
+fn disjoint(sources: &[&BoundSource]) -> bool {
+    let (mut intervals, mut tags) = (Vec::new(), Vec::new());
+    for source in sources {
+        match source {
+            BoundSource::PLabelEq(p) => intervals.push((*p, *p)),
+            BoundSource::PLabelRange(p1, p2) => intervals.push((*p1, *p2)),
+            BoundSource::Tag(t) => tags.push(t.0),
+            BoundSource::All => return false,
+            BoundSource::Empty => {}
+        }
+    }
+    intervals.sort_unstable();
+    tags.sort_unstable();
+    (intervals.is_empty() || tags.is_empty())
+        && intervals.windows(2).all(|w| w[0].1 < w[1].0)
+        && tags.windows(2).all(|w| w[0] != w[1])
 }
 
 // ---------------------------------------------------------------------
@@ -508,8 +610,10 @@ mod tests {
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
     use crate::twig::TwigQuery;
     use blas_labeling::label_document;
-    use blas_translate::{bind, translate_pushup, translate_split, BoundPlan};
-    use blas_xml::Document;
+    use blas_translate::{
+        bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold, BoundPlan,
+    };
+    use blas_xml::{Document, SchemaGraph};
     use blas_xpath::parse;
 
     const SAMPLE: &str = concat!(
@@ -699,6 +803,118 @@ mod tests {
         let mut stats = ExecStats::default();
         let par = execute(&plan, &store, &forced_parallel(2), &mut stats);
         assert_eq!(par, seq, "the root's slot must hold its real output");
+    }
+
+    // --- The count sink ----------------------------------------------
+
+    /// `count` ≡ `execute(..).len()`; a directory-answered count reads
+    /// nothing and submits no job, any other reports `execute`'s
+    /// counters exactly. Returns whether the directory answered.
+    fn assert_count_matches(plan: &PhysPlan, store: &NodeStore, config: &ExecConfig) -> bool {
+        let mut q = ExecStats::default();
+        let nodes = execute(plan, store, config, &mut q);
+        let before = config.pool.jobs_submitted();
+        let mut c = ExecStats::default();
+        assert_eq!(count(plan, store, config, &mut c), nodes.len(), "{plan:?}");
+        assert_eq!(c.result_count, nodes.len());
+        let from_directory = c.elements_visited == 0 && q.elements_visited > 0;
+        if from_directory {
+            assert_eq!(c.d_joins, 0);
+            assert_eq!(config.pool.jobs_submitted(), before, "a directory count submits no job");
+        } else {
+            c.elapsed = q.elapsed;
+            assert_eq!(c, q, "a walked count reports the query's counters");
+        }
+        from_directory
+    }
+
+    #[test]
+    fn count_matches_execute_on_every_lowering_and_config() {
+        let (doc, store, dom) = fixture(SAMPLE);
+        let schema = SchemaGraph::infer(&doc);
+        for xpath in ["//f", "//s", "/db/e/r/f/t", "//s='cyt'", "/db/e[p//s='cyt']/r/f/t", "//zz"] {
+            let q = parse(xpath).unwrap();
+            let mut plans = Vec::new();
+            for plan in [
+                translate_pushup(&q),
+                translate_split(&q),
+                translate_dlabeling(&q),
+                translate_unfold(&q, &schema),
+            ] {
+                let b = bind(&plan.unwrap(), doc.tags(), &dom);
+                plans.push(lower_plan(&b));
+                if let Ok(twig) = TwigQuery::from_plan(&b) {
+                    plans.push(lower_twig(&twig));
+                    plans.push(lower_twigstack(&twig));
+                }
+            }
+            for plan in &plans {
+                for config in [ExecConfig::default(), forced_parallel(2), forced_parallel(4)] {
+                    assert_count_matches(plan, &store, &config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_and_unfolded_paths_count_off_the_directory() {
+        let (doc, store, dom) = fixture(SAMPLE);
+        let schema = SchemaGraph::infer(&doc);
+        let q = parse("//f").unwrap();
+        let range = lower_plan(&bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom));
+        let union = lower_plan(&bind(
+            &translate_unfold(&parse("/db/e//s").unwrap(), &schema).unwrap(),
+            doc.tags(),
+            &dom,
+        ));
+        assert!(matches!(
+            range.op(0),
+            PhysOp::ClusteredScan { source: BoundSource::PLabelRange(..), .. }
+        ));
+        for plan in [&range, &union] {
+            assert!(assert_count_matches(plan, &store, &forced_parallel(4)), "{plan:?}");
+        }
+        // A filtered scan walks.
+        let filtered = lower_plan(&bound(&doc, &dom, "//s='cyt'"));
+        assert!(!assert_count_matches(&filtered, &store, &ExecConfig::default()));
+    }
+
+    #[test]
+    fn unions_count_off_the_directory_only_when_provably_disjoint() {
+        let (doc, store, _) = fixture(SAMPLE);
+        let s = doc.tags().get("s").unwrap();
+        let scan = |source| PhysOp::ClusteredScan { source, value_eq: None, level_eq: None };
+        let p = store.scan_all().next().map(|(_, r)| r.plabel).unwrap();
+        let union = |sources: Vec<BoundSource>| {
+            let n = sources.len();
+            let mut ops: Vec<PhysOp> = sources.into_iter().map(scan).collect();
+            ops.push(PhysOp::Union { inputs: (0..n).collect() });
+            ops.push(PhysOp::Materialize { input: n });
+            plan_from(ops, n + 1)
+        };
+        // Walked: the union deduplicates what the sum would count twice.
+        for sources in [
+            vec![BoundSource::PLabelEq(p), BoundSource::PLabelEq(p)],
+            vec![BoundSource::Tag(s), BoundSource::Tag(s)],
+            vec![BoundSource::PLabelRange(0, u128::MAX), BoundSource::PLabelEq(p)],
+            vec![BoundSource::Tag(s), BoundSource::PLabelRange(0, u128::MAX)],
+            vec![BoundSource::All, BoundSource::Empty],
+        ] {
+            let plan = union(sources.clone());
+            assert!(!assert_count_matches(&plan, &store, &ExecConfig::default()), "{sources:?}");
+        }
+        // Answered: disjoint keys, an `Empty` arm contributing nothing.
+        let f = doc.tags().get("f").unwrap();
+        for sources in [
+            vec![BoundSource::Tag(s), BoundSource::Tag(f), BoundSource::Empty],
+            vec![BoundSource::PLabelEq(p), BoundSource::PLabelRange(p + 1, u128::MAX)],
+        ] {
+            let plan = union(sources.clone());
+            assert!(assert_count_matches(&plan, &store, &ExecConfig::default()), "{sources:?}");
+        }
+        // A root that is not a Materialize (only `from_ops` builds one).
+        let bare = plan_from(vec![scan(BoundSource::Tag(s))], 0);
+        assert!(assert_count_matches(&bare, &store, &ExecConfig::default()));
     }
 
     // --- Fan-out pins -------------------------------------------------

@@ -20,7 +20,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Tuples pulled from storage (selections and stream scans). The
-    /// paper's "number of elements read".
+    /// paper's "number of elements read". A count the run directory
+    /// answers ([`crate::exec::count`]) reads no tuple and reports 0;
+    /// a count that walks the plan reads what the query reads.
     pub elements_visited: u64,
     /// Structural D-joins executed.
     pub d_joins: u32,

@@ -291,8 +291,11 @@ impl Client {
         decode_query_reply(&r)
     }
 
-    /// Count-only query (`labels: false`); `use_cache: false` forces a
-    /// fresh execution (for cache-bypass measurements).
+    /// Count-only query (`labels: false`). With `use_cache: false` the
+    /// result cache is neither consulted nor filled and the server
+    /// builds no result: the count comes off the run directory when the
+    /// plan allows (`elements_visited` 0), from an execution without
+    /// the final copy otherwise.
     pub fn query_count(
         &mut self,
         xpath: &str,
@@ -641,8 +644,8 @@ impl MuxClient {
         self.conn.query(&self.query_req(xpath, engine, true, true))
     }
 
-    /// Count-only query (`labels: false`); `use_cache: false` forces a
-    /// fresh execution.
+    /// Count-only query (`labels: false`); see [`Client::query_count`]
+    /// for what `use_cache: false` does.
     pub fn query_count(
         &self,
         xpath: &str,
@@ -653,7 +656,9 @@ impl MuxClient {
     }
 
     /// Query with an execution hold (only honored by `debug_hold`
-    /// servers; admission-control tests).
+    /// servers; admission-control tests). The request is count-only and
+    /// uncached; the server holds before counting, inside the
+    /// request's admission permit.
     pub fn query_hold(
         &self,
         xpath: &str,

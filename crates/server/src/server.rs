@@ -51,7 +51,10 @@
 //! [`GenCache`] the database's plan cache is.
 //!
 //! A miss pays for the reply it sends. `labels:false, cache:false`
-//! answers with the two counts and encodes nothing. A reply that
+//! builds no result at all: it goes to [`blas::DbSnapshot::count`],
+//! which answers a suffix or unfolded path off the run directory
+//! (`elements_visited` 0) and any other plan by executing it without
+//! the final copy, and encodes nothing. A reply that
 //! carries labels, or an entry that is stored, gets the node array's
 //! canonical binary triples ([`NodesBlob::encode`], one pre-sized
 //! pass). The JSON text is rendered by the first JSON reply that
@@ -929,6 +932,11 @@ fn query(
         elements_visited,
         nodes,
     };
+    if !want_labels && !use_cache {
+        // Nothing will read the nodes: count them, don't build them.
+        let c = snap.count(xpath, choice).map_err(query_error)?;
+        return Ok(reply(false, c.count as u64, c.stats.elements_visited, None));
+    }
     // The key (two string copies) exists only when the cache is in play.
     let key = use_cache.then(|| ResultKey {
         scope: doc,
@@ -943,16 +951,15 @@ fn query(
     let result = snap.query(xpath, choice).map_err(query_error)?;
     let count = result.nodes.len() as u64;
     let elements_visited = result.stats.elements_visited;
-    // Encode only for a reader: the reply's labels, or a cache entry
+    // Someone reads the encoding: the reply's labels, or a cache entry
     // (which must be able to answer a later `labels:true` hit).
-    let nodes = (want_labels || key.is_some()).then(|| {
-        Arc::new(NodesBlob::encode(result.nodes.iter().map(|d| (d.start, d.end, d.level))))
-    });
-    if let (Some(key), Some(nodes)) = (key, &nodes) {
-        let entry = CachedResult { count, elements_visited, nodes: Arc::clone(nodes) };
+    let nodes =
+        Arc::new(NodesBlob::encode(result.nodes.iter().map(|d| (d.start, d.end, d.level))));
+    if let Some(key) = key {
+        let entry = CachedResult { count, elements_visited, nodes: Arc::clone(&nodes) };
         inner.cache.lock().insert(key, entry, generation);
     }
-    Ok(reply(false, count, elements_visited, nodes.filter(|_| want_labels)))
+    Ok(reply(false, count, elements_visited, want_labels.then_some(nodes)))
 }
 
 fn query_error(e: blas::BlasError) -> (ErrorCode, String) {

@@ -10,12 +10,42 @@
 //! The same script is applied to the owned and the mapped twin in
 //! lockstep, so any divergence between the two delta layers — not just
 //! against the rebuild — fails the test too.
+//!
+//! The count differential rides along: `BlasDb::count` must agree with
+//! `BlasDb::query`'s length for every engine × translator × shard
+//! count, on both twins, before and after the script and after a
+//! compaction, on flat and on recursive (`parlist`/`listitem`)
+//! documents.
 
-use blas::{BlasDb, EngineChoice};
+use blas::{BlasDb, Engine, EngineChoice, Translator};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One document family: its tag alphabet and the fragments inserts
+/// draw from (a fragment whose tag is absent from the document's tag
+/// table is rejected by the API, which the test treats as a no-op on
+/// both twins).
+struct Family {
+    tags: &'static [&'static str],
+    fragments: &'static [&'static str],
+}
+
 const TAGS: &[&str] = &["a", "b", "c", "d"];
+
+const FLAT: Family = Family {
+    tags: TAGS,
+    fragments: &["<a/>", "<b>x</b>", "<c><d>y</d></c>", "<a><b/><c>z</c></a>"],
+};
+
+const RECURSIVE: Family = Family {
+    tags: &["parlist", "listitem", "text", "bold"],
+    fragments: &[
+        "<text>q</text>",
+        "<parlist/>",
+        "<listitem><parlist><listitem><text>r</text></listitem></parlist></listitem>",
+        "<parlist><listitem><bold/></listitem></parlist>",
+    ],
+};
 
 /// Random document over a tiny tag alphabet, with occasional text.
 fn xml_doc() -> impl Strategy<Value = String> {
@@ -29,21 +59,29 @@ fn xml_doc() -> impl Strategy<Value = String> {
     })
 }
 
-/// Fragments the insert op appends (tags drawn from the same alphabet;
-/// a fragment whose tag is absent from the document's tag table is
-/// rejected by the API, which the test treats as a no-op on both
-/// twins).
-const FRAGMENTS: &[&str] = &[
-    "<a/>",
-    "<b>x</b>",
-    "<c><d>y</d></c>",
-    "<a><b/><c>z</c></a>",
-];
+/// XMark-style recursive text: `parlist` and `listitem` nest in each
+/// other to a random depth, so one tag sits on many source paths.
+fn recursive_doc() -> impl Strategy<Value = String> {
+    let leaf = prop::sample::select(vec!["<text>w</text>", "<bold/>", "<text>v</text>"])
+        .prop_map(str::to_string);
+    leaf.prop_recursive(5, 60, 3, |inner| {
+        (any::<bool>(), prop::collection::vec(inner, 1..4)).prop_map(|(list, kids)| {
+            let tag = if list { "parlist" } else { "listitem" };
+            format!("<{tag}>{}</{tag}>", kids.concat())
+        })
+    })
+    .prop_map(|body| format!("<parlist>{body}<listitem><text>t</text><bold/></listitem></parlist>"))
+}
 
 /// An abstract mutation script: `(kind, pick, detail)` triples resolved
 /// against whatever the database looks like when each op runs.
 fn scripts() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
     prop::collection::vec((0u8..3, 0usize..64, 0usize..8), 1..8)
+}
+
+/// [`scripts`] with compactions mixed in.
+fn compacting_scripts() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    prop::collection::vec((0u8..4, 0usize..64, 0usize..8), 1..8)
 }
 
 /// Live `(start, end, level)` triples of the current generation, in
@@ -58,7 +96,7 @@ fn live(db: &BlasDb) -> Vec<(u32, u32, u16)> {
 /// Apply one abstract op through the public mutation API. Returns a
 /// description of what happened (including rejections), so the caller
 /// can assert the owned and mapped twins stayed in lockstep.
-fn apply(db: &BlasDb, (kind, pick, detail): (u8, usize, usize)) -> String {
+fn apply(db: &BlasDb, family: &Family, (kind, pick, detail): (u8, usize, usize)) -> String {
     let nodes = live(db);
     let watermark = nodes[0].1;
     match kind {
@@ -70,7 +108,7 @@ fn apply(db: &BlasDb, (kind, pick, detail): (u8, usize, usize)) -> String {
                 .map(|&(s, _, _)| s)
                 .collect();
             let target = spine[pick % spine.len()];
-            let frag = FRAGMENTS[detail % FRAGMENTS.len()];
+            let frag = family.fragments[detail % family.fragments.len()];
             match db.insert_subtree(target, frag) {
                 Ok(g) => format!("insert {frag} under {target} -> gen {g}"),
                 Err(e) => format!("insert {frag} under {target} rejected: {e}"),
@@ -87,16 +125,17 @@ fn apply(db: &BlasDb, (kind, pick, detail): (u8, usize, usize)) -> String {
                 Err(e) => format!("delete {target} rejected: {e}"),
             }
         }
-        _ => {
+        2 => {
             // Retag any live node (rejected if the tag is not in the
             // document's table; a same-tag retag publishes nothing).
             let target = nodes[pick % nodes.len()].0;
-            let tag = TAGS[detail % TAGS.len()];
+            let tag = family.tags[detail % family.tags.len()];
             match db.retag(target, tag) {
                 Ok(g) => format!("retag {target} -> {tag} -> gen {g}"),
                 Err(e) => format!("retag {target} -> {tag} rejected: {e}"),
             }
         }
+        _ => format!("compact -> gen {}", db.compact()),
     }
 }
 
@@ -142,6 +181,129 @@ fn choices() -> [EngineChoice; 7] {
     ]
 }
 
+/// Count-differential queries on flat documents: [`QUERIES`] (tag and
+/// range scans, joins, the value-filtered `//b='x'`), plus root-anchored
+/// paths (level-filtered scans under the D-labeling translator), absent
+/// tags (`Empty` sources) and double descendant steps (unions whose
+/// rewritings can repeat a P-label).
+const FLAT_COUNTS: &[&str] =
+    &["/a", "/a/b", "/b//c", "//zz", "//a//zz", "//a//b", "//b//b//c", "//a//a"];
+
+/// Count-differential queries on recursive documents.
+const RECURSIVE_COUNTS: &[&str] = &[
+    "//listitem",
+    "//text",
+    "//parlist//text",
+    "//listitem//listitem",
+    "//listitem//parlist//text",
+    "//listitem[bold]",
+    "//text='w'",
+    "/parlist/listitem",
+    "/parlist//bold",
+];
+
+/// Every engine × translator × shard count {1, 2, 4}.
+fn count_choices() -> Vec<EngineChoice> {
+    let engines = [Engine::Auto, Engine::Rdbms, Engine::Twig, Engine::TwigStack];
+    let translators = [
+        Translator::Auto,
+        Translator::DLabeling,
+        Translator::Split,
+        Translator::PushUp,
+        Translator::Unfold,
+    ];
+    let mut out = Vec::new();
+    for engine in engines {
+        for translator in translators {
+            for shards in [1, 2, 4] {
+                out.push(EngineChoice { engine, translator, shards });
+            }
+        }
+    }
+    out
+}
+
+/// `count(x).count == query(x).nodes.len()` for every query × choice.
+/// A count the run directory answers reads nothing (`elements_visited`
+/// and `d_joins` 0); any other reports exactly `query`'s counters. A
+/// choice the query rejects (unions on a twig engine) rejects the count
+/// the same way.
+fn assert_counts(db: &BlasDb, queries: &[&str], what: &str) -> Result<(), TestCaseError> {
+    for q in queries {
+        for choice in count_choices() {
+            match (db.query(q, choice), db.count(q, choice)) {
+                (Ok(r), Ok(c)) => {
+                    prop_assert_eq!(c.count, r.nodes.len(), "{} {} {:?}", what, q, choice);
+                    prop_assert_eq!(c.stats.result_count, c.count);
+                    let mut expect = r.stats;
+                    expect.elapsed = c.stats.elapsed;
+                    if c.stats != expect {
+                        // Only the directory may differ, by reading nothing.
+                        expect.elements_visited = 0;
+                        expect.d_joins = 0;
+                        expect.join_input_tuples = 0;
+                        prop_assert_eq!(c.stats, expect, "{} {} {:?} stats", what, q, choice);
+                    }
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(false, "{} {} {:?}: {:?} vs {:?}", what, q, choice, a, b),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The count differential over one family: owned and mapped twins at
+/// the base state, after `script` (applied in lockstep), and after a
+/// final compaction.
+fn check_counts(
+    family: &Family,
+    src: &str,
+    script: &[(u8, usize, usize)],
+    queries: &[&str],
+) -> Result<(), TestCaseError> {
+    let owned = BlasDb::load(src).unwrap();
+    let (mapped, path) = mapped_twin(&owned);
+    for (db, twin) in [(&owned, "owned"), (&mapped, "mapped")] {
+        assert_counts(db, queries, &format!("{twin} base"))?;
+    }
+    for &op in script {
+        let a = apply(&owned, family, op);
+        let b = apply(&mapped, family, op);
+        prop_assert_eq!(&a, &b, "owned and mapped twins diverged on {:?}", op);
+    }
+    for (db, twin) in [(&owned, "owned"), (&mapped, "mapped")] {
+        assert_counts(db, queries, &format!("{twin} after {script:?}"))?;
+        db.compact();
+        assert_counts(db, queries, &format!("{twin} compacted"))?;
+    }
+    std::fs::remove_file(&path).unwrap();
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Count ≡ query on flat documents.
+    #[test]
+    fn counts_match_query_lengths_on_flat_documents(
+        src in xml_doc(),
+        script in compacting_scripts(),
+    ) {
+        let queries: Vec<&str> = QUERIES.iter().chain(FLAT_COUNTS).copied().collect();
+        check_counts(&FLAT, &src, &script, &queries)?;
+    }
+
+    /// Count ≡ query on recursive `parlist`/`listitem` documents.
+    #[test]
+    fn counts_match_query_lengths_on_recursive_documents(
+        src in recursive_doc(),
+        script in compacting_scripts(),
+    ) {
+        check_counts(&RECURSIVE, &src, &script, RECURSIVE_COUNTS)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -157,8 +319,8 @@ proptest! {
         let (mapped, path) = mapped_twin(&owned);
 
         for op in script {
-            let a = apply(&owned, op);
-            let b = apply(&mapped, op);
+            let a = apply(&owned, &FLAT, op);
+            let b = apply(&mapped, &FLAT, op);
             prop_assert_eq!(&a, &b, "owned and mapped twins diverged on {:?}", op);
         }
         prop_assert_eq!(owned.generation(), mapped.generation());
@@ -194,8 +356,8 @@ proptest! {
         let owned = BlasDb::load(&src).unwrap();
         let (mapped, path) = mapped_twin(&owned);
         for op in script {
-            let a = apply(&owned, op);
-            let b = apply(&mapped, op);
+            let a = apply(&owned, &FLAT, op);
+            let b = apply(&mapped, &FLAT, op);
             prop_assert_eq!(&a, &b, "owned and mapped twins diverged on {:?}", op);
         }
         let before: Vec<_> = QUERIES

@@ -4,7 +4,7 @@
 //! Acceptance for the mmap snapshot work: `BlasDb::open_mapped` must
 //! answer the Auction Fig. 10 queries **byte-identically** to the
 //! owned `BlasDb::from_snapshot` path, across every engine and under
-//! sharded parallel scans.
+//! sharded parallel scans — and `BlasDb::count` must agree with both.
 
 use blas::{BlasDb, EngineChoice, Translator};
 use blas_datagen::{query_set, DatasetId};
@@ -50,6 +50,21 @@ fn mapped_answers_fig10_queries_byte_identically_to_owned() {
                 q.id
             );
             assert_eq!(owned.texts(&a), mapped.texts(&b), "{} {choice:?} texts", q.id);
+            // The count sink agrees with the query on both column
+            // sources, and the two sources count at the same cost.
+            let ca = owned.count(q.xpath, choice).unwrap();
+            let cb = mapped.count(q.xpath, choice).unwrap();
+            assert_eq!((ca.count, cb.count), (a.nodes.len(), b.nodes.len()), "{} {choice:?}", q.id);
+            assert_eq!(
+                ca.stats.elements_visited, cb.stats.elements_visited,
+                "{} {choice:?} count visits",
+                q.id
+            );
+            assert!(
+                [0, a.stats.elements_visited].contains(&ca.stats.elements_visited),
+                "{} {choice:?}: a count reads nothing or what the query reads",
+                q.id
+            );
             assert_eq!(
                 owned.tag_names(&a),
                 mapped.tag_names(&b),

@@ -1,10 +1,13 @@
 //! Golden plan-shape tests: for every Fig. 10 query, pin the exact
 //! join/selection mix each translator produces. These are the §4.2 and
 //! §5.2.2 accounting claims, frozen so a translator regression is
-//! caught immediately.
+//! caught immediately — plus which shapes a count answers off the run
+//! directory, so a change that loses that shortcut fails here instead
+//! of quietly costing the count-only path its speed.
 
-use blas::{BlasDb, PlanSummary, Translator};
+use blas::{BlasDb, EngineChoice, PlanSummary, Translator};
 use blas_datagen::DatasetId;
+use std::path::PathBuf;
 
 /// (query id, xpath, per-translator (d_joins, eq_sel, range_sel, tag_scans)).
 struct Golden {
@@ -114,4 +117,77 @@ fn unfold_has_no_range_selections_on_fig10() {
             assert_eq!(s.tag_scans, 0, "{}", q.id);
         }
     }
+}
+
+/// Auction at `scale` snapshotted to a temp file and reopened mapped
+/// (packed v3 columns), the form the `scan_heavy` workload queries.
+fn mapped_auction(scale: u32) -> (BlasDb, PathBuf) {
+    let bytes = BlasDb::load(&DatasetId::Auction.generate(scale)).unwrap().to_snapshot();
+    let path = std::env::temp_dir()
+        .join(format!("blas_plan_shapes_x{scale}_{}.snap", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let db = BlasDb::open_mapped(&path).unwrap();
+    assert!(db.store().is_mapped());
+    (db, path)
+}
+
+/// The six `scan_heavy` queries (Fig. 10's QA2, QA3, Q4, Q6 and the
+/// range-scan-heavy QH1/QH2) on the workload's Auction ×10, and
+/// whether `Auto` counts them off the run directory: the suffix and
+/// unfolded paths do, the twigs need their joins. A count that walks
+/// reads exactly what the query reads. (At ×1–×2 `Auto` prices QA2 and
+/// Q6 as Push-up joins, which walk — the pin is scale-specific.)
+#[test]
+fn auto_counts_scan_heavy_paths_off_the_directory_and_walks_twigs() {
+    let (db, path) = mapped_auction(10);
+    let auto = EngineChoice::auto();
+    for (id, xpath, from_directory) in [
+        ("QA2", "/site/regions//item/description", true),
+        ("Q6", "/site/regions//item", true),
+        ("QH1", "//listitem", true),
+        ("QH2", "//text", true),
+        ("QA3", "/site/regions/asia/item[shipping]/description", false),
+        ("Q4", "/site/open_auctions/open_auction[bidder/personref]/reserve", false),
+    ] {
+        let q = db.query(xpath, auto).unwrap();
+        let c = db.count(xpath, auto).unwrap();
+        assert_eq!(c.count, q.nodes.len(), "{id}");
+        assert!(q.stats.elements_visited > 0, "{id}");
+        if from_directory {
+            assert_eq!((c.stats.elements_visited, c.stats.d_joins), (0, 0), "{id}");
+        } else {
+            assert!(q.stats.d_joins > 0, "{id}");
+            let mut expect = q.stats.clone();
+            expect.elapsed = c.stats.elapsed;
+            assert_eq!(c.stats, expect, "{id}: a walked count costs what the query costs");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Clock-free cost pins on a mapped Auction ×1: under four-way
+/// parallelism, directory counts read no element and submit no pool
+/// job, and the QA3 and Q4 counts read what their queries read.
+#[test]
+fn parallel_directory_counts_read_nothing_and_submit_no_job() {
+    let (db, path) = mapped_auction(1);
+    let par = EngineChoice::parallel(4);
+    for xpath in ["//text", "//listitem", "/site/regions//item"] {
+        let expect = db.query(xpath, par).unwrap().nodes.len();
+        let before = db.pool().jobs_submitted();
+        let c = db.count(xpath, par).unwrap();
+        assert_eq!(db.pool().jobs_submitted(), before, "{xpath}: no pool job");
+        assert_eq!((c.count, c.stats.elements_visited), (expect, 0), "{xpath}");
+    }
+    for xpath in [
+        "/site/regions/asia/item[shipping]/description",
+        "/site/open_auctions/open_auction[bidder/personref]/reserve",
+    ] {
+        let q = db.query(xpath, par).unwrap();
+        let c = db.count(xpath, par).unwrap();
+        assert_eq!(c.count, q.nodes.len(), "{xpath}");
+        assert_eq!(c.stats.elements_visited, q.stats.elements_visited, "{xpath}");
+        assert!(c.stats.elements_visited > 0, "{xpath}");
+    }
+    std::fs::remove_file(&path).unwrap();
 }
