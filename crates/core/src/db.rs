@@ -637,14 +637,18 @@ impl BlasDb {
     /// The persistent worker pool shared by every parallel query
     /// against this database — the shard groups of wide clustered
     /// scans run as jobs on these threads, for the lifetime of the
-    /// `BlasDb`.
+    /// `BlasDb`. A server runs this document's admitted binary
+    /// requests here too, so one pool is the document's whole
+    /// execution budget.
     ///
     /// Created lazily on first use with
-    /// [`PoolHandle::with_default_parallelism`]:
-    /// `available_parallelism() − 1` resident workers (at least one),
-    /// because the thread that runs a query scans one shard itself. Sequential queries (`shards == 1`, the default
-    /// [`EngineChoice`]) never touch the pool, so purely sequential
-    /// workloads spawn no threads at all.
+    /// [`PoolHandle::with_default_parallelism`]: one resident worker
+    /// per core (`available_parallelism()`, at least two). A thread
+    /// waiting on its own shards helps with shard jobs, never with a
+    /// queued request.
+    /// Sequential queries (`shards == 1`, the default [`EngineChoice`])
+    /// never touch the pool, so purely sequential in-process workloads
+    /// spawn no threads at all.
     pub fn pool(&self) -> &PoolHandle {
         self.pool.get_or_init(PoolHandle::with_default_parallelism)
     }

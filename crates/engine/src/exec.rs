@@ -87,9 +87,8 @@ pub const DEFAULT_MIN_SHARD_ELEMS: usize = 4096;
 /// [`ExecConfig::pool`] — which should be a long-lived pool shared
 /// across queries (see [`ExecConfig::on_pool`]); [`ExecConfig::sharded`]
 /// spins up a private pool for one-off use. Pool sizing guidance lives
-/// on [`PoolHandle`]: `available_parallelism() − 1` workers is the
-/// default, because the thread that runs the plan scans one shard
-/// itself.
+/// on [`PoolHandle`]: one worker per core is the default, because a
+/// server runs whole requests on the same pool as their shards.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker count sharded scans split into; `1` never fans out.

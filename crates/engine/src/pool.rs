@@ -6,25 +6,30 @@
 //! fixed set of worker threads created once (typically per [`BlasDb`],
 //! see `blas::BlasDb::pool`), one shared injector queue, and scoped
 //! job submission so jobs may borrow the store without `'static`
-//! gymnastics. The serving layer runs its connection tasks on the same
-//! kind of pool through [`PoolHandle::spawn_task`].
+//! gymnastics. The serving layer runs admitted binary requests on the
+//! same pool, as whole-request tasks ([`PoolHandle::spawn_task`]).
 //!
 //! Design points:
 //!
-//! * **Fixed threads, one injector.** [`PoolHandle::new`] spawns `n`
-//!   workers that loop on a `Mutex<VecDeque>` + `Condvar` injector
-//!   queue. There are no per-worker deques — the "lite" in
+//! * **Fixed threads, one injector, two lanes.** [`PoolHandle::new`]
+//!   spawns `n` workers that loop on one `Mutex` + `Condvar` injector
+//!   holding two FIFO lanes: scoped jobs (scan shards) and `'static`
+//!   tasks (whole requests). Workers drain the job lane first, so a
+//!   request already running finishes its shards before a new one
+//!   starts. There are no per-worker deques — the "lite" in
 //!   work-stealing-lite — but the *helping* rule below recovers the
 //!   property that matters: a thread blocked on pool work executes
 //!   pool work.
 //! * **Helping joins (no idle waits, no starvation deadlocks).** Any
 //!   wait against the pool — [`scope`] waiting for its jobs,
 //!   [`JobHandle::join`] waiting for one result — pops and runs queued
-//!   jobs while it waits. A pool with **zero** workers is therefore
-//!   still correct (everything runs on the waiting thread), which is
-//!   what makes `PoolHandle::inline()` the sequential degenerate case,
-//!   and a job that fans out sub-jobs and joins them can never
-//!   deadlock the pool however few threads exist.
+//!   **jobs** while it waits, never tasks: a thread waiting on its own
+//!   µs-scale shards must not pick up another connection's whole
+//!   request. A pool with **zero** workers is therefore still correct
+//!   (every job runs on the waiting thread, every task inline on the
+//!   submitting one), which is what makes `PoolHandle::inline()` the
+//!   sequential degenerate case, and a job that fans out sub-jobs and
+//!   joins them can never deadlock the pool however few threads exist.
 //! * **Scoped lifetimes.** [`scope`] erases job lifetimes to `'static`
 //!   internally but does not return until every job spawned in the
 //!   scope has completed (even when the scope body or a job panics),
@@ -39,10 +44,12 @@
 //!   threads survive: the pool keeps serving queries after a panicked
 //!   job (tested by the shared-pool stress suite).
 //!
-//! Sizing: one worker per available core minus one (the submitting
-//! thread scans one shard itself) is the default used by `blas::BlasDb` —
-//! [`PoolHandle::with_default_parallelism`]. Oversubscribing is safe
-//! (jobs queue), undersubscribing only limits speedup.
+//! Sizing: one worker per available core (at least two) is the default
+//! used by `blas::BlasDb` — [`PoolHandle::with_default_parallelism`] —
+//! because that one pool runs both whole requests and their shards.
+//! Oversubscribing buys no throughput (the cores are the budget);
+//! undersubscribing only limits speedup, except on one core, where a
+//! single worker would serialize every request behind the longest.
 //!
 //! [`BlasDb`]: ../../blas/struct.BlasDb.html
 
@@ -57,12 +64,21 @@ use std::thread::JoinHandle;
 /// A type-erased, lifetime-erased unit of pool work.
 type Task = Box<dyn FnOnce() + Send>;
 
+/// The injector's two FIFO lanes.
+#[derive(Default)]
+struct Lanes {
+    /// [`Scope::spawn_job`] work: what helpers may run.
+    jobs: VecDeque<Task>,
+    /// [`PoolHandle::spawn_task`] work: workers only.
+    tasks: VecDeque<Task>,
+}
+
 /// Queue state shared between the handle, the workers and every scope.
 struct Shared {
-    /// The injector: all submitted jobs, FIFO.
-    queue: Mutex<VecDeque<Task>>,
-    /// Signalled on job submission *and* — when helpers are blocked —
-    /// on job completion (completions wake helpers parked in
+    /// The injector.
+    queue: Mutex<Lanes>,
+    /// Signalled on submission *and* — when helpers are blocked — on
+    /// job completion (completions wake helpers parked in
     /// [`PoolHandle::wait_until`]).
     work: Condvar,
     /// Set once by the last handle's drop; workers exit at the next
@@ -81,7 +97,7 @@ struct Shared {
 impl Shared {
     fn new() -> Self {
         Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Lanes::default()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -125,7 +141,7 @@ fn worker_loop(shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match queue.pop_front() {
+        match queue.jobs.pop_front().or_else(|| queue.tasks.pop_front()) {
             Some(task) => {
                 drop(queue);
                 task(); // never unwinds: every task wrapper catches
@@ -150,9 +166,7 @@ fn worker_loop(shared: Arc<Shared>) {
 /// * [`PoolHandle::inline()`](PoolHandle::inline) — the zero-worker
 ///   pool, the `shards = 1` sequential fallback's companion.
 /// * [`PoolHandle::with_default_parallelism()`] —
-///   `available_parallelism() − 1` workers (at least one): the
-///   submitting thread participates via helping, so one worker per
-///   *remaining* core is the right default.
+///   `available_parallelism()` workers, one per core (at least two).
 pub struct PoolHandle {
     core: Arc<Core>,
 }
@@ -224,12 +238,14 @@ impl PoolHandle {
         Self::new(0)
     }
 
-    /// A pool sized for this host: `available_parallelism() − 1`
-    /// workers, at least 1 (the submitting thread is the missing
-    /// worker — it helps while it waits).
+    /// A pool sized for this host: one worker per core
+    /// (`available_parallelism()`), and never fewer than two. The pool
+    /// runs whole requests as well as shards, so every core gets a
+    /// worker, and a one-core host still gets two so that one long
+    /// request cannot hold every other back; a thread waiting on its
+    /// own shards helps with them instead of idling.
     pub fn with_default_parallelism() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(cores.saturating_sub(1).max(1))
+        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()).max(2))
     }
 
     /// Number of resident worker threads.
@@ -245,30 +261,25 @@ impl PoolHandle {
         self.core.shared.submitted.load(Ordering::Acquire)
     }
 
-    /// Submit one `'static` job and get a [`TaskHandle`] to collect
+    /// Submit one `'static` task and get a [`TaskHandle`] to collect
     /// its result (or panic) later. This is the serving layer's
-    /// connection-task primitive: there is no scope — the job owns
+    /// whole-request primitive: there is no scope — the task owns
     /// everything it captures — but the completion is observable and
-    /// joinable, which is what lets a server *drain* in-flight
-    /// connections on shutdown instead of abandoning them. A panicking body is caught and delivered as
-    /// `Err` at the join point; the worker survives. On the
-    /// zero-worker inline pool the job runs synchronously on the
+    /// joinable, which is what lets a connection *drain* its in-flight
+    /// requests instead of abandoning them. Tasks run on workers only,
+    /// never on a helping waiter. A panicking body is caught and
+    /// delivered as `Err` at the join point; the worker survives. On
+    /// the zero-worker inline pool the task runs synchronously on the
     /// calling thread and the returned handle is already complete.
     pub fn spawn_task<T: Send + 'static>(
         &self,
         body: impl FnOnce() -> T + Send + 'static,
     ) -> TaskHandle<T> {
-        let slot: Arc<JobSlot<T>> = Arc::new(JobSlot {
-            done: AtomicBool::new(false),
-            result: Mutex::new(None),
-        });
+        let slot = JobSlot::new();
         let task_slot = Arc::clone(&slot);
         let shared = Arc::clone(&self.core.shared);
         let job = move || {
-            let result = catch_unwind(AssertUnwindSafe(body));
-            *task_slot.result.lock().unwrap() = Some(result);
-            // SeqCst: the done-flip half of the wait_until protocol.
-            task_slot.done.store(true, Ordering::SeqCst);
+            task_slot.fill(body);
             drop(task_slot);
             // A joiner may be parked in `wait_until` on the queue
             // condvar; completions must wake it.
@@ -277,23 +288,30 @@ impl PoolHandle {
         if self.core.threads == 0 {
             job();
         } else {
-            self.push(Box::new(job));
+            self.push(Box::new(job), false);
         }
         TaskHandle { slot, pool: self.clone() }
     }
 
-    fn push(&self, task: Task) {
+    /// Queue a scoped job (`is_job`) or a task.
+    fn push(&self, task: Task, is_job: bool) {
         self.ensure_workers();
         let shared = &self.core.shared;
         shared.submitted.fetch_add(1, Ordering::AcqRel);
         let mut queue = shared.queue.lock().unwrap();
-        queue.push_back(task);
-        shared.work.notify_one();
-        drop(queue);
+        let lane = if is_job { &mut queue.jobs } else { &mut queue.tasks };
+        lane.push_back(task);
+        // A parked helper takes jobs only, so a task's lone wakeup
+        // could be swallowed by one: wake everyone while helpers park.
+        if is_job || shared.waiters.load(Ordering::SeqCst) == 0 {
+            shared.work.notify_one();
+        } else {
+            shared.work.notify_all();
+        }
     }
 
-    /// Run queued jobs until `done()` holds, blocking only while the
-    /// queue is empty.
+    /// Run queued jobs (never tasks) until `done()` holds, blocking
+    /// only while the job lane is empty.
     ///
     /// Wakeup protocol: before parking, a helper registers itself in
     /// `waiters` (SeqCst) and re-checks `done()` under the queue lock.
@@ -302,7 +320,7 @@ impl PoolHandle {
     /// completer sees our registration (and takes the lock to
     /// broadcast — lock-notify, so the wakeup cannot fall between our
     /// check and our wait), or we see its done-flip in the re-check
-    /// and never park. A helper never parks while the queue is
+    /// and never park. A helper never parks while the job lane is
     /// non-empty (the pop and the wait take the same lock).
     fn wait_until(&self, done: &dyn Fn() -> bool) {
         let shared = &self.core.shared;
@@ -311,7 +329,7 @@ impl PoolHandle {
                 return;
             }
             let mut queue = shared.queue.lock().unwrap();
-            match queue.pop_front() {
+            match queue.jobs.pop_front() {
                 Some(task) => {
                     drop(queue);
                     task();
@@ -382,11 +400,6 @@ pub struct Scope<'scope, 'env: 'scope> {
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// The pool this scope submits to.
-    pub fn pool(&self) -> &PoolHandle {
-        &self.pool
-    }
-
     /// Submit a job whose result (or panic) the caller collects via
     /// [`JobHandle::join`]. Used by sharded scans: the scanning thread
     /// fans its shard groups out as sub-jobs and joins them, helping
@@ -395,19 +408,13 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         &'scope self,
         body: impl FnOnce() -> T + Send + 'scope,
     ) -> JobHandle<T> {
-        let slot: Arc<JobSlot<T>> = Arc::new(JobSlot {
-            done: AtomicBool::new(false),
-            result: Mutex::new(None),
-        });
+        let slot = JobSlot::new();
         self.pending.fetch_add(1, Ordering::AcqRel);
         let pending = Arc::clone(&self.pending);
         let shared = Arc::clone(&self.pool.core.shared);
         let task_slot = Arc::clone(&slot);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(body));
-            *task_slot.result.lock().unwrap() = Some(result);
-            // SeqCst: the done-flip half of the wait_until protocol.
-            task_slot.done.store(true, Ordering::SeqCst);
+            task_slot.fill(body);
             // Drop the worker's slot reference BEFORE releasing the
             // barrier: if the caller discarded its JobHandle without
             // joining, this drop destroys the `'scope`-bounded result
@@ -425,7 +432,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let task: Task = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task)
         };
-        self.pool.push(task);
+        self.pool.push(task, true);
         JobHandle { slot, pool: self.pool.clone() }
     }
 }
@@ -436,9 +443,30 @@ pub struct JobHandle<T> {
     pool: PoolHandle,
 }
 
+/// Where a job or task leaves its result (or panic) for the joiner.
 struct JobSlot<T> {
     done: AtomicBool,
     result: Mutex<Option<std::thread::Result<T>>>,
+}
+
+impl<T> JobSlot<T> {
+    fn new() -> Arc<Self> {
+        Arc::new(JobSlot { done: AtomicBool::new(false), result: Mutex::new(None) })
+    }
+
+    /// Run `body`, catching a panic, and publish the outcome. The
+    /// SeqCst store is the done-flip half of the
+    /// [`PoolHandle::wait_until`] wakeup protocol.
+    fn fill(&self, body: impl FnOnce() -> T) {
+        *self.result.lock().unwrap() = Some(catch_unwind(AssertUnwindSafe(body)));
+        self.done.store(true, Ordering::SeqCst);
+    }
+
+    /// Wait for the outcome, running `pool`'s queued jobs meanwhile.
+    fn take(&self, pool: &PoolHandle) -> std::thread::Result<T> {
+        pool.wait_until(&|| self.done.load(Ordering::SeqCst));
+        self.result.lock().unwrap().take().expect("completed job left its result")
+    }
 }
 
 impl<T> JobHandle<T> {
@@ -448,19 +476,7 @@ impl<T> JobHandle<T> {
     /// error the caller chooses how to handle, and the pool keeps
     /// serving jobs.
     pub fn join(self) -> std::thread::Result<T> {
-        let slot = Arc::clone(&self.slot);
-        self.pool.wait_until(&|| slot.done.load(Ordering::SeqCst));
-        self.slot
-            .result
-            .lock()
-            .unwrap()
-            .take()
-            .expect("completed job left its result")
-    }
-
-    /// Whether the job has finished (without blocking).
-    pub fn is_done(&self) -> bool {
-        self.slot.done.load(Ordering::Acquire)
+        self.slot.take(&self.pool)
     }
 }
 
@@ -474,19 +490,13 @@ pub struct TaskHandle<T> {
 }
 
 impl<T> TaskHandle<T> {
-    /// Wait for the task, running other pool jobs while waiting.
+    /// Wait for the task, running scoped pool jobs while waiting; only
+    /// a worker runs the task itself, so join from outside the pool.
     /// `Err(payload)` delivers the task's panic instead of re-raising
-    /// it, so a dying connection task surfaces as a value the server
-    /// chooses how to report.
+    /// it, so a dying request surfaces as a value the server chooses
+    /// how to report.
     pub fn join(self) -> std::thread::Result<T> {
-        let slot = Arc::clone(&self.slot);
-        self.pool.wait_until(&|| slot.done.load(Ordering::SeqCst));
-        self.slot
-            .result
-            .lock()
-            .unwrap()
-            .take()
-            .expect("completed task left its result")
+        self.slot.take(&self.pool)
     }
 
     /// Whether the task has finished (without blocking).
@@ -635,6 +645,29 @@ mod tests {
         let h = pool.spawn_task(|| 41 + 1);
         assert!(h.is_done(), "inline pool completes the task synchronously");
         assert_eq!(h.join().unwrap(), 42);
+    }
+
+    #[test]
+    fn a_helping_waiter_never_runs_a_queued_task() {
+        // The one worker is busy; a whole-request task queues behind it.
+        let pool = PoolHandle::new(1);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let busy = pool.spawn_task(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv().unwrap();
+        let queued = pool.spawn_task(|| std::thread::current().id());
+        // This thread joins its own scoped job: it helps with the job,
+        // and must leave the task to the worker.
+        let me = std::thread::current().id();
+        let job_ran_on =
+            scope(&pool, |s| s.spawn_job(|| std::thread::current().id()).join().unwrap());
+        assert_eq!(job_ran_on, me, "the waiter runs its own job");
+        release_tx.send(()).unwrap();
+        busy.join().unwrap();
+        assert_ne!(queued.join().unwrap(), me, "the task ran on the waiting thread");
     }
 
     #[test]

@@ -343,10 +343,7 @@ impl Client {
 
     /// Drop every result-cache entry; returns how many were dropped.
     pub fn clear_cache(&mut self) -> Result<u64, ClientError> {
-        let r = self.call("clear_cache", Json::Obj(Vec::new()))?;
-        r.get("cleared")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ClientError::Protocol("clear_cache reply lacks \"cleared\"".into()))
+        cleared_of(&self.call("clear_cache", Json::Obj(Vec::new()))?)
     }
 }
 
@@ -355,6 +352,13 @@ fn generation_of(result: &Json) -> Result<u64, ClientError> {
         .get("generation")
         .and_then(Json::as_u64)
         .ok_or_else(|| ClientError::Protocol("reply lacks \"generation\"".into()))
+}
+
+fn cleared_of(result: &Json) -> Result<u64, ClientError> {
+    result
+        .get("cleared")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| ClientError::Protocol("clear_cache reply lacks \"cleared\"".into()))
 }
 
 fn decode_query_reply(r: &Json) -> Result<QueryReply, ClientError> {
@@ -407,10 +411,6 @@ fn decode_query_reply(r: &Json) -> Result<QueryReply, ClientError> {
     })
 }
 
-/// How long the mux reader thread blocks per poll before re-checking
-/// the dead flag (mirrors the server's tick).
-const MUX_POLL_TICK: Duration = Duration::from_millis(50);
-
 struct MuxShared {
     stream: TcpStream,
     write_lock: Mutex<()>,
@@ -420,11 +420,17 @@ struct MuxShared {
 }
 
 impl MuxShared {
+    /// The in-flight calls by stream id (a panicked holder leaves the
+    /// map usable).
+    fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, mpsc::Sender<Response>>> {
+        self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn kill(&self) {
         self.dead.store(true, Ordering::Release);
         let _ = self.stream.shutdown(Shutdown::Both);
         // Dropping the senders fails every waiting call fast.
-        self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.pending().clear();
     }
 }
 
@@ -450,7 +456,6 @@ impl MuxConn {
     ) -> Result<MuxConn, ClientError> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(MUX_POLL_TICK))?;
         stream.set_write_timeout(timeout)?;
         io::Write::write_all(&mut stream, &[wire::MAGIC, wire::VERSION])?;
         let shared = Arc::new(MuxShared {
@@ -486,11 +491,7 @@ impl MuxConn {
         wire::encode_request(sid, req, &mut frame)
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         let (tx, rx) = mpsc::channel();
-        shared
-            .pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(sid, tx);
+        shared.pending().insert(sid, tx);
         {
             let _guard = shared
                 .write_lock
@@ -502,23 +503,18 @@ impl MuxConn {
                 return Err(ClientError::Io(e));
             }
         }
-        let received = match self.timeout {
+        match self.timeout {
             Some(t) => rx.recv_timeout(t).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => {
                     // Abandon the stream; the reader drops the late
                     // response when (if) it arrives.
-                    shared
-                        .pending
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .remove(&sid);
+                    shared.pending().remove(&sid);
                     ClientError::Io(io::ErrorKind::TimedOut.into())
                 }
                 mpsc::RecvTimeoutError::Disconnected => ClientError::Poisoned,
             }),
             None => rx.recv().map_err(|_| ClientError::Poisoned),
-        }?;
-        Ok(received)
+        }
     }
 
     /// [`MuxConn::call`] unwrapped to the query shape.
@@ -536,20 +532,15 @@ impl Drop for MuxConn {
     }
 }
 
+/// The reader blocks on the socket; [`MuxShared::kill`] shutting the
+/// socket down is what wakes it to exit.
 fn mux_read_loop(shared: Arc<MuxShared>) {
     let mut reader = FrameReader::new();
     loop {
-        if shared.dead.load(Ordering::Acquire) {
-            return;
-        }
         match reader.poll(&mut &shared.stream) {
             Ok(ReadEvent::Frame(payload)) => match wire::decode_response(&payload) {
                 Ok((sid, resp)) => {
-                    let tx = shared
-                        .pending
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .remove(&sid);
+                    let tx = shared.pending().remove(&sid);
                     if let Some(tx) = tx {
                         let _ = tx.send(resp); // receiver may have timed out
                     }
@@ -561,12 +552,20 @@ fn mux_read_loop(shared: Arc<MuxShared>) {
                     return;
                 }
             },
-            Ok(ReadEvent::Idle) => {}
-            Ok(ReadEvent::Eof) | Ok(ReadEvent::TooLarge(_)) | Err(_) => {
+            Ok(ReadEvent::Eof) | Ok(ReadEvent::Idle) | Ok(ReadEvent::TooLarge(_)) | Err(_) => {
                 shared.kill();
                 return;
             }
         }
+    }
+}
+
+/// What a response that is not the expected shape means: the server's
+/// typed error, or a protocol failure.
+fn unexpected(resp: Response) -> ClientError {
+    match resp {
+        Response::Error { code, message } => ClientError::Rpc { code: code.as_str().into(), message },
+        other => ClientError::Protocol(format!("unexpected response shape: {other:?}")),
     }
 }
 
@@ -582,20 +581,21 @@ fn reply_of(resp: Response) -> Result<QueryReply, ClientError> {
                 nodes: nodes.map(|b| b.triples()).unwrap_or_default(),
             })
         }
-        Response::Error { code, message } => {
-            Err(ClientError::Rpc { code: code.as_str().into(), message })
-        }
-        other => Err(ClientError::Protocol(format!("unexpected response shape: {other:?}"))),
+        other => Err(unexpected(other)),
     }
 }
 
 fn generation_resp(resp: Response) -> Result<u64, ClientError> {
     match resp {
         Response::Generation { generation } => Ok(generation),
-        Response::Error { code, message } => {
-            Err(ClientError::Rpc { code: code.as_str().into(), message })
-        }
-        other => Err(ClientError::Protocol(format!("unexpected response shape: {other:?}"))),
+        other => Err(unexpected(other)),
+    }
+}
+
+fn info_resp(resp: Response) -> Result<Json, ClientError> {
+    match resp {
+        Response::Info(v) => Ok(v),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -697,32 +697,11 @@ impl MuxClient {
 
     /// The server's counter snapshot (for this handle's database).
     pub fn stats(&self) -> Result<Json, ClientError> {
-        match self.conn.call(&Request::Stats { db: self.db.clone() })? {
-            Response::Info(v) => Ok(v),
-            Response::Error { code, message } => {
-                Err(ClientError::Rpc { code: code.as_str().into(), message })
-            }
-            other => {
-                Err(ClientError::Protocol(format!("unexpected response shape: {other:?}")))
-            }
-        }
+        info_resp(self.conn.call(&Request::Stats { db: self.db.clone() })?)
     }
 
     /// Drop every result-cache entry; returns how many were dropped.
     pub fn clear_cache(&self) -> Result<u64, ClientError> {
-        match self.conn.call(&Request::ClearCache)? {
-            Response::Info(v) => v
-                .get("cleared")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| {
-                    ClientError::Protocol("clear_cache reply lacks \"cleared\"".into())
-                }),
-            Response::Error { code, message } => {
-                Err(ClientError::Rpc { code: code.as_str().into(), message })
-            }
-            other => {
-                Err(ClientError::Protocol(format!("unexpected response shape: {other:?}")))
-            }
-        }
+        cleared_of(&info_resp(self.conn.call(&Request::ClearCache)?)?)
     }
 }

@@ -1,8 +1,8 @@
 //! # blas-server — the network front door for [`BlasDb`](blas::BlasDb)
 //!
 //! A deliberately small serving layer: **length-prefixed JSON-RPC over
-//! TCP** built on `std::net` and the engine crate's worker pool — no
-//! async runtime, no serde, no new dependencies.
+//! TCP** built on `std::net` blocking sockets and each document's
+//! worker pool — no async runtime, no serde, no new dependencies.
 //!
 //! The pieces:
 //!
@@ -10,7 +10,7 @@
 //!   typed [`ErrorCode`] vocabulary.
 //! - [`json`] — a minimal total JSON reader/writer sized for this
 //!   protocol.
-//! - [`Server`] — acceptor + pooled connection tasks, per-query
+//! - [`Server`] — acceptor + a thread per live connection, per-query
 //!   admission control (bounded in-flight, typed
 //!   [`ErrorCode::Overloaded`] rejection — never an unbounded queue),
 //!   per-connection idle/write timeouts, a generation-keyed result

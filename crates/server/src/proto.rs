@@ -8,10 +8,9 @@
 //! a hostile length prefix must not OOM the server.
 //!
 //! Reading is a resumable state machine ([`FrameReader`]) rather than
-//! a blocking `read_exact`: the server polls connections with a short
-//! socket timeout so each task can notice idle expiry and shutdown
-//! between bytes, and a timeout mid-frame must not lose the bytes
-//! already consumed.
+//! a blocking `read_exact`: a connection's idle budget bounds every
+//! socket read, so a read can time out mid-frame, and a reader that
+//! survives that must not lose the bytes already consumed.
 
 use crate::json::Json;
 use std::io::{self, Read, Write};
@@ -67,8 +66,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub enum ReadEvent {
     /// A complete frame payload.
     Frame(Vec<u8>),
-    /// The socket timed out with **no** complete frame pending — an
-    /// idle tick; the caller decides whether the idle budget is spent.
+    /// The socket timed out with **no** complete frame pending; the
+    /// caller decides what an expired read budget means.
     Idle,
     /// The peer closed the connection at a frame boundary.
     Eof,
@@ -92,23 +91,6 @@ impl FrameReader {
     /// A reader at a frame boundary.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Push back one already-consumed byte as the first length-prefix
-    /// byte. Protocol negotiation peeks a connection's first byte to
-    /// pick an encoding; when that byte turns out to open a JSON
-    /// frame, this hands it to the reader instead of losing it.
-    ///
-    /// Only valid at a frame boundary (a fresh or between-frames
-    /// reader); panics otherwise — priming mid-frame is a server bug,
-    /// not a peer-controlled condition.
-    pub fn prime(&mut self, byte: u8) {
-        assert!(
-            self.header_got == 0 && self.payload_len.is_none(),
-            "prime() mid-frame"
-        );
-        self.header[0] = byte;
-        self.header_got = 1;
     }
 
     /// Advance until a frame completes, the stream ends, or the socket
@@ -174,7 +156,8 @@ impl FrameReader {
     }
 }
 
-fn is_timeout(e: &io::Error) -> bool {
+/// Did a socket read time out (rather than fail)?
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 

@@ -1,4 +1,4 @@
-//! The request loop: acceptor thread → pooled connection tasks →
+//! The request loop: acceptor thread → one thread per connection →
 //! per-request dispatch against a shared [`BlasCollection`].
 //!
 //! ## Protocol negotiation
@@ -11,20 +11,23 @@
 //!
 //! ## Request path
 //!
-//! One OS thread accepts. Each admitted connection becomes a **pool
-//! task** ([`PoolHandle::spawn_task`]) on a dedicated connection pool
-//! sized exactly [`ServerConfig::max_connections`] — a connection owns
-//! its worker for its lifetime, so connection concurrency is bounded
-//! by construction and an over-limit accept is *rejected with a typed
-//! frame*, never queued.
+//! One OS thread accepts. Each admitted connection gets **a thread of
+//! its own** (`blas-conn`) that exits with the connection, so threads
+//! follow live connections; [`ServerConfig::max_connections`] bounds
+//! them, and an over-limit accept is *rejected with a typed frame*,
+//! never queued. Sockets block: the idle budget is a deadline for the
+//! next complete frame that each read's socket timeout counts down to,
+//! and shutdown wakes a blocked reader by shutting its socket's read
+//! half — nothing polls.
 //!
-//! JSON connections handle requests synchronously in arrival order
-//! (pipelining is allowed; responses come back in request order).
-//! Binary connections are **multiplexed**: every frame carries a
-//! stream id, admitted requests run on a shared execution pool while
-//! the connection task keeps reading, and responses come back tagged
-//! with their stream id in *completion* order — one socket interleaves
-//! many logical in-flight requests.
+//! JSON connections handle requests synchronously on their thread, in
+//! arrival order (pipelining is allowed; responses come back in
+//! request order). Binary connections are **multiplexed**: every frame
+//! carries a stream id, admitted requests run on the routed document's
+//! execution pool ([`BlasDb::pool`], one worker per core — the pool its
+//! sharded scans use) while the connection thread keeps reading, and
+//! responses come back tagged with their stream id in *completion*
+//! order — one socket interleaves many logical in-flight requests.
 //!
 //! ## Admission control
 //!
@@ -65,29 +68,31 @@
 //!
 //! ## Shutdown
 //!
-//! [`Server::shutdown`] stops accepting, then **drains**: every
-//! connection task finishes the requests it is executing (multiplexed
-//! streams each get their response), answers any just-arrived frame
-//! with [`ErrorCode::ShuttingDown`], and exits; the acceptor joins
-//! every task handle before shutdown returns.
+//! [`Server::shutdown`] stops accepting, shuts the read half of every
+//! live socket to wake its thread, then **drains**: every connection
+//! finishes the requests it is executing (multiplexed streams each get
+//! their response), answers any frame already buffered with
+//! [`ErrorCode::ShuttingDown`], and exits; shutdown joins every
+//! connection thread before it returns.
 
 use crate::json::{self, Json};
 use crate::proto::{
-    err_response, frame_buf, json_frame, send_frame, ErrorCode, FrameReader, ReadEvent,
+    err_response, frame_buf, is_timeout, json_frame, send_frame, ErrorCode, FrameReader,
+    ReadEvent,
 };
 use crate::wire::{self, NodesBlob, Request, Response};
 use blas::{BlasCollection, BlasDb, DocId, EngineChoice, GenCache, GenKey};
-use blas_engine::{PoolHandle, TaskHandle};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use blas_engine::TaskHandle;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Socket-level poll tick: connections block at most this long before
-/// re-checking the stop flag and their idle budget. Bounds shutdown
-/// latency without spinning.
-const POLL_TICK: Duration = Duration::from_millis(50);
+/// The farewell of a connection whose idle budget ran out.
+const IDLE: &str = "connection idle past the read timeout";
 
 /// Which wire encodings a server accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,7 +132,7 @@ pub struct ServerConfig {
     /// Idle budget per connection: with no complete request this long
     /// (and, on a multiplexed connection, nothing in flight), the
     /// server sends [`ErrorCode::Timeout`] and closes. `None` waits
-    /// forever.
+    /// forever; `Some(Duration::ZERO)` expires at the first wait.
     pub read_timeout: Option<Duration>,
     /// Socket write timeout for responses; a peer that stops reading
     /// past this gets disconnected. `None` blocks forever.
@@ -252,9 +257,9 @@ pub struct ServerStats {
     pub served: u64,
     /// Requests rejected by query admission control.
     pub overloaded: u64,
-    /// Connections accepted into the pool.
+    /// Connections admitted, each onto a thread of its own.
     pub connections_accepted: u64,
-    /// Connections rejected at the limit.
+    /// Connections rejected at the limit (or for want of a thread).
     pub connections_rejected: u64,
     /// Connections closed for idle timeout.
     pub timeouts: u64,
@@ -274,9 +279,6 @@ struct Inner {
     stop: AtomicBool,
     inflight: Arc<Semaphore>,
     conn_slots: Arc<Semaphore>,
-    /// Execution pool for multiplexed requests: admitted binary-stream
-    /// requests run here so the connection task can keep reading.
-    exec: PoolHandle,
     cache: ResultCache,
     served: AtomicU64,
     overloaded: AtomicU64,
@@ -285,12 +287,37 @@ struct Inner {
     timeouts: AtomicU64,
 }
 
+impl Inner {
+    fn stats(&self) -> ServerStats {
+        let cache = self.cache.lock();
+        ServerStats {
+            served: self.served.load(Ordering::Relaxed),
+            overloaded: self.overloaded.load(Ordering::Relaxed),
+            connections_accepted: self.conns_accepted.load(Ordering::Relaxed),
+            connections_rejected: self.conns_rejected.load(Ordering::Relaxed),
+            timeouts: self.timeouts.load(Ordering::Relaxed),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_invalidated: self.cache.invalidated.load(Ordering::Relaxed),
+            cache_entries: cache.len(),
+        }
+    }
+}
+
 /// A running server; dropping it shuts down gracefully (prefer calling
 /// [`Server::shutdown`] to observe the drain).
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<Vec<TaskHandle<()>>>>,
+    acceptor: Option<JoinHandle<Vec<Live>>>,
+}
+
+/// A live connection as the acceptor tracks it: its thread, and a
+/// second handle on its socket through which shutdown wakes the
+/// thread's blocked read.
+struct Live {
+    thread: JoinHandle<()>,
+    socket: TcpStream,
 }
 
 impl Server {
@@ -310,7 +337,7 @@ impl Server {
     /// Bind `addr` and front a whole collection: requests route by
     /// database name (`"db"` param / field), an empty or absent name
     /// selects the first member. The returned handle owns the acceptor
-    /// thread and the connection pool.
+    /// thread, which owns the connection threads.
     pub fn bind_collection(
         coll: BlasCollection,
         addr: impl ToSocketAddrs,
@@ -327,10 +354,6 @@ impl Server {
         let inner = Arc::new(Inner {
             inflight: Arc::new(Semaphore::new(cfg.max_inflight)),
             conn_slots: Arc::new(Semaphore::new(cfg.max_connections)),
-            // Multiplexed requests need workers of their own (their
-            // connection task keeps reading); bounded by the admission
-            // permits they hold, clamped to a sane thread count.
-            exec: PoolHandle::new(cfg.max_inflight.clamp(1, 16)),
             cache: ResultCache::new(cfg.result_cache_cap),
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
@@ -354,14 +377,10 @@ impl Server {
                 }
             });
         }
-        // One resident pool worker per admissible connection: a
-        // connection task occupies its worker for the connection's
-        // lifetime, so the pool size *is* the connection bound.
-        let pool = PoolHandle::new(inner.cfg.max_connections.max(1));
         let acceptor_inner = Arc::clone(&inner);
         let acceptor = std::thread::Builder::new()
             .name("blas-accept".into())
-            .spawn(move || accept_loop(acceptor_inner, listener, pool))?;
+            .spawn(move || accept_loop(acceptor_inner, listener))?;
         Ok(Server { inner, addr: local, acceptor: Some(acceptor) })
     }
 
@@ -372,23 +391,11 @@ impl Server {
 
     /// Current serving counters.
     pub fn stats(&self) -> ServerStats {
-        let i = &self.inner;
-        let cache = i.cache.lock();
-        ServerStats {
-            served: i.served.load(Ordering::Relaxed),
-            overloaded: i.overloaded.load(Ordering::Relaxed),
-            connections_accepted: i.conns_accepted.load(Ordering::Relaxed),
-            connections_rejected: i.conns_rejected.load(Ordering::Relaxed),
-            timeouts: i.timeouts.load(Ordering::Relaxed),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_invalidated: i.cache.invalidated.load(Ordering::Relaxed),
-            cache_entries: cache.len(),
-        }
+        self.inner.stats()
     }
 
     /// Stop accepting, drain in-flight requests, join every connection
-    /// task, and return the final counters.
+    /// thread, and return the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.shutdown_impl();
         self.stats()
@@ -401,9 +408,14 @@ impl Server {
         self.inner.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Ok(handles) = acceptor.join() {
-            for h in handles {
-                let _ = h.join();
+        if let Ok(live) = acceptor.join() {
+            // A blocked read now sees end-of-stream; what is already
+            // buffered still reads, and is answered `shutting_down`.
+            for conn in &live {
+                let _ = conn.socket.shutdown(Shutdown::Read);
+            }
+            for conn in live {
+                let _ = conn.thread.join();
             }
         }
     }
@@ -415,12 +427,8 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    inner: Arc<Inner>,
-    listener: TcpListener,
-    pool: PoolHandle,
-) -> Vec<TaskHandle<()>> {
-    let mut handles: Vec<TaskHandle<()>> = Vec::new();
+fn accept_loop(inner: Arc<Inner>, listener: TcpListener) -> Vec<Live> {
+    let mut live: Vec<Live> = Vec::new();
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if inner.stop.load(Ordering::SeqCst) {
@@ -431,77 +439,139 @@ fn accept_loop(
         if inner.stop.load(Ordering::SeqCst) {
             break; // the wake-up connection (or a late client) — drop it
         }
-        // Completed connections release their pool worker; reap their
-        // handles so the vector tracks live connections only.
-        handles.retain(|h| !h.is_done());
-        match inner.conn_slots.try_acquire() {
-            Some(permit) => {
+        // Reap finished connections (their panics were caught inside).
+        for done in live.extract_if(.., |conn| conn.thread.is_finished()) {
+            let _ = done.thread.join();
+        }
+        match admit(&inner, stream) {
+            Ok(conn) => {
                 inner.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                let conn_inner = Arc::clone(&inner);
-                handles.push(pool.spawn_task(move || {
-                    serve_connection(conn_inner, stream);
-                    drop(permit);
-                }));
+                live.push(conn);
             }
-            None => {
+            Err(mut stream) => {
                 inner.conns_rejected.fetch_add(1, Ordering::Relaxed);
                 let resp = err_response(
                     &Json::Null,
                     ErrorCode::Overloaded,
                     "connection limit reached",
                 );
-                let mut s = stream;
-                let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
-                let _ = send_json(&mut s, &resp);
+                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                let _ = send_json(&mut stream, &resp);
             }
         }
     }
-    handles
+    live
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+/// Start a connection's thread, or hand the socket back to be rejected:
+/// no slot is free, or no thread is to be had (the permit then drops
+/// with the closure the failed spawn discards).
+fn admit(inner: &Arc<Inner>, stream: TcpStream) -> Result<Live, TcpStream> {
+    let Some(permit) = inner.conn_slots.try_acquire() else {
+        return Err(stream);
+    };
+    let Ok(socket) = stream.try_clone() else {
+        return Err(stream);
+    };
+    let conn_inner = Arc::clone(inner);
+    let spawned = std::thread::Builder::new().name("blas-conn".into()).spawn(move || {
+        let stream = Arc::new(stream);
+        let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&conn_inner, &stream)));
+        // The acceptor's handle keeps the socket open: end it here,
+        // panic or not.
+        let _ = stream.shutdown(Shutdown::Both);
+        drop(permit);
+    });
+    match spawned {
+        Ok(thread) => Ok(Live { thread, socket }),
+        Err(_) => Err(socket),
+    }
+}
+
+/// A connection's read half under its idle budget. The budget is a
+/// deadline for the next complete frame, counted from the first read
+/// after connect or after [`Budgeted::restart`], and every read waits
+/// only for what is left of it: a peer that trickles a frame in byte
+/// by byte expires as surely as a silent one. The first read of a
+/// frame finds the socket timeout already at the full budget, so only
+/// a read in the middle of a frame pays a syscall to shorten it — and
+/// behind a [`BufReader`], a frame that arrives whole is one read.
+struct Budgeted<'a> {
+    stream: &'a TcpStream,
+    /// `None`: wait forever.
+    budget: Option<Duration>,
+    deadline: Option<Instant>,
+    /// The socket read timeout in force.
+    armed: Option<Duration>,
+}
+
+/// A connection's buffered, budgeted input.
+type Input<'a> = BufReader<Budgeted<'a>>;
+
+impl<'a> Budgeted<'a> {
+    fn input(stream: &'a TcpStream, budget: Option<Duration>) -> Input<'a> {
+        // A budget past the clock's range is no deadline at all.
+        let budget = budget.filter(|&b| Instant::now().checked_add(b).is_some());
+        BufReader::new(Budgeted { stream, budget, deadline: None, armed: None })
+    }
+
+    /// Give the next frame a whole budget.
+    fn restart(&mut self) {
+        self.deadline = None;
+    }
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let Some(budget) = self.budget else {
+            return self.stream.read(buf);
+        };
+        loop {
+            let now = Instant::now();
+            let deadline = *self.deadline.get_or_insert(now + budget);
+            // `set_read_timeout` rejects zero; a spent budget still
+            // takes what has already arrived, in the shortest wait.
+            let wait = deadline.saturating_duration_since(now).max(Duration::from_micros(1));
+            if self.armed != Some(wait) {
+                self.stream.set_read_timeout(Some(wait))?;
+                self.armed = Some(wait);
+            }
+            match self.stream.read(buf) {
+                // The socket rounds its timeout down: wait out the rest.
+                Err(e) if is_timeout(&e) && Instant::now() < deadline => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => return read,
+            }
+        }
+    }
 }
 
 /// Negotiate the connection's protocol from its first byte, then hand
-/// off to the matching serve loop.
-fn serve_connection(inner: Arc<Inner>, stream: TcpStream) {
+/// off to the matching serve loop. The idle budget applies to the
+/// negotiation bytes as to any read (a timeout surfaces as the error).
+fn serve_connection(inner: &Arc<Inner>, stream: &Arc<TcpStream>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
     let _ = stream.set_write_timeout(inner.cfg.write_timeout);
-    let started = Instant::now();
-    let mut first = [0u8; 1];
-    let first_byte = loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match (&stream).read(&mut first) {
-            Ok(0) => return,
-            Ok(_) => break first[0],
-            Err(e) if is_timeout(&e) => {
-                if let Some(budget) = inner.cfg.read_timeout {
-                    if started.elapsed() >= budget {
-                        // Protocol unknown; the JSON-framed timeout is
-                        // the compatible farewell.
-                        inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let resp = err_response(
-                            &Json::Null,
-                            ErrorCode::Timeout,
-                            "connection idle past the read timeout",
-                        );
-                        let _ = send_json(&mut &stream, &resp);
-                        return;
-                    }
-                }
+    let mut input = Budgeted::input(stream, inner.cfg.read_timeout);
+    // Peeked, not taken: on a JSON connection it opens the first frame.
+    let first_byte = match input.fill_buf() {
+        Ok(&[byte, ..]) => byte,
+        Ok(_) => return,
+        Err(e) => {
+            if is_timeout(&e) {
+                // Protocol unknown; the JSON-framed timeout is the
+                // compatible farewell.
+                inner.timeouts.fetch_add(1, Ordering::Relaxed);
+                let resp = err_response(&Json::Null, ErrorCode::Timeout, IDLE);
+                let _ = send_json(&mut &**stream, &resp);
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
+            return;
         }
     };
     if first_byte == wire::MAGIC {
         if inner.cfg.proto == ProtoAccept::Json {
             send_binary_error(
-                &stream,
+                stream,
                 0,
                 ErrorCode::BadRequest,
                 "binary protocol disabled on this server",
@@ -509,28 +579,27 @@ fn serve_connection(inner: Arc<Inner>, stream: TcpStream) {
             return;
         }
         // Version byte follows the magic.
-        let version = loop {
-            if inner.stop.load(Ordering::SeqCst) {
-                return;
+        input.consume(1);
+        let mut version = [0u8];
+        if let Err(e) = input.read_exact(&mut version) {
+            if is_timeout(&e) {
+                inner.timeouts.fetch_add(1, Ordering::Relaxed);
+                send_binary_error(stream, 0, ErrorCode::Timeout, IDLE);
             }
-            match (&stream).read(&mut first) {
-                Ok(0) => return,
-                Ok(_) => break first[0],
-                Err(e) if is_timeout(&e) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        };
+            return;
+        }
+        let [version] = version;
         if version != wire::VERSION {
             send_binary_error(
-                &stream,
+                stream,
                 0,
                 ErrorCode::BadRequest,
                 &format!("unsupported protocol version {version}"),
             );
             return;
         }
-        serve_binary(inner, stream);
+        input.get_mut().restart();
+        serve_binary(inner, stream, input);
     } else {
         if inner.cfg.proto == ProtoAccept::Binary {
             let resp = err_response(
@@ -538,12 +607,10 @@ fn serve_connection(inner: Arc<Inner>, stream: TcpStream) {
                 ErrorCode::BadRequest,
                 "JSON protocol disabled on this server",
             );
-            let _ = send_json(&mut &stream, &resp);
+            let _ = send_json(&mut &**stream, &resp);
             return;
         }
-        let mut reader = FrameReader::new();
-        reader.prime(first_byte);
-        serve_json(inner, stream, reader);
+        serve_json(inner, stream, input);
     }
 }
 
@@ -560,42 +627,27 @@ fn binary_frame(stream_id: u64, resp: &Response) -> Vec<u8> {
     frame
 }
 
-fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader) {
-    let mut idle_since = Instant::now();
+fn serve_json(inner: &Inner, mut stream: &TcpStream, mut input: Input<'_>) {
+    let mut reader = FrameReader::new();
     loop {
-        let stopping = inner.stop.load(Ordering::SeqCst);
-        match reader.poll(&mut stream) {
+        match reader.poll(&mut input) {
             Ok(ReadEvent::Frame(bytes)) => {
-                idle_since = Instant::now();
-                let resp = if stopping {
+                if inner.stop.load(Ordering::SeqCst) {
                     let id = request_id(&bytes);
-                    err_response(&id, ErrorCode::ShuttingDown, "server is draining")
-                } else {
-                    respond(&inner, &bytes)
-                };
-                if send_json(&mut stream, &resp).is_err() {
+                    let resp = err_response(&id, ErrorCode::ShuttingDown, "server is draining");
+                    let _ = send_json(&mut stream, &resp);
                     return;
                 }
-                if stopping {
+                if send_json(&mut stream, &respond(inner, &bytes)).is_err() {
                     return;
                 }
+                input.get_mut().restart();
             }
             Ok(ReadEvent::Idle) => {
-                if stopping {
-                    return;
-                }
-                if let Some(budget) = inner.cfg.read_timeout {
-                    if idle_since.elapsed() >= budget {
-                        inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let resp = err_response(
-                            &Json::Null,
-                            ErrorCode::Timeout,
-                            "connection idle past the read timeout",
-                        );
-                        let _ = send_json(&mut stream, &resp);
-                        return;
-                    }
-                }
+                inner.timeouts.fetch_add(1, Ordering::Relaxed);
+                let resp = err_response(&Json::Null, ErrorCode::Timeout, IDLE);
+                let _ = send_json(&mut stream, &resp);
+                return;
             }
             Ok(ReadEvent::TooLarge(n)) => {
                 let resp = err_response(
@@ -639,128 +691,96 @@ fn send_binary_error(stream: &TcpStream, stream_id: u64, code: ErrorCode, messag
     let _ = send_frame(&mut &*stream, &mut binary_frame(stream_id, &resp));
 }
 
-/// The multiplexed binary serve loop. The connection task reads
+/// The multiplexed binary serve loop. The connection thread reads
 /// frames; admission happens here, at read time — an admitted request
-/// moves its permit onto the execution pool and the task keeps
-/// reading, a rejected one is answered `overloaded` on its own stream.
-fn serve_binary(inner: Arc<Inner>, stream: TcpStream) {
-    let stream = Arc::new(stream);
+/// moves its permit onto the routed document's pool and the thread
+/// keeps reading, a rejected one is answered `overloaded` on its own
+/// stream.
+fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_>) {
     let writer = Arc::new(MuxWriter {
-        stream: Arc::clone(&stream),
+        stream: Arc::clone(stream),
         lock: Mutex::new(()),
         dead: AtomicBool::new(false),
     });
     let mut reader = FrameReader::new();
     let mut tasks: Vec<TaskHandle<()>> = Vec::new();
-    let mut idle_since = Instant::now();
-    loop {
-        if writer.dead.load(Ordering::Acquire) {
-            break;
-        }
-        let stopping = inner.stop.load(Ordering::SeqCst);
-        match reader.poll(&mut &*stream) {
+    while !writer.dead.load(Ordering::Acquire) {
+        match reader.poll(&mut input) {
             Ok(ReadEvent::Frame(payload)) => {
-                idle_since = Instant::now();
+                input.get_mut().restart();
                 tasks.retain(|t| !t.is_done());
                 let (sid, body) = match wire::split_stream_id(&payload) {
                     Ok(x) => x,
                     Err(e) => {
-                        writer.send(
-                            0,
-                            &Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!("malformed frame: {e}"),
-                            },
-                        );
+                        let message = format!("malformed frame: {e}");
+                        writer.send(0, &Response::Error { code: ErrorCode::BadRequest, message });
                         continue;
                     }
                 };
-                if stopping {
-                    writer.send(
-                        sid,
-                        &Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is draining".into(),
-                        },
-                    );
+                if inner.stop.load(Ordering::SeqCst) {
+                    let message = "server is draining".into();
+                    writer.send(sid, &Response::Error { code: ErrorCode::ShuttingDown, message });
                     break;
                 }
                 let req = match wire::decode_request_body(body) {
                     Ok(r) => r,
                     Err(e) => {
-                        writer.send(
-                            sid,
-                            &Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!("malformed frame: {e}"),
-                            },
-                        );
+                        let message = format!("malformed frame: {e}");
+                        writer.send(sid, &Response::Error { code: ErrorCode::BadRequest, message });
                         continue;
                     }
                 };
-                if req.needs_admission() {
-                    // Per-stream admission at read time: the permit —
-                    // not the pool queue — bounds what piles up behind
-                    // the executors.
-                    match inner.inflight.try_acquire() {
-                        Some(permit) => {
-                            let task_inner = Arc::clone(&inner);
-                            let task_writer = Arc::clone(&writer);
-                            tasks.push(inner.exec.spawn_task(move || {
-                                let resp = dispatch(&task_inner, &req, Some(permit));
-                                task_writer.send(sid, &resp);
-                            }));
-                        }
-                        None => {
-                            inner.overloaded.fetch_add(1, Ordering::Relaxed);
-                            let (code, message) = overloaded(&inner);
-                            writer.send(sid, &Response::Error { code, message });
-                        }
-                    }
-                } else {
-                    let resp = dispatch(&inner, &req, None);
-                    writer.send(sid, &resp);
+                if !req.needs_admission() {
+                    writer.send(sid, &dispatch(inner, &req, None));
+                    continue;
                 }
+                // Per-stream admission at read time: the permit — not
+                // the pool queue — bounds what piles up behind the
+                // executors.
+                let Some(permit) = inner.inflight.try_acquire() else {
+                    inner.overloaded.fetch_add(1, Ordering::Relaxed);
+                    let (code, message) = overloaded(inner);
+                    writer.send(sid, &Response::Error { code, message });
+                    continue;
+                };
+                // An unknown name is the dispatch's to answer, from the
+                // first document's pool.
+                let db = resolve(inner, req.db())
+                    .map_or(inner.coll.doc_shared(DocId(0)), |(_, db)| db);
+                let (task_inner, task_writer) = (Arc::clone(inner), Arc::clone(&writer));
+                tasks.push(db.pool().spawn_task(move || {
+                    let resp = dispatch(&task_inner, &req, Some(permit));
+                    task_writer.send(sid, &resp);
+                }));
             }
             Ok(ReadEvent::Idle) => {
                 tasks.retain(|t| !t.is_done());
-                if stopping {
+                if tasks.is_empty() {
+                    inner.timeouts.fetch_add(1, Ordering::Relaxed);
+                    let message = IDLE.into();
+                    writer.send(0, &Response::Error { code: ErrorCode::Timeout, message });
                     break;
                 }
-                if tasks.is_empty() {
-                    if let Some(budget) = inner.cfg.read_timeout {
-                        if idle_since.elapsed() >= budget {
-                            inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                            writer.send(
-                                0,
-                                &Response::Error {
-                                    code: ErrorCode::Timeout,
-                                    message: "connection idle past the read timeout".into(),
-                                },
-                            );
-                            break;
-                        }
+                // In-flight streams count as activity: wait another
+                // budget for them — or, when the budget is zero and a
+                // re-read would only spin, for the streams themselves.
+                if inner.cfg.read_timeout == Some(Duration::ZERO) {
+                    for t in tasks.drain(..) {
+                        let _ = t.join();
                     }
-                } else {
-                    // In-flight streams count as activity.
-                    idle_since = Instant::now();
                 }
+                input.get_mut().restart();
             }
             Ok(ReadEvent::TooLarge(n)) => {
-                writer.send(
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::FrameTooLarge,
-                        message: format!("frame of {n} bytes exceeds the limit"),
-                    },
-                );
+                let message = format!("frame of {n} bytes exceeds the limit");
+                writer.send(0, &Response::Error { code: ErrorCode::FrameTooLarge, message });
                 break;
             }
             Ok(ReadEvent::Eof) | Err(_) => break,
         }
     }
     // Drain: every admitted stream gets its response before the
-    // connection's pool worker is released.
+    // connection closes.
     for t in tasks {
         let _ = t.join();
     }
@@ -988,19 +1008,13 @@ fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodRe
 fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
     let delta = db.delta_stats();
     let plan = db.plan_cache_stats();
-    let (result_hits, result_misses, result_entries) = {
-        let cache = inner.cache.lock();
-        (cache.hits(), cache.misses(), cache.len())
-    };
+    let s = inner.stats();
     Json::Obj(vec![
         ("db".into(), Json::str(inner.coll.name(DocId(doc)))),
         ("documents".into(), Json::uint(inner.coll.len() as u64)),
         ("generation".into(), Json::uint(db.generation())),
-        ("served".into(), Json::uint(inner.served.load(Ordering::Relaxed))),
-        (
-            "overloaded".into(),
-            Json::uint(inner.overloaded.load(Ordering::Relaxed)),
-        ),
+        ("served".into(), Json::uint(s.served)),
+        ("overloaded".into(), Json::uint(s.overloaded)),
         (
             "inflight".into(),
             Json::uint(inner.inflight.in_use(inner.cfg.max_inflight) as u64),
@@ -1008,14 +1022,8 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
         (
             "connections".into(),
             Json::Obj(vec![
-                (
-                    "accepted".into(),
-                    Json::uint(inner.conns_accepted.load(Ordering::Relaxed)),
-                ),
-                (
-                    "rejected".into(),
-                    Json::uint(inner.conns_rejected.load(Ordering::Relaxed)),
-                ),
+                ("accepted".into(), Json::uint(s.connections_accepted)),
+                ("rejected".into(), Json::uint(s.connections_rejected)),
                 (
                     "active".into(),
                     Json::uint(inner.conn_slots.in_use(inner.cfg.max_connections) as u64),
@@ -1025,13 +1033,10 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
         (
             "result_cache".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::uint(result_hits)),
-                ("misses".into(), Json::uint(result_misses)),
-                (
-                    "invalidated".into(),
-                    Json::uint(inner.cache.invalidated.load(Ordering::Relaxed)),
-                ),
-                ("entries".into(), Json::uint(result_entries as u64)),
+                ("hits".into(), Json::uint(s.cache_hits)),
+                ("misses".into(), Json::uint(s.cache_misses)),
+                ("invalidated".into(), Json::uint(s.cache_invalidated)),
+                ("entries".into(), Json::uint(s.cache_entries as u64)),
             ]),
         ),
         (
@@ -1114,5 +1119,41 @@ mod tests {
         assert!(Arc::ptr_eq(&blob, &stored(&server)));
         assert_eq!(mux.query("//n", "auto").unwrap().nodes, first.nodes);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_zero_budget_answers_what_arrived_then_expires() {
+        let db = Arc::new(BlasDb::load(SRC).unwrap());
+        let cfg =
+            ServerConfig { read_timeout: Some(Duration::ZERO), debug_hold: true, ..Default::default() };
+        let server = Server::bind(db, "127.0.0.1:0", cfg).unwrap();
+        // Hello and a held query in one write: all of it has arrived
+        // by the first read.
+        let mut hello = vec![wire::MAGIC, wire::VERSION];
+        let mut frame = frame_buf(0);
+        let req = Request::Query {
+            db: String::new(),
+            xpath: "//n".into(),
+            engine: "auto".into(),
+            labels: false,
+            cache: false,
+            hold_ms: Some(200),
+        };
+        wire::encode_request(7, &req, &mut frame).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        send_frame(&mut hello, &mut frame).unwrap();
+        stream.write_all(&hello).unwrap();
+
+        let mut reader = FrameReader::new();
+        let mut next = || match reader.poll(&mut stream).unwrap() {
+            ReadEvent::Frame(f) => wire::decode_response(&f).unwrap(),
+            other => panic!("expected a frame, got {other:?}"),
+        };
+        // The in-flight stream is answered before the budget closes
+        // the connection.
+        assert!(matches!(next(), (7, Response::Query { count: 3, .. })));
+        assert!(matches!(next(), (0, Response::Error { code: ErrorCode::Timeout, .. })));
+        assert_eq!(server.shutdown().timeouts, 1);
     }
 }

@@ -173,6 +173,20 @@ impl Request {
         )
     }
 
+    /// The database name the request addresses (empty: the first
+    /// member; `clear_cache` addresses none).
+    pub fn db(&self) -> &str {
+        match self {
+            Request::Query { db, .. }
+            | Request::PlanInfo { db, .. }
+            | Request::Stats { db }
+            | Request::InsertSubtree { db, .. }
+            | Request::Delete { db, .. }
+            | Request::Retag { db, .. } => db,
+            Request::ClearCache => "",
+        }
+    }
+
     /// The JSON method token for this request.
     pub fn method(&self) -> &'static str {
         match self {

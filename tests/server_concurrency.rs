@@ -377,8 +377,8 @@ fn connection_limit_rejects_inline_and_slots_are_reusable() {
     // …and dropping it frees the slot for a new client.
     drop(first);
     let mut third = loop {
-        // The slot frees when the server notices the close (one poll
-        // tick); retry until admission succeeds.
+        // The slot frees when the connection's thread reads the close;
+        // retry until admission succeeds.
         let mut c = Client::connect(addr, Some(Duration::from_secs(10))).unwrap();
         match c.query("//n", "auto") {
             Ok(r) => {

@@ -477,6 +477,99 @@ fn write_timeout_mid_frame_poisons_the_client() {
     hold.join().unwrap();
 }
 
+/// Regression: a peer that sends the binary magic and then nothing is
+/// held to the idle budget like any other connection — a typed
+/// `timeout` on stream 0, then close — instead of keeping its
+/// connection slot forever.
+#[test]
+fn magic_byte_then_silence_gets_a_typed_timeout_then_close() {
+    use blas_server::{wire, ErrorCode, FrameReader, ReadEvent, Response};
+    use std::io::Write;
+
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { read_timeout: Some(Duration::from_millis(300)), ..Default::default() },
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A server that never answers fails this test instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(&[wire::MAGIC]).unwrap();
+    let mut reader = FrameReader::new();
+    let frame = match reader.poll(&mut stream).unwrap() {
+        ReadEvent::Frame(f) => f,
+        other => panic!("expected a timeout frame within 10 s, got {other:?}"),
+    };
+    let (sid, resp) = wire::decode_response(&frame).unwrap();
+    assert_eq!(sid, 0, "the farewell goes on stream 0");
+    assert!(matches!(resp, Response::Error { code: ErrorCode::Timeout, .. }), "{resp:?}");
+    assert!(
+        matches!(reader.poll(&mut stream), Ok(ReadEvent::Eof) | Err(_)),
+        "the connection closes after the farewell"
+    );
+    assert_eq!(server.shutdown().timeouts, 1);
+}
+
+/// Regression: the idle budget runs from the last complete frame, not
+/// from the last byte. A peer that trickles a frame in one byte per
+/// 100 ms under a 300 ms budget — on either wire — gets the typed
+/// `timeout` long before its frame could complete.
+#[test]
+fn a_frame_trickled_byte_by_byte_still_times_out() {
+    use blas_server::{wire, ErrorCode, FrameReader, ReadEvent, Response};
+    use std::io::Write;
+
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { read_timeout: Some(Duration::from_millis(300)), ..Default::default() },
+    )
+    .unwrap();
+    // A 64-byte frame at 10 bytes a second takes 6.8 s to arrive.
+    let mut frame = 64u32.to_be_bytes().to_vec();
+    frame.resize(4 + 64, b' ');
+    for binary in [false, true] {
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        if binary {
+            stream.write_all(&[wire::MAGIC, wire::VERSION]).unwrap();
+        }
+        let mut trickle = stream.try_clone().unwrap();
+        let bytes = frame.clone();
+        let (hang_up, hung_up) = std::sync::mpsc::channel::<()>();
+        let trickler = std::thread::spawn(move || {
+            for byte in bytes {
+                let pause = Duration::from_millis(100);
+                if trickle.write_all(&[byte]).is_err() || hung_up.recv_timeout(pause).is_ok() {
+                    return;
+                }
+            }
+        });
+        let started = Instant::now();
+        let reply = match FrameReader::new().poll(&mut stream).unwrap() {
+            ReadEvent::Frame(f) => f,
+            other => panic!("expected a timeout frame within 10 s, got {other:?}"),
+        };
+        let waited = started.elapsed();
+        if binary {
+            let (sid, resp) = wire::decode_response(&reply).unwrap();
+            assert_eq!(sid, 0, "the farewell goes on stream 0");
+            assert!(matches!(resp, Response::Error { code: ErrorCode::Timeout, .. }), "{resp:?}");
+        } else {
+            let resp = blas_server::json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+            let code = resp.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+            assert_eq!(code, Some("timeout"));
+        }
+        assert!(waited < Duration::from_secs(3), "binary={binary}: timed out after {waited:?}");
+        let _ = hang_up.send(());
+        trickler.join().unwrap();
+    }
+    assert_eq!(server.shutdown().timeouts, 2);
+}
+
 /// Graceful drain over the mux: a held stream in flight at shutdown
 /// still gets its answer; afterwards the connection reports dead and
 /// new calls fail fast.
