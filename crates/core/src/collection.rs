@@ -5,9 +5,9 @@
 //! scheme." That is exactly what this module does: each document keeps
 //! its own label space (D-label positions and a P-label domain sized to
 //! its own tag set and depth) and the document id qualifies every
-//! result. Queries fan out across members; per-document schema graphs
+//! result. Queries fan out across members; per-document path summaries
 //! keep Unfold precise, while [`BlasCollection::merged_schema`] exposes
-//! the union schema for cross-corpus reasoning.
+//! their union for cross-corpus reasoning.
 
 use crate::db::{BlasDb, Engine, EngineChoice, QueryResult, Translator};
 use crate::error::BlasError;
@@ -143,7 +143,7 @@ impl BlasCollection {
             .sum())
     }
 
-    /// The union of all member schema graphs.
+    /// The union of all member path summaries.
     pub fn merged_schema(&self) -> SchemaGraph {
         let mut merged = SchemaGraph::new();
         for db in &self.dbs {

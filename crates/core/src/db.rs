@@ -12,7 +12,7 @@
 //!
 //! Whichever way, the same executor answers queries from the same
 //! clustered scans, and nothing on the query path ever needs a tree:
-//! the schema graph the Unfold translator asks for is read off each
+//! the path summary the Unfold translator asks for is read off each
 //! generation's **SP run directory** (a P-label *is* a source path, so
 //! the distinct live P-labels are the document's path summary). The
 //! document tree and the per-node label vectors survive only as
@@ -442,7 +442,7 @@ impl DbSnapshot<'_> {
         &self.gen.store
     }
 
-    /// The pinned generation's schema graph — what the Unfold
+    /// The pinned generation's path summary — what the Unfold
     /// translator unfolds against — read off the store's live P-labels.
     pub fn schema(&self) -> &SchemaGraph {
         self.db.gen_schema(&self.gen)
@@ -615,11 +615,11 @@ impl BlasDb {
         Arc::clone(&read_recover(&self.current))
     }
 
-    /// A generation's schema graph (the Unfold translator's input),
+    /// A generation's path summary (the Unfold translator's input),
     /// read off its path directory: every distinct live P-label decodes
-    /// digit by digit into a root-first tag path, and the set of those
-    /// paths determines the graph. O(distinct source paths + |delta|);
-    /// no tuple is visited and no tree is built.
+    /// digit by digit into a root-first tag path, and the summary is
+    /// the sorted set of those paths. O(distinct source paths +
+    /// |delta|); no tuple is visited and no tree is built.
     fn gen_schema<'a>(&'a self, gen: &'a DbGen) -> &'a SchemaGraph {
         gen.schema.get_or_init(|| {
             // Keys were validated when the store was built or opened
@@ -1090,10 +1090,10 @@ impl BlasDb {
         &self.base.store
     }
 
-    /// The schema graph **as of generation 0** (the Unfold
+    /// The path summary **as of generation 0** (the Unfold
     /// translator's input), read off the generation-0 SP run
     /// directory on first use. Queries translate against their own
-    /// generation's schema ([`DbSnapshot::schema`]).
+    /// generation's summary ([`DbSnapshot::schema`]).
     pub fn schema(&self) -> &SchemaGraph {
         self.gen_schema(&self.base)
     }
@@ -1551,7 +1551,7 @@ fn document_from_store(store: &NodeStore, tags: &TagInterner) -> Result<Document
     // which mutations can legitimately shuffle relative to the
     // fixed-at-load table (a delete or retag can remove a tag's first
     // occurrence), so no order is asserted here. Nothing downstream
-    // mixes the two id spaces: the schema graph is name-based and
+    // mixes the two id spaces: the path summary is name-based and
     // labels always come from the store columns, while record tag ids
     // are range-checked against the table when a snapshot decodes.
     Ok(doc)

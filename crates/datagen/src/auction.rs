@@ -257,9 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn dtd_is_recursive() {
+    fn dtd_recursion_nests_parlist_in_listitem() {
         let doc = Document::parse(&auction(1, 42)).unwrap();
-        assert!(SchemaGraph::infer(&doc).is_recursive());
+        let nested = ["parlist", "listitem", "parlist", "listitem"].map(String::from);
+        assert!(SchemaGraph::infer(&doc).paths().iter().any(|p| p.windows(4).any(|w| w == nested)));
     }
 
     #[test]

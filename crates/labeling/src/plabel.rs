@@ -190,8 +190,8 @@ impl PLabelDomain {
     /// own tag, then its parent's, … down to the root, then zeros
     /// only) into its root-first source path. Because a P-label *is*
     /// its node's source path, the distinct P-labels of a document are
-    /// its path summary — this is how a schema graph is read off the
-    /// SP run directory without touching a tree.
+    /// its path summary — this is how Unfold's `SchemaGraph` is read
+    /// off the SP run directory without touching a tree.
     pub fn path_of_plabel(&self, plabel: u128) -> Result<Vec<TagId>, LabelError> {
         if plabel >= self.m {
             return Err(LabelError::NotANodeLabel { plabel, reason: "outside the domain" });

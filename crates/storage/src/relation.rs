@@ -842,11 +842,10 @@ impl NodeStore {
             let (cols, meta) = {
                 let view = snapshot::TypedView::parse(&source)?;
                 let meta = view.meta()?;
-                // The SP run keys are the document's path summary: the
-                // schema graph is decoded from them, digit by digit,
-                // into tag ids. Validate that here, with the rest of
-                // the directory, so every key names a path of the
-                // domain's tags.
+                // The SP run keys are the document's path summary,
+                // decoded digit by digit into tag ids. Validate that
+                // here, with the rest of the directory, so every key
+                // names a path of the domain's tags.
                 let domain = PLabelDomain::with_digits(meta.num_tags as usize, meta.digits)
                     .map_err(|_| SnapshotError::Corrupt("P-label domain overflows u128"))?;
                 if view.sp_keys.iter().any(|&key| domain.path_of_plabel(key).is_err()) {

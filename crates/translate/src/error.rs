@@ -8,16 +8,12 @@ pub enum TranslateError {
     /// Split/Push-up met a `*` step: wildcards need schema information
     /// (§4.1.3) — use Unfold or the D-labeling baseline.
     WildcardNeedsSchema,
-    /// Unfolding produced more than the safety cap of simple paths
-    /// (extremely recursive schema + deep descendant edges).
+    /// A twig's unfolding multiplied past the safety cap of rewritings
+    /// (many bindings at each of several branching points).
     TooManyUnfoldings {
         /// The cap that was exceeded.
         cap: usize,
     },
-    /// Unfold was asked to expand a tag the schema does not contain.
-    /// (This yields an empty result set; surfaced as an error only in
-    /// strict contexts — translators normally emit an empty plan.)
-    UnknownTag(String),
 }
 
 impl fmt::Display for TranslateError {
@@ -27,9 +23,8 @@ impl fmt::Display for TranslateError {
                 write!(f, "wildcard steps require schema information (use Unfold)")
             }
             Self::TooManyUnfoldings { cap } => {
-                write!(f, "descendant-axis unfolding exceeded the cap of {cap} paths")
+                write!(f, "descendant-axis unfolding exceeded the cap of {cap} rewritings")
             }
-            Self::UnknownTag(t) => write!(f, "tag {t:?} not present in the schema"),
         }
     }
 }

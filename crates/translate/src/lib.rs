@@ -11,11 +11,11 @@
 //! * [`translate_pushup`] — Algorithm 5: branch elimination carries the
 //!   full prefix, producing maximally specific (anchored where possible)
 //!   selections.
-//! * [`translate_unfold`] — §4.1.3: with a schema graph, every
-//!   descendant edge (and every wildcard) is unfolded into the union of
-//!   the concrete simple paths the schema admits, then Push-up runs on
-//!   each unfolding. All selections become equality selections; D-joins
-//!   remain only at branching points.
+//! * [`translate_unfold`] — §4.1.3: against the document's path
+//!   summary, every descendant edge (and every wildcard) is unfolded
+//!   into the union of the live simple paths it matches, each once, then
+//!   Push-up runs on each unfolding. All selections become equality
+//!   selections; D-joins remain only at branching points.
 //!
 //! Plans are *symbolic* (tag names); [`bind()`](bind::bind) resolves them against a
 //! concrete document's tag interner and P-label domain, yielding

@@ -1,12 +1,20 @@
-//! The Unfold translator (§4.1.3): schema-driven descendant-axis
-//! elimination.
+//! The Unfold translator (§4.1.3): descendant-axis and wildcard
+//! elimination against the path summary.
 //!
 //! `p//q` is rewritten into the union of `p/r1/…/q`, `p/r2/…/q`, … over
-//! every simple path the schema graph admits (bounded by the instance
-//! depth for recursive schemas). Wildcards are substituted with the
-//! concrete tags the schema allows. The rewritten queries contain only
-//! child axes and are then translated with Push-up, so every selection
-//! is an equality selection and D-joins remain only at branching points.
+//! the simple paths `//` can stand for — and the [`SchemaGraph`] holds
+//! exactly the live ones, sorted, so the paths extending a bound prefix
+//! are one contiguous range of it. The query is cut into the maximal
+//! chains of steps between branching points (the chains Split and
+//! Push-up cut), and each chain is matched as a unit against the paths
+//! under its anchor: a `/` step extends the path by one tag, a `//` step
+//! by one or more, and `*` matches any tag. Every matching path comes
+//! out once, so a linear query becomes a union of distinct P-label
+//! equality selections, one per matching live path. A twig multiplies
+//! rewritings only at its branching points. The rewritten queries
+//! contain only child axes and concrete tags and are then translated
+//! with Push-up, so every selection is an equality selection and D-joins
+//! remain only at branching points.
 
 use crate::decompose::translate_pushup;
 use crate::error::TranslateError;
@@ -14,63 +22,104 @@ use crate::plan::Plan;
 use blas_xml::SchemaGraph;
 use blas_xpath::{Axis, NodeTest, QNode, QNodeId, QueryTree};
 
-/// Safety cap on the number of unfolded queries (cartesian product over
-/// descendant edges of a recursive schema can explode).
+/// Safety cap on the rewritings a twig multiplies at its branching
+/// points (`//*[*][*][*]` grows with the cube of the fan-out). A linear
+/// query yields at most one rewriting per live path and is never capped.
 pub const UNFOLD_CAP: usize = 4096;
 
 /// Translate `q` with the Unfold algorithm against `schema`.
 ///
 /// Returns a [`Plan::Union`] over the unfolded alternatives (a single
-/// alternative is returned unwrapped). An empty union means the schema
-/// proves the query unsatisfiable.
+/// alternative is returned unwrapped). An empty union means no live path
+/// matches the query.
 pub fn translate_unfold(q: &QueryTree, schema: &SchemaGraph) -> Result<Plan, TranslateError> {
-    let rewritings = unfold_rewritings(q, schema, UNFOLD_CAP)?;
-    let mut alts = Vec::with_capacity(rewritings.len());
-    for rw in &rewritings {
-        alts.push(translate_pushup(rw)?);
-    }
+    let mut alts = unfold_rewritings(q, schema, UNFOLD_CAP)?
+        .iter()
+        .map(translate_pushup)
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(match alts.len() {
         1 => alts.pop().expect("length checked"),
         _ => Plan::Union(alts),
     })
 }
 
-/// Enumerate all `//`- and `*`-free rewritings of `q` over `schema`.
+/// Enumerate all `//`- and `*`-free rewritings of `q` over the live
+/// paths of `schema`. A twig past `cap` rewritings fails with
+/// [`TranslateError::TooManyUnfoldings`].
 pub fn unfold_rewritings(
     q: &QueryTree,
     schema: &SchemaGraph,
     cap: usize,
 ) -> Result<Vec<QueryTree>, TranslateError> {
-    let rw = Rewriter { q, schema, cap };
+    // A query that is one chain yields each matching path once: no
+    // product to bound.
+    let linear = chain(q, q.root()).last().is_some_and(|&end| q.node(end).children.is_empty());
+    let cap = if linear { usize::MAX } else { cap };
+    let rw = Rewriter { q, paths: schema.paths(), cap };
     let mut results = Vec::new();
-    let build = Build { nodes: Vec::new(), depths: Vec::new(), output_new: None };
-    rw.rec(
-        &[WorkItem { orig: q.root(), parent_new: None }],
-        build,
-        &mut results,
-    )?;
+    let root = WorkItem { orig: q.root(), parent_new: None, anchor: &[] };
+    rw.rec(&[root], Build::default(), &mut results)?;
     Ok(results)
 }
 
-#[derive(Clone, Copy)]
-struct WorkItem {
-    orig: QNodeId,
-    parent_new: Option<u32>,
+/// The maximal chain of steps entered at `entry`: it runs on through
+/// every step with exactly one child that is neither the output nor
+/// value-tested, whatever the axes and node tests.
+fn chain(q: &QueryTree, entry: QNodeId) -> Vec<QNodeId> {
+    let (mut chain, mut id) = (vec![entry], entry);
+    while let [only] = q.node(id).children[..] {
+        if id == q.output() || q.node(id).value_eq.is_some() {
+            break;
+        }
+        chain.push(only);
+        id = only;
+    }
+    chain
 }
 
-#[derive(Clone)]
+/// Whether `tail` spells `steps`: a `/` step consumes exactly one tag, a
+/// `//` step one or more, and the last tag a step consumes passes its
+/// node test.
+fn spells(q: &QueryTree, steps: &[QNodeId], tail: &[String]) -> bool {
+    let passes = |s: QNodeId, tag: &str| q.node(s).test.tag().is_none_or(|t| t == tag);
+    match (steps.last(), tail.last()) {
+        (None, None) => return true,
+        (Some(&s), Some(tag)) if passes(s, tag) => {}
+        _ => return false,
+    }
+    // at[j]: the tags read so far are exactly consumed by steps[..j].
+    let mut at = vec![false; steps.len() + 1];
+    at[0] = true;
+    for tag in tail {
+        for j in (0..=steps.len()).rev() {
+            let stay = at[j] && steps.get(j).is_some_and(|&s| q.node(s).axis == Axis::Descendant);
+            let step = j > 0 && at[j - 1] && passes(steps[j - 1], tag);
+            at[j] = stay || step;
+        }
+    }
+    at[steps.len()]
+}
+
+#[derive(Clone, Copy)]
+struct WorkItem<'a> {
+    orig: QNodeId,
+    parent_new: Option<u32>,
+    /// The live path bound to the step above `orig` (empty at the root).
+    anchor: &'a [String],
+}
+
+#[derive(Clone, Default)]
 struct Build {
     nodes: Vec<QNode>,
-    depths: Vec<u16>,
     output_new: Option<u32>,
 }
 
 impl Build {
-    /// Append one step; returns its index.
-    fn push_step(&mut self, axis: Axis, tag: &str, parent: Option<u32>) -> u32 {
+    /// Append one child step; returns its index.
+    fn push_step(&mut self, tag: &str, parent: Option<u32>) -> u32 {
         let id = self.nodes.len() as u32;
         self.nodes.push(QNode {
-            axis,
+            axis: Axis::Child,
             test: NodeTest::Tag(tag.to_string()),
             value_eq: None,
             parent: parent.map(QNodeId),
@@ -79,86 +128,43 @@ impl Build {
         if let Some(p) = parent {
             self.nodes[p as usize].children.push(QNodeId(id));
         }
-        let depth = parent.map_or(1, |p| self.depths[p as usize] + 1);
-        self.depths.push(depth);
         id
     }
 }
 
 struct Rewriter<'a> {
     q: &'a QueryTree,
-    schema: &'a SchemaGraph,
+    /// The summary's sorted live paths.
+    paths: &'a [Vec<String>],
     cap: usize,
 }
 
 impl<'a> Rewriter<'a> {
-    /// Enumerate the tag chains that can realize the edge into `orig`
-    /// from a parent with tag `parent_tag` at depth `parent_depth`.
-    /// Each chain ends with the tag substituted for `orig` itself.
-    fn edge_options(
-        &self,
-        orig: QNodeId,
-        parent_tag: Option<&str>,
-        parent_depth: u16,
-    ) -> Vec<Vec<String>> {
-        let node = self.q.node(orig);
-        let bound = self.schema.depth_bound();
-        let remaining = bound.saturating_sub(parent_depth);
-        match (parent_tag, node.axis, &node.test) {
-            // Root steps.
-            (None, Axis::Child, NodeTest::Tag(t)) => {
-                if self.schema.roots().any(|r| r == t.as_str()) {
-                    vec![vec![t.clone()]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (None, Axis::Child, NodeTest::Wildcard) => {
-                self.schema.roots().map(|r| vec![r.to_string()]).collect()
-            }
-            (None, Axis::Descendant, NodeTest::Tag(t)) => self.schema.root_paths_to(t, bound),
-            (None, Axis::Descendant, NodeTest::Wildcard) => {
-                let mut all = Vec::new();
-                for tag in self.schema.tags() {
-                    all.extend(self.schema.root_paths_to(tag, bound));
-                }
-                all.sort();
-                all.dedup();
-                all
-            }
-            // Interior steps.
-            (Some(p), Axis::Child, NodeTest::Tag(t)) => {
-                if remaining >= 1 && self.schema.children_of(p).any(|c| c == t.as_str()) {
-                    vec![vec![t.clone()]]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(p), Axis::Child, NodeTest::Wildcard) => {
-                if remaining >= 1 {
-                    self.schema.children_of(p).map(|c| vec![c.to_string()]).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(p), Axis::Descendant, NodeTest::Tag(t)) => {
-                self.schema.paths_between(p, t, remaining)
-            }
-            (Some(p), Axis::Descendant, NodeTest::Wildcard) => {
-                let mut all = Vec::new();
-                for tag in self.schema.tags() {
-                    all.extend(self.schema.paths_between(p, tag, remaining));
-                }
-                all.sort();
-                all.dedup();
-                all
-            }
-        }
+    /// The live paths below `anchor` that `steps` can end on, each once.
+    /// The leading `/tag` steps fix a longer prefix, whose extensions
+    /// are one range of the sorted set; the rest are spelled per path.
+    fn chain_ends(&self, steps: &[QNodeId], anchor: &[String]) -> Vec<&'a [String]> {
+        let mut prefix = anchor.to_vec();
+        prefix.extend(
+            steps
+                .iter()
+                .map(|&s| self.q.node(s))
+                .map_while(|n| n.test.tag().filter(|_| n.axis == Axis::Child))
+                .map(str::to_string),
+        );
+        let rest = &steps[prefix.len() - anchor.len()..];
+        let lo = self.paths.partition_point(|p| p.as_slice() < prefix.as_slice());
+        let hi = lo + self.paths[lo..].partition_point(|p| p.starts_with(&prefix));
+        self.paths[lo..hi]
+            .iter()
+            .filter(|p| spells(self.q, rest, &p[prefix.len()..]))
+            .map(Vec::as_slice)
+            .collect()
     }
 
     fn rec(
         &self,
-        worklist: &[WorkItem],
+        worklist: &[WorkItem<'a>],
         build: Build,
         out: &mut Vec<QueryTree>,
     ) -> Result<(), TranslateError> {
@@ -171,42 +177,30 @@ impl<'a> Rewriter<'a> {
             out.push(QueryTree::from_parts(build.nodes, QNodeId(0), output));
             return Ok(());
         };
-        let (parent_tag, parent_depth) = match item.parent_new {
-            Some(p) => (
-                Some(
-                    self_tag(&build.nodes[p as usize].test)
-                        .expect("built nodes are concrete")
-                        .to_string(),
-                ),
-                build.depths[p as usize],
-            ),
-            None => (None, 0),
-        };
-        let options = self.edge_options(item.orig, parent_tag.as_deref(), parent_depth);
-        let orig_node = self.q.node(item.orig);
-        for chain in options {
+        let steps = chain(self.q, item.orig);
+        let end = *steps.last().expect("chains are non-empty");
+        let end_node = self.q.node(end);
+        for path in self.chain_ends(&steps, item.anchor) {
             let mut b = build.clone();
             let mut parent = item.parent_new;
-            let (last, intermediates) = chain.split_last().expect("chains are non-empty");
-            // Intermediate steps materialize the unfolded `//` edge; the
-            // first inserted step keeps a child axis (the whole
-            // rewriting is anchored at the schema root).
-            for mid in intermediates {
-                parent = Some(b.push_step(Axis::Child, mid, parent));
+            // The chain becomes the path's new tags, all on child axes
+            // (the whole rewriting is anchored at the document root).
+            for tag in &path[item.anchor.len()..] {
+                parent = Some(b.push_step(tag, parent));
             }
-            let new_id = b.push_step(Axis::Child, last, parent);
-            b.nodes[new_id as usize].value_eq = orig_node.value_eq.clone();
-            if item.orig == self.q.output() {
+            let new_id = parent.expect("a chain consumes at least one tag");
+            b.nodes[new_id as usize].value_eq = end_node.value_eq.clone();
+            if end == self.q.output() {
                 b.output_new = Some(new_id);
             }
-            // Queue original children under the new node. Prepend so the
-            // traversal stays depth-first (children before pending
+            // Queue the chain end's children under the new node. Prepend
+            // so the traversal stays depth-first (children before pending
             // siblings — required so predicate subtrees are complete
             // before the spine continues, preserving child order).
-            let mut next: Vec<WorkItem> = orig_node
+            let mut next: Vec<WorkItem> = end_node
                 .children
                 .iter()
-                .map(|&c| WorkItem { orig: c, parent_new: Some(new_id) })
+                .map(|&c| WorkItem { orig: c, parent_new: Some(new_id), anchor: path })
                 .collect();
             next.extend_from_slice(rest);
             self.rec(&next, b, out)?;
@@ -215,31 +209,51 @@ impl<'a> Rewriter<'a> {
     }
 }
 
-fn self_tag(test: &NodeTest) -> Option<&str> {
-    test.tag()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{SelectSource, Selection};
     use blas_xpath::parse;
 
-    /// Protein-like tree schema.
+    /// Protein-like path summary.
     fn protein_schema() -> SchemaGraph {
-        let mut s = SchemaGraph::new();
-        s.declare_root("db");
-        s.declare_edge("db", "entry");
-        s.declare_edge("entry", "protein");
-        s.declare_edge("protein", "classification");
-        s.declare_edge("classification", "superfamily");
-        s.declare_edge("entry", "reference");
-        s.declare_edge("reference", "refinfo");
-        s.declare_edge("refinfo", "authors");
-        s.declare_edge("authors", "author");
-        s.declare_edge("refinfo", "year");
-        s.set_depth_bound(6);
-        s
+        SchemaGraph::from_source_paths([
+            &["db"][..],
+            &["db", "entry"],
+            &["db", "entry", "protein"],
+            &["db", "entry", "protein", "classification"],
+            &["db", "entry", "protein", "classification", "superfamily"],
+            &["db", "entry", "reference"],
+            &["db", "entry", "reference", "refinfo"],
+            &["db", "entry", "reference", "refinfo", "authors"],
+            &["db", "entry", "reference", "refinfo", "authors", "author"],
+            &["db", "entry", "reference", "refinfo", "year"],
+        ])
+    }
+
+    /// `r` over an `a` chain and a `b` chain `depth` deep, then `a/b` and
+    /// `b/a`: every tag sits on many paths.
+    fn two_tag_schema(depth: usize) -> SchemaGraph {
+        let mut paths = vec![vec!["r"], vec!["r", "a", "b"], vec!["r", "b", "a"]];
+        for tag in ["a", "b"] {
+            for k in 1..=depth {
+                paths.push(std::iter::once("r").chain(std::iter::repeat_n(tag, k)).collect());
+            }
+        }
+        SchemaGraph::from_source_paths(paths)
+    }
+
+    fn selected_paths(plan: &Plan) -> Vec<String> {
+        let arms = match plan {
+            Plan::Union(alts) => alts.as_slice(),
+            one => std::slice::from_ref(one),
+        };
+        arms.iter()
+            .map(|arm| match arm {
+                Plan::Select(sel) => sel.source.to_string(),
+                other => panic!("{other}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -299,18 +313,40 @@ mod tests {
 
     #[test]
     fn recursive_schema_bounded_by_depth() {
-        let mut s = SchemaGraph::new();
-        s.declare_root("site");
-        s.declare_edge("site", "parlist");
-        s.declare_edge("parlist", "listitem");
-        s.declare_edge("listitem", "parlist");
-        s.set_depth_bound(6);
+        let s = SchemaGraph::from_source_paths([
+            &["site"][..],
+            &["site", "parlist"],
+            &["site", "parlist", "listitem"],
+            &["site", "parlist", "listitem", "parlist"],
+            &["site", "parlist", "listitem", "parlist", "listitem"],
+        ]);
         let q = parse("//listitem").unwrap();
         let plan = translate_unfold(&q, &s).unwrap();
         // site/parlist/listitem and site/parlist/listitem/parlist/listitem.
         let su = plan.summary();
         assert_eq!(su.eq_selections, 2);
         assert_eq!(su.d_joins, 0);
+    }
+
+    #[test]
+    fn each_matching_path_is_one_arm() {
+        let s = two_tag_schema(12);
+        // A `//` chain that can split one path many ways still names it
+        // once, and nothing the summary lacks is invented.
+        let unfold = |xpath: &str| translate_unfold(&parse(xpath).unwrap(), &s).unwrap();
+        for (xpath, want) in
+            [("//a", 13), ("//a//b", 1), ("/r//a/b", 1), ("//*", 27), ("//a//a//a", 10)]
+        {
+            let plan = unfold(xpath);
+            let arms = selected_paths(&plan);
+            assert_eq!(arms.len(), want, "{xpath}: {arms:?}");
+            let mut distinct = arms.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), arms.len(), "{xpath}");
+            assert_eq!(plan.summary().d_joins, 0, "{xpath}");
+        }
+        assert_eq!(selected_paths(&unfold("/r/*/b")), ["/r/a/b", "/r/b/b"]);
     }
 
     #[test]
@@ -334,14 +370,11 @@ mod tests {
 
     #[test]
     fn cap_enforced() {
-        // Deep recursion with a tiny cap.
-        let mut s = SchemaGraph::new();
-        s.declare_root("r");
-        s.declare_edge("r", "a");
-        s.declare_edge("a", "a");
-        s.set_depth_bound(12);
-        let q = parse("//a").unwrap();
-        let err = unfold_rewritings(&q, &s, 4).unwrap_err();
+        // A twig multiplies: each binding of `*` times its children, twice.
+        let s = two_tag_schema(12);
+        let err = unfold_rewritings(&parse("//*[*][*]").unwrap(), &s, 4).unwrap_err();
         assert!(matches!(err, TranslateError::TooManyUnfoldings { cap: 4 }));
+        // A linear query is one chain: one rewriting per path, uncapped.
+        assert_eq!(unfold_rewritings(&parse("//*").unwrap(), &s, 4).unwrap().len(), 27);
     }
 }

@@ -15,9 +15,9 @@
 //!   serializer.
 //! * [`serialize`] — writes a [`Document`] back out as XML (used by the
 //!   data generators and for parser round-trip property tests).
-//! * [`schema`] — a directed schema graph over tags (a DTD abstraction),
-//!   either declared or inferred from an instance; supports the simple
-//!   path enumeration that the Unfold translator requires (§4.1.3).
+//! * [`schema`] — the path summary: a document's distinct root-first
+//!   tag paths, sorted, inferred from an instance or read off a store;
+//!   the simple paths the Unfold translator expands `//` into (§4.1.3).
 //! * [`stats`] — per-document statistics reproducing the Fig. 12 table
 //!   (size, node count, distinct tags, depth).
 

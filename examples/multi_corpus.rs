@@ -44,13 +44,14 @@ fn main() {
         println!("  {:<16} {}", q, cells.join("  "));
     }
 
-    // The merged schema spans all corpora.
+    // The merged path summary spans all corpora.
     let schema = collection.merged_schema();
     println!(
-        "\nMerged schema: {} tags, roots = [{}], recursive = {}",
+        "\nMerged schema: {} tags, {} distinct source paths, depth {}, roots = [{}]",
         schema.tags().count(),
-        schema.roots().collect::<Vec<_>>().join(", "),
-        schema.is_recursive()
+        schema.paths().len(),
+        schema.depth_bound(),
+        schema.roots().collect::<Vec<_>>().join(", ")
     );
 
     // Engines and translators still apply per member.

@@ -3,10 +3,13 @@
 //! §5.2.2 accounting claims, frozen so a translator regression is
 //! caught immediately — plus which shapes a count answers off the run
 //! directory, so a change that loses that shortcut fails here instead
-//! of quietly costing the count-only path its speed.
+//! of quietly costing the count-only path its speed, and Unfold's
+//! exactness: one arm per matching live key on linear queries.
 
-use blas::{BlasDb, EngineChoice, PlanSummary, Translator};
+use blas::{BlasDb, EngineChoice, Plan, PlanSummary, Translator};
 use blas_datagen::DatasetId;
+use blas_translate::SelectSource;
+use blas_xpath::{parse, Axis};
 use std::path::PathBuf;
 
 /// (query id, xpath, per-translator (d_joins, eq_sel, range_sel, tag_scans)).
@@ -115,6 +118,102 @@ fn unfold_has_no_range_selections_on_fig10() {
             let s = db.plan(q.xpath, Translator::Unfold).unwrap().summary();
             assert_eq!(s.range_selections, 0, "{}", q.id);
             assert_eq!(s.tag_scans, 0, "{}", q.id);
+        }
+    }
+}
+
+/// Whether `path` spells `steps` — `(descendant?, tag or "*")` — by
+/// trying every split: the slow, obviously right reference.
+fn spells(steps: &[(bool, &str)], path: &[&str]) -> bool {
+    let Some((&(deep, test), rest)) = steps.split_first() else {
+        return path.is_empty();
+    };
+    let longest = if deep { path.len() } else { path.len().min(1) };
+    (1..=longest).any(|k| (test == "*" || test == path[k - 1]) && spells(rest, &path[k..]))
+}
+
+/// Unfold is exact on linear queries: on Auction ×1 its arms are the
+/// live keys a brute-force matcher picks — each once, none the
+/// directory lacks — so a count reads no element and joins nothing.
+#[test]
+fn unfold_arms_are_exactly_the_matching_live_keys() {
+    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
+    let keys: Vec<Vec<&str>> = db
+        .store()
+        .live_plabels()
+        .into_iter()
+        .map(|p| {
+            let path = db.domain().path_of_plabel(p).unwrap();
+            path.into_iter().map(|t| db.tags().name(t)).collect()
+        })
+        .collect();
+    let unfold = EngineChoice::rdbms().with_translator(Translator::Unfold);
+    for xpath in [
+        "//listitem",
+        "//text",
+        "//listitem//listitem",
+        "//parlist//text",
+        "/site//parlist/listitem",
+        "//*",
+    ] {
+        let q = parse(xpath).unwrap();
+        let steps: Vec<(bool, &str)> = q
+            .spine()
+            .into_iter()
+            .map(|s| (q.node(s).axis == Axis::Descendant, q.node(s).test.tag().unwrap_or("*")))
+            .collect();
+        let mut want: Vec<String> = keys
+            .iter()
+            .filter(|k| spells(&steps, k))
+            .map(|k| format!("/{}", k.join("/")))
+            .collect();
+        want.sort();
+        let plan = db.plan(xpath, Translator::Unfold).unwrap();
+        let alts = match plan {
+            Plan::Union(alts) => alts,
+            one => vec![one],
+        };
+        let mut arms: Vec<String> = alts
+            .into_iter()
+            .map(|arm| match arm {
+                Plan::Select(s) if matches!(s.source, SelectSource::Path { anchored: true, .. }) => {
+                    s.source.to_string()
+                }
+                other => panic!("{xpath}: arm {other}"),
+            })
+            .collect();
+        arms.sort();
+        assert_eq!(arms, want, "{xpath}: arms = the matching live keys, each once");
+        let c = db.count(xpath, unfold).unwrap();
+        assert_eq!(c.count, db.query(xpath, unfold).unwrap().nodes.len(), "{xpath}");
+        assert_eq!((c.stats.elements_visited, c.stats.d_joins), (0, 0), "{xpath}");
+    }
+}
+
+/// Unfolding against the live paths never reads more than unfolding
+/// against the tag graph did: each Fig. 10 query's `elements_visited`
+/// under Unfold at ×1, at most the figure the graph-walking translator
+/// recorded.
+#[test]
+fn unfold_reads_no_more_than_the_graph_walk_on_fig10() {
+    let graph_walk = [
+        ("QS1", 14_634),
+        ("QS2", 11),
+        ("QS3", 15_804),
+        ("QP1", 3_700),
+        ("QP2", 11_192),
+        ("QP3", 22_418),
+        ("QA1", 168),
+        ("QA2", 1_320),
+        ("QA3", 573),
+    ];
+    let unfold = EngineChoice::rdbms().with_translator(Translator::Unfold);
+    for ds in DatasetId::ALL {
+        let db = BlasDb::load(&ds.generate(1)).unwrap();
+        for q in blas_datagen::query_set(ds) {
+            let (_, before) = graph_walk.iter().find(|(id, _)| *id == q.id).unwrap();
+            let visited = db.query(q.xpath, unfold).unwrap().stats.elements_visited;
+            assert!(visited <= *before, "{}: {visited} > {before}", q.id);
         }
     }
 }

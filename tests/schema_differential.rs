@@ -1,7 +1,7 @@
-//! Schema differential: the schema graph a generation **reads off its
+//! Schema differential: the path summary a generation **reads off its
 //! SP path directory** must equal `SchemaGraph::infer` of the document
-//! rebuilt from that generation's tuples — edges, roots and depth
-//! bound — after **every** step of a random insert / delete / retag /
+//! rebuilt from that generation's tuples — the exact set of source
+//! paths — after **every** step of a random insert / delete / retag /
 //! compact script, on flat and on recursive (`parlist`/`listitem`)
 //! documents, for an owned database and its memory-mapped twin.
 //!
@@ -201,7 +201,7 @@ fn pinned_schema_corner_cases() {
     assert_eq!(s.roots().collect::<Vec<_>>(), ["regions"]);
     assert!(!s.contains("site"));
     assert_eq!(kids(&s, "regions"), ["item", "regions"]);
-    assert!(s.is_recursive());
+    assert!(s.paths().contains(&vec!["regions".to_string(), "regions".to_string()]));
     assert_eq!(s, inferred(&db));
     assert_eq!(db.query("/regions/regions/item", EngineChoice::auto()).unwrap().nodes.len(), 1);
 
