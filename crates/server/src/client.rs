@@ -11,11 +11,24 @@
 //!   from a dedicated reader thread. Clone the [`MuxClient`] per
 //!   thread; they share the connection.
 //!
+//! ## Decoding
+//!
+//! A `query` reply is decoded without a value tree on every path: the
+//! typed calls ([`Client::query`], [`Client::query_on`],
+//! [`Client::query_count`], [`MuxClient`]'s) read it into a
+//! [`Response`] — binary by [`wire::decode_response`], JSON in one pass
+//! by [`wire::decode_json_query_response`], which writes the node array
+//! straight into D-label triples — and unwrap that into a
+//! [`QueryReply`]. Only the generic [`Client::call`] builds a [`Json`]
+//! tree of the whole reply, and hands back its `result` moved out, not
+//! copied.
+//!
 //! ## Poisoning
 //!
 //! A connection whose framing can no longer be trusted — a write that
 //! may have left a partial frame on the socket, a timed-out or
-//! truncated read — is **poisoned**: the socket is shut down and every
+//! truncated read, a response that does not decode or carries another
+//! call's id — is **poisoned**: the socket is shut down and every
 //! later call fails fast with [`ClientError::Poisoned`] instead of
 //! desyncing on stale bytes. Typed server errors (`overloaded`,
 //! `xpath`, …) never poison; the stream stays aligned.
@@ -90,7 +103,9 @@ impl From<io::Error> for ClientError {
 /// encoding one does not regrow its frame buffer.
 const REQUEST_HINT: usize = 128;
 
-/// One decoded `query` response.
+/// One decoded `query` response. The typed calls build it without a
+/// value tree on either wire (see the module docs); [`Client::call`] is
+/// the path that returns the reply as a [`Json`] tree instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryReply {
     /// Generation the answer was computed against.
@@ -162,70 +177,127 @@ impl Client {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    /// Issue one call and wait for its response. Returns the
-    /// response's `result` value, or the typed error the server sent.
-    pub fn call(&mut self, method: &str, params: Json) -> Result<Json, ClientError> {
+    /// The id for the next call, or `Poisoned`.
+    fn next_call(&mut self) -> Result<u64, ClientError> {
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
         self.next_id += 1;
-        let id = self.next_id;
-        let resp = match self.proto {
+        Ok(self.next_id)
+    }
+
+    /// Issue one call and wait for its response. Returns the
+    /// response's `result` value, or the typed error the server sent.
+    ///
+    /// This is the generic path, and it builds a value tree of the
+    /// whole reply: over JSON the frame is parsed into a [`Json`] and
+    /// its `result` moved out; over binary the typed response becomes
+    /// the same tree, a node array included as `[start, end, level]`
+    /// arrays. The typed calls ([`Client::query`] and friends) build no
+    /// tree.
+    pub fn call(&mut self, method: &str, params: Json) -> Result<Json, ClientError> {
+        let id = self.next_call()?;
+        match self.proto {
             Proto::Json => {
                 let req = Json::Obj(vec![
-                    ("id".into(), Json::num(id as f64)),
+                    ("id".into(), Json::uint(id)),
                     ("method".into(), Json::str(method)),
                     ("params".into(), params),
                 ]);
                 self.write_poisoning(json_frame(&req))?;
                 let bytes = self.read_frame()?;
-                let text = std::str::from_utf8(&bytes).map_err(|_| {
-                    self.poison();
-                    ClientError::Protocol("response is not UTF-8".into())
-                })?;
-                json::parse(text).map_err(|e| {
+                let text = self.text(&bytes)?;
+                let resp = json::parse(text).map_err(|e| {
                     self.poison();
                     ClientError::Protocol(format!("bad response JSON: {e}"))
-                })?
+                })?;
+                let (echoed, result, error) = envelope(resp);
+                self.check_echo(&echoed, error.is_some(), id)?;
+                if let Some(err) = error {
+                    let field = |key| err.get(key).and_then(Json::as_str);
+                    return Err(ClientError::Rpc {
+                        code: field("code").unwrap_or("internal").to_string(),
+                        message: field("message").unwrap_or_default().to_string(),
+                    });
+                }
+                result.ok_or_else(|| {
+                    ClientError::Protocol("response has neither result nor error".into())
+                })
             }
             Proto::Binary => {
                 let req = Request::from_json(method, &params).map_err(|(code, message)| {
                     ClientError::Rpc { code: code.as_str().into(), message }
                 })?;
-                let mut frame = frame_buf(REQUEST_HINT);
-                wire::encode_request(id, &req, &mut frame)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                self.write_poisoning(frame)?;
-                let bytes = self.read_frame()?;
-                let (sid, resp) = wire::decode_response(&bytes).map_err(|e| {
-                    self.poison();
-                    ClientError::Protocol(e.to_string())
-                })?;
-                if sid != id {
-                    self.poison();
-                    return Err(ClientError::Protocol(format!(
-                        "response for stream {sid}, expected {id}"
-                    )));
-                }
-                resp.to_json(&Json::uint(id))
+                result_tree(self.binary_call(id, &req)?)
             }
-        };
-        if let Some(err) = resp.get("error") {
-            let code = err
-                .get("code")
-                .and_then(Json::as_str)
-                .unwrap_or("internal")
-                .to_string();
-            let message = err
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
-            return Err(ClientError::Rpc { code, message });
         }
-        resp.get("result")
-            .cloned()
-            .ok_or_else(|| ClientError::Protocol("response has neither result nor error".into()))
+    }
+
+    /// Send a typed `query` and decode its reply on either wire without
+    /// a value tree: JSON through
+    /// [`wire::decode_json_query_response`], binary through
+    /// [`wire::decode_response`], then the same [`reply_of`] the
+    /// [`MuxConn`] uses.
+    fn query_call(&mut self, req: &Request) -> Result<QueryReply, ClientError> {
+        let id = self.next_call()?;
+        let resp = match self.proto {
+            Proto::Json => {
+                self.write_poisoning(json_frame(&req.to_json(&Json::uint(id))))?;
+                let bytes = self.read_frame()?;
+                let text = self.text(&bytes)?;
+                let (echoed, resp) = wire::decode_json_query_response(text).map_err(|e| {
+                    self.poison();
+                    ClientError::Protocol(format!("bad query reply: {e}"))
+                })?;
+                self.check_echo(&echoed, matches!(resp, Response::Error { .. }), id)?;
+                resp
+            }
+            Proto::Binary => self.binary_call(id, req)?,
+        };
+        reply_of(resp)
+    }
+
+    /// One binary round trip on stream `id`.
+    fn binary_call(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
+        let mut frame = frame_buf(REQUEST_HINT);
+        wire::encode_request(id, req, &mut frame)
+            .map_err(|e| ClientError::Protocol(e.to_string()))?;
+        self.write_poisoning(frame)?;
+        let bytes = self.read_frame()?;
+        let (sid, resp) = wire::decode_response(&bytes).map_err(|e| {
+            self.poison();
+            ClientError::Protocol(e.to_string())
+        })?;
+        if sid != id {
+            self.poison();
+            return Err(ClientError::Protocol(format!("response for stream {sid}, expected {id}")));
+        }
+        Ok(resp)
+    }
+
+    /// A JSON frame's text; a frame that is not UTF-8 poisons.
+    fn text<'b>(&mut self, bytes: &'b [u8]) -> Result<&'b str, ClientError> {
+        std::str::from_utf8(bytes).map_err(|_| {
+            self.poison();
+            ClientError::Protocol("response is not UTF-8".into())
+        })
+    }
+
+    /// A JSON response must echo the call's `id`. The server answers a
+    /// frame it cannot attribute — the connection limit, the idle
+    /// timeout, a malformed frame — with a `null` id, so `null` passes
+    /// on an error and nowhere else; any other id means the stream is
+    /// misaligned, and the connection is poisoned.
+    fn check_echo(&mut self, echoed: &Json, is_error: bool, id: u64) -> Result<(), ClientError> {
+        let ours = match echoed {
+            Json::Null => is_error,
+            other => other.as_u64() == Some(id),
+        };
+        if ours {
+            return Ok(());
+        }
+        self.poison();
+        Err(ClientError::Protocol(format!("response for id {echoed}, expected {id}")))
     }
 
     /// Send one frame (begun with [`frame_buf`]) in one write; any
@@ -267,12 +339,7 @@ impl Client {
     /// Run `xpath` with the given engine token (`"auto"`, `"rdbms"`,
     /// `"twig"`, `"twigstack"`) and decode the full reply.
     pub fn query(&mut self, xpath: &str, engine: &str) -> Result<QueryReply, ClientError> {
-        let params = Json::Obj(vec![
-            ("xpath".into(), Json::str(xpath)),
-            ("engine".into(), Json::str(engine)),
-        ]);
-        let r = self.call("query", params)?;
-        decode_query_reply(&r)
+        self.query_call(&query_req("", xpath, engine, true, true))
     }
 
     /// Like [`Client::query`], addressed to a named database.
@@ -282,13 +349,7 @@ impl Client {
         xpath: &str,
         engine: &str,
     ) -> Result<QueryReply, ClientError> {
-        let params = Json::Obj(vec![
-            ("db".into(), Json::str(db)),
-            ("xpath".into(), Json::str(xpath)),
-            ("engine".into(), Json::str(engine)),
-        ]);
-        let r = self.call("query", params)?;
-        decode_query_reply(&r)
+        self.query_call(&query_req(db, xpath, engine, true, true))
     }
 
     /// Count-only query (`labels: false`). With `use_cache: false` the
@@ -302,14 +363,7 @@ impl Client {
         engine: &str,
         use_cache: bool,
     ) -> Result<QueryReply, ClientError> {
-        let params = Json::Obj(vec![
-            ("xpath".into(), Json::str(xpath)),
-            ("engine".into(), Json::str(engine)),
-            ("labels".into(), Json::Bool(false)),
-            ("cache".into(), Json::Bool(use_cache)),
-        ]);
-        let r = self.call("query", params)?;
-        decode_query_reply(&r)
+        self.query_call(&query_req("", xpath, engine, false, use_cache))
     }
 
     /// Insert a rightmost-spine subtree; returns the new generation.
@@ -361,54 +415,56 @@ fn cleared_of(result: &Json) -> Result<u64, ClientError> {
         .ok_or_else(|| ClientError::Protocol("clear_cache reply lacks \"cleared\"".into()))
 }
 
-fn decode_query_reply(r: &Json) -> Result<QueryReply, ClientError> {
-    let bad = |what: &str| ClientError::Protocol(format!("query reply lacks {what}"));
-    let nodes = match r.get("nodes") {
-        None => Vec::new(),
-        Some(v) => {
-            // A binary-decoded response renders its node array as a
-            // pre-serialized `Json::Raw` splice (the server's
-            // zero-copy path); parse it before reading triples.
-            let parsed;
-            let v = match v {
-                Json::Raw(text) => {
-                    parsed = json::parse(text).map_err(|e| {
-                        ClientError::Protocol(format!("bad nodes splice: {e}"))
-                    })?;
-                    &parsed
-                }
-                other => other,
+/// A `query` request on either wire.
+fn query_req(db: &str, xpath: &str, engine: &str, labels: bool, cache: bool) -> Request {
+    Request::Query {
+        db: db.to_string(),
+        xpath: xpath.to_string(),
+        engine: engine.to_string(),
+        labels,
+        cache,
+        hold_ms: None,
+    }
+}
+
+/// Move a JSON response's `id`, `result` and `error` out of it; the
+/// first of a repeated key counts, as [`Json::get`] reads. A missing
+/// `id` reads as `null`.
+fn envelope(resp: Json) -> (Json, Option<Json>, Option<Json>) {
+    let (mut id, mut result, mut error) = (None, None, None);
+    if let Json::Obj(fields) = resp {
+        for (key, value) in fields {
+            let slot = match key.as_str() {
+                "id" => &mut id,
+                "result" => &mut result,
+                "error" => &mut error,
+                _ => continue,
             };
-            let arr = v.as_arr().ok_or_else(|| bad("a nodes array"))?;
-            let mut out = Vec::with_capacity(arr.len());
-            for label in arr {
-                let t = label.as_arr().ok_or_else(|| bad("label triples"))?;
-                let field = |i: usize| t.get(i).and_then(Json::as_u64);
-                match (field(0), field(1), field(2)) {
-                    (Some(s), Some(e), Some(l)) => {
-                        out.push((s as u32, e as u32, l as u16))
-                    }
-                    _ => return Err(bad("numeric label triples")),
-                }
-            }
-            out
+            slot.get_or_insert(value);
         }
+    }
+    (id.unwrap_or(Json::Null), result, error)
+}
+
+/// A binary response as the `result` tree the JSON wire carries — what
+/// [`Client::call`] returns on either wire — with a node array as
+/// `[start, end, level]` arrays.
+fn result_tree(mut resp: Response) -> Result<Json, ClientError> {
+    if matches!(resp, Response::Error { .. }) {
+        return Err(unexpected(resp));
+    }
+    let nodes = match &mut resp {
+        Response::Query { nodes, .. } => nodes.take(),
+        _ => None,
     };
-    Ok(QueryReply {
-        generation: r.get("generation").and_then(Json::as_u64).ok_or_else(|| bad("generation"))?,
-        engine: r
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("engine"))?
-            .to_string(),
-        cached: r.get("cached").and_then(Json::as_bool).unwrap_or(false),
-        count: r.get("count").and_then(Json::as_u64).ok_or_else(|| bad("count"))? as usize,
-        elements_visited: r
-            .get("elements_visited")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("elements_visited"))?,
-        nodes,
-    })
+    let mut result = envelope(resp.to_json(&Json::Null)).1.unwrap_or(Json::Null);
+    if let (Json::Obj(fields), Some(blob)) = (&mut result, nodes) {
+        let labels = blob.triples().into_iter().map(|(s, e, l)| {
+            Json::Arr(vec![Json::uint(s.into()), Json::uint(e.into()), Json::uint(l.into())])
+        });
+        fields.push(("nodes".into(), Json::Arr(labels.collect())));
+    }
+    Ok(result)
 }
 
 struct MuxShared {
@@ -628,20 +684,9 @@ impl MuxClient {
         &self.conn
     }
 
-    fn query_req(&self, xpath: &str, engine: &str, labels: bool, cache: bool) -> Request {
-        Request::Query {
-            db: self.db.clone(),
-            xpath: xpath.to_string(),
-            engine: engine.to_string(),
-            labels,
-            cache,
-            hold_ms: None,
-        }
-    }
-
     /// Run `xpath` and decode the full reply (labels included).
     pub fn query(&self, xpath: &str, engine: &str) -> Result<QueryReply, ClientError> {
-        self.conn.query(&self.query_req(xpath, engine, true, true))
+        self.conn.query(&query_req(&self.db, xpath, engine, true, true))
     }
 
     /// Count-only query (`labels: false`); see [`Client::query_count`]
@@ -652,7 +697,7 @@ impl MuxClient {
         engine: &str,
         use_cache: bool,
     ) -> Result<QueryReply, ClientError> {
-        self.conn.query(&self.query_req(xpath, engine, false, use_cache))
+        self.conn.query(&query_req(&self.db, xpath, engine, false, use_cache))
     }
 
     /// Query with an execution hold (only honored by `debug_hold`
@@ -665,7 +710,7 @@ impl MuxClient {
         engine: &str,
         hold_ms: u64,
     ) -> Result<QueryReply, ClientError> {
-        let mut req = self.query_req(xpath, engine, false, false);
+        let mut req = query_req(&self.db, xpath, engine, false, false);
         if let Request::Query { hold_ms: h, .. } = &mut req {
             *h = Some(hold_ms);
         }

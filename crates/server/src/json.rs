@@ -6,8 +6,16 @@
 //! a typed [`JsonError`], parsing depth is bounded (a hostile client
 //! must not be able to overflow a connection task's stack with
 //! `[[[[…`), and object keys keep insertion order so responses are
-//! byte-stable for the oracle tests.
+//! byte-stable for the oracle tests. Numbers follow RFC 8259's grammar
+//! exactly (no `+1`, `.5`, `1.` or leading zeros), and `\u` takes
+//! exactly four hex digits.
+//!
+//! The parser's grammar steps are also the crate's way to read JSON
+//! *without* a tree: the client's `query` reply decoder (`crate::wire`)
+//! walks a reply with them and reads its node array straight into
+//! D-label triples.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Nesting bound for arrays/objects; parsing is the only recursion in
@@ -252,25 +260,97 @@ impl std::error::Error for JsonError {}
 /// Parse one JSON value; trailing input (other than whitespace) is an
 /// error. Total over arbitrary bytes: typed errors, bounded depth.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = P { b: input.as_bytes(), input, pos: 0 };
-    p.ws();
-    let v = p.value(0)?;
-    p.ws();
-    if p.pos < p.b.len() {
-        return Err(p.err("trailing input after value"));
-    }
+    let mut cur = Cursor::new(input);
+    let v = cur.value(0)?;
+    cur.finish()?;
     Ok(v)
 }
 
-struct P<'a> {
+/// How a number token reads once [`lex_number`] has checked it.
+enum Lexed {
+    /// An integer literal — no fraction, no exponent; `magnitude` is
+    /// `None` past `u64::MAX`.
+    Integer { negative: bool, magnitude: Option<u64> },
+    /// A fraction or exponent form.
+    Float,
+}
+
+/// Lex one number token at `start` against RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, returning
+/// where it ends; `None` when the bytes there are not a number. This is
+/// the one definition of an integer literal: [`parse`] keeps such a
+/// literal exact, and [`Cursor::uint`] (the node-array scanner's field
+/// reader) accepts nothing else.
+fn lex_number(b: &[u8], start: usize) -> Option<(usize, Lexed)> {
+    let digits = |mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let negative = b.get(start) == Some(&b'-');
+    let int_start = start + usize::from(negative);
+    let mut end = int_start;
+    let mut magnitude = Some(0u64);
+    while let Some(&d @ b'0'..=b'9') = b.get(end) {
+        magnitude = magnitude.and_then(|m| m.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+        end += 1;
+    }
+    if end == int_start || (end - int_start > 1 && b[int_start] == b'0') {
+        return None;
+    }
+    let mut float = false;
+    if b.get(end) == Some(&b'.') {
+        let frac_end = digits(end + 1);
+        if frac_end == end + 1 {
+            return None;
+        }
+        (end, float) = (frac_end, true);
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let exp_start = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        let exp_end = digits(exp_start);
+        if exp_end == exp_start {
+            return None;
+        }
+        (end, float) = (exp_end, true);
+    }
+    Some((end, if float { Lexed::Float } else { Lexed::Integer { negative, magnitude } }))
+}
+
+/// A position in JSON text and the grammar's steps from it. [`parse`]
+/// builds its value tree with these steps; a decoder that wants no tree
+/// — the `query` reply's node array in `crate::wire` — walks the same
+/// text with the same steps, so both accept exactly one grammar.
+pub(crate) struct Cursor<'a> {
     b: &'a [u8],
     input: &'a str,
     pos: usize,
 }
 
-impl<'a> P<'a> {
-    fn err(&self, msg: &str) -> JsonError {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        Cursor { b: input.as_bytes(), input, pos: 0 }
+    }
+
+    /// A typed error at the cursor.
+    pub(crate) fn err(&self, msg: &str) -> JsonError {
         JsonError { pos: self.pos, msg: msg.to_string() }
+    }
+
+    /// Bytes left after the cursor.
+    pub(crate) fn remaining(&self) -> usize {
+        self.b.len() - self.pos
+    }
+
+    /// Step over trailing whitespace; anything else left is an error.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.ws();
+        if self.pos < self.b.len() {
+            return Err(self.err("trailing input after value"));
+        }
+        Ok(())
     }
 
     fn ws(&mut self) {
@@ -292,7 +372,9 @@ impl<'a> P<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Step over one value of any kind and return it as a tree;
+    /// `depth` counts the arrays and objects around it.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -302,56 +384,174 @@ impl<'a> P<'a> {
             Some(b'n') => self.keyword("null", Json::Null),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => {
-                self.pos += 1;
                 let mut items = Vec::new();
-                self.ws();
-                if self.eat(b']') {
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    if self.eat(b',') {
-                        continue;
-                    }
-                    if self.eat(b']') {
-                        return Ok(Json::Arr(items));
-                    }
-                    return Err(self.err("expected ',' or ']'"));
-                }
+                self.array(|cur| {
+                    items.push(cur.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
             Some(b'{') => {
-                self.pos += 1;
                 let mut fields = Vec::new();
-                self.ws();
-                if self.eat(b'}') {
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    if self.b.get(self.pos) != Some(&b'"') {
-                        return Err(self.err("expected a string key"));
-                    }
-                    let key = self.string()?;
-                    self.ws();
-                    if !self.eat(b':') {
-                        return Err(self.err("expected ':'"));
-                    }
-                    fields.push((key, self.value(depth + 1)?));
-                    self.ws();
-                    if self.eat(b',') {
-                        continue;
-                    }
-                    if self.eat(b'}') {
-                        return Ok(Json::Obj(fields));
-                    }
-                    return Err(self.err("expected ',' or '}'"));
-                }
+                self.object(|cur, key| {
+                    fields.push((key.into_owned(), cur.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
             }
             Some(_) => self.number(),
         }
+    }
+
+    /// Step over one array, calling `item` at each element; `item` must
+    /// step over exactly that element.
+    pub(crate) fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.ws();
+        if !self.eat(b'[') {
+            return Err(self.err("expected '['"));
+        }
+        self.ws();
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.ws();
+            if self.eat(b',') {
+                continue;
+            }
+            if self.eat(b']') {
+                return Ok(());
+            }
+            return Err(self.err("expected ',' or ']'"));
+        }
+    }
+
+    /// Step over one object, calling `field` with each key and the
+    /// cursor at its value; `field` must step over exactly that value.
+    pub(crate) fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.ws();
+        if !self.eat(b'{') {
+            return Err(self.err("expected '{'"));
+        }
+        self.ws();
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.ws();
+            if !self.eat(b':') {
+                return Err(self.err("expected ':'"));
+            }
+            field(self, key)?;
+            self.ws();
+            if self.eat(b',') {
+                continue;
+            }
+            if self.eat(b'}') {
+                return Ok(());
+            }
+            return Err(self.err("expected ',' or '}'"));
+        }
+    }
+
+    /// Step over one unsigned integer literal (see [`lex_number`]) and
+    /// return it exactly. A sign, a fraction, an exponent, a value past
+    /// `u64::MAX` or anything but a number is an error.
+    pub(crate) fn uint(&mut self) -> Result<u64, JsonError> {
+        self.ws();
+        match lex_number(self.b, self.pos) {
+            Some((end, Lexed::Integer { negative: false, magnitude: Some(n) })) => {
+                self.pos = end;
+                Ok(n)
+            }
+            _ => Err(self.err("expected an unsigned integer literal")),
+        }
+    }
+
+    /// Step over one string and return its text — borrowed from the
+    /// input unless it holds escapes.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.ws();
+        if !self.eat(b'"') {
+            return Err(self.err("expected a string"));
+        }
+        let input = self.input;
+        let mut owned: Option<String> = None;
+        let mut run = self.pos;
+        loop {
+            // Only ASCII bytes stop the run, so every slice taken here
+            // falls on a character boundary.
+            match self.b.get(self.pos) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    let tail = &input[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut text) => {
+                            text.push_str(tail);
+                            Cow::Owned(text)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(&input[run..self.pos]);
+                    self.pos += 1;
+                    self.escape(text)?;
+                    run = self.pos;
+                }
+                Some(&c) if c < 0x20 => return Err(self.err("raw control character in string")),
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// Decode the escape after a backslash onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = *self.b.get(self.pos).ok_or_else(|| self.err("dangling escape"))?;
+        self.pos += 1;
+        out.push(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let code = self.hex4()?;
+                // Surrogate pair: a high surrogate must be followed by
+                // `\uDC00..DFFF`.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if !self.input[self.pos..].starts_with("\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                } else {
+                    char::from_u32(code)
+                };
+                c.ok_or_else(|| self.err("invalid codepoint"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        });
+        Ok(())
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -365,119 +565,44 @@ impl<'a> P<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        while let Some(&c) = self.b.get(self.pos) {
-            if matches!(c, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
+        let (end, lexed) = lex_number(self.b, start).ok_or_else(|| self.err("invalid number"))?;
+        // Integer literals take an exact path: a literal must survive
+        // as the integer the peer wrote, not the nearest f64 — above
+        // 2^53 the two diverge silently. Out-of-range integers are a
+        // typed error rather than a rounded lie.
+        let value = match lexed {
+            Lexed::Integer { negative: false, magnitude: Some(n) } => Json::uint(n),
+            Lexed::Integer { negative: false, magnitude: None } => {
+                return Err(self.err("integer literal exceeds the u64 range"))
             }
-        }
-        let text = &self.input[start..self.pos];
-        // Integer literals take an exact path: a plain digit run (no
-        // fraction, no exponent) must survive as the integer the peer
-        // wrote, not the nearest f64 — above 2^53 the two diverge
-        // silently. Out-of-range integers are a typed error rather
-        // than a rounded lie.
-        let digits = text.strip_prefix('-').unwrap_or(text);
-        let is_integer = !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
-        if is_integer {
-            if text.starts_with('-') {
-                return match text.parse::<i64>() {
-                    Ok(n) if n.unsigned_abs() <= MAX_SAFE_INT => Ok(Json::Num(n as f64)),
-                    _ => {
-                        self.pos = start;
-                        Err(self.err("negative integer below -2^53 is not exactly representable"))
-                    }
-                };
-            }
-            return match digits.parse::<u64>() {
-                Ok(n) => Ok(Json::uint(n)),
-                Err(_) => {
-                    self.pos = start;
-                    Err(self.err("integer literal exceeds the u64 range"))
+            Lexed::Integer { negative: true, magnitude } => match magnitude {
+                Some(n) if n <= MAX_SAFE_INT => Json::Num(-(n as i64) as f64),
+                _ => {
+                    return Err(
+                        self.err("negative integer below -2^53 is not exactly representable")
+                    )
                 }
-            };
-        }
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
-            _ => {
-                self.pos = start;
-                Err(self.err("invalid number"))
-            }
-        }
+            },
+            Lexed::Float => match self.input[start..end].parse::<f64>() {
+                Ok(n) if n.is_finite() => Json::Num(n),
+                _ => return Err(self.err("invalid number")),
+            },
+        };
+        self.pos = end;
+        Ok(value)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            let rest = &self.input[self.pos..];
-            let mut chars = rest.char_indices();
-            match chars.next() {
-                None => return Err(self.err("unterminated string")),
-                Some((_, '"')) => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some((_, '\\')) => {
-                    self.pos += 1;
-                    let esc = self
-                        .input[self.pos..]
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pair: a high surrogate must be
-                            // followed by `\uDC00..DFFF`.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if !self.input[self.pos..].starts_with("\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c =
-                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(c)
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid codepoint"))?);
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                Some((_, c)) => {
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
+    /// Exactly four hex digits (`from_str_radix` alone would take a
+    /// leading `+`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let hex = self
-            .input
+            .b
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let code =
-            u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let code = hex.iter().try_fold(0u32, |code, &h| {
+            Some(code << 4 | char::from(h).to_digit(16)?)
+        });
+        let code = code.ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -516,8 +641,41 @@ mod tests {
             "", "{", "[", "\"", "{\"a\"", "{\"a\":}", "[1,", "tru", "nul", "01x",
             "\"\\u12\"", "\"\\ud800\"", "\"\\q\"", "1 2", "{,}", "[1]]", "\u{1}",
             "\"\u{1}\"", "-", "+", "nan", "inf",
+            // RFC 8259's number grammar and `\u` + exactly four hex digits.
+            "+1", ".5", "1.", "01", "-01", "00", "\"\\u+041\"",
+            "1e", "1e+", "-.5", "[1.]", "\"\\u00g1\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (src, want) in [
+            ("0", Json::Num(0.0)),
+            ("-0", Json::Num(0.0)),
+            ("10", Json::Num(10.0)),
+            ("0.5", Json::Num(0.5)),
+            ("-1.25e2", Json::Num(-125.0)),
+            ("1E-2", Json::Num(0.01)),
+            ("2e+3", Json::Num(2000.0)),
+        ] {
+            assert_eq!(parse(src).unwrap(), want, "{src}");
+        }
+        assert_eq!(parse(r#""\u0041\u00E9""#).unwrap(), Json::str("Aé"));
+    }
+
+    /// The node-array scanner's field reader takes exactly the literals
+    /// `parse` keeps as exact non-negative integers.
+    #[test]
+    fn uint_reads_exactly_the_unsigned_integer_literals() {
+        for src in ["0", "7", " 42", "9007199254740993", "18446744073709551615"] {
+            let mut cur = Cursor::new(src);
+            let n = cur.uint().unwrap();
+            assert_eq!(parse(src).unwrap().as_u64(), Some(n), "{src}");
+        }
+        for src in ["-1", "1.0", "1e3", "01", "+1", "18446744073709551616", "\"1\"", "[1]", ""] {
+            assert!(Cursor::new(src).uint().is_err(), "{src:?} is not an unsigned integer literal");
         }
     }
 

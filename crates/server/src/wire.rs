@@ -34,7 +34,7 @@
 //! after a well-formed body are rejected (a desynced peer fails fast
 //! instead of smearing state into the next frame).
 
-use crate::json::Json;
+use crate::json::{Cursor, Json, JsonError};
 use crate::proto::{err_response, ok_response, ErrorCode, MAX_FRAME_BYTES};
 use std::fmt;
 use std::sync::Arc;
@@ -417,6 +417,56 @@ impl NodesBlob {
     /// True when the blob holds no nodes.
     pub fn is_empty(&self) -> bool {
         self.bin.is_empty()
+    }
+
+    /// Read a JSON node array — the text [`NodesBlob::json`] renders —
+    /// straight into the canonical binary form: one pass, no JSON value
+    /// per label. Whitespace may sit between any two tokens; anything
+    /// but an array of `[start, end, level]` unsigned integer literals
+    /// within `u32` / `u32` / `u16` is a typed error.
+    pub fn from_json(text: &str) -> Result<NodesBlob, JsonError> {
+        let mut cur = Cursor::new(text);
+        let blob = NodesBlob::scan_json(&mut cur, None)?;
+        cur.finish()?;
+        Ok(blob)
+    }
+
+    /// The scanner behind [`NodesBlob::from_json`], at `cur`. `count`
+    /// pre-sizes the output, capped by the labels the rest of the text
+    /// could hold (`[0,0,0],` — 8 bytes — is the shortest), so a hostile
+    /// count cannot allocate beyond the frame.
+    pub(crate) fn scan_json(
+        cur: &mut Cursor<'_>,
+        count: Option<u64>,
+    ) -> Result<NodesBlob, JsonError> {
+        const FIELD_MAX: [u64; 3] = [u32::MAX as u64, u32::MAX as u64, u16::MAX as u64];
+        let most = cur.remaining() / 8;
+        let labels = count.map_or(most, |c| usize::try_from(c).unwrap_or(most).min(most));
+        let mut bin = Vec::with_capacity(labels * NODE_BYTES);
+        cur.array(|cur| {
+            let mut label = [0u64; 3];
+            let mut fields = 0;
+            cur.array(|cur| {
+                let max = *FIELD_MAX
+                    .get(fields)
+                    .ok_or_else(|| cur.err("a label has more than three fields"))?;
+                label[fields] = cur.uint()?;
+                if label[fields] > max {
+                    return Err(cur.err("label field out of range"));
+                }
+                fields += 1;
+                Ok(())
+            })?;
+            if fields < 3 {
+                return Err(cur.err("a label has fewer than three fields"));
+            }
+            let [start, end, level] = label;
+            bin.extend_from_slice(&(start as u32).to_le_bytes());
+            bin.extend_from_slice(&(end as u32).to_le_bytes());
+            bin.extend_from_slice(&(level as u16).to_le_bytes());
+            Ok(())
+        })?;
+        Ok(NodesBlob::from_bin(bin))
     }
 
     /// Decode the binary side back into `(start, end, level)` triples.
@@ -849,6 +899,87 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
     };
     check_consumed(b, pos)?;
     Ok((sid, resp))
+}
+
+/// Decode one JSON-protocol response to a `query` request into its
+/// echoed `id` and a [`Response::Query`] or [`Response::Error`] — the
+/// inverse of [`Response::to_json`] for those two, in one pass over the
+/// frame: the envelope and the reply's fields are walked with the
+/// parser's own grammar, and the node array goes straight into its
+/// [`NodesBlob`] (see [`NodesBlob::from_json`]), never through a value
+/// per label. Fields may come in any order (the first of a repeated key
+/// counts, as [`Json::get`] reads) and unknown ones are stepped over; a
+/// missing field, a mistyped one, or a node array whose length is not
+/// `count` is a typed error. An unknown error code reads as
+/// [`ErrorCode::Internal`], as on the binary wire.
+pub fn decode_json_query_response(frame: &str) -> Result<(Json, Response), JsonError> {
+    let mut cur = Cursor::new(frame);
+    let (mut id, mut result, mut error) = (None, None, None);
+    cur.object(|cur, key| {
+        match &*key {
+            "id" if id.is_none() => id = Some(cur.value(1)?),
+            "result" if result.is_none() => result = Some(query_result(cur)?),
+            "error" if error.is_none() => error = Some(cur.value(1)?),
+            _ => {
+                cur.value(1)?;
+            }
+        }
+        Ok(())
+    })?;
+    cur.finish()?;
+    let resp = match (error, result) {
+        (Some(err), _) => {
+            let field = |key| err.get(key).and_then(Json::as_str);
+            Response::Error {
+                code: (0..=u8::MAX)
+                    .map(ErrorCode::from_u8)
+                    .find(|code| field("code") == Some(code.as_str()))
+                    .unwrap_or(ErrorCode::Internal),
+                message: field("message").unwrap_or_default().to_string(),
+            }
+        }
+        (None, Some(query)) => query,
+        (None, None) => return Err(cur.err("response has neither result nor error")),
+    };
+    Ok((id.unwrap_or(Json::Null), resp))
+}
+
+/// The `result` object of a JSON `query` reply, at `cur`.
+fn query_result(cur: &mut Cursor<'_>) -> Result<Response, JsonError> {
+    let (mut generation, mut engine, mut cached) = (None, None, None);
+    let (mut count, mut elements_visited, mut nodes) = (None, None, None);
+    cur.object(|cur, key| {
+        match &*key {
+            "generation" if generation.is_none() => generation = Some(cur.uint()?),
+            "engine" if engine.is_none() => engine = Some(cur.string()?.into_owned()),
+            "cached" if cached.is_none() => {
+                let flag = cur.value(2)?.as_bool();
+                cached = Some(flag.ok_or_else(|| cur.err("\"cached\" is not a boolean"))?);
+            }
+            "count" if count.is_none() => count = Some(cur.uint()?),
+            "elements_visited" if elements_visited.is_none() => {
+                elements_visited = Some(cur.uint()?)
+            }
+            "nodes" if nodes.is_none() => nodes = Some(NodesBlob::scan_json(cur, count)?),
+            _ => {
+                cur.value(2)?;
+            }
+        }
+        Ok(())
+    })?;
+    let lacks = |what: &str| cur.err(&format!("query reply lacks {what}"));
+    let count = count.ok_or_else(|| lacks("count"))?;
+    if nodes.as_ref().is_some_and(|blob| blob.len() as u64 != count) {
+        return Err(cur.err("query reply's node array does not hold `count` labels"));
+    }
+    Ok(Response::Query {
+        generation: generation.ok_or_else(|| lacks("generation"))?,
+        engine: engine.ok_or_else(|| lacks("engine"))?,
+        cached: cached.unwrap_or(false),
+        count,
+        elements_visited: elements_visited.ok_or_else(|| lacks("elements_visited"))?,
+        nodes: nodes.map(Arc::new),
+    })
 }
 
 #[cfg(test)]

@@ -9,6 +9,10 @@
 //! exactly what the database answers directly: `BlasDb::count` for
 //! `labels:false, cache:false` (same count, the count path's
 //! `elements_visited`), [`BlasDb::query`] for the other three shapes.
+//! Over JSON the replies are read twice over: as the generic
+//! [`Client::call`] value tree, and through the typed calls
+//! ([`Client::query`], [`Client::query_count`]), whose decoder builds no
+//! tree.
 
 use blas::{BlasDb, EngineChoice};
 use blas_server::wire::Request;
@@ -25,20 +29,28 @@ const ENGINES: &[&str] = &["auto", "rdbms", "twig"];
 
 #[derive(Clone, Copy, Debug)]
 enum Wire {
+    /// JSON, read by the generic `Client::call`.
     Json,
+    /// JSON, read by `Client`'s typed calls.
+    JsonTyped,
     Binary,
 }
 
-/// One connection of either kind behind one `ask`.
+const WIRES: [Wire; 3] = [Wire::Json, Wire::JsonTyped, Wire::Binary];
+
+/// One connection of any kind behind one `ask`.
 enum Conn {
     Json(Client),
+    JsonTyped(Client),
     Binary(MuxClient),
 }
 
 impl Conn {
     fn open(server: &Server, wire: Wire) -> Conn {
+        let json = || Client::connect(server.local_addr(), None).unwrap();
         match wire {
-            Wire::Json => Conn::Json(Client::connect(server.local_addr(), None).unwrap()),
+            Wire::Json => Conn::Json(json()),
+            Wire::JsonTyped => Conn::JsonTyped(json()),
             Wire::Binary => Conn::Binary(MuxClient::connect(server.local_addr(), None).unwrap()),
         }
     }
@@ -54,7 +66,12 @@ impl Conn {
         };
         match self {
             Conn::Binary(mux) => mux.conn().query(&req).unwrap(),
-            Conn::Json(client) => {
+            Conn::JsonTyped(client) if labels && cache => client.query(xpath, engine).unwrap(),
+            Conn::JsonTyped(client) if !labels => {
+                client.query_count(xpath, engine, cache).unwrap()
+            }
+            // No typed call asks for labels without the cache.
+            Conn::Json(client) | Conn::JsonTyped(client) => {
                 let Json::Obj(fields) = req.to_json(&Json::Null) else {
                     unreachable!()
                 };
@@ -130,7 +147,7 @@ fn serve() -> (Arc<BlasDb>, Server) {
 
 #[test]
 fn every_way_of_asking_gets_the_reply_the_database_gives() {
-    for wire in [Wire::Json, Wire::Binary] {
+    for wire in WIRES {
         for labels in [false, true] {
             for cache in [false, true] {
                 // A server per shape: "first call" means first.
@@ -169,12 +186,13 @@ fn every_way_of_asking_gets_the_reply_the_database_gives() {
 
 #[test]
 fn a_count_only_entry_answers_a_later_labels_request_as_a_hit_on_both_wires() {
-    for populate_over in [Wire::Json, Wire::Binary] {
+    for populate_over in WIRES {
         let (db, server) = serve();
         let mut populate = Conn::open(&server, populate_over);
         let stored = populate.ask("//n", "auto", false, true);
         assert_eq!(stored, expect(&db, "//n", "auto", false, false));
-        for wire in [Wire::Binary, Wire::Json, Wire::Binary] {
+        let upgrades = [Wire::Binary, Wire::Json, Wire::JsonTyped, Wire::Binary];
+        for wire in upgrades {
             let mut conn = Conn::open(&server, wire);
             let upgraded = conn.ask("//n", "auto", true, true);
             assert_eq!(
@@ -187,7 +205,7 @@ fn a_count_only_entry_answers_a_later_labels_request_as_a_hit_on_both_wires() {
         let stats = server.shutdown();
         assert_eq!(
             (stats.cache_hits, stats.cache_misses, stats.cache_entries),
-            (3, 1, 1)
+            (upgrades.len() as u64, 1, 1)
         );
     }
 }
@@ -235,6 +253,26 @@ fn a_publish_invalidates_upgraded_entries_like_any_other() {
             assert_eq!(fresh.count, 4 + step);
         }
         assert_eq!(json.ask("//y", "rdbms", true, true).count, 2 + step);
+    }
+    server.shutdown();
+}
+
+/// A reply of more than ten thousand labels — a generated document, not
+/// the toy one — reads back as exactly the database's triples on every
+/// wire, the one-pass JSON decoder included.
+#[test]
+fn a_ten_thousand_label_reply_is_the_database_answer_on_every_wire() {
+    let xml = format!("<db>{}</db>", "<e><p><n>x</n></p></e>".repeat(4000));
+    let db = Arc::new(BlasDb::load(&xml).unwrap());
+    let server = Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    for wire in WIRES {
+        let mut conn = Conn::open(&server, wire);
+        for xpath in ["//*", "/db/e/p"] {
+            let reply = conn.ask(xpath, "auto", true, true);
+            let want = expect(&db, xpath, "auto", true, reply.cached);
+            assert_eq!(reply, want, "{wire:?} {xpath}");
+        }
+        assert_eq!(conn.ask("//*", "auto", true, true).nodes.len(), 12_001);
     }
     server.shutdown();
 }

@@ -12,12 +12,18 @@
 //! 3. **Total decoding** — every truncated or bit-flipped frame yields
 //!    a typed [`WireError`], never a panic, and never a silently
 //!    different value (mirrors `prop_parser.rs`'s fuzz shapes).
+//! 4. **One-pass JSON replies** — the client's `query` reply decoder
+//!    ([`decode_json_query_response`]) reads what the generic tree
+//!    decode (`json::parse` + a walk) reads, whatever the whitespace and
+//!    field order, and rejects every malformed node array with a typed
+//!    error.
 
 use blas_server::json::{self, Json};
 use blas_server::wire::{
-    decode_request_body, decode_response, encode_request, encode_response, split_stream_id,
+    decode_json_query_response, decode_request_body, decode_response, encode_request,
+    encode_response, split_stream_id,
 };
-use blas_server::{ErrorCode, NodesBlob, Request, Response};
+use blas_server::{ErrorCode, NodesBlob, QueryReply, Request, Response};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -286,4 +292,257 @@ fn error_code_bytes_round_trip() {
     }
     assert_eq!(ErrorCode::from_u8(0), ErrorCode::Internal);
     assert_eq!(ErrorCode::from_u8(255), ErrorCode::Internal);
+}
+
+// --- one-pass JSON query replies ---------------------------------------
+
+/// One label, drawn with the edges both integer widths must carry.
+fn label() -> impl Strategy<Value = (u32, u32, u16)> {
+    let level_edges = prop::sample::select(vec![0u16, 1, u16::MAX - 1, u16::MAX]);
+    let level = (0u16..1024, level_edges, prop::bool::ANY)
+        .prop_map(|(small, edge, pick_edge)| if pick_edge { edge } else { small });
+    (small_u32(), small_u32(), level)
+}
+
+/// JSON whitespace to put between two tokens, most often none.
+const GAPS: &[&str] = &["", "", "", " ", "\n", "\t ", "\r\n  "];
+
+/// A `query` reply frame as any JSON writer may lay it out: `gaps`
+/// picks the whitespace between every two tokens, `order` ranks the
+/// result's fields and `id_last` puts the envelope's `id` after its
+/// `result`.
+fn reply_frame(
+    (generation, engine, cached, visited): (u64, &str, bool, u64),
+    labels: &[(u32, u32, u16)],
+    gaps: &[usize],
+    order: &[u32],
+    id_last: bool,
+) -> String {
+    let mut next_gap = gaps.iter().cycle().map(|&g| GAPS[g % GAPS.len()]);
+    // The tokens, each after a gap.
+    let mut spaced = |tokens: &[&str]| -> String {
+        tokens.iter().map(|t| format!("{}{t}", next_gap.next().unwrap_or(""))).collect()
+    };
+    let nodes: Vec<String> = labels
+        .iter()
+        .map(|(s, e, l)| {
+            let (s, e, l) = (s.to_string(), e.to_string(), l.to_string());
+            spaced(&["[", &s, ",", &e, ",", &l, "]"])
+        })
+        .collect();
+    let mut fields = vec![
+        ("generation", generation.to_string()),
+        ("engine", format!("\"{engine}\"")),
+        ("cached", cached.to_string()),
+        ("count", labels.len().to_string()),
+        ("elements_visited", visited.to_string()),
+        ("nodes", format!("[{}{}", nodes.join(","), spaced(&["]"]))),
+    ];
+    let mut ranked: Vec<(u32, (&str, String))> =
+        order.iter().copied().zip(fields.drain(..)).collect();
+    ranked.sort_by_key(|(rank, _)| *rank);
+    let result: Vec<String> =
+        ranked.into_iter().map(|(_, (k, v))| spaced(&[&format!("\"{k}\""), ":", &v])).collect();
+    let id = spaced(&["\"id\"", ":", "7"]);
+    let result = spaced(&["\"result\"", ":", "{", &result.join(","), "}"]);
+    let (first, second) = if id_last { (result, id) } else { (id, result) };
+    spaced(&["{", &first, ",", &second, "}", ""])
+}
+
+/// The generic decode a reply used to take: parse the whole frame into
+/// a value tree, then walk it.
+fn tree_decode(frame: &str) -> (Json, QueryReply) {
+    let v = json::parse(frame).unwrap();
+    let r = v.get("result").unwrap();
+    let num = |k: &str| r.get(k).and_then(Json::as_u64).unwrap();
+    let nodes = r.get("nodes").and_then(Json::as_arr).unwrap();
+    let reply = QueryReply {
+        generation: num("generation"),
+        engine: r.get("engine").and_then(Json::as_str).unwrap().to_string(),
+        cached: r.get("cached").and_then(Json::as_bool).unwrap(),
+        count: num("count") as usize,
+        elements_visited: num("elements_visited"),
+        nodes: nodes
+            .iter()
+            .map(|t| {
+                let t = t.as_arr().unwrap();
+                let f = |i: usize| t[i].as_u64().unwrap();
+                (f(0) as u32, f(1) as u32, f(2) as u16)
+            })
+            .collect(),
+    };
+    (v.get("id").cloned().unwrap(), reply)
+}
+
+/// The one-pass decode of the same frame, in `tree_decode`'s shape.
+fn one_pass_decode(frame: &str) -> (Json, QueryReply) {
+    match decode_json_query_response(frame).unwrap() {
+        (id, Response::Query { generation, engine, cached, count, elements_visited, nodes }) => {
+            let nodes = nodes.map(|blob| blob.triples()).unwrap_or_default();
+            let count = count as usize;
+            (id, QueryReply { generation, engine, cached, count, elements_visited, nodes })
+        }
+        (_, other) => panic!("decoded a query reply as {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass decoder reads exactly what the tree decode reads,
+    /// for any label values (0, `u32::MAX`, `u16::MAX` included), any
+    /// array length (empty included), any whitespace between tokens and
+    /// any field order.
+    #[test]
+    fn json_one_pass_decode_equals_the_tree_decode(
+        fields in (big_u64(), engine(), prop::bool::ANY, big_u64()),
+        labels in prop::collection::vec(label(), 0..40),
+        gaps in prop::collection::vec(0usize..64, 1..48),
+        order in prop::collection::vec(0u32..1000, 6),
+        id_last in prop::bool::ANY,
+    ) {
+        let frame = reply_frame(fields, &labels, &gaps, &order, id_last);
+        let one_pass = one_pass_decode(&frame);
+        prop_assert_eq!(&one_pass, &tree_decode(&frame), "frame: {}", frame);
+        prop_assert_eq!(&one_pass.1.nodes, &labels);
+    }
+
+    /// `NodesBlob::from_json` inverts `NodesBlob::json`, and the reply
+    /// decoder inverts what the server sends (`Response::to_json`).
+    #[test]
+    fn json_node_arrays_round_trip(
+        labels in prop::collection::vec(label(), 0..40),
+        fields in (big_u64(), engine(), prop::bool::ANY, big_u64()),
+    ) {
+        let blob = NodesBlob::encode(labels.iter().copied());
+        prop_assert_eq!(&NodesBlob::from_json(blob.json()).unwrap(), &blob);
+        let (generation, engine, cached, visited) = fields;
+        let resp = Response::Query {
+            generation,
+            engine: engine.to_string(),
+            cached,
+            count: labels.len() as u64,
+            elements_visited: visited,
+            nodes: Some(Arc::new(blob)),
+        };
+        let frame = resp.to_json(&Json::uint(9)).to_string();
+        prop_assert_eq!(decode_json_query_response(&frame).unwrap(), (Json::uint(9), resp));
+    }
+
+    /// Every proper prefix of a JSON query reply is a typed error.
+    #[test]
+    fn json_truncated_query_replies_are_typed_errors(
+        labels in prop::collection::vec(label(), 0..6),
+        fields in (big_u64(), engine(), prop::bool::ANY, big_u64()),
+    ) {
+        let frame = reply_frame(fields, &labels, &[0], &[0, 1, 2, 3, 4, 5], false);
+        for cut in (0..frame.len()).filter(|&cut| frame.is_char_boundary(cut)) {
+            prop_assert!(
+                decode_json_query_response(&frame[..cut]).is_err(),
+                "prefix {:?} decoded", &frame[..cut]
+            );
+        }
+    }
+
+    /// One flipped bit anywhere in a JSON query reply never panics the
+    /// decoder; a frame that still decodes is still self-consistent.
+    #[test]
+    fn json_mutated_query_replies_decode_totally(
+        labels in prop::collection::vec(label(), 0..6),
+        fields in (big_u64(), engine(), prop::bool::ANY, big_u64()),
+        at in 0usize..4096,
+        bit in 0u32..8,
+    ) {
+        let mut frame = reply_frame(fields, &labels, &[0], &[0, 1, 2, 3, 4, 5], false).into_bytes();
+        let at = at % frame.len();
+        frame[at] ^= 1 << bit;
+        if let Ok(text) = std::str::from_utf8(&frame) {
+            if let Ok((_, Response::Query { count, nodes: Some(blob), .. })) =
+                decode_json_query_response(text)
+            {
+                prop_assert_eq!(blob.len() as u64, count);
+            }
+        }
+    }
+}
+
+/// Malformed node arrays are typed errors — through `NodesBlob::from_json`
+/// and inside a whole reply — never a panic and never a guess.
+#[test]
+fn malformed_json_node_arrays_are_typed_errors() {
+    for bad in [
+        "[[1.5,2,1]]",          // a float
+        "[[1,2,1.0]]",          // an integral float is still a float
+        "[[1,2,1e0]]",          // so is an exponent
+        "[[-1,2,1]]",           // a negative
+        "[[4294967296,2,1]]",   // 2^32 as start
+        "[[1,4294967296,1]]",   // 2^32 as end
+        "[[1,2,65536]]",        // 65536 as level
+        "[[1,2]]",              // two fields
+        "[[1,2,3,4]]",          // four fields
+        "[[1,2,3],]",           // a trailing comma between labels
+        "[[1,2,3,]]",           // a trailing comma inside a label
+        "[[1,2,3]",             // a missing ]
+        "[[1,2,3",              // two missing ]
+        "[[[1,2,3]]]",          // nested one level too deep
+        "[\"1,2,3\"]",          // a string label
+        "[[\"1\",2,3]]",        // a string field
+        "[[01,2,3]]",           // a leading zero
+        "[[+1,2,3]]",           // a plus sign
+        "[[1,2,3]] x",          // trailing input
+        "[1,2,3]",              // a bare label
+        "{}",                   // not an array
+        "",                     // nothing
+    ] {
+        assert!(NodesBlob::from_json(bad).is_err(), "{bad:?} must not decode");
+        let frame = format!(
+            concat!(
+                r#"{{"id":1,"result":{{"generation":0,"engine":"auto","cached":false,"#,
+                r#""count":1,"elements_visited":1,"nodes":{}}}}}"#
+            ),
+            bad
+        );
+        assert!(decode_json_query_response(&frame).is_err(), "{frame:?} must not decode");
+    }
+    // Whitespace is allowed wherever JSON allows it.
+    let spaced = NodesBlob::from_json(" [ [ 1 ,\n2,\t3 ] , [4,5,6]\r\n] ").unwrap();
+    assert_eq!(spaced.triples(), vec![(1, 2, 3), (4, 5, 6)]);
+}
+
+/// The reply around the node array is held to its shape too: each
+/// required field present and typed, and `count` equal to the labels
+/// carried — a hostile `count` is an error, never an allocation.
+#[test]
+fn malformed_json_query_replies_are_typed_errors() {
+    let fields = r#""generation":3,"engine":"auto","cached":true,"elements_visited":9"#;
+    let ok = format!(r#"{{"id":1,"result":{{{fields},"count":1,"nodes":[[1,2,1]]}}}}"#);
+    assert!(decode_json_query_response(&ok).is_ok());
+    for bad in [
+        format!(r#"{{"id":1,"result":{{{fields},"count":2,"nodes":[[1,2,1]]}}}}"#),
+        format!(r#"{{"id":1,"result":{{{fields},"count":18446744073709551615,"nodes":[]}}}}"#),
+        format!(r#"{{"id":1,"result":{{"nodes":[[1,2,1]],"count":1e100,{fields}}}}}"#),
+        format!(r#"{{"id":1,"result":{{{fields},"nodes":[[1,2,1]]}}}}"#),
+        format!(r#"{{"id":1,"result":{{{fields},"count":-1}}}}"#),
+        r#"{"id":1,"result":{"engine":"auto","count":0,"elements_visited":0}}"#.to_string(),
+        r#"{"id":1,"result":{"generation":0,"engine":7,"count":0,"elements_visited":0}}"#
+            .to_string(),
+        format!(r#"{{"id":1,"result":{{"generation":0,"engine":"auto","cached":1,{}}}}}"#,
+            r#""count":0,"elements_visited":0"#),
+        r#"{"id":1}"#.to_string(),
+        r#"{"id":1,"result":[]}"#.to_string(),
+        r#"[]"#.to_string(),
+        format!("{ok} {{}}"),
+    ] {
+        assert!(decode_json_query_response(&bad).is_err(), "{bad:?} must not decode");
+    }
+    // An error frame decodes to the typed error, `null` id and all.
+    let (id, resp) = decode_json_query_response(
+        r#"{"id":null,"error":{"code":"overloaded","message":"connection limit reached"}}"#,
+    )
+    .unwrap();
+    assert_eq!(id, Json::Null);
+    assert_eq!(
+        resp,
+        Response::Error { code: ErrorCode::Overloaded, message: "connection limit reached".into() }
+    );
 }

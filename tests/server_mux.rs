@@ -477,6 +477,65 @@ fn write_timeout_mid_frame_poisons_the_client() {
     hold.join().unwrap();
 }
 
+/// A peer that answers the first frame of one connection with `reply`,
+/// then reads until the client hangs up.
+fn single_frame_peer(reply: String) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    use blas_server::{write_frame, FrameReader, ReadEvent};
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut frames = FrameReader::new();
+        assert!(matches!(frames.poll(&mut sock), Ok(ReadEvent::Frame(_))));
+        write_frame(&mut sock, reply.as_bytes()).unwrap();
+        while let Ok(ReadEvent::Frame(_)) = frames.poll(&mut sock) {}
+    });
+    (addr, peer)
+}
+
+/// Regression: a JSON response must echo the call's id. One carrying
+/// another call's id — or a `null` id on a result — means the stream is
+/// misaligned: the call fails `Protocol` and the next one `Poisoned`, on
+/// the typed and the generic path alike. A `null` id on an error frame
+/// is the server's farewell to a frame it could not attribute, and is
+/// the typed error it says.
+#[test]
+fn a_json_reply_for_another_id_poisons_the_client() {
+    let result = concat!(
+        r#"{"generation":0,"engine":"auto","cached":false,"count":1,"#,
+        r#""elements_visited":1,"nodes":[[1,2,1]]}"#
+    );
+    let farewell =
+        r#"{"id":null,"error":{"code":"overloaded","message":"connection limit reached"}}"#;
+    for (reply, typed) in [
+        (format!(r#"{{"id":999,"result":{result}}}"#), true),
+        (format!(r#"{{"id":999,"result":{result}}}"#), false),
+        (format!(r#"{{"result":{result},"id":null}}"#), true),
+        (format!(r#"{{"id":"1","result":{result}}}"#), false),
+        (farewell.to_string(), true),
+        (farewell.to_string(), false),
+    ] {
+        let (addr, peer) = single_frame_peer(reply.clone());
+        let mut client = Client::connect(addr, Some(Duration::from_secs(10))).unwrap();
+        let ask = |client: &mut Client| match typed {
+            true => client.query("//n", "auto").map(|_| ()),
+            false => client.call("stats", Json::Obj(Vec::new())).map(|_| ()),
+        };
+        let err = ask(&mut client).expect_err("no reply here is an answer to the call");
+        if reply == farewell {
+            assert!(err.is_overloaded(), "{reply}: typed={typed}: {err}");
+            assert!(!client.is_poisoned(), "{reply}: a typed error does not poison");
+        } else {
+            assert!(matches!(err, ClientError::Protocol(_)), "{reply}: typed={typed}: {err}");
+            let again = ask(&mut client).expect_err("the connection is poisoned");
+            assert!(matches!(again, ClientError::Poisoned), "{reply}: typed={typed}: {again}");
+        }
+        drop(client);
+        peer.join().unwrap();
+    }
+}
+
 /// Regression: a peer that sends the binary magic and then nothing is
 /// held to the idle budget like any other connection — a typed
 /// `timeout` on stream 0, then close — instead of keeping its
