@@ -257,9 +257,10 @@ fn main() {
     drop(delta_store);
 
     // --- engine-level Fig. 13/14 numbers ------------------------------
-    // Push-up is the one translator every engine runs (the twig
-    // engines have no unions); the paper's Fig. 13/14 comparison of
-    // interest at the engine level is rdbms vs twig vs twigstack, and
+    // Push-up on every engine keeps these rows comparable with the
+    // paper's Fig. 13/14 and with earlier runs of this binary; the
+    // comparison of interest at the engine level is rdbms vs twig vs
+    // twigstack, and
     // since the sharded-scan refactor, sequential vs parallel rdbms.
     //
     // The Fig. 10 auction queries are joined by two *range-scan-heavy*

@@ -1,7 +1,7 @@
 //! Fig. 14 a,b — the holistic twig engine on all nine queries over the
 //! three datasets replicated ×20 (§5.3.2), reporting execution time and
 //! the number of elements read. Value predicates are stripped (§5.3.1)
-//! and Unfold is excluded (no unions on the twig engine).
+//! and Unfold is left out as in the paper (its prototype ran no unions).
 
 use blas::EngineChoice;
 use blas_bench::{arg_str, arg_value, bench_query, load_dataset, secs, TWIG_TRANSLATORS};

@@ -35,14 +35,14 @@ use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
 use blas_engine::{
     choose_shards, estimate_plan, exec, lower_plan, lower_plan_costed, lower_twig,
-    lower_twigstack, order_twig_joins, CostModel, ExecConfig, ExecStats, PhysPlan, PoolHandle,
-    TwigQuery, DEFAULT_MIN_SHARD_ELEMS,
+    lower_twigstack, order_twig_joins, CostModel, ExecConfig, ExecStats, PhysOp, PhysPlan,
+    PoolHandle, TwigQuery, DEFAULT_MIN_SHARD_ELEMS,
 };
 use blas_labeling::{label_document, DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{DeltaEdits, DeltaStore, MappedBytes, NodeRecord, NodeStore};
 use blas_translate::{
     bind, render_algebra, render_sql, translate_dlabeling, translate_pushup, translate_split,
-    translate_unfold, Plan,
+    translate_unfold, BoundPlan, Plan,
 };
 use blas_xml::{DocStats, Document, NodeId, SchemaGraph, TagId, TagInterner};
 use blas_xpath::QueryTree;
@@ -60,11 +60,11 @@ pub enum Translator {
     Split,
     /// Algorithm 5: maximally specific subqueries.
     PushUp,
-    /// §4.1.3: schema-driven unfolding into unions of simple paths.
+    /// §4.1.3: schema-driven unfolding against the live source paths.
     Unfold,
     /// The paper's §7 recommendation: Unfold when schema information is
-    /// available (always, here — we infer it), Push-up otherwise; the
-    /// twig engine gets Push-up because it cannot run unions.
+    /// available — always, here: the path summary is the store's own
+    /// directory — on every engine.
     Auto,
 }
 
@@ -79,11 +79,11 @@ pub enum Engine {
     /// The literal TwigStack algorithm of Bruno et al. (SIGMOD'02) —
     /// the paper's citation \[6\]; same answers as [`Engine::Twig`].
     TwigStack,
-    /// Cost-based selection: [`BlasDb::query`] lowers every applicable
-    /// candidate (rdbms over Unfold and Push-up, twig over Push-up),
-    /// prices each with [`blas_engine::opt`]'s
-    /// cardinality estimates from the SP/SD run directories, and runs
-    /// the cheapest. Same answers as every manual engine.
+    /// Cost-based selection: [`BlasDb::query`] translates and binds the
+    /// query once; a plan with joins is lowered for the rdbms and the
+    /// twig engine, priced with [`blas_engine::opt`]'s cardinality
+    /// estimates from the SP/SD run directories, and the cheaper runs.
+    /// Same answers as every manual engine.
     Auto,
 }
 
@@ -153,7 +153,7 @@ impl EngineChoice {
     }
 
     /// The holistic twig semi-join engine (§5.3) with the recommended
-    /// translator (Push-up — the twig engines run no unions).
+    /// translator (Unfold, as on every engine).
     pub const fn twig() -> Self {
         Self { engine: Engine::Twig, ..Self::auto() }
     }
@@ -353,9 +353,10 @@ impl fmt::Debug for PublishHooks {
 }
 
 /// One published generation of the database: an immutable store (base
-/// columns ⊎ delta) and the one view derived from it, the schema
-/// graph — decoded from the store's live P-labels on the first
-/// translation that asks, in O(distinct source paths). Readers pin a
+/// columns ⊎ delta) and the one view derived from it, its path
+/// directory — the store's live P-labels and the schema graph decoded
+/// from them, built on the first translation that asks, in O(distinct
+/// source paths). Readers pin a
 /// generation through [`BlasDb::snapshot`]; the `Arc` keeps its
 /// columns alive however many generations the writer publishes
 /// meanwhile.
@@ -368,7 +369,16 @@ struct DbGen {
     /// Carried here, not in a counter beside `current`, so one pinned
     /// `Arc` reads a generation number and the count that goes with it.
     compactions: u64,
-    schema: OnceLock<SchemaGraph>,
+    paths: OnceLock<PathDirectory>,
+}
+
+/// A generation's live source paths, twice: as sorted P-labels (what a
+/// path set binds against) and decoded into the schema graph (what
+/// Unfold matches query chains against).
+#[derive(Debug)]
+struct PathDirectory {
+    keys: Vec<u128>,
+    schema: SchemaGraph,
 }
 
 /// The writer's private side of the generation machinery, serialized
@@ -445,7 +455,7 @@ impl DbSnapshot<'_> {
     /// The pinned generation's path summary — what the Unfold
     /// translator unfolds against — read off the store's live P-labels.
     pub fn schema(&self) -> &SchemaGraph {
-        self.db.gen_schema(&self.gen)
+        &self.db.gen_paths(&self.gen).schema
     }
 
     /// Run `xpath` against the pinned generation — same pipeline and
@@ -592,7 +602,7 @@ impl BlasDb {
             number: 0,
             store: store.clone(),
             compactions: 0,
-            schema: OnceLock::new(),
+            paths: OnceLock::new(),
         });
         Self {
             tags,
@@ -615,22 +625,24 @@ impl BlasDb {
         Arc::clone(&read_recover(&self.current))
     }
 
-    /// A generation's path summary (the Unfold translator's input),
-    /// read off its path directory: every distinct live P-label decodes
-    /// digit by digit into a root-first tag path, and the summary is
-    /// the sorted set of those paths. O(distinct source paths +
-    /// |delta|); no tuple is visited and no tree is built.
-    fn gen_schema<'a>(&'a self, gen: &'a DbGen) -> &'a SchemaGraph {
-        gen.schema.get_or_init(|| {
+    /// A generation's path directory: its distinct live P-labels, and
+    /// the path summary (the Unfold translator's input) they decode
+    /// into digit by digit, one root-first tag path each, sorted.
+    /// O(distinct source paths + |delta|); no tuple is visited and no
+    /// tree is built.
+    fn gen_paths<'a>(&'a self, gen: &'a DbGen) -> &'a PathDirectory {
+        gen.paths.get_or_init(|| {
+            let keys = gen.store.live_plabels();
             // Keys were validated when the store was built or opened
             // and mutations only write labels of existing tags, so a
             // key that does not decode cannot occur; skipping it keeps
             // this path panic-free regardless.
-            let paths = gen.store.live_plabels().into_iter().filter_map(|p| {
+            let paths = keys.iter().filter_map(|&p| {
                 let path = self.domain.path_of_plabel(p).ok()?;
                 Some(path.into_iter().map(|t| self.tags.name(t)).collect::<Vec<_>>())
             });
-            SchemaGraph::from_source_paths(paths)
+            let schema = SchemaGraph::from_source_paths(paths);
+            PathDirectory { keys, schema }
         })
     }
 
@@ -686,10 +698,10 @@ impl BlasDb {
     /// building the result. Shares `query`'s prepared plan and plan-cache
     /// key, so a count and a query of one XPath make one cache entry.
     ///
-    /// A plan whose answer is one unfiltered clustered selection, or a
-    /// union of them over disjoint P-labels or tags (a suffix path, an
-    /// unfolded path), is counted off the run directory: no tuple is
-    /// read and `stats.elements_visited` is 0. Any other plan executes
+    /// A plan whose answer is one unfiltered clustered selection — any
+    /// linear query without a value test, on every engine — is counted
+    /// off the run directory: no tuple is read and
+    /// `stats.elements_visited` is 0. Any other plan executes
     /// as `query` does, minus the final copy, and reports the same
     /// counters. The paper's elements-read figures measure `query`.
     ///
@@ -807,112 +819,76 @@ impl BlasDb {
     }
 
     /// Resolve every Auto decision and lower to a physical plan:
-    /// manual engines lower directly; [`Engine::Auto`] prices the
-    /// candidate lowerings and keeps the cheapest.
+    /// translate and bind once, then lower for a manual engine directly
+    /// or let [`Engine::Auto`] price the candidate lowerings.
     fn prepare(
         &self,
         gen: &DbGen,
         query: &QueryTree,
         choice: EngineChoice,
     ) -> Result<PreparedPlan, BlasError> {
+        let translator = resolved_translator(choice.translator);
+        let bound = self.bind_in(gen, &self.translate(gen, query, translator)?);
         if choice.engine == Engine::Auto {
-            return self.prepare_auto(gen, query, choice);
+            return Ok(self.prepare_auto(gen, &bound, translator, choice.shards));
         }
         let engine = choice.engine;
-        let plan = self.translate(gen, query, choice.translator, engine)?;
-        let bound = bind(&plan, &self.tags, &self.domain);
         let phys = match engine {
             Engine::Rdbms => lower_plan(&bound),
-            Engine::Twig => lower_twig(&TwigQuery::from_plan(&bound)?),
-            Engine::TwigStack => lower_twigstack(&TwigQuery::from_plan(&bound)?),
+            Engine::Twig => lower_twig(&TwigQuery::from_plan(&bound)),
+            Engine::TwigStack => lower_twigstack(&TwigQuery::from_plan(&bound)),
             Engine::Auto => unreachable!("handled above"),
         };
         let est = estimate_plan(&phys, &gen.store, &CostModel::default());
         Ok(PreparedPlan {
             phys,
             engine,
-            translator: resolved_translator(choice.translator, engine),
+            translator,
             shards: choice.shards.max(1),
             est_cost_ns: est.cost_ns,
         })
     }
 
-    /// The cost-based path: lower every applicable candidate, price
-    /// each with run-directory cardinalities, keep the cheapest, then
-    /// derive the shard count from its largest estimated scan.
-    ///
-    /// Candidates with [`Translator::Auto`] are the paper's own
-    /// contenders — Unfold and Push-up on the relational engine
-    /// (§4.1.3 / §7), Push-up on the twig engine (§5.3.1 excludes
-    /// Unfold there: no unions). An explicit translator narrows the
-    /// race to that translator across both engines. Candidates whose
-    /// translation or twig conversion fails (e.g. unions on the twig
-    /// engine) drop out; the relational lowering always survives.
-    /// TwigStack never races: it is the paper's Fig. 14 baseline,
-    /// reachable only as an explicit [`EngineChoice::twigstack`], and
-    /// never priced cheapest.
+    /// The cost-based path over one bound plan (translated once, with
+    /// Unfold unless a translator is named). A plan without a join is
+    /// one scan, or a union of them, and every engine runs it alike:
+    /// it is lowered once, relationally. A plan with joins is lowered
+    /// for the relational and the twig engine, each priced with
+    /// run-directory cardinalities, and the cheaper is kept. TwigStack
+    /// never races: it is the paper's Fig. 14 baseline, reachable only
+    /// as an explicit [`EngineChoice::twigstack`], and never priced
+    /// cheapest. The shard count follows from the kept plan's largest
+    /// estimated scan.
     fn prepare_auto(
         &self,
         gen: &DbGen,
-        query: &QueryTree,
-        choice: EngineChoice,
-    ) -> Result<PreparedPlan, BlasError> {
+        bound: &BoundPlan,
+        translator: Translator,
+        shards: usize,
+    ) -> PreparedPlan {
         let model = CostModel::default();
-        let candidates: &[(Engine, Translator)] = match choice.translator {
-            Translator::Auto => &[
-                (Engine::Rdbms, Translator::Unfold),
-                (Engine::Rdbms, Translator::PushUp),
-                (Engine::Twig, Translator::PushUp),
-            ],
-            t => &[(Engine::Rdbms, t), (Engine::Twig, t)],
-        };
-        let mut best: Option<PreparedPlan> = None;
-        let mut best_max_scan = 0usize;
-        let mut first_err: Option<BlasError> = None;
-        for &(engine, translator) in candidates {
-            let plan = match self.translate(gen, query, translator, engine) {
-                Ok(p) => p,
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    continue;
-                }
-            };
-            let bound = bind(&plan, &self.tags, &self.domain);
-            let phys = match engine {
-                Engine::Rdbms => lower_plan_costed(&bound, &gen.store, &model),
-                Engine::Twig => match TwigQuery::from_plan(&bound) {
-                    Ok(q) => lower_twig(&order_twig_joins(&q, &gen.store)),
-                    Err(e) => {
-                        first_err.get_or_insert(e.into());
-                        continue;
-                    }
-                },
-                Engine::TwigStack | Engine::Auto => {
-                    unreachable!("candidates are the rdbms and twig engines")
-                }
-            };
+        let price = |engine, phys| {
             let est = estimate_plan(&phys, &gen.store, &model);
-            if best.as_ref().is_none_or(|b| est.cost_ns < b.est_cost_ns) {
-                best_max_scan = est.max_scan_card;
-                best = Some(PreparedPlan {
-                    phys,
-                    engine,
-                    translator,
-                    shards: 0, // resolved below
-                    est_cost_ns: est.cost_ns,
-                });
+            let prepared = PreparedPlan { phys, engine, translator, shards, est_cost_ns: est.cost_ns };
+            (prepared, est.max_scan_card)
+        };
+        let mut best = price(Engine::Rdbms, lower_plan_costed(bound, &gen.store, &model));
+        if best.0.phys.ops().iter().any(|op| matches!(op, PhysOp::StructuralJoin { .. })) {
+            let arms: Vec<TwigQuery> = TwigQuery::from_plan(bound)
+                .iter()
+                .map(|q| order_twig_joins(q, &gen.store))
+                .collect();
+            let twig = price(Engine::Twig, lower_twig(&arms));
+            if twig.0.est_cost_ns < best.0.est_cost_ns {
+                best = twig;
             }
         }
-        let Some(mut best) = best else {
-            return Err(first_err.expect("no candidates implies at least one error"));
-        };
-        best.shards = if choice.shards == 0 {
+        let (mut best, max_scan) = best;
+        if shards == 0 {
             let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-            choose_shards(best_max_scan, workers, DEFAULT_MIN_SHARD_ELEMS)
-        } else {
-            choice.shards
-        };
-        Ok(best)
+            best.shards = choose_shards(max_scan, workers, DEFAULT_MIN_SHARD_ELEMS);
+        }
+        best
     }
 
     /// Execute a resolved plan.
@@ -947,41 +923,45 @@ impl BlasDb {
         gen: &DbGen,
         query: &QueryTree,
         translator: Translator,
-        engine: Engine,
     ) -> Result<Plan, BlasError> {
-        Ok(match (translator, engine) {
-            (Translator::DLabeling, _) => translate_dlabeling(query)?,
-            (Translator::Split, _) => translate_split(query)?,
-            (Translator::PushUp, _) => translate_pushup(query)?,
-            (Translator::Unfold, _) => translate_unfold(query, self.gen_schema(gen))?,
-            (Translator::Auto, Engine::Rdbms | Engine::Auto) => {
-                translate_unfold(query, self.gen_schema(gen))?
+        Ok(match translator {
+            Translator::DLabeling => translate_dlabeling(query)?,
+            Translator::Split => translate_split(query)?,
+            Translator::PushUp => translate_pushup(query)?,
+            Translator::Unfold | Translator::Auto => {
+                translate_unfold(query, &self.gen_paths(gen).schema)?
             }
-            (Translator::Auto, Engine::Twig | Engine::TwigStack) => translate_pushup(query)?,
         })
+    }
+
+    /// Bind a plan against this database's tags and domain and `gen`'s
+    /// live keys.
+    fn bind_in(&self, gen: &DbGen, plan: &Plan) -> BoundPlan {
+        bind(plan, &self.tags, &self.domain, &self.gen_paths(gen).keys)
     }
 
     /// The symbolic logical plan a translator produces for `xpath`
     /// (against the current generation's schema).
     pub fn plan(&self, xpath: &str, translator: Translator) -> Result<Plan, BlasError> {
         let query = blas_xpath::parse(xpath)?;
-        self.translate(&self.current_gen(), &query, translator, Engine::Rdbms)
+        self.translate(&self.current_gen(), &query, translator)
     }
 
     /// The Fig.-11-style relational algebra for `xpath` under a
     /// translator.
     pub fn explain(&self, xpath: &str, translator: Translator) -> Result<String, BlasError> {
-        let plan = self.plan(xpath, translator)?;
-        let bound = bind(&plan, &self.tags, &self.domain);
+        let gen = self.current_gen();
+        let query = blas_xpath::parse(xpath)?;
+        let bound = self.bind_in(&gen, &self.translate(&gen, &query, translator)?);
         Ok(render_algebra(&bound, &self.tags))
     }
 
     /// The standard SQL the translator generates for `xpath`
     /// (Example 3.1 style).
     pub fn explain_sql(&self, xpath: &str, translator: Translator) -> Result<String, BlasError> {
-        let plan = self.plan(xpath, translator)?;
-        let bound = bind(&plan, &self.tags, &self.domain);
-        Ok(render_sql(&bound))
+        let gen = self.current_gen();
+        let query = blas_xpath::parse(xpath)?;
+        Ok(render_sql(&self.bind_in(&gen, &self.translate(&gen, &query, translator)?)))
     }
 
     /// Fetch the stored tuples for a result (document order), resolved
@@ -1095,7 +1075,7 @@ impl BlasDb {
     /// directory on first use. Queries translate against their own
     /// generation's summary ([`DbSnapshot::schema`]).
     pub fn schema(&self) -> &SchemaGraph {
-        self.gen_schema(&self.base)
+        &self.gen_paths(&self.base).schema
     }
 
     /// Serialize the labeled, indexed form of this database — the
@@ -1427,7 +1407,7 @@ impl BlasDb {
     fn publish(&self, store: NodeStore, compactions: u64) -> u64 {
         let mut cur = write_recover(&self.current);
         let number = cur.number + 1;
-        *cur = Arc::new(DbGen { number, store, compactions, schema: OnceLock::new() });
+        *cur = Arc::new(DbGen { number, store, compactions, paths: OnceLock::new() });
         drop(cur);
         lock_recover(&self.plan_cache).prune_superseded(0, number);
         for hook in &lock_recover(&self.publish_hooks).0 {
@@ -1485,15 +1465,12 @@ fn label_fragment(
     *unit += 1;
 }
 
-/// The concrete translator a [`Translator::Auto`] request resolves to
-/// for a concrete engine (the §7 recommendation: Unfold where unions
-/// can run, Push-up on the twig engines).
-fn resolved_translator(translator: Translator, engine: Engine) -> Translator {
+/// The concrete translator a request resolves to: [`Translator::Auto`]
+/// is Unfold, one translation every engine lowers (the §7
+/// recommendation); Split, Push-up and D-labeling run only when named.
+fn resolved_translator(translator: Translator) -> Translator {
     match translator {
-        Translator::Auto => match engine {
-            Engine::Twig | Engine::TwigStack => Translator::PushUp,
-            Engine::Rdbms | Engine::Auto => Translator::Unfold,
-        },
+        Translator::Auto => Translator::Unfold,
         t => t,
     }
 }
@@ -1590,9 +1567,6 @@ mod tests {
         assert_eq!(expected.len(), 1);
         for t in [Translator::DLabeling, Translator::Split, Translator::PushUp, Translator::Unfold, Translator::Auto] {
             for e in [Engine::Rdbms, Engine::Twig, Engine::TwigStack] {
-                if t == Translator::Unfold && e != Engine::Rdbms {
-                    continue; // unions unsupported on the twig engine
-                }
                 let got = db.query_with("/db/e[r/y='2001']/p/n", t, e).unwrap();
                 assert_eq!(got.nodes, expected, "{t:?}/{e:?}");
             }
@@ -1600,12 +1574,18 @@ mod tests {
     }
 
     #[test]
-    fn unfold_on_twig_engine_is_rejected_cleanly() {
-        // Force a union via an interior descendant under a schema where
-        // multiple unfoldings exist.
+    fn unfold_runs_on_the_twig_engines() {
+        // Two live paths under an interior descendant, and a branch
+        // that unfolds into two rewritings (a union of twigs).
         let db = BlasDb::load("<a><b><c/></b><d><c/></d></a>").unwrap();
-        let err = db.query_with("/a//c", Translator::Unfold, Engine::Twig);
-        assert!(matches!(err, Err(BlasError::Twig(_))), "{err:?}");
+        for (xpath, want) in [("/a//c", 2), ("/a/*[c]", 2)] {
+            for e in [Engine::Rdbms, Engine::Twig, Engine::TwigStack] {
+                let got = db.query_with(xpath, Translator::Unfold, e).unwrap();
+                assert_eq!(got.nodes.len(), want, "{xpath} on {e}");
+            }
+        }
+        let info = db.plan_info("/a//c", EngineChoice::twig()).unwrap();
+        assert_eq!((info.translator, info.ops), (Translator::Unfold, 2), "one scan: {info:?}");
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum BlasError {
     XPath(blas_xpath::XPathError),
     /// The chosen translator cannot handle the query.
     Translate(blas_translate::TranslateError),
-    /// The twig engine cannot run the chosen plan.
-    Twig(blas_engine::TwigError),
     /// A snapshot could not be decoded or was internally inconsistent.
     Snapshot(String),
     /// A snapshot file could not be read or mapped.
@@ -35,7 +33,6 @@ impl fmt::Display for BlasError {
             Self::Label(e) => write!(f, "{e}"),
             Self::XPath(e) => write!(f, "{e}"),
             Self::Translate(e) => write!(f, "{e}"),
-            Self::Twig(e) => write!(f, "{e}"),
             Self::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
             Self::Io(msg) => write!(f, "i/o error: {msg}"),
             Self::Config(msg) => write!(f, "configuration error: {msg}"),
@@ -67,11 +64,5 @@ impl From<blas_xpath::XPathError> for BlasError {
 impl From<blas_translate::TranslateError> for BlasError {
     fn from(e: blas_translate::TranslateError) -> Self {
         Self::Translate(e)
-    }
-}
-
-impl From<blas_engine::TwigError> for BlasError {
-    fn from(e: blas_engine::TwigError) -> Self {
-        Self::Twig(e)
     }
 }

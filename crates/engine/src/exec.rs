@@ -20,14 +20,14 @@
 //!
 //! # Counting
 //!
-//! [`count`] answers "how many?" without building the result. A
-//! suffix path is one P-label range selection and an unfolded path a
-//! union of P-label equality runs (§4.1), so for those plans the SP/SD
-//! run directory already holds the answer: an unfiltered scan, or a
-//! union of unfiltered scans over disjoint keys, is counted in a few
-//! binary searches and reads no tuple. Every other plan takes the same
-//! walk as [`execute_with`] and stops before the root
-//! [`PhysOp::Materialize`], whose copy a count never needs.
+//! [`count`] answers "how many?" without building the result. Every
+//! linear query is one selection over a P-label interval set (a suffix
+//! path one interval, an unfolded chain the runs of live keys it
+//! matched, §4.1), so for those plans the SP/SD run directory already
+//! holds the answer: an unfiltered scan is counted in two binary
+//! searches per interval and reads no tuple, on every engine. Every
+//! other plan takes the same walk as [`execute_with`] and stops before
+//! the root [`PhysOp::Materialize`], whose copy a count never needs.
 //!
 //! # Sharded scans
 //!
@@ -64,7 +64,10 @@ use crate::opt::source_cardinality;
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::pool::{self, PoolHandle};
 use crate::stats::ExecStats;
-use crate::stjoin::{filter_flagged_into, merge_segments, structural_match_into, MergeScratch};
+use crate::stjoin::{
+    filter_flagged_into, merge_segments, push_segment, structural_match_into, union_into,
+    MergeScratch,
+};
 use crate::stream::{materialize, resolve_filter, ExecBuffers, Filter, Labels};
 use crate::twigstack;
 use blas_labeling::DLabel;
@@ -191,10 +194,7 @@ pub fn execute_with(
 /// The count sink: how many nodes [`execute`] would return, without
 /// building the result.
 ///
-/// When the answer is an unfiltered [`PhysOp::ClusteredScan`], or a
-/// [`PhysOp::Union`] of unfiltered scans whose key sets are disjoint
-/// (non-overlapping P-label intervals, or distinct tags — a node has
-/// one of each, so such a union has no duplicates to remove), the run
+/// When the answer is an unfiltered [`PhysOp::ClusteredScan`], the run
 /// directory's size accessors give the count — they already apply
 /// delta inserts and tombstones — and no tuple is read: `stats`
 /// reports `elements_visited == 0` and `d_joins == 0`. Every other
@@ -216,10 +216,12 @@ pub fn count(
         PhysOp::Materialize { input } if plan.consumer_counts()[root] == 0 => *input,
         _ => root,
     };
-    let n = directory_count(plan, answer, store).unwrap_or_else(|| {
-        let mut bufs = ExecBuffers::default();
-        walk(plan, store, config, stats, &mut bufs, answer).len()
-    });
+    let n = match plan.op(answer) {
+        PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } => {
+            source_cardinality(store, source)
+        }
+        _ => walk(plan, store, config, stats, &mut ExecBuffers::default(), answer).len(),
+    };
     stats.result_count = n;
     stats.elapsed = t0.elapsed();
     n
@@ -254,47 +256,6 @@ fn walk<'a>(
         bufs.recycle(r);
     }
     out
-}
-
-/// The count of `answer`'s output read off the run directory, when
-/// its shape allows: `None` sends [`count`] down the walk.
-fn directory_count(plan: &PhysPlan, answer: OpId, store: &NodeStore) -> Option<usize> {
-    let unfiltered = |id: OpId| match plan.op(id) {
-        PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } => Some(source),
-        _ => None,
-    };
-    match plan.op(answer) {
-        PhysOp::Union { inputs } => {
-            let sources = inputs.iter().map(|&i| unfiltered(i)).collect::<Option<Vec<_>>>()?;
-            disjoint(&sources).then(|| sources.iter().map(|s| source_cardinality(store, s)).sum())
-        }
-        _ => unfiltered(answer).map(|s| source_cardinality(store, s)),
-    }
-}
-
-/// Whether no node can be selected by two of `sources`, so their union
-/// has no duplicates to remove. A node has exactly one P-label and one
-/// tag: SP selections (`PLabelEq(p)` is the interval `[p, p]`) whose
-/// intervals do not overlap are disjoint, and so are tag scans of
-/// distinct tags. Anything else — a repeated key, overlapping ranges,
-/// an SP selection beside a tag scan, a full scan — is not provably
-/// disjoint.
-fn disjoint(sources: &[&BoundSource]) -> bool {
-    let (mut intervals, mut tags) = (Vec::new(), Vec::new());
-    for source in sources {
-        match source {
-            BoundSource::PLabelEq(p) => intervals.push((*p, *p)),
-            BoundSource::PLabelRange(p1, p2) => intervals.push((*p1, *p2)),
-            BoundSource::Tag(t) => tags.push(t.0),
-            BoundSource::All => return false,
-            BoundSource::Empty => {}
-        }
-    }
-    intervals.sort_unstable();
-    tags.sort_unstable();
-    (intervals.is_empty() || tags.is_empty())
-        && intervals.windows(2).all(|w| w[0].1 < w[1].0)
-        && tags.windows(2).all(|w| w[0] != w[1])
 }
 
 // ---------------------------------------------------------------------
@@ -421,14 +382,8 @@ fn exec_op<'a>(
             Labels::Owned(out)
         }
         PhysOp::Union { inputs } => {
-            // K-way merge of start-sorted lists, dropping duplicates
-            // (same start ⇒ same node).
             let mut all = bufs.take();
-            for &i in inputs {
-                all.extend_from_slice(input(results, i));
-            }
-            all.sort_unstable_by_key(|l| l.start);
-            all.dedup_by_key(|l| l.start);
+            union_into(inputs.iter().map(|&i| input(results, i)), &mut all, &mut bufs.merge);
             Labels::Owned(all)
         }
         PhysOp::TwigStackMatch { streams, pattern } => {
@@ -474,13 +429,7 @@ fn scan_sharded<'a>(
     // searches): point queries fall back to the sequential kernel
     // without ever materializing shard groups — at µs scale that
     // preparation would be a measurable fraction of the query.
-    let total = match source {
-        BoundSource::PLabelEq(p) => store.plabel_eq_size(*p),
-        BoundSource::Tag(t) => store.tag_size(*t),
-        BoundSource::All => store.live_len(),
-        BoundSource::PLabelRange(p1, p2) => store.plabel_range_size(*p1, *p2),
-        BoundSource::Empty => return Some(Labels::Borrowed(&[])),
-    };
+    let total = source_cardinality(store, source);
     // Respect the per-shard minimum by coalescing adjacent groups
     // (each group holds consecutive pieces, so merging neighbours
     // keeps the partition order-preserving and balanced).
@@ -491,11 +440,10 @@ fn scan_sharded<'a>(
     // Storage owns shard-aware run iteration: one balanced group of
     // zero-copy run pieces per prospective worker.
     let groups: Vec<Vec<ScanRun<'a>>> = match source {
-        BoundSource::PLabelEq(p) => store.shard_plabel_eq(*p, config.shards),
+        BoundSource::PLabels(intervals) => store.shard_plabels(intervals, config.shards),
         BoundSource::Tag(t) => store.shard_tag(*t, config.shards),
         BoundSource::All => store.shard_doc(config.shards),
-        BoundSource::PLabelRange(p1, p2) => store.shard_plabel_range(*p1, *p2, config.shards),
-        BoundSource::Empty => unreachable!("handled above"),
+        BoundSource::Empty => unreachable!("an empty scan has no shard to fill"),
     };
     debug_assert_eq!(
         groups.iter().flatten().map(ScanRun::len).sum::<usize>(),
@@ -552,15 +500,7 @@ fn scan_sharded<'a>(
     let mut out = bufs.take();
     bufs.merge.bounds.clear();
     for (shard, _) in &shard_out {
-        if shard.is_empty() {
-            continue;
-        }
-        let ordered = out.last().is_none_or(|l: &DLabel| l.start <= shard[0].start);
-        out.extend_from_slice(shard);
-        match bufs.merge.bounds.last_mut() {
-            Some(b) if ordered => *b = out.len(),
-            _ => bufs.merge.bounds.push(out.len()),
-        }
+        push_segment(&mut out, shard, &mut bufs.merge);
     }
     merge_segments(&mut out, &mut bufs.merge);
     Some(Labels::Owned(out))
@@ -608,9 +548,10 @@ mod tests {
     use super::*;
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
     use crate::twig::TwigQuery;
-    use blas_labeling::label_document;
+    use blas_labeling::{label_document, PInterval};
     use blas_translate::{
         bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold, BoundPlan,
+        BoundSelection,
     };
     use blas_xml::{Document, SchemaGraph};
     use blas_xpath::parse;
@@ -632,7 +573,7 @@ mod tests {
 
     fn bound(doc: &Document, dom: &blas_labeling::PLabelDomain, xpath: &str) -> BoundPlan {
         let q = parse(xpath).unwrap();
-        bind(&translate_pushup(&q).unwrap(), doc.tags(), dom)
+        bind(&translate_pushup(&q).unwrap(), doc.tags(), dom, &[])
     }
 
     fn forced_parallel(shards: usize) -> ExecConfig {
@@ -688,7 +629,7 @@ mod tests {
     fn all_lowerings_agree_on_one_executor() {
         let (doc, store, dom) = fixture(SAMPLE);
         let b = bound(&doc, &dom, "/db/e[p/c/s]/r/f/t");
-        let twig = TwigQuery::from_plan(&b).unwrap();
+        let twig = TwigQuery::from_plan(&b);
         let mut s1 = ExecStats::default();
         let rdbms = execute(&lower_plan(&b), &store, &ExecConfig::default(), &mut s1);
         let mut s2 = ExecStats::default();
@@ -775,7 +716,7 @@ mod tests {
     fn sharded_union_plan_stays_duplicate_free() {
         let (doc, store, dom) = fixture(SAMPLE);
         let q = parse("//s").unwrap();
-        let b = bind(&translate_split(&q).unwrap(), doc.tags(), &dom);
+        let b = bind(&translate_split(&q).unwrap(), doc.tags(), &dom, &[]);
         let plan = lower_plan(&b);
         let mut stats = ExecStats::default();
         let out = execute(&plan, &store, &forced_parallel(4), &mut stats);
@@ -830,8 +771,10 @@ mod tests {
     #[test]
     fn count_matches_execute_on_every_lowering_and_config() {
         let (doc, store, dom) = fixture(SAMPLE);
-        let schema = SchemaGraph::infer(&doc);
-        for xpath in ["//f", "//s", "/db/e/r/f/t", "//s='cyt'", "/db/e[p//s='cyt']/r/f/t", "//zz"] {
+        let (schema, live) = (SchemaGraph::infer(&doc), store.live_plabels());
+        for xpath in
+            ["//f", "//s", "/db/e/r/f/t", "//s='cyt'", "/db/e[p//s='cyt']/r/f/t", "/db/e[*]/r", "//zz"]
+        {
             let q = parse(xpath).unwrap();
             let mut plans = Vec::new();
             for plan in [
@@ -840,12 +783,9 @@ mod tests {
                 translate_dlabeling(&q),
                 translate_unfold(&q, &schema),
             ] {
-                let b = bind(&plan.unwrap(), doc.tags(), &dom);
-                plans.push(lower_plan(&b));
-                if let Ok(twig) = TwigQuery::from_plan(&b) {
-                    plans.push(lower_twig(&twig));
-                    plans.push(lower_twigstack(&twig));
-                }
+                let b = bind(&plan.unwrap(), doc.tags(), &dom, &live);
+                let twig = TwigQuery::from_plan(&b);
+                plans.extend([lower_plan(&b), lower_twig(&twig), lower_twigstack(&twig)]);
             }
             for plan in &plans {
                 for config in [ExecConfig::default(), forced_parallel(2), forced_parallel(4)] {
@@ -858,20 +798,24 @@ mod tests {
     #[test]
     fn suffix_and_unfolded_paths_count_off_the_directory() {
         let (doc, store, dom) = fixture(SAMPLE);
-        let schema = SchemaGraph::infer(&doc);
+        let (schema, live) = (SchemaGraph::infer(&doc), store.live_plabels());
         let q = parse("//f").unwrap();
-        let range = lower_plan(&bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom));
-        let union = lower_plan(&bind(
+        let range = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
+        let unfolded = bind(
             &translate_unfold(&parse("/db/e//s").unwrap(), &schema).unwrap(),
             doc.tags(),
             &dom,
-        ));
-        assert!(matches!(
-            range.op(0),
-            PhysOp::ClusteredScan { source: BoundSource::PLabelRange(..), .. }
-        ));
-        for plan in [&range, &union] {
-            assert!(assert_count_matches(plan, &store, &forced_parallel(4)), "{plan:?}");
+            &live,
+        );
+        for b in [&range, &unfolded] {
+            assert!(matches!(
+                b,
+                BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(..), .. })
+            ));
+            let twig = TwigQuery::from_plan(b);
+            for plan in [lower_plan(b), lower_twig(&twig), lower_twigstack(&twig)] {
+                assert!(assert_count_matches(&plan, &store, &forced_parallel(4)), "{plan:?}");
+            }
         }
         // A filtered scan walks.
         let filtered = lower_plan(&bound(&doc, &dom, "//s='cyt'"));
@@ -879,41 +823,32 @@ mod tests {
     }
 
     #[test]
-    fn unions_count_off_the_directory_only_when_provably_disjoint() {
+    fn only_unfiltered_scans_count_off_the_directory() {
         let (doc, store, _) = fixture(SAMPLE);
-        let s = doc.tags().get("s").unwrap();
+        let (s, f) = (doc.tags().get("s").unwrap(), doc.tags().get("f").unwrap());
         let scan = |source| PhysOp::ClusteredScan { source, value_eq: None, level_eq: None };
-        let p = store.scan_all().next().map(|(_, r)| r.plabel).unwrap();
-        let union = |sources: Vec<BoundSource>| {
-            let n = sources.len();
-            let mut ops: Vec<PhysOp> = sources.into_iter().map(scan).collect();
-            ops.push(PhysOp::Union { inputs: (0..n).collect() });
-            ops.push(PhysOp::Materialize { input: n });
-            plan_from(ops, n + 1)
-        };
-        // Walked: the union deduplicates what the sum would count twice.
-        for sources in [
-            vec![BoundSource::PLabelEq(p), BoundSource::PLabelEq(p)],
-            vec![BoundSource::Tag(s), BoundSource::Tag(s)],
-            vec![BoundSource::PLabelRange(0, u128::MAX), BoundSource::PLabelEq(p)],
-            vec![BoundSource::Tag(s), BoundSource::PLabelRange(0, u128::MAX)],
-            vec![BoundSource::All, BoundSource::Empty],
-        ] {
-            let plan = union(sources.clone());
-            assert!(!assert_count_matches(&plan, &store, &ExecConfig::default()), "{sources:?}");
-        }
-        // Answered: disjoint keys, an `Empty` arm contributing nothing.
-        let f = doc.tags().get("f").unwrap();
-        for sources in [
-            vec![BoundSource::Tag(s), BoundSource::Tag(f), BoundSource::Empty],
-            vec![BoundSource::PLabelEq(p), BoundSource::PLabelRange(p + 1, u128::MAX)],
-        ] {
-            let plan = union(sources.clone());
-            assert!(assert_count_matches(&plan, &store, &ExecConfig::default()), "{sources:?}");
+        let mut keys = store.live_plabels();
+        keys.truncate(5);
+        let one = |p: u128| PInterval { p1: p, p2: p };
+        let set = BoundSource::PLabels(vec![one(keys[0]), one(keys[2]), one(keys[4])]);
+        let with_root = |op: PhysOp| plan_from(vec![op, PhysOp::Materialize { input: 0 }], 1);
+        // Answered: every source kind, a multi-interval set included.
+        for source in [set.clone(), BoundSource::Tag(s), BoundSource::All] {
+            let plan = with_root(scan(source.clone()));
+            assert!(assert_count_matches(&plan, &store, &ExecConfig::default()), "{source:?}");
         }
         // A root that is not a Materialize (only `from_ops` builds one).
         let bare = plan_from(vec![scan(BoundSource::Tag(s))], 0);
         assert!(assert_count_matches(&bare, &store, &ExecConfig::default()));
+        // Walked: a union deduplicates what a sum would count twice.
+        for sources in [vec![set.clone(), set], vec![BoundSource::Tag(s), BoundSource::Tag(f)]] {
+            let n = sources.len();
+            let mut ops: Vec<PhysOp> = sources.into_iter().map(scan).collect();
+            ops.push(PhysOp::Union { inputs: (0..n).collect() });
+            ops.push(PhysOp::Materialize { input: n });
+            let plan = plan_from(ops, n + 1);
+            assert!(!assert_count_matches(&plan, &store, &ExecConfig::default()), "{plan:?}");
+        }
     }
 
     // --- Fan-out pins -------------------------------------------------
@@ -967,7 +902,7 @@ mod tests {
     fn pin_query() -> (Document, NodeStore, TwigQuery, BoundPlan) {
         let (doc, store, dom) = fixture(SAMPLE);
         let b = bound(&doc, &dom, "/db/e[p//s='cyt']/r/f[y='2001']/t");
-        let twig = TwigQuery::from_plan(&b).unwrap();
+        let twig = TwigQuery::from_plan(&b).remove(0);
         (doc, store, twig, b)
     }
 
@@ -980,12 +915,12 @@ mod tests {
     #[test]
     fn twig_plan_submits_one_job_per_fanned_out_scan() {
         let (_, store, twig, _) = pin_query();
-        assert_fan_out_pin(&lower_twig(&twig), &store, "twig");
+        assert_fan_out_pin(&lower_twig(&[twig]), &store, "twig");
     }
 
     #[test]
     fn twigstack_plan_submits_one_job_per_fanned_out_scan() {
         let (_, store, twig, _) = pin_query();
-        assert_fan_out_pin(&lower_twigstack(&twig), &store, "twigstack");
+        assert_fan_out_pin(&lower_twigstack(&[twig]), &store, "twigstack");
     }
 }

@@ -28,9 +28,9 @@
 //!   unions).
 //! * [`twig`] — the file-system engine (§5.3): lowers a plan into a
 //!   twig query over label *streams* and expresses the holistic
-//!   bottom-up/top-down stack passes as a semi-join DAG. Following
-//!   §5.3.1, it rejects plans with unions (Unfold) — the paper excluded
-//!   Unfold from the twig experiments for the same reason.
+//!   bottom-up/top-down stack passes as a semi-join DAG. An Unfold
+//!   plan's rewritings become one twig query each, lowered under one
+//!   union.
 //! * [`twigstack`] — the literal TwigStack algorithm (Bruno et al.,
 //!   SIGMOD'02) packaged as the executor's holistic match operator.
 //! * [`stjoin`] — the structural-join kernel: one merge pass with an
@@ -74,5 +74,5 @@ pub use physical::{
 pub use rdbms::{execute_plan, execute_plan_config, execute_plan_with};
 pub use stats::ExecStats;
 pub use stream::{ExecBuffers, Labels};
-pub use twig::{TwigError, TwigQuery};
-pub use twigstack::{execute_twigstack, execute_twigstack_config};
+pub use twig::TwigQuery;
+pub use twigstack::execute_twigstack;

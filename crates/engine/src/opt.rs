@@ -12,8 +12,8 @@
 //!
 //! 1. **Cardinalities in O(log n)** — every leaf of a physical plan is
 //!    a clustered scan whose extent the store's SP/SD run directories
-//!    answer with two binary searches ([`source_cardinality`]:
-//!    `plabel_eq_size` / `plabel_range_size` / `tag_size` / `len`).
+//!    answer with two binary searches per interval
+//!    ([`source_cardinality`]: `plabels_size` / `tag_size` / `live_len`).
 //!    No histograms, no sampling: the clustering *is* the statistic.
 //! 2. **A per-operator cost model** ([`CostModel`]) — ns/element rates
 //!    calibrated against the measured kernel rows of
@@ -30,9 +30,11 @@
 //! On top of the estimates sit the three decisions `EngineChoice::Auto`
 //! delegates here:
 //!
-//! * **engine/lowering** — `blas::BlasDb` lowers every applicable
-//!   candidate (rdbms over Unfold and Push-up, twig over Push-up) and
-//!   keeps the cheapest estimate. The literal TwigStack lowering stays
+//! * **engine/lowering** — `blas::BlasDb` translates and binds a query
+//!   once (Unfold, which every engine lowers); a plan without a join is
+//!   one clustered scan and is lowered once, a plan with joins is
+//!   lowered for the relational and the twig engine and the cheaper
+//!   estimate runs. The literal TwigStack lowering stays
 //!   priceable ([`estimate_plan`] handles its match operator) but no
 //!   longer races: it prices orders of magnitude worse on every query
 //!   the suites pin, so it is reachable only as an explicit engine
@@ -53,14 +55,13 @@ use blas_storage::NodeStore;
 use blas_translate::{BoundPlan, BoundSource, Side};
 
 /// Exact cardinality of a clustered scan, answered in O(log n) from
-/// the SP/SD run directories (two binary searches per probe). This is
+/// the SP/SD run directories (two binary searches per interval). This is
 /// the optimizer's only statistics source — the physical clustering
 /// the paper builds for scan speed doubles as a perfect leaf-level
 /// histogram.
 pub fn source_cardinality(store: &NodeStore, source: &BoundSource) -> usize {
     match source {
-        BoundSource::PLabelEq(p) => store.plabel_eq_size(*p),
-        BoundSource::PLabelRange(p1, p2) => store.plabel_range_size(*p1, *p2),
+        BoundSource::PLabels(intervals) => store.plabels_size(intervals),
         BoundSource::Tag(t) => store.tag_size(*t),
         BoundSource::All => store.live_len(),
         BoundSource::Empty => 0,
@@ -313,7 +314,7 @@ mod tests {
         let labels = label_document(doc).unwrap();
         let q = parse(xpath).unwrap();
         let plan = blas_translate::translate_pushup(&q).unwrap();
-        bind(&plan, doc.tags(), &labels.domain)
+        bind(&plan, doc.tags(), &labels.domain, &[])
     }
 
     const SAMPLE: &str = concat!(
@@ -352,7 +353,7 @@ mod tests {
         let (doc, store) = fixture(SAMPLE);
         let model = CostModel::default();
         let b = bound_for(&doc, "/db/e[r/y]/p/n");
-        let twigq = TwigQuery::from_plan(&b).unwrap();
+        let twigq = TwigQuery::from_plan(&b);
         let rdbms = estimate_plan(&lower_plan(&b), &store, &model);
         let twig = estimate_plan(&lower_twig(&twigq), &store, &model);
         let ts = estimate_plan(&lower_twigstack(&twigq), &store, &model);
@@ -420,7 +421,7 @@ mod tests {
         );
         let (doc, store) = fixture(xml);
         let b = bound_for(&doc, "/db/e[p][r]");
-        let q = TwigQuery::from_plan(&b).unwrap();
+        let q = TwigQuery::from_plan(&b).remove(0);
         let ordered = order_twig_joins(&q, &store);
         for node in &ordered.nodes {
             let sizes: Vec<usize> = node

@@ -28,6 +28,10 @@
 //! * [`lower_twigstack`] — the literal TwigStack configuration: the
 //!   same per-node streams feeding one [`PhysOp::TwigStackMatch`].
 //!
+//! Both twig lowerings take the arms of a union of rewritings (Unfold's
+//! output) and lower them one after another under one [`PhysOp::Union`],
+//! so every engine runs every translator's plans.
+//!
 //! The IR is a DAG: operators may be consumed by several later
 //! operators (the twig lowering reads each satisfaction stream in both
 //! passes), which the arena-with-indices representation models
@@ -43,8 +47,8 @@ pub type OpId = usize;
 /// One physical operator. Inputs are [`OpId`]s of earlier operators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhysOp {
-    /// Clustered scan over the SP (`PLabelEq`/`PLabelRange`) or SD
-    /// (`Tag`/`All`) physical sort order. `value_eq`/`level_eq` are
+    /// Clustered scan over the SP (`PLabels`) or SD (`Tag`/`All`)
+    /// physical sort order. `value_eq`/`level_eq` are
     /// filters fused into the scan by [`PhysPlan::pushdown_filters`];
     /// they drop tuples *after* counting (the paper's "elements read"
     /// counts the whole clustered run).
@@ -419,64 +423,78 @@ fn lower_plan_rec(bound: &BoundPlan, plan: &mut PhysPlan) -> OpId {
     }
 }
 
-/// Lower a twig query for the **holistic semi-join engine** (§5.3):
-/// one clustered scan per twig node (its label *stream*), then the
-/// two stack passes expressed as a DAG of structural semi-joins —
+/// Lower twig queries for the **holistic semi-join engine** (§5.3):
+/// per arm, one clustered scan per twig node (its label *stream*), then
+/// the two stack passes expressed as a DAG of structural semi-joins —
 /// bottom-up satisfaction (keep ancestors, tallied as the twig's
 /// D-joins) and top-down reachability (keep descendants, untallied:
 /// the paper counts each twig edge once).
-pub fn lower_twig(q: &TwigQuery) -> PhysPlan {
-    let mut plan = PhysPlan::empty();
-    let pattern = TwigPattern::from_query(q);
-    let mut sat: Vec<OpId> = q
-        .nodes
-        .iter()
-        .map(|n| lower_selection(&mut plan, &n.source, &n.value_eq, n.level_eq))
-        .collect();
-    let order = pattern.post_order();
-    for &qi in &order {
-        for &c in &pattern.children[qi] {
-            sat[qi] = plan.push(PhysOp::StructuralJoin {
-                anc: sat[qi],
-                desc: sat[c],
-                level_diff: pattern.level_diff[c],
-                keep: Side::Anc,
-                tally: true,
-            });
+pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
+    lower_arms(arms, |plan, q| {
+        let pattern = TwigPattern::from_query(q);
+        let mut sat: Vec<OpId> = q
+            .nodes
+            .iter()
+            .map(|n| lower_selection(plan, &n.source, &n.value_eq, n.level_eq))
+            .collect();
+        let order = pattern.post_order();
+        for &qi in &order {
+            for &c in &pattern.children[qi] {
+                sat[qi] = plan.push(PhysOp::StructuralJoin {
+                    anc: sat[qi],
+                    desc: sat[c],
+                    level_diff: pattern.level_diff[c],
+                    keep: Side::Anc,
+                    tally: true,
+                });
+            }
         }
-    }
-    let mut alive: Vec<OpId> = vec![usize::MAX; pattern.len()];
-    alive[pattern.root] = sat[pattern.root];
-    for &qi in order.iter().rev() {
-        for &c in &pattern.children[qi] {
-            alive[c] = plan.push(PhysOp::StructuralJoin {
-                anc: alive[qi],
-                desc: sat[c],
-                level_diff: pattern.level_diff[c],
-                keep: Side::Desc,
-                tally: false,
-            });
+        let mut alive: Vec<OpId> = vec![usize::MAX; pattern.len()];
+        alive[pattern.root] = sat[pattern.root];
+        for &qi in order.iter().rev() {
+            for &c in &pattern.children[qi] {
+                alive[c] = plan.push(PhysOp::StructuralJoin {
+                    anc: alive[qi],
+                    desc: sat[c],
+                    level_diff: pattern.level_diff[c],
+                    keep: Side::Desc,
+                    tally: false,
+                });
+            }
         }
-    }
-    plan.root = plan.push(PhysOp::Materialize { input: alive[pattern.output] });
-    plan.pushdown_filters()
+        alive[pattern.output]
+    })
 }
 
-/// Lower a twig query for the **TwigStack engine**: the same per-node
-/// streams as [`lower_twig`], feeding the single holistic
+/// Lower twig queries for the **TwigStack engine**: per arm, the same
+/// per-node streams as [`lower_twig`], feeding the single holistic
 /// [`PhysOp::TwigStackMatch`] operator instead of a semi-join DAG.
-pub fn lower_twigstack(q: &TwigQuery) -> PhysPlan {
+pub fn lower_twigstack(arms: &[TwigQuery]) -> PhysPlan {
+    lower_arms(arms, |plan, q| {
+        let streams: Vec<OpId> = q
+            .nodes
+            .iter()
+            .map(|n| lower_selection(plan, &n.source, &n.value_eq, n.level_eq))
+            .collect();
+        match streams[..] {
+            // A one-node twig has no edge to match: its stream is the
+            // answer.
+            [only] => only,
+            _ => plan.push(PhysOp::TwigStackMatch { streams, pattern: TwigPattern::from_query(q) }),
+        }
+    })
+}
+
+/// Lower each arm with `arm`, union the arms' outputs (one arm needs no
+/// union; none is the empty union), materialize, and fuse filters.
+fn lower_arms(arms: &[TwigQuery], mut arm: impl FnMut(&mut PhysPlan, &TwigQuery) -> OpId) -> PhysPlan {
     let mut plan = PhysPlan::empty();
-    let streams: Vec<OpId> = q
-        .nodes
-        .iter()
-        .map(|n| lower_selection(&mut plan, &n.source, &n.value_eq, n.level_eq))
-        .collect();
-    let matched = plan.push(PhysOp::TwigStackMatch {
-        streams,
-        pattern: TwigPattern::from_query(q),
-    });
-    plan.root = plan.push(PhysOp::Materialize { input: matched });
+    let mut outs: Vec<OpId> = arms.iter().map(|q| arm(&mut plan, q)).collect();
+    let top = match outs.len() {
+        1 => outs.pop().expect("length checked"),
+        _ => plan.push(PhysOp::Union { inputs: outs }),
+    };
+    plan.root = plan.push(PhysOp::Materialize { input: top });
     plan.pushdown_filters()
 }
 
@@ -493,7 +511,7 @@ mod tests {
         let labels = label_document(&doc).unwrap();
         let q = parse(xpath).unwrap();
         let plan = translate_pushup(&q).unwrap();
-        let b = bind(&plan, doc.tags(), &labels.domain);
+        let b = bind(&plan, doc.tags(), &labels.domain, &[]);
         (doc, b)
     }
 
@@ -534,11 +552,19 @@ mod tests {
         let doc = Document::parse("<a><b><c/></b><d><c/></d></a>").unwrap();
         let labels = label_document(&doc).unwrap();
         let schema = SchemaGraph::infer(&doc);
-        let q = parse("/a//c").unwrap();
-        let plan = translate_unfold(&q, &schema).unwrap();
-        let b = bind(&plan, doc.tags(), &labels.domain);
-        let phys = lower_plan(&b);
-        assert!(phys.ops().iter().any(|o| matches!(o, PhysOp::Union { .. })));
+        let bound = |xpath: &str| {
+            let plan = translate_unfold(&parse(xpath).unwrap(), &schema).unwrap();
+            bind(&plan, doc.tags(), &labels.domain, &[])
+        };
+        // A twig's rewritings are a union on every engine; a linear
+        // query's matching paths are one scan.
+        let twig = bound("/a/*[c]");
+        let twig_arms = TwigQuery::from_plan(&twig);
+        for phys in [lower_plan(&twig), lower_twig(&twig_arms), lower_twigstack(&twig_arms)] {
+            assert_eq!(phys.ops().iter().filter(|o| matches!(o, PhysOp::Union { .. })).count(), 1);
+        }
+        let linear = lower_plan(&bound("/a//c"));
+        assert!(!linear.ops().iter().any(|o| matches!(o, PhysOp::Union { .. })));
     }
 
     #[test]
@@ -548,8 +574,8 @@ mod tests {
             "/db/e[p]/r/f",
         );
         let _ = doc;
-        let twig = TwigQuery::from_plan(&b).unwrap();
-        let plan = lower_twig(&twig);
+        let twig = TwigQuery::from_plan(&b).remove(0);
+        let plan = lower_twig(std::slice::from_ref(&twig));
         let (mut tallied, mut untallied) = (0, 0);
         for op in plan.ops() {
             if let PhysOp::StructuralJoin { tally, .. } = op {
@@ -570,9 +596,9 @@ mod tests {
 
     #[test]
     fn twigstack_lowering_uses_holistic_operator() {
-        let (_, b) = bound("<db><e><p/></e></db>", "/db/e/p");
-        let twig = TwigQuery::from_plan(&b).unwrap();
-        let plan = lower_twigstack(&twig);
+        let (_, b) = bound("<db><e><p/></e></db>", "/db/e[p]");
+        let twig = TwigQuery::from_plan(&b).remove(0);
+        let plan = lower_twigstack(std::slice::from_ref(&twig));
         let m = plan
             .ops()
             .iter()

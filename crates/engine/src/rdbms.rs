@@ -97,7 +97,7 @@ mod tests {
             "unfold" => translate_unfold(&q, &fx.schema).unwrap(),
             _ => unreachable!(),
         };
-        let bound = bind(&plan, fx.doc.tags(), &fx.domain);
+        let bound = bind(&plan, fx.doc.tags(), &fx.domain, &fx.store.live_plabels());
         let mut stats = ExecStats::default();
         let out = execute_plan(&bound, &fx.store, &mut stats);
         (out, stats)
@@ -206,7 +206,7 @@ mod tests {
     fn buffer_reuse_across_executions_is_clean() {
         let fx = fixture();
         let q = parse("/db/e[p//s='cyt']/r/f/t").unwrap();
-        let bound = bind(&translate_split(&q).unwrap(), fx.doc.tags(), &fx.domain);
+        let bound = bind(&translate_split(&q).unwrap(), fx.doc.tags(), &fx.domain, &[]);
         let mut bufs = ExecBuffers::default();
         let mut first: Option<Vec<DLabel>> = None;
         for _ in 0..3 {

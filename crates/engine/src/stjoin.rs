@@ -198,6 +198,40 @@ fn merge_two_into(a: &[DLabel], b: &[DLabel], out: &mut Vec<DLabel>) {
     out.extend_from_slice(&b[j..]);
 }
 
+/// Append one start-sorted segment to `buf` for [`merge_segments`]. An
+/// empty segment is skipped, and one that continues the order of what
+/// `buf` already holds extends the last segment instead of opening
+/// another, so inputs that arrive in document order merge for free.
+pub fn push_segment(buf: &mut Vec<DLabel>, seg: &[DLabel], scratch: &mut MergeScratch) {
+    let Some(first) = seg.first() else {
+        return;
+    };
+    let ordered = buf.last().is_none_or(|l| l.start <= first.start);
+    buf.extend_from_slice(seg);
+    match scratch.bounds.last_mut() {
+        Some(b) if ordered => *b = buf.len(),
+        _ => scratch.bounds.push(buf.len()),
+    }
+}
+
+/// The duplicate-free union of start-sorted `parts`, appended to an
+/// empty `out`: one segment merge, then adjacent equal starts (the same
+/// node) collapse to one. O(n log k) for `k` parts, O(n) when they
+/// arrive in document order.
+pub fn union_into<'a>(
+    parts: impl IntoIterator<Item = &'a [DLabel]>,
+    out: &mut Vec<DLabel>,
+    scratch: &mut MergeScratch,
+) {
+    debug_assert!(out.is_empty());
+    scratch.bounds.clear();
+    for part in parts {
+        push_segment(out, part, scratch);
+    }
+    merge_segments(out, scratch);
+    out.dedup_by_key(|l| l.start);
+}
+
 /// Restore start (document) order after a `(plabel, start)`-clustered
 /// range scan returned as one flat buffer.
 ///
@@ -225,6 +259,28 @@ pub fn ensure_start_order(mut input: Vec<DLabel>) -> Vec<DLabel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The union's merge ≡ concatenate, sort and deduplicate, on
+        /// random start-sorted inputs that overlap each other.
+        #[test]
+        fn union_merge_equals_sort_and_dedup(
+            parts in prop::collection::vec(prop::collection::btree_set(0u32..64, 0..24), 0..7),
+        ) {
+            let parts: Vec<Vec<DLabel>> = parts
+                .into_iter()
+                .map(|set| set.into_iter().map(|s| l(s, s + 1, 1)).collect())
+                .collect();
+            let mut want: Vec<DLabel> = parts.concat();
+            want.sort_unstable_by_key(|l| l.start);
+            want.dedup_by_key(|l| l.start);
+            let mut got = Vec::new();
+            let mut scratch = MergeScratch::default();
+            union_into(parts.iter().map(Vec::as_slice), &mut got, &mut scratch);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn l(start: u32, end: u32, level: u16) -> DLabel {
         DLabel { start, end, level }

@@ -122,17 +122,16 @@ pub fn materialize<'a>(
 ) -> Labels<'a> {
     let filter = resolve_filter(value_eq, level_eq, store);
     match source {
-        BoundSource::PLabelEq(p) => single_run(store.scan_plabel_eq(*p), filter, stats, bufs),
+        BoundSource::PLabels(intervals) => {
+            multi_run(store.scan_plabels(intervals), filter, stats, bufs)
+        }
         BoundSource::Tag(t) => single_run(store.scan_tag(*t), filter, stats, bufs),
         BoundSource::All => single_run(store.scan_doc(), filter, stats, bufs),
-        BoundSource::PLabelRange(p1, p2) => {
-            multi_run(store.scan_plabel_range(*p1, *p2), filter, stats, bufs)
-        }
         BoundSource::Empty => Labels::Borrowed(&[]),
     }
 }
 
-/// Equality/tag/full scans yield one start-sorted run: zero-copy when
+/// Tag and full scans yield one start-sorted run: zero-copy when
 /// the run is a raw extent and no filter applies; otherwise one pass
 /// of the chunked filter/decode kernel into a pooled buffer.
 fn single_run<'a>(
@@ -152,8 +151,8 @@ fn single_run<'a>(
     Labels::Owned(out)
 }
 
-/// A P-label range scan yields one start-sorted run per distinct
-/// P-label in the range; restore document order by merging the runs
+/// A P-label interval-set scan yields one start-sorted run per distinct
+/// live P-label in the set; restore document order by merging the runs
 /// with ping-pong rounds between two persistent buffers (no per-run
 /// allocation).
 fn multi_run<'a>(
@@ -166,7 +165,7 @@ fn multi_run<'a>(
         return Labels::Borrowed(&[]);
     };
     let Some(second) = runs.next() else {
-        // A range selecting a single P-label stays zero-copy.
+        // A set selecting a single live P-label stays zero-copy.
         return single_run(head, filter, stats, bufs);
     };
     let mut out = bufs.take();
@@ -186,7 +185,7 @@ fn multi_run<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blas_labeling::label_document;
+    use blas_labeling::{label_document, PInterval};
     use blas_xml::Document;
 
     const SAMPLE: &str = "<db><e><n>a</n></e><x><e><n>b</n></e></x><n>c</n></db>";
@@ -261,7 +260,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut bufs = ExecBuffers::default();
         let out = materialize(
-            &BoundSource::PLabelRange(0, u128::MAX),
+            &BoundSource::PLabels(vec![PInterval { p1: 0, p2: u128::MAX }]),
             None,
             None,
             &store,
@@ -281,7 +280,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut bufs = ExecBuffers::default();
         let out = materialize(
-            &BoundSource::PLabelRange(q.p1, q.p2),
+            &BoundSource::PLabels(vec![q]),
             None,
             None,
             &store,

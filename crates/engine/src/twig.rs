@@ -1,13 +1,16 @@
 //! The holistic twig-join engine (§5.3): stack-based matching over
 //! label streams, in the spirit of TwigStack (Bruno et al., SIGMOD'02).
 //!
-//! A bound plan (without unions — §5.3.1 excludes Unfold from the twig
-//! experiments exactly because it needs unions) converts into a *twig
-//! query*: one node per selection, one edge per D-join, each edge
-//! optionally carrying an exact level offset. Each twig node draws its
-//! elements from a start-sorted **stream** — a tag stream for the
-//! D-labeling baseline, a P-label range/equality stream for BLAS plans;
-//! this stream-size difference is precisely what Figs. 14–18 measure.
+//! Each union-free arm of a bound plan converts into a *twig query*: one
+//! node per selection, one edge per D-join, each edge optionally
+//! carrying an exact level offset. Each twig node draws its elements
+//! from a start-sorted **stream** — a tag stream for the D-labeling
+//! baseline, a P-label interval-set stream for BLAS plans; this
+//! stream-size difference is precisely what Figs. 14–18 measure. The
+//! paper's prototype ran no unions, so §5.3.1 leaves Unfold out of the
+//! twig experiments; here an Unfold plan's rewritings are simply
+//! several twig queries, lowered arm by arm under one union, so the
+//! twig engines take Unfold like the relational engine does.
 //!
 //! Matching runs two stack-based merge passes over the streams
 //! (bottom-up satisfaction, then top-down reachability), which computes
@@ -34,36 +37,14 @@
 use crate::exec::{self, ExecConfig};
 use crate::physical::lower_twig;
 use crate::stats::ExecStats;
-use crate::stream::ExecBuffers;
 use blas_labeling::DLabel;
 use blas_storage::NodeStore;
 use blas_translate::{BoundPlan, BoundSelection, BoundSource, Side};
-use std::fmt;
-
-/// Why a plan cannot run on the twig engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TwigError {
-    /// The plan contains a union (Unfold); the twig engine, like the
-    /// prototype in the paper, does not support unions (§5.3.1).
-    UnionUnsupported,
-}
-
-impl fmt::Display for TwigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::UnionUnsupported => {
-                write!(f, "the holistic twig engine does not support unions (use the RDBMS engine)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TwigError {}
 
 /// One node of a twig query.
 #[derive(Debug, Clone)]
 pub struct TwigNode {
-    /// Stream source (tag stream or P-label range stream).
+    /// Stream source (tag stream or P-label interval-set stream).
     pub source: BoundSource,
     /// Optional `data =` stream filter.
     pub value_eq: Option<String>,
@@ -89,11 +70,22 @@ pub struct TwigQuery {
 }
 
 impl TwigQuery {
-    /// Convert a bound plan into a twig query. Fails on unions.
-    pub fn from_plan(plan: &BoundPlan) -> Result<Self, TwigError> {
-        let mut nodes = Vec::new();
-        let conv = conv(plan, &mut nodes)?;
-        Ok(TwigQuery { nodes, root: conv.root, output: conv.rep })
+    /// Convert a bound plan into one twig query per union arm
+    /// ([`BoundPlan::arms`]): a union-free plan is one twig, an empty
+    /// union none.
+    ///
+    /// # Panics
+    ///
+    /// On a union nested under a join, which no translator emits.
+    pub fn from_plan(plan: &BoundPlan) -> Vec<Self> {
+        plan.arms()
+            .iter()
+            .map(|arm| {
+                let mut nodes = Vec::new();
+                let conv = conv(arm, &mut nodes);
+                TwigQuery { nodes, root: conv.root, output: conv.rep }
+            })
+            .collect()
     }
 
     /// Number of twig edges (the joins the holistic pass performs).
@@ -105,32 +97,8 @@ impl TwigQuery {
     /// executor — one clustered-scan stream per node, then the two
     /// stack passes as an explicit semi-join DAG.
     pub fn execute(&self, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
-        let mut bufs = ExecBuffers::default();
-        self.execute_with(store, stats, &mut bufs)
+        exec::execute(&lower_twig(std::slice::from_ref(self)), store, &ExecConfig::default(), stats)
     }
-
-    /// Like [`TwigQuery::execute`], reusing caller-held scratch buffers
-    /// across executions.
-    pub fn execute_with(
-        &self,
-        store: &NodeStore,
-        stats: &mut ExecStats,
-        bufs: &mut ExecBuffers,
-    ) -> Vec<DLabel> {
-        exec::execute_with(&lower_twig(self), store, &ExecConfig::default(), stats, bufs)
-    }
-
-    /// Like [`TwigQuery::execute`], with an explicit executor
-    /// configuration (sharded parallel stream scans).
-    pub fn execute_config(
-        &self,
-        store: &NodeStore,
-        config: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Vec<DLabel> {
-        exec::execute(&lower_twig(self), store, config, stats)
-    }
-
 }
 
 struct Conv {
@@ -140,7 +108,7 @@ struct Conv {
     rep_depth: Option<u16>,
 }
 
-fn conv(plan: &BoundPlan, nodes: &mut Vec<TwigNode>) -> Result<Conv, TwigError> {
+fn conv(plan: &BoundPlan, nodes: &mut Vec<TwigNode>) -> Conv {
     match plan {
         BoundPlan::Select(BoundSelection { source, value_eq, level_eq }) => {
             let id = nodes.len();
@@ -152,11 +120,11 @@ fn conv(plan: &BoundPlan, nodes: &mut Vec<TwigNode>) -> Result<Conv, TwigError> 
                 level_diff: None,
                 children: Vec::new(),
             });
-            Ok(Conv { root: id, rep: id, rep_depth: Some(0) })
+            Conv { root: id, rep: id, rep_depth: Some(0) }
         }
         BoundPlan::DJoin { anc, desc, level_diff, output } => {
-            let a = conv(anc, nodes)?;
-            let d = conv(desc, nodes)?;
+            let a = conv(anc, nodes);
+            let d = conv(desc, nodes);
             // The join constrains anc.rep vs desc.rep at offset k; the
             // twig edge runs anc.rep → desc.root, so subtract the
             // depth of desc.rep below its own root.
@@ -180,15 +148,16 @@ fn conv(plan: &BoundPlan, nodes: &mut Vec<TwigNode>) -> Result<Conv, TwigError> 
                     },
                 ),
             };
-            Ok(Conv { root: a.root, rep, rep_depth })
+            Conv { root: a.root, rep, rep_depth }
         }
-        BoundPlan::Union(_) => Err(TwigError::UnionUnsupported),
+        BoundPlan::Union(_) => unreachable!("nested unions are not produced by the translators"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::PhysOp;
     use crate::rdbms::execute_plan;
     use blas_labeling::label_document;
     use blas_storage::NodeStore;
@@ -229,10 +198,10 @@ mod tests {
                 ("split", translate_split(&q).unwrap()),
                 ("pushup", translate_pushup(&q).unwrap()),
             ] {
-                let bound = bind(&plan, doc.tags(), &dom);
+                let bound = bind(&plan, doc.tags(), &dom, &[]);
                 let mut rs = ExecStats::default();
                 let rdbms_out = execute_plan(&bound, &store, &mut rs);
-                let twig = TwigQuery::from_plan(&bound).unwrap();
+                let twig = TwigQuery::from_plan(&bound).remove(0);
                 let mut ts = ExecStats::default();
                 let twig_out = twig.execute(&store, &mut ts);
                 assert_eq!(rdbms_out, twig_out, "{src} ({name})");
@@ -245,18 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn union_plans_rejected() {
+    fn union_plans_lower_arm_by_arm() {
         let (doc, store, dom) = fixture();
-        let _ = store;
         let schema = SchemaGraph::infer(&doc);
-        // /db/e/p/c yields a single path; use a wildcard to force a
-        // union of two alternatives.
-        let q = parse("/db/e/*").unwrap();
+        // The branch `*` unfolds through e/p and e/r: two rewritings.
+        let q = parse("/db/e[*]/r/f/t").unwrap();
         let plan = translate_unfold(&q, &schema).unwrap();
-        let bound = bind(&plan, doc.tags(), &dom);
-        match TwigQuery::from_plan(&bound) {
-            Err(TwigError::UnionUnsupported) => {}
-            Ok(_) => panic!("union plan must be rejected"),
+        let bound = bind(&plan, doc.tags(), &dom, &store.live_plabels());
+        let arms = TwigQuery::from_plan(&bound);
+        assert_eq!(arms.len(), 2);
+        let mut rs = ExecStats::default();
+        let expected = execute_plan(&bound, &store, &mut rs);
+        assert_eq!(expected.len(), 3);
+        for phys in [lower_twig(&arms), crate::physical::lower_twigstack(&arms)] {
+            let unions = phys.ops().iter().filter(|o| matches!(o, PhysOp::Union { .. })).count();
+            assert_eq!(unions, 1, "one union over the arms");
+            let out = exec::execute(&phys, &store, &ExecConfig::default(), &mut ExecStats::default());
+            assert_eq!(out, expected);
         }
     }
 
@@ -265,8 +239,8 @@ mod tests {
         let (doc, _, dom) = fixture();
         let q = parse("/db/e[p]/r/f").unwrap();
         let plan = translate_pushup(&q).unwrap();
-        let bound = bind(&plan, doc.tags(), &dom);
-        let twig = TwigQuery::from_plan(&bound).unwrap();
+        let bound = bind(&plan, doc.tags(), &dom, &[]);
+        let twig = TwigQuery::from_plan(&bound).remove(0);
         // Nodes: /db/e, /db/e/p, /db/e/r/f.
         assert_eq!(twig.nodes.len(), 3);
         assert_eq!(twig.edge_count(), 2);
@@ -287,12 +261,12 @@ mod tests {
     fn stream_sizes_drive_visited_counts() {
         let (doc, store, dom) = fixture();
         let q = parse("/db/e/r/f/y").unwrap();
-        let d = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom);
-        let p = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom);
+        let d = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
+        let p = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
         let mut ds = ExecStats::default();
-        TwigQuery::from_plan(&d).unwrap().execute(&store, &mut ds);
+        TwigQuery::from_plan(&d).remove(0).execute(&store, &mut ds);
         let mut ps = ExecStats::default();
-        TwigQuery::from_plan(&p).unwrap().execute(&store, &mut ps);
+        TwigQuery::from_plan(&p).remove(0).execute(&store, &mut ps);
         // Baseline reads db(1)+e(3)+r(3)+f(3)+y(3)=13; push-up reads 3.
         assert_eq!(ds.elements_visited, 13);
         assert_eq!(ps.elements_visited, 3);
@@ -302,8 +276,8 @@ mod tests {
     fn post_order_children_first() {
         let (doc, _, dom) = fixture();
         let q = parse("/db/e[p][r]/r/f").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom);
-        let twig = TwigQuery::from_plan(&bound).unwrap();
+        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
+        let twig = TwigQuery::from_plan(&bound).remove(0);
         // The lowering orders the bottom-up joins by the pattern's
         // post order: children always precede their parents.
         let order = crate::physical::TwigPattern::from_query(&twig).post_order();

@@ -50,18 +50,7 @@ pub fn execute_twigstack(
     store: &NodeStore,
     stats: &mut ExecStats,
 ) -> Vec<DLabel> {
-    execute_twigstack_config(query, store, &ExecConfig::default(), stats)
-}
-
-/// Like [`execute_twigstack`], with an explicit executor
-/// configuration (sharded parallel stream scans).
-pub fn execute_twigstack_config(
-    query: &TwigQuery,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-) -> Vec<DLabel> {
-    exec::execute(&lower_twigstack(query), store, config, stats)
+    exec::execute(&lower_twigstack(std::slice::from_ref(query)), store, &ExecConfig::default(), stats)
 }
 
 /// The [`PhysOp::TwigStackMatch`] operator: match `pattern` over one
@@ -403,8 +392,8 @@ mod tests {
                 translate_split(&q).unwrap(),
                 translate_pushup(&q).unwrap(),
             ] {
-                let bound = bind(&plan, doc.tags(), &dom);
-                let twig = TwigQuery::from_plan(&bound).unwrap();
+                let bound = bind(&plan, doc.tags(), &dom, &[]);
+                let twig = TwigQuery::from_plan(&bound).remove(0);
                 let mut s1 = ExecStats::default();
                 let expect = twig.execute(&store, &mut s1);
                 let mut s2 = ExecStats::default();
@@ -424,8 +413,8 @@ mod tests {
         // TwigStack should push strictly fewer elements than it reads.
         let (doc, store, dom) = fixture();
         let q = parse("/db/e[p/c/s='cyt']/r/f/t").unwrap();
-        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom);
-        let twig = TwigQuery::from_plan(&bound).unwrap();
+        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
+        let twig = TwigQuery::from_plan(&bound).remove(0);
         let mut stats = ExecStats::default();
         let out = execute_twigstack(&twig, &store, &mut stats);
         assert_eq!(out.len(), 2, "T1 and T3 both have s='cyt'");
@@ -441,8 +430,8 @@ mod tests {
     fn empty_stream_short_circuits() {
         let (doc, store, dom) = fixture();
         let q = parse("/db/e/zzz").unwrap();
-        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom);
-        let twig = TwigQuery::from_plan(&bound).unwrap();
+        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
+        let twig = TwigQuery::from_plan(&bound).remove(0);
         let mut stats = ExecStats::default();
         assert!(execute_twigstack(&twig, &store, &mut stats).is_empty());
     }
@@ -451,13 +440,14 @@ mod tests {
     fn sharded_streams_match_sequential() {
         let (doc, store, dom) = fixture();
         let q = parse("/db/e[p//s]/r/f/t").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom);
-        let twig = TwigQuery::from_plan(&bound).unwrap();
+        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
+        let twig = TwigQuery::from_plan(&bound).remove(0);
         let mut seq = ExecStats::default();
         let expect = execute_twigstack(&twig, &store, &mut seq);
         let config = ExecConfig::sharded(4).with_min_shard_elems(1);
         let mut par = ExecStats::default();
-        let got = execute_twigstack_config(&twig, &store, &config, &mut par);
+        let plan = lower_twigstack(std::slice::from_ref(&twig));
+        let got = exec::execute(&plan, &store, &config, &mut par);
         assert_eq!(got, expect);
         assert_eq!(seq.elements_visited, par.elements_visited);
         assert_eq!(seq.join_input_tuples, par.join_input_tuples);

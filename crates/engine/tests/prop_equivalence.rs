@@ -7,7 +7,7 @@
 use blas_engine::exec::{execute, ExecConfig};
 use blas_engine::physical::{lower_plan, lower_twig, lower_twigstack};
 use blas_engine::pool::PoolHandle;
-use blas_engine::{naive, rdbms::execute_plan, twigstack::execute_twigstack, ExecStats, TwigQuery};
+use blas_engine::{naive, rdbms::execute_plan, ExecStats, TwigQuery};
 use blas_labeling::label_document;
 use blas_storage::NodeStore;
 use blas_translate::{bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold};
@@ -101,8 +101,9 @@ proptest! {
         if let Ok(p) = translate_pushup(&q) {
             plans.push(("pushup", p));
         }
+        let live = store.live_plabels();
         for (name, plan) in &plans {
-            let bound = bind(plan, doc.tags(), &labels.domain);
+            let bound = bind(plan, doc.tags(), &labels.domain, &live);
             let mut stats = ExecStats::default();
             let got: Vec<u32> = execute_plan(&bound, &store, &mut stats)
                 .into_iter()
@@ -110,21 +111,14 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got, &expected, "rdbms/{} on {} over {}", name, qsrc, src);
 
-            // Twig engines (skip union plans, like the paper).
-            if let Ok(twig) = TwigQuery::from_plan(&bound) {
-                let mut ts = ExecStats::default();
-                let got: Vec<u32> = twig
-                    .execute(&store, &mut ts)
+            // Twig engines: one twig query per union arm.
+            let arms = TwigQuery::from_plan(&bound);
+            for (engine, pplan) in [("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))] {
+                let got: Vec<u32> = execute(&pplan, &store, &ExecConfig::default(), &mut ExecStats::default())
                     .into_iter()
                     .map(|l| l.start)
                     .collect();
-                prop_assert_eq!(&got, &expected, "twig/{} on {} over {}", name, qsrc, src);
-                let mut ss = ExecStats::default();
-                let got: Vec<u32> = execute_twigstack(&twig, &store, &mut ss)
-                    .into_iter()
-                    .map(|l| l.start)
-                    .collect();
-                prop_assert_eq!(&got, &expected, "twigstack/{} on {} over {}", name, qsrc, src);
+                prop_assert_eq!(&got, &expected, "{}/{} on {} over {}", engine, name, qsrc, src);
             }
         }
     }
@@ -154,13 +148,12 @@ proptest! {
             plans.push(("pushup", p));
         }
         let untimed = |stats: ExecStats| ExecStats { elapsed: Default::default(), ..stats };
+        let live = store.live_plabels();
         for (name, plan) in &plans {
-            let bound = bind(plan, doc.tags(), &labels.domain);
-            let mut phys = vec![("rdbms", lower_plan(&bound))];
-            if let Ok(twig) = TwigQuery::from_plan(&bound) {
-                phys.push(("twig", lower_twig(&twig)));
-                phys.push(("twigstack", lower_twigstack(&twig)));
-            }
+            let bound = bind(plan, doc.tags(), &labels.domain, &live);
+            let arms = TwigQuery::from_plan(&bound);
+            let phys =
+                [("rdbms", lower_plan(&bound)), ("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))];
             for (engine, pplan) in &phys {
                 let mut seq_stats = ExecStats::default();
                 let seq = execute(pplan, &store, &ExecConfig::default(), &mut seq_stats);

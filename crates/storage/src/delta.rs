@@ -662,11 +662,6 @@ impl DeltaStore {
         self.sd_keys.binary_search(&t.0).is_ok() || !self.dels_for_tag(t).is_empty()
     }
 
-    /// Does any edit touch SP key `p`?
-    pub(crate) fn touches_plabel(&self, p: u128) -> bool {
-        self.sp_keys.binary_search(&p).is_ok() || !self.dels_for_plabel(p).is_empty()
-    }
-
     /// Does any edit touch an SP key in `[p1, p2]`?
     pub(crate) fn touches_plabel_range(&self, p1: u128, p2: u128) -> bool {
         !self.sp_key_span(p1, p2).is_empty() || !self.dels_in_plabel_range(p1, p2).is_empty()

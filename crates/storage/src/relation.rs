@@ -32,11 +32,14 @@
 //! binary-search the run *directory* (a handful of entries) and return
 //! [`ScanRun`]s over borrowed column extents:
 //!
-//! * [`NodeStore::scan_plabel_eq`] / [`NodeStore::scan_tag`] — exactly
-//!   one run, already in document order;
+//! * [`NodeStore::scan_tag`] — exactly one run, already in document
+//!   order;
 //! * [`NodeStore::scan_plabel_range`] — the consecutive runs of every
 //!   distinct P-label in `[p1, p2]` (the engine merges them back to
-//!   document order with a ping-pong buffer merge).
+//!   document order with a ping-pong buffer merge);
+//! * [`NodeStore::scan_plabels`] — the same over a set of disjoint
+//!   intervals, one range scan after another (`[p, p]` is the one run
+//!   of P-label `p`).
 //!
 //! # Column sources: owned, mapped-raw, mapped-packed
 //!
@@ -77,7 +80,7 @@ use crate::mapped::MappedBytes;
 use crate::packed::{BitpackCol, LabelPlanesCol, PlaneCol};
 use crate::scan::{PackedRun, RunLike, ScanRun};
 use crate::snapshot::{self, SnapshotError, SnapshotMeta};
-use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
+use blas_labeling::{DLabel, DocumentLabels, PInterval, PLabelDomain};
 use blas_xml::{Document, TagId};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, Range};
@@ -1573,19 +1576,14 @@ impl NodeStore {
         out
     }
 
-    /// SP-clustered equality scan (`plabel = p`): one start-ordered
-    /// run, merged with the delta's inserts/tombstones for `p` when it
-    /// has any (empty when `p` is unused).
-    pub fn scan_plabel_eq(&self, p: u128) -> ScanRun<'_> {
-        let base = match self.sp_keys.binary_search(&p) {
-            Ok(at) => self.sp_scan_run(self.sp_run_range(at)),
-            Err(_) => ScanRun::Raw(Run::EMPTY),
-        };
-        let Some(d) = self.delta.as_deref().filter(|d| d.touches_plabel(p)) else {
-            return base;
-        };
-        let dels: Vec<u32> = d.dels_for_plabel(p).iter().map(|&(_, s)| s).collect();
-        merge_key_run(base, d.sp_run(p), &dels)
+    /// SP-clustered scan of an interval set (sorted, disjoint): the
+    /// range scan of each interval in turn, so the runs still come out
+    /// in P-label order, one per distinct live P-label.
+    pub fn scan_plabels<'a: 'b, 'b>(
+        &'a self,
+        intervals: &'b [PInterval],
+    ) -> impl Iterator<Item = ScanRun<'a>> + 'b {
+        intervals.iter().flat_map(move |iv| self.scan_plabel_range(iv.p1, iv.p2))
     }
 
     /// SD-clustered scan: the start-ordered run of a tag (what the
@@ -1667,17 +1665,10 @@ impl NodeStore {
         }
     }
 
-    /// Tuples [`NodeStore::scan_plabel_eq`] would yield (directory
-    /// lookups only).
-    pub fn plabel_eq_size(&self, p: u128) -> usize {
-        let base = match self.sp_keys.binary_search(&p) {
-            Ok(at) => self.sp_run_range(at).len(),
-            Err(_) => 0,
-        };
-        match self.delta.as_deref() {
-            None => base,
-            Some(d) => base - d.dels_for_plabel(p).len() + d.sp_run(p).labels.len(),
-        }
+    /// Tuples [`NodeStore::scan_plabels`] would yield: the sum of the
+    /// intervals' directory sizes.
+    pub fn plabels_size(&self, intervals: &[PInterval]) -> usize {
+        intervals.iter().map(|iv| self.plabel_range_size(iv.p1, iv.p2)).sum()
     }
 
     /// Tuples [`NodeStore::scan_tag`] would yield (directory lookups
@@ -1693,18 +1684,11 @@ impl NodeStore {
         }
     }
 
-    /// The SP range scan of `[p1, p2]` partitioned into at most
-    /// `shards` balanced groups of run pieces (see [`shard_runs`]).
-    /// Merged runs are flattened first so the splitter slices only
-    /// flat pieces.
-    pub fn shard_plabel_range(&self, p1: u128, p2: u128, shards: usize) -> Vec<Vec<ScanRun<'_>>> {
-        shard_runs(flatten_merged(self.scan_plabel_range(p1, p2).collect()), shards)
-    }
-
-    /// The SP equality run of `p` partitioned into at most `shards`
-    /// consecutive pieces.
-    pub fn shard_plabel_eq(&self, p: u128, shards: usize) -> Vec<Vec<ScanRun<'_>>> {
-        shard_runs(flatten_merged(vec![self.scan_plabel_eq(p)]), shards)
+    /// The SP scan of an interval set partitioned into at most `shards`
+    /// balanced groups of run pieces (see [`shard_runs`]). Merged runs
+    /// are flattened first so the splitter slices only flat pieces.
+    pub fn shard_plabels(&self, intervals: &[PInterval], shards: usize) -> Vec<Vec<ScanRun<'_>>> {
+        shard_runs(flatten_merged(self.scan_plabels(intervals).collect()), shards)
     }
 
     /// The SD tag run partitioned into at most `shards` consecutive
@@ -2092,9 +2076,11 @@ mod tests {
         assert_eq!(tag_total, s.scan_tag(n).len());
         let doc_groups = s.shard_doc(3);
         assert_eq!(doc_groups.iter().flatten().map(|r| r.len()).sum::<usize>(), s.len());
-        let range_groups = s.shard_plabel_range(0, u128::MAX, 3);
+        let all = PInterval { p1: 0, p2: u128::MAX };
+        let range_groups = s.shard_plabels(&[all], 3);
         assert_eq!(range_groups.iter().flatten().map(|r| r.len()).sum::<usize>(), s.len());
-        assert!(s.shard_plabel_eq(u128::MAX, 2).is_empty(), "unused plabel has no runs");
+        let unused = PInterval { p1: u128::MAX, p2: u128::MAX };
+        assert!(s.shard_plabels(&[unused], 2).is_empty(), "unused plabel has no runs");
     }
 
     #[test]
@@ -2118,7 +2104,7 @@ mod tests {
         let s = NodeStore::from_records(recs);
         assert_eq!(s.len(), 4);
         assert_eq!(s.value_count(), 2, "duplicate strings share one pool entry");
-        let run = s.scan_plabel_eq(5);
+        let run = s.scan_plabel_range(5, 5).next().expect("one run");
         assert_eq!(run.len(), 2);
         let vids: Vec<u32> =
             run_rows(&run).iter().map(|&r| s.value_id_of_row(RowId(r))).collect();
@@ -2313,9 +2299,13 @@ mod tests {
         assert_eq!(got, want_labels);
         assert_eq!(layered.plabel_range_size(0, u128::MAX), rebuilt.len());
         for p in [shared_plabel, u128::MAX / 2, base[del_e].plabel] {
-            let run = layered.scan_plabel_eq(p);
-            assert_eq!(run_labels(&run), run_labels(&rebuilt.scan_plabel_eq(p)), "{p}");
-            assert_eq!(layered.plabel_eq_size(p), run.len(), "{p}");
+            assert!(layered.scan_plabel_range(p, p).count() <= 1, "one run per key");
+            let run: Vec<DLabel> =
+                layered.scan_plabel_range(p, p).flat_map(|r| run_labels(&r)).collect();
+            let want: Vec<DLabel> =
+                rebuilt.scan_plabel_range(p, p).flat_map(|r| run_labels(&r)).collect();
+            assert_eq!(run, want, "{p}");
+            assert_eq!(layered.plabels_size(&[PInterval { p1: p, p2: p }]), run.len(), "{p}");
         }
         // Value machinery: the deleted "b" is gone, "zz" is a delta
         // intern, "a" dedups against the base pool.

@@ -5,7 +5,7 @@
 //! snapshot round-trip through `encode_store` must reproduce the store
 //! byte-for-byte at the scan level.
 
-use blas_labeling::{label_document, DLabel};
+use blas_labeling::{label_document, DLabel, PInterval};
 use blas_storage::{snapshot, MappedBytes, NodeRecord, NodeStore, RowId, ScanRun};
 use blas_xml::{Document, TagId};
 use proptest::prelude::*;
@@ -136,7 +136,7 @@ proptest! {
         let (_, store) = build(&src);
         let mut seen = 0usize;
         for (_, r) in store.scan_all().collect::<Vec<_>>() {
-            let run = store.scan_plabel_eq(r.plabel);
+            let run = store.scan_plabel_range(r.plabel, r.plabel).next().expect("a live key's run");
             prop_assert!(!run.is_empty());
             let mut labels = Vec::new();
             run.decode_labels_into(&mut labels);
@@ -213,7 +213,7 @@ proptest! {
         // Sharded partitions over mapped runs cover the same tuples.
         for shards in [2usize, 3, 7] {
             let a: usize = mapped
-                .shard_plabel_range(0, u128::MAX, shards)
+                .shard_plabels(&[PInterval { p1: 0, p2: u128::MAX }], shards)
                 .iter()
                 .flatten()
                 .map(|r| r.len())
@@ -256,7 +256,7 @@ fn from_records_out_of_order_input() {
     let store = NodeStore::from_records(recs);
     let starts: Vec<u32> = (0..store.len()).map(|i| store.record(RowId(i as u32)).start).collect();
     assert_eq!(starts, [0, 1, 4]);
-    let run = store.scan_plabel_eq(3);
+    let run = store.scan_plabel_range(3, 3).next().expect("one run");
     assert_eq!(run.len(), 2);
     assert!(run.label_at(0).start < run.label_at(1).start);
 }

@@ -1,26 +1,29 @@
 //! Binding symbolic plans to a concrete document: tag names become
-//! `TagId`s, suffix paths become P-label intervals (Algorithm 1), and
-//! anchored paths become equality predicates (Prop. 3.2). Also renders
-//! bound plans in the relational-algebra style of Fig. 11.
+//! `TagId`s and every path selection becomes a set of P-label intervals
+//! — a suffix path one interval (Algorithm 1), an anchored path one key
+//! (Prop. 3.2), and an Unfold path set the maximal runs of consecutive
+//! live keys it covers. Also renders bound plans in the
+//! relational-algebra style of Fig. 11.
 
 use crate::plan::{Plan, SelectSource, Side};
-use blas_labeling::{LabelError, PLabelDomain};
+use blas_labeling::{LabelError, PInterval, PLabelDomain};
 use blas_xml::{TagId, TagInterner};
 use std::fmt::Write as _;
 
 /// Access path of a bound selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoundSource {
-    /// `plabel = p` over the SP clustering (anchored simple path).
-    PLabelEq(u128),
-    /// `p1 ≤ plabel ≤ p2` over the SP clustering (suffix path).
-    PLabelRange(u128, u128),
+    /// `plabel ∈ [p1, p2] ∪ …` over the SP clustering: sorted, disjoint,
+    /// non-empty intervals. An anchored path is `[p, p]`, a suffix path
+    /// one interval, an unfolded chain one interval per run of
+    /// consecutive live keys it matched.
+    PLabels(Vec<PInterval>),
     /// `tag = t` over the SD clustering (baseline).
     Tag(TagId),
     /// Full scan (baseline wildcard).
     All,
-    /// Provably empty: a tag does not occur in the document, or the
-    /// path is longer than the document is deep.
+    /// Provably empty: a tag does not occur in the document, the path
+    /// is longer than the document is deep, or no live path matched.
     Empty,
 }
 
@@ -55,12 +58,34 @@ pub enum BoundPlan {
     Union(Vec<BoundPlan>),
 }
 
+impl BoundPlan {
+    /// The plan's union arms: a top-level union's alternatives, or the
+    /// plan itself. Unfold, the one translator that emits unions,
+    /// emits them only at the top, so the arms are union-free.
+    pub fn arms(&self) -> &[BoundPlan] {
+        match self {
+            BoundPlan::Union(alts) => alts,
+            one => std::slice::from_ref(one),
+        }
+    }
+}
+
 /// Resolve `plan` against a document's tag interner and P-label domain.
-pub fn bind(plan: &Plan, tags: &TagInterner, domain: &PLabelDomain) -> BoundPlan {
+/// `live` is the sorted list of P-labels that have a live tuple (the
+/// store's path directory, `NodeStore::live_plabels`): an Unfold path
+/// set binds to the maximal runs of consecutive entries of it that the
+/// set covers. Every other source binds without it.
+pub fn bind(plan: &Plan, tags: &TagInterner, domain: &PLabelDomain, live: &[u128]) -> BoundPlan {
     match plan {
         Plan::Select(sel) => {
             let source = match &sel.source {
-                SelectSource::Path { anchored, tags: path } => bind_path(*anchored, path, tags, domain),
+                SelectSource::Path { anchored, tags: path } => {
+                    match path_interval(*anchored, path, tags, domain) {
+                        Some(interval) => BoundSource::PLabels(vec![interval]),
+                        None => BoundSource::Empty,
+                    }
+                }
+                SelectSource::Paths(paths) => bind_paths(paths, tags, domain, live),
                 SelectSource::Tag(name) => match tags.get(name) {
                     Some(id) => BoundSource::Tag(id),
                     None => BoundSource::Empty,
@@ -74,36 +99,63 @@ pub fn bind(plan: &Plan, tags: &TagInterner, domain: &PLabelDomain) -> BoundPlan
             })
         }
         Plan::DJoin(j) => BoundPlan::DJoin {
-            anc: Box::new(bind(&j.anc, tags, domain)),
-            desc: Box::new(bind(&j.desc, tags, domain)),
+            anc: Box::new(bind(&j.anc, tags, domain, live)),
+            desc: Box::new(bind(&j.desc, tags, domain, live)),
             level_diff: j.level_diff,
             output: j.output,
         },
         Plan::Union(alts) => {
-            BoundPlan::Union(alts.iter().map(|a| bind(a, tags, domain)).collect())
+            BoundPlan::Union(alts.iter().map(|a| bind(a, tags, domain, live)).collect())
         }
     }
 }
 
-fn bind_path(
+/// The P-label interval of a path (`[p, p]` when anchored), or `None`
+/// when it provably selects nothing.
+fn path_interval(
     anchored: bool,
     path: &[String],
     tags: &TagInterner,
     domain: &PLabelDomain,
-) -> BoundSource {
-    let ids: Option<Vec<TagId>> = path.iter().map(|t| tags.get(t)).collect();
-    let Some(ids) = ids else {
-        return BoundSource::Empty;
-    };
+) -> Option<PInterval> {
+    let ids = path.iter().map(|t| tags.get(t)).collect::<Option<Vec<TagId>>>()?;
     match domain.path_interval(anchored, &ids) {
-        Ok(interval) if anchored => BoundSource::PLabelEq(interval.p1),
-        Ok(interval) => BoundSource::PLabelRange(interval.p1, interval.p2),
+        Ok(interval) if anchored => Some(PInterval { p1: interval.p1, p2: interval.p1 }),
+        Ok(interval) => Some(interval),
         // Too long to match anything in this document, or tags beyond
         // the domain: provably empty.
-        Err(LabelError::PathTooLong { .. } | LabelError::TagOutOfRange { .. }) => BoundSource::Empty,
+        Err(LabelError::PathTooLong { .. } | LabelError::TagOutOfRange { .. }) => None,
         Err(LabelError::DomainOverflow { .. } | LabelError::NotANodeLabel { .. }) => {
             unreachable!("path_interval neither builds a domain nor decodes a label")
         }
+    }
+}
+
+/// Coalesce a path set's keys into maximal runs of consecutive `live`
+/// entries: no live key lies inside a run that the set does not cover,
+/// so the run's interval selects exactly the set's nodes. A key with no
+/// live tuple selects nothing and is dropped.
+fn bind_paths(
+    paths: &[Vec<String>],
+    tags: &TagInterner,
+    domain: &PLabelDomain,
+    live: &[u128],
+) -> BoundSource {
+    let mut at: Vec<usize> = paths
+        .iter()
+        .filter_map(|p| path_interval(true, p, tags, domain))
+        .filter_map(|key| live.binary_search(&key.p1).ok())
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    let runs: Vec<PInterval> = at
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|run| PInterval { p1: live[run[0]], p2: live[run[run.len() - 1]] })
+        .collect();
+    if runs.is_empty() {
+        BoundSource::Empty
+    } else {
+        BoundSource::PLabels(runs)
     }
 }
 
@@ -132,8 +184,7 @@ fn render_rec(
             *counter += 1;
             let alias = format!("T{counter}");
             let (pred, rel) = match &sel.source {
-                BoundSource::PLabelEq(p) => (format!("plabel={p}"), "SP"),
-                BoundSource::PLabelRange(p1, p2) => (format!("plabel≥{p1} ∧ plabel≤{p2}"), "SP"),
+                BoundSource::PLabels(intervals) => (plabel_predicate(intervals), "SP"),
                 BoundSource::Tag(t) => (format!("tag='{}'", tags.name(*t)), "SD"),
                 BoundSource::All => ("true".to_string(), "SD"),
                 BoundSource::Empty => ("false".to_string(), "SP"),
@@ -176,6 +227,15 @@ fn render_rec(
     }
 }
 
+/// `plabel=p`, `plabel≥p1 ∧ plabel≤p2`, or a disjunction of them.
+fn plabel_predicate(intervals: &[PInterval]) -> String {
+    let one = |iv: &PInterval| match iv.p1 == iv.p2 {
+        true => format!("plabel={}", iv.p1),
+        false => format!("plabel≥{} ∧ plabel≤{}", iv.p1, iv.p2),
+    };
+    intervals.iter().map(one).collect::<Vec<_>>().join(" ∨ ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,9 +258,11 @@ mod tests {
         let (doc, dom) = setup();
         let q = parse("/db/e/p/n").unwrap();
         let plan = translate_pushup(&q).unwrap();
-        let bound = bind(&plan, doc.tags(), &dom);
+        let bound = bind(&plan, doc.tags(), &dom, &[]);
         match bound {
-            BoundPlan::Select(BoundSelection { source: BoundSource::PLabelEq(_), .. }) => {}
+            BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(iv), .. }) => {
+                assert!(matches!(iv[..], [PInterval { p1, p2 }] if p1 == p2), "{iv:?}");
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -210,11 +272,11 @@ mod tests {
         let (doc, dom) = setup();
         let q = parse("//p/n").unwrap();
         let plan = translate_split(&q).unwrap();
-        let bound = bind(&plan, doc.tags(), &dom);
+        let bound = bind(&plan, doc.tags(), &dom, &[]);
         match bound {
-            BoundPlan::Select(BoundSelection {
-                source: BoundSource::PLabelRange(p1, p2), ..
-            }) => assert!(p1 < p2),
+            BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(iv), .. }) => {
+                assert!(matches!(iv[..], [PInterval { p1, p2 }] if p1 < p2), "{iv:?}");
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -223,7 +285,7 @@ mod tests {
     fn unknown_tag_binds_to_empty() {
         let (doc, dom) = setup();
         let q = parse("/db/zzz").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom);
+        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
         assert!(matches!(
             bound,
             BoundPlan::Select(BoundSelection { source: BoundSource::Empty, .. })
@@ -234,7 +296,7 @@ mod tests {
     fn overlong_path_binds_to_empty() {
         let (doc, dom) = setup();
         let q = parse("/db/e/p/n/db/e/p/n/db/e/p/n").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom);
+        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
         assert!(matches!(
             bound,
             BoundPlan::Select(BoundSelection { source: BoundSource::Empty, .. })
@@ -246,7 +308,7 @@ mod tests {
         let (doc, dom) = setup();
         let q = parse("/db/e[p/n]/r/y='2001'").unwrap();
         let plan = translate_pushup(&q).unwrap();
-        let bound = bind(&plan, doc.tags(), &dom);
+        let bound = bind(&plan, doc.tags(), &dom, &[]);
         let txt = render_algebra(&bound, doc.tags());
         assert!(txt.starts_with("π(T"), "{txt}");
         assert!(txt.contains("σ[plabel="), "{txt}");
@@ -259,10 +321,61 @@ mod tests {
     fn render_baseline_uses_sd() {
         let (doc, dom) = setup();
         let q = parse("/db/e/p").unwrap();
-        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom);
+        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
         let txt = render_algebra(&bound, doc.tags());
         // The baseline anchors the leading `/` step at level 1 (Fig. 11).
         assert!(txt.contains("σ[tag='db' ∧ level=1](SD)"), "{txt}");
         assert_eq!(txt.matches('⋈').count(), 2);
+    }
+}
+
+#[cfg(test)]
+mod path_set_tests {
+    use super::*;
+    use crate::plan::Selection;
+    use blas_labeling::label_document;
+    use blas_xml::Document;
+
+    fn paths_select(paths: &[&[&str]]) -> Plan {
+        Plan::Select(Selection {
+            source: SelectSource::Paths(
+                paths.iter().map(|p| p.iter().map(|t| t.to_string()).collect()).collect(),
+            ),
+            value_eq: None,
+            level_eq: None,
+        })
+    }
+
+    #[test]
+    fn path_sets_coalesce_into_runs_of_consecutive_live_keys() {
+        let doc = Document::parse("<r><a><c/></a><b><c/></b><c/></r>").unwrap();
+        let labels = label_document(&doc).unwrap();
+        let key = |path: &[&str]| {
+            let ids: Vec<TagId> = path.iter().map(|t| doc.tags().get(t).unwrap()).collect();
+            labels.domain.path_interval(true, &ids).unwrap().p1
+        };
+        let mut live: Vec<u128> = labels.plabels.clone();
+        live.sort_unstable();
+        live.dedup();
+        let bound = |paths: &[&[&str]]| {
+            match bind(&paths_select(paths), doc.tags(), &labels.domain, &live) {
+                BoundPlan::Select(sel) => sel.source,
+                other => panic!("{other:?}"),
+            }
+        };
+        // The three `c` paths are the suffix `c`'s interval and nothing
+        // else lives there: one run of consecutive keys, one interval.
+        let c_paths: [&[&str]; 3] = [&["r", "c"], &["r", "b", "c"], &["r", "a", "c"]];
+        let mut c: Vec<u128> = c_paths.iter().map(|p| key(p)).collect();
+        c.sort_unstable();
+        let run = |p1, p2| BoundSource::PLabels(vec![PInterval { p1, p2 }]);
+        assert_eq!(bound(&c_paths), run(c[0], c[2]));
+        // Without the middle key, the outer two are no longer consecutive.
+        let outer: Vec<&[&str]> = c_paths.into_iter().filter(|p| key(p) != c[1]).collect();
+        let two = BoundSource::PLabels(vec![PInterval { p1: c[0], p2: c[0] }, PInterval { p1: c[2], p2: c[2] }]);
+        assert_eq!(bound(&outer), two);
+        // Nothing live matched: provably empty.
+        assert_eq!(bound(&[&["r", "zz"]]), BoundSource::Empty);
+        assert_eq!(bound(&[]), BoundSource::Empty);
     }
 }

@@ -15,6 +15,10 @@ pub enum SelectSource {
         /// Tag names, root-most first.
         tags: Vec<String>,
     },
+    /// The nodes on any of a set of root-anchored source paths: the
+    /// live paths an Unfold chain matched (§4.1.3). It binds to the
+    /// P-label interval set of their keys, one clustered scan.
+    Paths(Vec<Vec<String>>),
     /// All tuples with one tag, over the SD clustering (baseline).
     Tag(String),
     /// Every tuple (wildcard binding in the baseline).
@@ -94,7 +98,9 @@ impl Plan {
         match self {
             Plan::Select(sel) => {
                 match &sel.source {
-                    SelectSource::Path { anchored: true, .. } => s.eq_selections += 1,
+                    SelectSource::Path { anchored: true, .. } | SelectSource::Paths(_) => {
+                        s.eq_selections += 1
+                    }
                     SelectSource::Path { anchored: false, .. } => s.range_selections += 1,
                     SelectSource::Tag(_) => s.tag_scans += 1,
                     SelectSource::All => s.all_scans += 1,
@@ -129,7 +135,8 @@ pub struct PlanSummary {
     pub d_joins: u32,
     /// D-joins carrying an exact level constraint.
     pub level_constrained_joins: u32,
-    /// Equality selections on P-labels (anchored simple paths).
+    /// Equality selections on P-labels: anchored simple paths, and
+    /// Unfold's path sets (`plabel ∈ {…}`).
     pub eq_selections: u32,
     /// Range selections on P-labels (suffix paths).
     pub range_selections: u32,
@@ -149,6 +156,10 @@ impl fmt::Display for SelectSource {
             SelectSource::Path { anchored, tags } => {
                 write!(f, "{}", if *anchored { "/" } else { "//" })?;
                 write!(f, "{}", tags.join("/"))
+            }
+            SelectSource::Paths(paths) => {
+                let paths: Vec<String> = paths.iter().map(|p| format!("/{}", p.join("/"))).collect();
+                write!(f, "{{{}}}", paths.join(", "))
             }
             SelectSource::Tag(t) => write!(f, "tag={t}"),
             SelectSource::All => write!(f, "*"),

@@ -6,28 +6,20 @@
 //! comparisons as join predicates, optional `level` predicates for
 //! known offsets, and a final projection of the output side's `start`.
 //! Unions become `UNION ALL` blocks (unfolded paths are disjoint, so no
-//! duplicate elimination is needed — §4.1.3).
+//! duplicate elimination is needed — §4.1.3), one per union-free arm.
 
 use crate::bind::{BoundPlan, BoundSelection, BoundSource};
 use crate::plan::Side;
+use blas_labeling::PInterval;
 use std::fmt::Write as _;
 
 /// Render `plan` as a SQL query string.
 pub fn render_sql(plan: &BoundPlan) -> String {
-    match plan {
-        BoundPlan::Union(alts) => {
-            // A top-level union becomes UNION ALL of per-alternative
-            // queries.
-            if alts.is_empty() {
-                return "SELECT start FROM SP WHERE 1 = 0".to_string();
-            }
-            alts.iter()
-                .map(render_single)
-                .collect::<Vec<_>>()
-                .join("\nUNION ALL\n")
-        }
-        other => render_single(other),
+    let arms = plan.arms();
+    if arms.is_empty() {
+        return "SELECT start FROM SP WHERE 1 = 0".to_string();
     }
+    arms.iter().map(render_single).collect::<Vec<_>>().join("\nUNION ALL\n")
 }
 
 /// Render one union-free plan as a SELECT.
@@ -68,11 +60,7 @@ impl SqlGen {
                     Side::Desc => d,
                 }
             }
-            BoundPlan::Union(_) => {
-                // Nested unions only arise from Unfold, which always
-                // unions at the top; `render_sql` peels that level.
-                unreachable!("nested unions are not produced by the translators")
-            }
+            BoundPlan::Union(_) => unreachable!("nested unions are not produced by the translators"),
         }
     }
 
@@ -85,10 +73,16 @@ impl SqlGen {
         };
         self.from.push(format!("{rel} {alias}"));
         match &sel.source {
-            BoundSource::PLabelEq(p) => self.predicates.push(format!("{alias}.plabel = {p}")),
-            BoundSource::PLabelRange(p1, p2) => {
-                self.predicates.push(format!("{alias}.plabel >= {p1}"));
-                self.predicates.push(format!("{alias}.plabel <= {p2}"));
+            BoundSource::PLabels(intervals) => {
+                let one = |iv: &PInterval| match iv.p1 == iv.p2 {
+                    true => format!("{alias}.plabel = {}", iv.p1),
+                    false => format!("{alias}.plabel BETWEEN {} AND {}", iv.p1, iv.p2),
+                };
+                let pred = match &intervals[..] {
+                    [iv] => one(iv),
+                    _ => format!("({})", intervals.iter().map(one).collect::<Vec<_>>().join(" OR ")),
+                };
+                self.predicates.push(pred);
             }
             BoundSource::Tag(t) => self.predicates.push(format!("{alias}.tag = {}", t.0)),
             BoundSource::All => {}
@@ -128,7 +122,7 @@ mod tests {
     fn suffix_path_is_a_single_select() {
         let (doc, dom, _) = setup();
         let plan = translate_pushup(&parse("/db/e/p/n").unwrap()).unwrap();
-        let sql = render_sql(&bind(&plan, doc.tags(), &dom));
+        let sql = render_sql(&bind(&plan, doc.tags(), &dom, &[]));
         assert!(sql.starts_with("SELECT T1.start"), "{sql}");
         assert!(sql.contains("FROM SP T1"), "{sql}");
         assert!(sql.contains("T1.plabel = "), "{sql}");
@@ -139,7 +133,7 @@ mod tests {
     fn djoin_emits_example_3_1_predicates() {
         let (doc, dom, _) = setup();
         let plan = translate_pushup(&parse("/db/e[r/y='2001']/p/n").unwrap()).unwrap();
-        let sql = render_sql(&bind(&plan, doc.tags(), &dom));
+        let sql = render_sql(&bind(&plan, doc.tags(), &dom, &[]));
         assert!(sql.contains("T1.start < T2.start"), "{sql}");
         assert!(sql.contains("T1.end > T2.end"), "{sql}");
         assert!(sql.contains("T2.level = T1.level + 2"), "{sql}");
@@ -152,7 +146,7 @@ mod tests {
     fn baseline_uses_sd_and_level_anchor() {
         let (doc, dom, _) = setup();
         let plan = translate_dlabeling(&parse("/db/e").unwrap()).unwrap();
-        let sql = render_sql(&bind(&plan, doc.tags(), &dom));
+        let sql = render_sql(&bind(&plan, doc.tags(), &dom, &[]));
         assert!(sql.contains("FROM SD T1, SD T2"), "{sql}");
         assert!(sql.contains("T1.level = 1"), "{sql}");
         assert!(sql.contains("T2.level = T1.level + 1"), "{sql}");
@@ -161,9 +155,9 @@ mod tests {
     #[test]
     fn unfold_union_renders_union_all() {
         let (doc, dom, schema) = setup();
-        // //n unfolds through both e/p/n and e/x/n.
-        let plan = translate_unfold(&parse("//n").unwrap(), &schema).unwrap();
-        let sql = render_sql(&bind(&plan, doc.tags(), &dom));
+        // The branch `*/n` unfolds through both e/p/n and e/x/n.
+        let plan = translate_unfold(&parse("/db/e[*/n]").unwrap(), &schema).unwrap();
+        let sql = render_sql(&bind(&plan, doc.tags(), &dom, &[]));
         assert_eq!(sql.matches("UNION ALL").count(), 1, "{sql}");
         assert_eq!(sql.matches("SELECT").count(), 2, "{sql}");
     }
@@ -172,7 +166,7 @@ mod tests {
     fn empty_plan_renders_contradiction() {
         let (doc, dom, _) = setup();
         let plan = translate_pushup(&parse("/db/zzz").unwrap()).unwrap();
-        let sql = render_sql(&bind(&plan, doc.tags(), &dom));
+        let sql = render_sql(&bind(&plan, doc.tags(), &dom, &[]));
         assert!(sql.contains("1 = 0"), "{sql}");
     }
 
@@ -180,7 +174,7 @@ mod tests {
     fn quotes_escaped_in_values() {
         use crate::bind::BoundSelection;
         let bound = BoundPlan::Select(BoundSelection {
-            source: BoundSource::PLabelEq(42),
+            source: BoundSource::PLabels(vec![PInterval { p1: 42, p2: 42 }]),
             value_eq: Some("O'Hara".to_string()),
             level_eq: None,
         });

@@ -9,30 +9,44 @@
 //! Push-up cut), and each chain is matched as a unit against the paths
 //! under its anchor: a `/` step extends the path by one tag, a `//` step
 //! by one or more, and `*` matches any tag. Every matching path comes
-//! out once, so a linear query becomes a union of distinct P-label
-//! equality selections, one per matching live path. A twig multiplies
-//! rewritings only at its branching points. The rewritten queries
-//! contain only child axes and concrete tags and are then translated
-//! with Push-up, so every selection is an equality selection and D-joins
-//! remain only at branching points.
+//! out once, so a linear query becomes **one selection** over the set of
+//! live paths it matches ([`SelectSource::Paths`]), which binds to the
+//! runs of consecutive live P-labels those paths cover — one clustered
+//! scan, no union and no D-join. A twig multiplies rewritings only at
+//! its branching points. The rewritten queries contain only child axes
+//! and concrete tags and are then translated with Push-up, so every
+//! selection is a one-key equality selection and D-joins remain only at
+//! branching points.
 
 use crate::decompose::translate_pushup;
 use crate::error::TranslateError;
-use crate::plan::Plan;
+use crate::plan::{Plan, SelectSource, Selection};
 use blas_xml::SchemaGraph;
 use blas_xpath::{Axis, NodeTest, QNode, QNodeId, QueryTree};
 
 /// Safety cap on the rewritings a twig multiplies at its branching
 /// points (`//*[*][*][*]` grows with the cube of the fan-out). A linear
-/// query yields at most one rewriting per live path and is never capped.
+/// query is one path-set selection, never rewritten.
 pub const UNFOLD_CAP: usize = 4096;
 
 /// Translate `q` with the Unfold algorithm against `schema`.
 ///
-/// Returns a [`Plan::Union`] over the unfolded alternatives (a single
-/// alternative is returned unwrapped). An empty union means no live path
-/// matches the query.
+/// A linear query (one chain of steps) is one [`SelectSource::Paths`]
+/// selection over its matching live paths; an empty set means no live
+/// path matches. A twig is a [`Plan::Union`] over its unfolded
+/// rewritings (a single rewriting is returned unwrapped).
 pub fn translate_unfold(q: &QueryTree, schema: &SchemaGraph) -> Result<Plan, TranslateError> {
+    let spine = chain(q, q.root());
+    let end = q.node(*spine.last().expect("chains are non-empty"));
+    if end.children.is_empty() {
+        let rw = Rewriter { q, paths: schema.paths(), cap: usize::MAX };
+        let paths = rw.chain_ends(&spine, &[]).into_iter().map(<[String]>::to_vec).collect();
+        return Ok(Plan::Select(Selection {
+            source: SelectSource::Paths(paths),
+            value_eq: end.value_eq.clone(),
+            level_eq: None,
+        }));
+    }
     let mut alts = unfold_rewritings(q, schema, UNFOLD_CAP)?
         .iter()
         .map(translate_pushup)
@@ -44,17 +58,13 @@ pub fn translate_unfold(q: &QueryTree, schema: &SchemaGraph) -> Result<Plan, Tra
 }
 
 /// Enumerate all `//`- and `*`-free rewritings of `q` over the live
-/// paths of `schema`. A twig past `cap` rewritings fails with
+/// paths of `schema`. Past `cap` rewritings it fails with
 /// [`TranslateError::TooManyUnfoldings`].
 pub fn unfold_rewritings(
     q: &QueryTree,
     schema: &SchemaGraph,
     cap: usize,
 ) -> Result<Vec<QueryTree>, TranslateError> {
-    // A query that is one chain yields each matching path once: no
-    // product to bound.
-    let linear = chain(q, q.root()).last().is_some_and(|&end| q.node(end).children.is_empty());
-    let cap = if linear { usize::MAX } else { cap };
     let rw = Rewriter { q, paths: schema.paths(), cap };
     let mut results = Vec::new();
     let root = WorkItem { orig: q.root(), parent_new: None, anchor: &[] };
@@ -212,7 +222,6 @@ impl<'a> Rewriter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{SelectSource, Selection};
     use blas_xpath::parse;
 
     /// Protein-like path summary.
@@ -243,17 +252,14 @@ mod tests {
         SchemaGraph::from_source_paths(paths)
     }
 
+    /// The paths of a linear query's one path-set selection.
     fn selected_paths(plan: &Plan) -> Vec<String> {
-        let arms = match plan {
-            Plan::Union(alts) => alts.as_slice(),
-            one => std::slice::from_ref(one),
-        };
-        arms.iter()
-            .map(|arm| match arm {
-                Plan::Select(sel) => sel.source.to_string(),
-                other => panic!("{other}"),
-            })
-            .collect()
+        match plan {
+            Plan::Select(Selection { source: SelectSource::Paths(paths), .. }) => {
+                paths.iter().map(|p| format!("/{}", p.join("/"))).collect()
+            }
+            other => panic!("{other}"),
+        }
     }
 
     #[test]
@@ -266,16 +272,7 @@ mod tests {
         assert_eq!(s.d_joins, 0, "{plan}");
         assert_eq!(s.eq_selections, 1);
         assert_eq!(s.range_selections, 0);
-        match &plan {
-            Plan::Select(Selection { source: SelectSource::Path { anchored, tags }, .. }) => {
-                assert!(anchored);
-                assert_eq!(
-                    tags,
-                    &["db", "entry", "protein", "classification", "superfamily"]
-                );
-            }
-            other => panic!("{other}"),
-        }
+        assert_eq!(selected_paths(&plan), ["/db/entry/protein/classification/superfamily"]);
     }
 
     #[test]
@@ -285,30 +282,26 @@ mod tests {
         let s = plan.summary();
         assert_eq!(s.d_joins, 0);
         assert_eq!(s.eq_selections, 1);
-        match &plan {
-            Plan::Select(Selection { source: SelectSource::Path { anchored, tags }, .. }) => {
-                assert!(anchored, "unfolded paths are root-anchored");
-                assert_eq!(tags, &["db", "entry", "reference", "refinfo", "authors", "author"]);
-            }
-            other => panic!("{other}"),
-        }
+        // Unfolded paths are root-anchored.
+        assert_eq!(selected_paths(&plan), ["/db/entry/reference/refinfo/authors/author"]);
     }
 
     #[test]
     fn wildcard_substituted() {
         let q = parse("/db/entry/*").unwrap();
         let plan = translate_unfold(&q, &protein_schema()).unwrap();
-        // entry has two possible children → union of 2 equality selects.
+        // entry has two possible children → one selection over both.
         let s = plan.summary();
-        assert_eq!(s.unions, 1);
-        assert_eq!(s.eq_selections, 2);
+        assert_eq!((s.unions, s.eq_selections), (0, 1));
+        assert_eq!(selected_paths(&plan), ["/db/entry/protein", "/db/entry/reference"]);
     }
 
     #[test]
     fn unsatisfiable_query_yields_empty_union() {
-        let q = parse("/db/bogus//author").unwrap();
-        let plan = translate_unfold(&q, &protein_schema()).unwrap();
-        assert_eq!(plan, Plan::Union(Vec::new()));
+        let plan = translate_unfold(&parse("/db/bogus//author").unwrap(), &protein_schema());
+        assert!(selected_paths(&plan.unwrap()).is_empty());
+        let twig = translate_unfold(&parse("/db/bogus[x]//author").unwrap(), &protein_schema());
+        assert_eq!(twig.unwrap(), Plan::Union(Vec::new()));
     }
 
     #[test]
@@ -322,10 +315,11 @@ mod tests {
         ]);
         let q = parse("//listitem").unwrap();
         let plan = translate_unfold(&q, &s).unwrap();
-        // site/parlist/listitem and site/parlist/listitem/parlist/listitem.
-        let su = plan.summary();
-        assert_eq!(su.eq_selections, 2);
-        assert_eq!(su.d_joins, 0);
+        assert_eq!(
+            selected_paths(&plan),
+            ["/site/parlist/listitem", "/site/parlist/listitem/parlist/listitem"]
+        );
+        assert_eq!(plan.summary().d_joins, 0);
     }
 
     #[test]
@@ -374,7 +368,7 @@ mod tests {
         let s = two_tag_schema(12);
         let err = unfold_rewritings(&parse("//*[*][*]").unwrap(), &s, 4).unwrap_err();
         assert!(matches!(err, TranslateError::TooManyUnfoldings { cap: 4 }));
-        // A linear query is one chain: one rewriting per path, uncapped.
-        assert_eq!(unfold_rewritings(&parse("//*").unwrap(), &s, 4).unwrap().len(), 27);
+        // A linear query is one selection over its paths, uncapped.
+        assert_eq!(selected_paths(&translate_unfold(&parse("//*").unwrap(), &s).unwrap()).len(), 27);
     }
 }

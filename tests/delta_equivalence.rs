@@ -17,7 +17,8 @@
 //! compaction, on flat and on recursive (`parlist`/`listitem`)
 //! documents.
 
-use blas::{BlasDb, Engine, EngineChoice, Translator};
+use blas::{BlasDb, BoundPlan, Engine, EngineChoice, Translator};
+use blas_translate::{bind, BoundSelection, BoundSource};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,8 +185,8 @@ fn choices() -> [EngineChoice; 7] {
 /// Count-differential queries on flat documents: [`QUERIES`] (tag and
 /// range scans, joins, the value-filtered `//b='x'`), plus root-anchored
 /// paths (level-filtered scans under the D-labeling translator), absent
-/// tags (`Empty` sources) and double descendant steps (unions whose
-/// rewritings can repeat a P-label).
+/// tags (`Empty` sources) and double descendant steps (chains that
+/// split one path several ways, each key still named once).
 const FLAT_COUNTS: &[&str] =
     &["/a", "/a/b", "/b//c", "//zz", "//a//zz", "//a//b", "//b//b//c", "//a//a"];
 
@@ -226,8 +227,7 @@ fn count_choices() -> Vec<EngineChoice> {
 /// `count(x).count == query(x).nodes.len()` for every query × choice.
 /// A count the run directory answers reads nothing (`elements_visited`
 /// and `d_joins` 0); any other reports exactly `query`'s counters. A
-/// choice the query rejects (unions on a twig engine) rejects the count
-/// the same way.
+/// choice the query rejects rejects the count the same way.
 fn assert_counts(db: &BlasDb, queries: &[&str], what: &str) -> Result<(), TestCaseError> {
     for q in queries {
         for choice in count_choices() {
@@ -416,4 +416,88 @@ fn pinned_script_matches_rebuild_everywhere() {
     let w = db.query("//b/a", EngineChoice::auto()).unwrap();
     assert_eq!(db.texts(&w), [Some("w".to_string())]);
     assert_eq!(db.query("//c", EngineChoice::auto()).unwrap().nodes.len(), 2);
+}
+
+/// Count ≡ query ≡ the D-labeling baseline on Unfold's interval sets
+/// while the delta edits keys inside them — a key it inserts into, one
+/// it creates, one it tombstones away, one a retag moves — on the owned
+/// store and on mapped raw (v2) and packed (v3) snapshots, under the
+/// stock engines at 1, 2 and 4 shards, and again after compaction.
+#[test]
+fn interval_sets_over_delta_touched_keys_count_like_they_query() {
+    let xml = concat!(
+        "<site><b><parlist><listitem><text>p</text><bold/></listitem></parlist><text>q</text></b>",
+        "<c><text>r</text><x/></c>",
+        "<a><x><y><z/></y></x><text>t</text><parlist><listitem><text>s</text></listitem></parlist></a>",
+        "</site>"
+    );
+    let owned = BlasDb::load(xml).unwrap();
+    let tag_names: Vec<String> = owned.tags().iter().map(|(_, n)| n.to_string()).collect();
+    let domain = owned.domain();
+    let v2 = blas_storage::snapshot::encode_store_v2(
+        owned.store(),
+        &tag_names,
+        domain.num_tags() as u32,
+        domain.digits(),
+    );
+    let raw_path = std::env::temp_dir()
+        .join(format!("blas_delta_equivalence_raw_{}.snap", std::process::id()));
+    std::fs::write(&raw_path, v2).unwrap();
+    let raw = BlasDb::open_mapped(&raw_path).unwrap();
+    let (packed, packed_path) = mapped_twin(&owned);
+    let twins = [("owned", &owned), ("raw", &raw), ("packed", &packed)];
+    let queries = ["/site/a//text", "/site/*/parlist//text", "//parlist//text", "/site/*/text", "/site//x//*"];
+    let first = |xpath: &str, last: bool| {
+        let nodes = owned.query(xpath, EngineChoice::rdbms()).unwrap().nodes;
+        if last { nodes.last().unwrap().start } else { nodes[0].start }
+    };
+    let (listitem, a) = (first("/site/a/parlist/listitem", true), first("/site/a", false));
+    let (b_text, c_text) = (first("/site/b/text", false), first("/site/c/text", false));
+    let edits: [&dyn Fn(&BlasDb) -> u64; 4] = [
+        &|db| db.insert_subtree(listitem, "<text>u</text>").unwrap(),
+        &|db| db.insert_subtree(a, "<x><text>v</text></x>").unwrap(),
+        &|db| db.delete(b_text).unwrap(),
+        &|db| db.retag(c_text, "bold").unwrap(),
+    ];
+    let mut widest = 0;
+    let mut check = |what: &str| {
+        let reference = EngineChoice::rdbms().with_translator(Translator::DLabeling);
+        for (twin, db) in twins {
+            let live = db.snapshot().store().live_plabels();
+            for xpath in queries {
+                let expect = db.query(xpath, reference).unwrap().nodes;
+                let plan = db.plan(xpath, Translator::Unfold).unwrap();
+                match bind(&plan, db.tags(), db.domain(), &live) {
+                    BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(iv), .. }) => {
+                        widest = widest.max(iv.len())
+                    }
+                    other => panic!("{xpath}: {other:?}"),
+                }
+                for engine in [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
+                    for shards in [1, 2, 4] {
+                        let choice = engine.with_shards(shards);
+                        let got = db.query(xpath, choice).unwrap();
+                        assert_eq!(got.nodes, expect, "{what} {twin} {xpath} {choice:?}");
+                        let c = db.count(xpath, choice).unwrap();
+                        assert_eq!(c.count, expect.len(), "{what} {twin} {xpath} {choice:?}");
+                        assert_eq!(c.stats.elements_visited, 0, "{what} {twin} {xpath} {choice:?}");
+                    }
+                }
+            }
+        }
+    };
+    check("base");
+    for (i, edit) in edits.iter().enumerate() {
+        let gens: Vec<u64> = twins.iter().map(|(_, db)| edit(db)).collect();
+        assert!(gens.windows(2).all(|w| w[0] == w[1]), "twins in lockstep");
+        check(&format!("after edit {i}"));
+    }
+    for (_, db) in twins {
+        db.compact();
+    }
+    check("compacted");
+    assert!(widest >= 2, "some path set spans several runs of live keys");
+    for path in [raw_path, packed_path] {
+        std::fs::remove_file(path).unwrap();
+    }
 }

@@ -177,6 +177,58 @@ fn duplicate_tag_table_is_a_typed_error() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Owned and mapped Auction stores agree — query, count and the
+/// D-labeling baseline — on `/P//S` interval sets after a delta inserts
+/// into, creates and tombstones keys inside them, under the stock
+/// engines at 1, 2 and 4 shards.
+#[test]
+fn interval_sets_agree_owned_and_mapped_over_a_delta() {
+    let bytes = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap().to_snapshot();
+    let owned = BlasDb::from_snapshot(&bytes).unwrap();
+    let path = snapshot_file("delta_sets", &bytes);
+    let mapped = BlasDb::open_mapped(&path).unwrap();
+    let queries = [
+        "/site/regions/africa//text",
+        "/site/regions/*/item/description//listitem/text",
+        "//listitem//listitem/text",
+    ];
+    let check = |what: &str| {
+        let reference = EngineChoice::rdbms().with_translator(Translator::DLabeling);
+        for xpath in queries {
+            let expect = owned.query(xpath, reference).unwrap().nodes;
+            assert!(!expect.is_empty(), "{xpath}");
+            for engine in [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
+                for shards in [1, 2, 4] {
+                    let choice = engine.with_shards(shards);
+                    for (twin, db) in [("owned", &owned), ("mapped", &mapped)] {
+                        let got = db.query(xpath, choice).unwrap().nodes;
+                        assert_eq!(got, expect, "{what} {twin} {xpath} {choice:?}");
+                        let c = db.count(xpath, choice).unwrap();
+                        assert_eq!((c.count, c.stats.elements_visited), (expect.len(), 0), "{what} {twin} {xpath}");
+                    }
+                }
+            }
+        }
+    };
+    check("base");
+    // Existing listitem/text keys gain a node; `item/shipping/text` is a
+    // key no node had.
+    let fragment = concat!(
+        "<regions><africa><item><description><parlist><listitem><text>x</text></listitem>",
+        "</parlist></description><shipping><text>y</text></shipping></item></africa></regions>"
+    );
+    for db in [&owned, &mapped] {
+        db.insert_subtree(0, fragment).unwrap();
+    }
+    check("after the insert");
+    let first = owned.query("/site/regions/africa/item", EngineChoice::rdbms()).unwrap().nodes[0].start;
+    for db in [&owned, &mapped] {
+        db.delete(first).unwrap();
+    }
+    check("after the delete");
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// The SP run directory is the document's path summary — the schema
 /// graph is decoded from its keys — and the mapped open does not
 /// stream the footer checksum. A crafted key (one that is no node's

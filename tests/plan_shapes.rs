@@ -4,11 +4,12 @@
 //! caught immediately — plus which shapes a count answers off the run
 //! directory, so a change that loses that shortcut fails here instead
 //! of quietly costing the count-only path its speed, and Unfold's
-//! exactness: one arm per matching live key on linear queries.
+//! exactness: a linear query selects exactly its matching live keys,
+//! bound to runs of consecutive keys — one scan on every engine.
 
 use blas::{BlasDb, EngineChoice, Plan, PlanSummary, Translator};
 use blas_datagen::DatasetId;
-use blas_translate::SelectSource;
+use blas_translate::{bind, BoundPlan, BoundSelection, BoundSource, SelectSource, Selection};
 use blas_xpath::{parse, Axis};
 use std::path::PathBuf;
 
@@ -132,9 +133,9 @@ fn spells(steps: &[(bool, &str)], path: &[&str]) -> bool {
     (1..=longest).any(|k| (test == "*" || test == path[k - 1]) && spells(rest, &path[k..]))
 }
 
-/// Unfold is exact on linear queries: on Auction ×1 its arms are the
-/// live keys a brute-force matcher picks — each once, none the
-/// directory lacks — so a count reads no element and joins nothing.
+/// Unfold is exact on linear queries: on Auction ×1 its one selection
+/// names the live keys a brute-force matcher picks — each once, none
+/// the directory lacks — so a count reads no element and joins nothing.
 #[test]
 fn unfold_arms_are_exactly_the_matching_live_keys() {
     let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
@@ -168,20 +169,12 @@ fn unfold_arms_are_exactly_the_matching_live_keys() {
             .map(|k| format!("/{}", k.join("/")))
             .collect();
         want.sort();
-        let plan = db.plan(xpath, Translator::Unfold).unwrap();
-        let alts = match plan {
-            Plan::Union(alts) => alts,
-            one => vec![one],
+        let mut arms: Vec<String> = match db.plan(xpath, Translator::Unfold).unwrap() {
+            Plan::Select(Selection { source: SelectSource::Paths(paths), .. }) => {
+                paths.iter().map(|p| format!("/{}", p.join("/"))).collect()
+            }
+            other => panic!("{xpath}: {other}"),
         };
-        let mut arms: Vec<String> = alts
-            .into_iter()
-            .map(|arm| match arm {
-                Plan::Select(s) if matches!(s.source, SelectSource::Path { anchored: true, .. }) => {
-                    s.source.to_string()
-                }
-                other => panic!("{xpath}: arm {other}"),
-            })
-            .collect();
         arms.sort();
         assert_eq!(arms, want, "{xpath}: arms = the matching live keys, each once");
         let c = db.count(xpath, unfold).unwrap();
@@ -190,30 +183,97 @@ fn unfold_arms_are_exactly_the_matching_live_keys() {
     }
 }
 
+/// The P-label intervals a linear query's Unfold selection binds to on
+/// `db`, and how many live keys it matched.
+fn intervals_and_keys(db: &BlasDb, xpath: &str) -> (usize, usize) {
+    let plan = db.plan(xpath, Translator::Unfold).unwrap();
+    let Plan::Select(Selection { source: SelectSource::Paths(paths), .. }) = &plan else {
+        panic!("{xpath}: not one selection: {plan}");
+    };
+    let bound = bind(&plan, db.tags(), db.domain(), &db.store().live_plabels());
+    let intervals = match bound {
+        BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(iv), .. }) => iv.len(),
+        BoundPlan::Select(BoundSelection { source: BoundSource::Empty, .. }) => 0,
+        other => panic!("{xpath}: {other:?}"),
+    };
+    (intervals, paths.len())
+}
+
+/// Every linear Fig. 10 / Fig. 15 query binds to no more intervals
+/// than it matched keys, and the two suffix scans of `scan_heavy` are
+/// one interval each.
+#[test]
+fn linear_chains_bind_to_runs_of_consecutive_live_keys() {
+    for ds in DatasetId::ALL {
+        let db = BlasDb::load(&ds.generate(1)).unwrap();
+        let mut queries: Vec<&str> = blas_datagen::query_set(ds).iter().map(|q| q.xpath).collect();
+        if ds == DatasetId::Auction {
+            queries.extend(blas_datagen::xmark_benchmark().iter().map(|q| q.xpath));
+        }
+        for xpath in queries {
+            if let Plan::Select(_) = db.plan(xpath, Translator::Unfold).unwrap() {
+                let (intervals, keys) = intervals_and_keys(&db, xpath);
+                assert!(0 < intervals && intervals <= keys, "{xpath}: {intervals} for {keys}");
+            }
+        }
+    }
+    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
+    for xpath in ["//listitem", "//text"] {
+        let (intervals, keys) = intervals_and_keys(&db, xpath);
+        assert_eq!(intervals, 1, "{xpath}: {keys} keys");
+        assert!(keys > 1, "{xpath}");
+    }
+}
+
 /// Unfolding against the live paths never reads more than unfolding
 /// against the tag graph did: each Fig. 10 query's `elements_visited`
 /// under Unfold at ×1, at most the figure the graph-walking translator
-/// recorded.
+/// recorded. The twig engine, which ran Push-up until it took Unfold,
+/// never reads more than it did then either, and a `/P//S` query reads
+/// no more labels than it returns.
 #[test]
 fn unfold_reads_no_more_than_the_graph_walk_on_fig10() {
-    let graph_walk = [
-        ("QS1", 14_634),
-        ("QS2", 11),
-        ("QS3", 15_804),
-        ("QP1", 3_700),
-        ("QP2", 11_192),
-        ("QP3", 22_418),
-        ("QA1", 168),
-        ("QA2", 1_320),
-        ("QA3", 573),
+    // (id, graph-walking Unfold, Push-up under `twig()`).
+    let recorded = [
+        ("QS1", 14_634, 14_634),
+        ("QS2", 11, 901),
+        ("QS3", 15_804, 15_851),
+        ("QP1", 3_700, 3_700),
+        ("QP2", 11_192, 14_892),
+        ("QP3", 22_418, 22_418),
+        ("QA1", 168, 168),
+        ("QA2", 1_320, 1_321),
+        ("QA3", 573, 573),
     ];
     let unfold = EngineChoice::rdbms().with_translator(Translator::Unfold);
     for ds in DatasetId::ALL {
         let db = BlasDb::load(&ds.generate(1)).unwrap();
         for q in blas_datagen::query_set(ds) {
-            let (_, before) = graph_walk.iter().find(|(id, _)| *id == q.id).unwrap();
+            let (_, before, twig_before) = recorded.iter().find(|(id, ..)| *id == q.id).unwrap();
             let visited = db.query(q.xpath, unfold).unwrap().stats.elements_visited;
             assert!(visited <= *before, "{}: {visited} > {before}", q.id);
+            let twig = db.query(q.xpath, EngineChoice::twig()).unwrap().stats.elements_visited;
+            assert!(twig <= *twig_before, "{}: twig {twig} > {twig_before}", q.id);
+        }
+        if ds == DatasetId::Auction {
+            // Push-up read all 4 709 `text` labels here, for 362 nodes.
+            let xpath = "/site/regions/asia/item/description//text";
+            let r = db.query(xpath, EngineChoice::twig()).unwrap();
+            assert!(r.stats.elements_visited as usize <= r.nodes.len(), "{xpath}: {:?}", r.stats);
+        }
+    }
+}
+
+/// A linear query's count reads no tuple on either twig engine: its
+/// plan is one unfiltered scan there too.
+#[test]
+fn twig_counts_of_linear_queries_read_nothing() {
+    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
+    for choice in [EngineChoice::twig(), EngineChoice::twigstack()] {
+        for xpath in ["//listitem", "/site/regions//item", "/site/regions/asia/item/description//text"] {
+            let c = db.count(xpath, choice).unwrap();
+            assert_eq!(c.count, db.query(xpath, choice).unwrap().nodes.len(), "{xpath}");
+            assert_eq!((c.stats.elements_visited, c.stats.d_joins), (0, 0), "{xpath} {choice:?}");
         }
     }
 }
@@ -234,8 +294,7 @@ fn mapped_auction(scale: u32) -> (BlasDb, PathBuf) {
 /// range-scan-heavy QH1/QH2) on the workload's Auction ×10, and
 /// whether `Auto` counts them off the run directory: the suffix and
 /// unfolded paths do, the twigs need their joins. A count that walks
-/// reads exactly what the query reads. (At ×1–×2 `Auto` prices QA2 and
-/// Q6 as Push-up joins, which walk — the pin is scale-specific.)
+/// reads exactly what the query reads.
 #[test]
 fn auto_counts_scan_heavy_paths_off_the_directory_and_walks_twigs() {
     let (db, path) = mapped_auction(10);

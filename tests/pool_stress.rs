@@ -549,7 +549,7 @@ fn external_pool_can_be_shared_across_databases() {
 
     let run = |db: &BlasDb, shards: usize| -> Vec<DLabel> {
         let q = blas_xpath::parse("/site/regions/asia/item[shipping]/description").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), db.tags(), db.domain());
+        let bound = bind(&translate_pushup(&q).unwrap(), db.tags(), db.domain(), &[]);
         let plan = lower_plan(&bound);
         let mut stats = ExecStats::default();
         let config = if shards > 1 {
