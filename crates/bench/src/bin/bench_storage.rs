@@ -1,9 +1,7 @@
 //! Storage kernel + engine-level suite: measures the columnar
 //! clustered-scan hot paths against the retained B+-tree reference on
 //! Auction ×10, then the three engines (rdbms vs twig vs twigstack)
-//! on the Fig. 13/14 Auction queries — including a
-//! parallel-vs-sequential column for the sharded scan path — then the
-//! **cold-start comparison** (full `from_snapshot` decode vs
+//! on the Fig. 13/14 Auction queries, then the **cold-start comparison** (full `from_snapshot` decode vs
 //! `open_mapped` zero-decode open, gated ≥10× at the acceptance
 //! scale) with mapped-vs-owned query-latency rows, and writes
 //! everything to `BENCH_storage.json`, so kernel, translator/engine
@@ -18,11 +16,7 @@
 //!
 //! Engine-level (Push-up translator, the configuration every engine
 //! can run): per Fig. 10 auction query, trimmed-mean wall-clock on
-//! each engine plus the relational engine with 4-way sharded scans —
-//! shard groups as jobs on the database's persistent worker pool
-//! (`BlasDb::pool`), so the parallel column amortizes thread creation
-//! across every measured repetition instead of paying `shards − 1`
-//! spawns per scan.
+//! each engine.
 //! Each query row also records `EngineChoice::Auto`: its wall-clock,
 //! the engine the cost-based optimizer chose, and the `auto_vs_best`
 //! ratio against the best manual engine (interleaved pairs, medians),
@@ -34,15 +28,6 @@
 //! workloads: both scan kernels over a store carrying an **empty**
 //! mutation log vs the plain store, gated at ≤ 1.05× — the merge
 //! path's per-run delta predicates must stay invisible.
-//! The ≥1.5× parallel-speedup gate applies only on hosts that can
-//! actually run 4 workers (`available_parallelism ≥ 4`) at the
-//! acceptance scale (×10) — on a single-core host the honest number
-//! is recorded without being asserted. The `par_overhead` row is the
-//! opposite bound and holds **everywhere**: a QA1-class µs point
-//! query under a sharded *configuration* — whose scans are far too
-//! small to fan out, so it submits no pool job — must stay ≥ 0.6× of
-//! sequential even on one core: a sharded config may cost a point
-//! query one run-directory size probe per scan, nothing more.
 //!
 //! Usage: `cargo run --release --bin bench_storage [--scale N]`
 //! (default scale 10, the acceptance configuration).
@@ -260,23 +245,18 @@ fn main() {
     // Push-up on every engine keeps these rows comparable with the
     // paper's Fig. 13/14 and with earlier runs of this binary; the
     // comparison of interest at the engine level is rdbms vs twig vs
-    // twigstack, and
-    // since the sharded-scan refactor, sequential vs parallel rdbms.
+    // twigstack.
     //
     // The Fig. 10 auction queries are joined by two *range-scan-heavy*
-    // suffix paths (every listitem / keyword anywhere): at ×10 their
-    // SP range scans cover tens of thousands of tuples across ~a
-    // hundred runs, which is the workload the sharded scan path
-    // exists for (the Fig. 10 scans are mostly below the sharding
-    // threshold and run sequentially either way).
+    // suffix paths (every listitem / text anywhere): at ×10 their SP
+    // range scans cover tens of thousands of tuples across ~a hundred
+    // runs.
     struct EngineRow {
         id: &'static str,
         kind: &'static str,
         rdbms_ns: f64,
         twig_ns: f64,
         twigstack_ns: f64,
-        rdbms_par4_ns: f64,
-        parallel_speedup: f64,
         auto_ns: f64,
         chosen_engine: String,
         auto_med_ns: f64,
@@ -306,18 +286,19 @@ fn main() {
     let mut engine_rows: Vec<EngineRow> = Vec::new();
     eprintln!("[bench_storage] engine-level queries (Fig. 13/14, Auction ×{scale})…");
     // Interleaved pairs for the Auto-vs-best gate: the gate compares
-    // two ~µs medians, so it gets the same tail-robust protocol as the
-    // `par_overhead` row instead of two separately-timed trimmed means.
+    // two ~µs medians, so it gets a tail-robust protocol — many
+    // interleaved sample pairs, both populations seeing the same
+    // ambient noise, compared by median — instead of two
+    // separately-timed trimmed means.
     const AUTO_PAIR_REPS: usize = 33;
     for (id, xpath, kind) in queries {
         // Warm every configuration once before measuring any of them,
-        // so the sequential-vs-parallel comparison is not biased by
-        // which run paged the columns in first.
+        // so the comparison is not biased by which run paged the
+        // columns in first.
         for choice in [
             pushup(Engine::Rdbms),
             pushup(Engine::Twig),
             pushup(Engine::TwigStack),
-            pushup(Engine::Rdbms).with_shards(4),
             EngineChoice::auto(),
         ] {
             let _ = blas_bench::run_once(&db, xpath, choice);
@@ -325,7 +306,6 @@ fn main() {
         let (rdbms, stats) = bench_query(&db, xpath, pushup(Engine::Rdbms));
         let (twig, _) = bench_query(&db, xpath, pushup(Engine::Twig));
         let (twigstack, _) = bench_query(&db, xpath, pushup(Engine::TwigStack));
-        let (par, _) = bench_query(&db, xpath, pushup(Engine::Rdbms).with_shards(4));
         let (auto, _) = bench_query(&db, xpath, EngineChoice::auto());
         let info = db
             .plan_info(xpath, EngineChoice::auto())
@@ -354,8 +334,6 @@ fn main() {
             rdbms_ns: rdbms.as_nanos() as f64,
             twig_ns: twig.as_nanos() as f64,
             twigstack_ns: twigstack.as_nanos() as f64,
-            rdbms_par4_ns: par.as_nanos() as f64,
-            parallel_speedup: rdbms.as_nanos() as f64 / par.as_nanos() as f64,
             auto_ns: auto.as_nanos() as f64,
             chosen_engine: format!("{}", info.engine),
             auto_med_ns: auto_med,
@@ -364,41 +342,10 @@ fn main() {
         });
     }
 
-    // --- sharded-config overhead row (QA1-class micro query) ---------
-    // The smallest Fig. 10 query is the sharded configuration's worst
-    // case: its scans sit far below the per-shard minimum, so no scan
-    // fans out and no pool job is submitted — the only extra work is
-    // the run-directory size probe each scan makes before falling back
-    // to the sequential kernel. That fixed cost is gated at ≥ 0.6×
-    // sequential **even on one core**, where no parallelism can pay for
-    // any overhead at all.
-    // Unlike the Fig. 13/14 rows (trimmed mean of 10, the paper's
-    // protocol), this row *gates* a bound on a ~µs measurement, so it
-    // uses a tail-robust protocol: many interleaved seq/par sample
-    // pairs — both populations see the same ambient noise — compared
-    // by median, which a handful of scheduler-preemption spikes
-    // cannot move.
     let qa1 = query_set(blas_datagen::DatasetId::Auction)
         .into_iter()
         .find(|q| q.id == "QA1")
         .expect("Fig. 10 has QA1");
-    const OVERHEAD_REPS: usize = 65;
-    let seq_choice = pushup(Engine::Rdbms);
-    let par_choice = pushup(Engine::Rdbms).with_shards(4);
-    for choice in [seq_choice, par_choice] {
-        for _ in 0..5 {
-            let _ = blas_bench::run_once(&db, qa1.xpath, choice);
-        }
-    }
-    let mut overhead_seq_ns = Vec::with_capacity(OVERHEAD_REPS);
-    let mut overhead_par_ns = Vec::with_capacity(OVERHEAD_REPS);
-    for _ in 0..OVERHEAD_REPS {
-        overhead_seq_ns.push(blas_bench::run_once(&db, qa1.xpath, seq_choice).0.as_nanos() as f64);
-        overhead_par_ns.push(blas_bench::run_once(&db, qa1.xpath, par_choice).0.as_nanos() as f64);
-    }
-    let overhead_seq = median(&mut overhead_seq_ns);
-    let overhead_par = median(&mut overhead_par_ns);
-    let par_overhead_ratio = overhead_seq / overhead_par;
 
     // --- plan-cache row (QA1 under Auto) ------------------------------
     // What a repeat query saves: the uncached side re-pays parse plus
@@ -451,7 +398,7 @@ fn main() {
 
     // Mapped-vs-owned query latency on the two workload extremes: the
     // most selective Fig. 10 tree query and the heaviest range scan.
-    // Measured like the `par_overhead` row: both sides warmed, then
+    // Measured like the Auto-vs-best pairs: both sides warmed, then
     // many *interleaved* owned/mapped sample pairs compared by median,
     // so both populations see the same ambient noise — the earlier
     // protocol measured the owned side cold and reported a spurious
@@ -671,38 +618,24 @@ fn main() {
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool_threads = db.pool().threads();
+    println!("\nengine-level (Fig. 13/14, Push-up, Auction ×{scale}, {cores} core(s)):");
     println!(
-        "\nengine-level (Fig. 13/14, Push-up, Auction ×{scale}, {cores} core(s), \
-         pool of {pool_threads} worker(s)):"
-    );
-    println!(
-        "{:<5} {:<12} {:>12} {:>12} {:>12} {:>12} {:>9} {:>12} {:>7} {:>9}",
-        "query", "kind", "rdbms ns", "twig ns", "twigstack", "rdbms ∥4", "par ×", "auto ns",
-        "chose", "auto/best"
+        "{:<5} {:<12} {:>12} {:>12} {:>12} {:>12} {:>7} {:>9}",
+        "query", "kind", "rdbms ns", "twig ns", "twigstack", "auto ns", "chose", "auto/best"
     );
     for r in &engine_rows {
         println!(
-            "{:<5} {:<12} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.2}x {:>12.0} {:>7} {:>8.2}x",
+            "{:<5} {:<12} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7} {:>8.2}x",
             r.id,
             r.kind,
             r.rdbms_ns,
             r.twig_ns,
             r.twigstack_ns,
-            r.rdbms_par4_ns,
-            r.parallel_speedup,
             r.auto_ns,
             r.chosen_engine,
             r.auto_vs_best()
         );
     }
-
-    println!(
-        "\nsharded-config overhead (QA1, rdbms, no scan fans out, {} core(s), median of \
-         {OVERHEAD_REPS} interleaved pairs): sequential {:.0} ns, sharded ∥4 {:.0} ns, \
-         ratio {:.2}x (floor 0.6x at scale >= 10)",
-        cores, overhead_seq, overhead_par, par_overhead_ratio
-    );
 
     let cache_stats = db.plan_cache_stats();
     println!(
@@ -761,7 +694,6 @@ fn main() {
     let _ = writeln!(json, "  \"nodes\": {},", store.len());
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"pool_threads\": {pool_threads},");
     json.push_str("  \"kernels\": {\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -778,30 +710,20 @@ fn main() {
         let _ = writeln!(
             json,
             "    \"{}\": {{\"kind\": \"{}\", \"elements_visited\": {}, \"rdbms_ns\": {:.0}, \
-             \"twig_ns\": {:.0}, \"twigstack_ns\": {:.0}, \"rdbms_parallel4_ns\": {:.0}, \
-             \"parallel_speedup\": {:.2}, \"auto_ns\": {:.0}, \"chosen_engine\": \"{}\", \
-             \"auto_vs_best\": {:.2}}}{}",
+             \"twig_ns\": {:.0}, \"twigstack_ns\": {:.0}, \"auto_ns\": {:.0}, \
+             \"chosen_engine\": \"{}\", \"auto_vs_best\": {:.2}}}{}",
             r.id,
             r.kind,
             r.elements,
             r.rdbms_ns,
             r.twig_ns,
             r.twigstack_ns,
-            r.rdbms_par4_ns,
-            r.parallel_speedup,
             r.auto_ns,
             r.chosen_engine,
             r.auto_vs_best(),
             comma
         );
     }
-    json.push_str("  },\n");
-    json.push_str("  \"par_overhead\": {\n");
-    let _ = writeln!(json, "    \"query\": \"{}\",", qa1.id);
-    let _ = writeln!(json, "    \"sequential_ns\": {overhead_seq:.0},");
-    let _ = writeln!(json, "    \"pooled4_ns\": {overhead_par:.0},");
-    let _ = writeln!(json, "    \"overhead_ns\": {:.0},", overhead_par - overhead_seq);
-    let _ = writeln!(json, "    \"ratio\": {par_overhead_ratio:.2}");
     json.push_str("  },\n");
     json.push_str("  \"plan_cache\": {\n");
     let _ = writeln!(json, "    \"query\": \"{}\",", qa1.id);
@@ -933,21 +855,6 @@ fn main() {
              (got {open_speedup:.1}x)"
         );
     }
-    // Sharded-config overhead gate: a QA1-class point query whose
-    // scans are too small to fan out must cost a sharded configuration
-    // no more than it costs sequential execution, within 0.6× — the
-    // only added work is one run-directory size probe per scan, and no
-    // pool job is submitted. The floor dates from the pooled DAG walk,
-    // whose per-job queue round-trips it bounded; the single walk sits
-    // near 1.0×, so 0.6 now only catches a regression that makes small
-    // scans touch the pool again.
-    if scale >= 10 {
-        assert!(
-            par_overhead_ratio >= 0.6,
-            "a sharded config must cost a QA1-class point query whose scans \
-             do not fan out >= 0.6x sequential (got {par_overhead_ratio:.2}x)"
-        );
-    }
     // Binary-protocol gate (the wire-v2 acceptance criterion): a
     // labeled cached hit over binary v2 must come back in at most
     // 0.6x the JSON path's p50 — the node array is the bulk of the
@@ -1018,24 +925,6 @@ fn main() {
             "a served result-cache hit must beat the uncached execution by >=10x \
              (miss {serve_miss_ns:.0} ns vs hit {serve_hit_ns:.0} ns \
              = {serve_hit_speedup:.1}x)"
-        );
-    }
-    // Parallel-speedup gate: the range-scan-heavy queries (tens of
-    // thousands of tuples across ~a hundred SP runs — the scans the
-    // sharded path exists for) must win ≥1.5× under 4-way sharding at
-    // the acceptance scale. Only meaningful where 4 workers can
-    // actually run in parallel; a 1-core host records the honest
-    // (≈1×) number unasserted.
-    if scale >= 10 && cores >= 4 {
-        let best = engine_rows
-            .iter()
-            .filter(|r| r.kind == "range_scan_heavy")
-            .map(|r| r.parallel_speedup)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best >= 1.5,
-            "4-way sharded scans must win >=1.5x on a range-scan-heavy query \
-             (best {best:.2}x)"
         );
     }
 }

@@ -120,7 +120,7 @@ impl BlasCollection {
         translator: Translator,
         engine: Engine,
     ) -> Result<Vec<(DocId, QueryResult)>, BlasError> {
-        self.query(xpath, EngineChoice { engine, translator, shards: 1 })
+        self.query(xpath, EngineChoice { engine, translator })
     }
 
     /// Run a parsed query over every member.

@@ -64,7 +64,7 @@ fn assert_log_aligned(db: &BlasDb) {
 fn assert_same_state(db: &BlasDb, twin: &BlasDb) {
     assert_eq!(db.to_snapshot(), twin.to_snapshot(), "folded bytes differ");
     for q in QUERIES {
-        for choice in [EngineChoice::auto(), EngineChoice::twig(), EngineChoice::rdbms().with_shards(3)] {
+        for choice in [EngineChoice::auto(), EngineChoice::twig(), EngineChoice::rdbms()] {
             assert_eq!(
                 db.query(q, choice).unwrap().nodes,
                 twin.query(q, choice).unwrap().nodes,

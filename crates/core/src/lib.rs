@@ -22,14 +22,12 @@
 //! assert_eq!(result.nodes.len(), 2);
 //! assert_eq!(db.texts(&result)[0].as_deref(), Some("cytochrome c"));
 //!
-//! // Explicit engine / translator / scan-parallelism configurations:
+//! // Explicit engine / translator configurations:
 //! let baseline = db
 //!     .query("/db/e/n", EngineChoice::rdbms().with_translator(Translator::DLabeling))
 //!     .unwrap();
 //! assert_eq!(baseline.nodes, result.nodes);
 //! assert!(baseline.stats.d_joins > result.stats.d_joins);
-//! let sharded = db.query("/db/e/n", EngineChoice::parallel(4)).unwrap();
-//! assert_eq!(sharded.nodes, result.nodes);
 //! ```
 
 mod collection;
@@ -45,9 +43,8 @@ pub use db::{
 pub use error::BlasError;
 pub use gen_cache::{GenCache, GenKey};
 
-// Re-export the executor configuration and the persistent worker pool
-// for callers that drive the engine crates directly.
-pub use blas_engine::{ExecConfig, PoolHandle};
+// Re-export the worker pool `BlasDb::pool` hands out.
+pub use blas_engine::PoolHandle;
 
 // Re-export the building blocks for advanced use.
 pub use blas_engine::{ExecStats, TwigQuery};

@@ -1,6 +1,5 @@
-//! The shared physical-plan executor: one arena-order walk on the
-//! calling thread, with clustered scans sharded across the persistent
-//! worker pool ([`crate::pool`]) when parallelism is configured.
+//! The shared physical-plan executor: one arena-order walk, start to
+//! finish on the calling thread.
 //!
 //! One operator set executes any [`PhysPlan`] (see [`crate::physical`]
 //! for the operator ↔ paper-section map); all three engines —
@@ -14,9 +13,11 @@
 //! consumer has read it ([`PhysPlan::consumer_counts`]), then its
 //! buffer recycles through the caller's [`ExecBuffers`]; a
 //! [`PhysOp::Materialize`] that is its input's last consumer moves the
-//! buffer instead of copying it. Joins, unions and twig branches never
-//! leave the thread: at BLAS's µs-scale plans a queue round-trip per
-//! operator costs more than the work it would overlap.
+//! buffer instead of copying it. No operator leaves the thread: at
+//! BLAS's µs-scale plans a queue round-trip costs more than the work it
+//! would overlap. Scans included: splitting one clustered scan over
+//! worker threads was measured and deleted (ARCHITECTURE.md has the
+//! numbers).
 //!
 //! # Counting
 //!
@@ -28,151 +29,22 @@
 //! searches per interval and reads no tuple, on every engine. Every
 //! other plan takes the same walk as [`execute_with`] and stops before
 //! the root [`PhysOp::Materialize`], whose copy a count never needs.
-//!
-//! # Sharded scans
-//!
-//! Parallelism is data partitioning inside one operator. With
-//! [`ExecConfig::shards`] `> 1`, every [`PhysOp::ClusteredScan`] at
-//! least `min_shard_elems` per shard wide fans out over
-//! [`ExecConfig::pool`]:
-//!
-//! 1. storage partitions the scan's clustered runs into balanced
-//!    groups of zero-copy pieces (`blas_storage::shard_runs`,
-//!    splitting oversized runs);
-//! 2. under one [`pool::scope`], groups 1… become pool sub-jobs
-//!    ([`pool::Scope::spawn_job`]) and the calling thread scans group
-//!    0 itself, **helping the pool while it waits** (so even a
-//!    zero-worker pool cannot deadlock); each group filters its pieces
-//!    into a private buffer, restores start order among *its own*
-//!    pieces with the ping-pong segment merge of [`crate::stjoin`],
-//!    and tallies tuples into a private per-shard [`ExecStats`]
-//!    accumulator — no shared counters, so no double-count risk;
-//! 3. the scan merges the per-shard accumulators **once**, asserts
-//!    every tuple was counted exactly once, and restores global start
-//!    order across shard outputs with one final segment merge
-//!    (coalescing shard boundaries that are already ordered, the
-//!    common case for single-run scans).
-//!
-//! A fanned-out scan therefore submits exactly `groups − 1` pool jobs
-//! and every other operator submits none. Because starts are unique
-//! within a document and every kernel is deterministic in its inputs,
-//! sharded execution is byte-identical to sequential — same labels,
-//! same order, same counters — which the equivalence property suite
-//! checks across {1, 2, 4, 7} pool threads on all three engines.
 
 use crate::opt::source_cardinality;
 use crate::physical::{OpId, PhysOp, PhysPlan};
-use crate::pool::{self, PoolHandle};
 use crate::stats::ExecStats;
-use crate::stjoin::{
-    filter_flagged_into, merge_segments, push_segment, structural_match_into, union_into,
-    MergeScratch,
-};
-use crate::stream::{materialize, resolve_filter, ExecBuffers, Filter, Labels};
+use crate::stjoin::{filter_flagged_into, structural_match_into, union_into};
+use crate::stream::{materialize, resolve_filter, ExecBuffers, Labels};
 use crate::twigstack;
 use blas_labeling::DLabel;
-use blas_storage::{NodeStore, ScanRun, NO_VALUE};
-use blas_translate::{BoundSource, Side};
-use std::sync::OnceLock;
+use blas_storage::{NodeStore, NO_VALUE};
+use blas_translate::Side;
 use std::time::Instant;
-
-/// Tuples a shard must at least receive before a scan is parallelized;
-/// below `2 ×` this, job fan-out costs more than it saves.
-pub const DEFAULT_MIN_SHARD_ELEMS: usize = 4096;
-
-/// Executor configuration: how many ways to split clustered scans, and
-/// which persistent worker pool runs the scan shards.
-///
-/// `shards == 1` (the default) is the **sequential** configuration:
-/// nothing is ever submitted to the pool, and the carried pool is the
-/// zero-worker [`PoolHandle::inline`]. With `shards > 1` the plan still
-/// walks on the calling thread, but wide clustered scans fan out over
-/// [`ExecConfig::pool`] — which should be a long-lived pool shared
-/// across queries (see [`ExecConfig::on_pool`]); [`ExecConfig::sharded`]
-/// spins up a private pool for one-off use. Pool sizing guidance lives
-/// on [`PoolHandle`]: one worker per core is the default, because a
-/// server runs whole requests on the same pool as their shards.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Worker count sharded scans split into; `1` never fans out.
-    pub shards: usize,
-    /// Minimum tuples per shard before a scan fans out; tests force
-    /// the sharded path on tiny stores by setting this to 1.
-    pub min_shard_elems: usize,
-    /// The persistent pool scan shards run on. Ignored when
-    /// `shards == 1`.
-    pub pool: PoolHandle,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self::sequential()
-    }
-}
-
-impl ExecConfig {
-    /// Sequential execution (the default): `shards == 1`, a
-    /// zero-worker inline pool, no jobs submitted. The inline pool is
-    /// one process-wide shared handle (it owns no threads and is never
-    /// pushed to on this path), so constructing a sequential config
-    /// per query costs one `Arc` clone.
-    pub fn sequential() -> Self {
-        static INLINE: OnceLock<PoolHandle> = OnceLock::new();
-        Self {
-            shards: 1,
-            min_shard_elems: DEFAULT_MIN_SHARD_ELEMS,
-            pool: INLINE.get_or_init(PoolHandle::inline).clone(),
-        }
-    }
-
-    /// Sharded scans on an existing (typically long-lived,
-    /// query-spanning) pool, splitting scans `shards` ways.
-    /// `shards <= 1` degenerates to [`ExecConfig::sequential`].
-    pub fn on_pool(pool: PoolHandle, shards: usize) -> Self {
-        if shards <= 1 {
-            return Self::sequential();
-        }
-        Self { shards, min_shard_elems: DEFAULT_MIN_SHARD_ELEMS, pool }
-    }
-
-    /// Sharded scans on a **private** pool with `shards − 1` workers
-    /// (the calling thread scans the remaining shard). This is a pure
-    /// value constructor — the pool's OS threads spawn lazily on the
-    /// first job submission. Handy for tests and one-shot tools;
-    /// long-lived callers should share one pool across queries via
-    /// [`ExecConfig::on_pool`], since a private pool's spawn cost
-    /// recurs per configuration rather than per database.
-    pub fn sharded(shards: usize) -> Self {
-        if shards <= 1 {
-            return Self::sequential();
-        }
-        Self::on_pool(PoolHandle::new(shards - 1), shards)
-    }
-
-    /// Replace the pool.
-    pub fn with_pool(mut self, pool: PoolHandle) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Override the per-shard minimum (tests set 1 to force fan-out on
-    /// tiny stores).
-    pub fn with_min_shard_elems(mut self, min_shard_elems: usize) -> Self {
-        self.min_shard_elems = min_shard_elems;
-        self
-    }
-}
 
 /// Execute a physical plan, returning the root's output (start-sorted,
 /// owned) and filling `stats` (counters, `result_count`, `elapsed`).
-pub fn execute(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-) -> Vec<DLabel> {
-    let mut bufs = ExecBuffers::default();
-    execute_with(plan, store, config, stats, &mut bufs)
+pub fn execute(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
+    execute_with(plan, store, stats, &mut ExecBuffers::default())
 }
 
 /// Like [`execute`], reusing caller-held scratch buffers across
@@ -180,12 +52,11 @@ pub fn execute(
 pub fn execute_with(
     plan: &PhysPlan,
     store: &NodeStore,
-    config: &ExecConfig,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
 ) -> Vec<DLabel> {
     let t0 = Instant::now();
-    let result = walk(plan, store, config, stats, bufs, plan.root()).into_vec(bufs);
+    let result = walk(plan, store, stats, bufs, plan.root()).into_vec(bufs);
     stats.result_count = result.len();
     stats.elapsed = t0.elapsed();
     result
@@ -202,12 +73,7 @@ pub fn execute_with(
 /// [`PhysOp::Materialize`] copy, and reports exactly the counters
 /// `execute` reports. Either way `stats.result_count` is the returned
 /// count.
-pub fn count(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-) -> usize {
+pub fn count(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> usize {
     let t0 = Instant::now();
     let root = plan.root();
     // The operator whose output length is the answer: a root
@@ -220,7 +86,7 @@ pub fn count(
         PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } => {
             source_cardinality(store, source)
         }
-        _ => walk(plan, store, config, stats, &mut ExecBuffers::default(), answer).len(),
+        _ => walk(plan, store, stats, &mut ExecBuffers::default(), answer).len(),
     };
     stats.result_count = n;
     stats.elapsed = t0.elapsed();
@@ -233,7 +99,6 @@ pub fn count(
 fn walk<'a>(
     plan: &PhysPlan,
     store: &'a NodeStore,
-    config: &ExecConfig,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
     answer: OpId,
@@ -247,7 +112,7 @@ fn walk<'a>(
     uses[answer] += 1;
     let mut results: Vec<Option<Labels<'_>>> = (0..n).map(|_| None).collect();
     for id in (0..n).filter(|&id| id != plan.root() || id == answer) {
-        let out = exec_op(plan.op(id), &mut results, &mut uses, store, config, stats, bufs);
+        let out = exec_op(plan.op(id), &mut results, &mut uses, store, stats, bufs);
         results[id] = Some(out);
         plan.op(id).for_each_input(|i| release(&mut results, &mut uses, i, bufs));
     }
@@ -349,15 +214,12 @@ fn exec_op<'a>(
     results: &mut [Option<Labels<'a>>],
     uses: &mut [usize],
     store: &'a NodeStore,
-    config: &ExecConfig,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
 ) -> Labels<'a> {
     match op {
         PhysOp::ClusteredScan { source, value_eq, level_eq } => {
-            let (value_eq, level_eq) = (value_eq.as_deref(), *level_eq);
-            scan_sharded(source, value_eq, level_eq, store, config, stats, bufs)
-                .unwrap_or_else(|| materialize(source, value_eq, level_eq, store, stats, bufs))
+            materialize(source, value_eq.as_deref(), *level_eq, store, stats, bufs)
         }
         PhysOp::ValueFilter { input: inp, value_eq, level_eq } => {
             // Scans carry their value filters fused (pushdown), so this
@@ -406,155 +268,20 @@ fn exec_op<'a>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded scans
-// ---------------------------------------------------------------------
-
-/// Sharded scan path; `None` when the configuration does not shard
-/// or the scan is too small to (the caller falls back to the
-/// sequential kernel).
-fn scan_sharded<'a>(
-    source: &BoundSource,
-    value_eq: Option<&str>,
-    level_eq: Option<u16>,
-    store: &'a NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Option<Labels<'a>> {
-    if config.shards <= 1 {
-        return None;
-    }
-    // Size the scan from the run directory first (two binary
-    // searches): point queries fall back to the sequential kernel
-    // without ever materializing shard groups — at µs scale that
-    // preparation would be a measurable fraction of the query.
-    let total = source_cardinality(store, source);
-    // Respect the per-shard minimum by coalescing adjacent groups
-    // (each group holds consecutive pieces, so merging neighbours
-    // keeps the partition order-preserving and balanced).
-    let desired = config.shards.min(total / config.min_shard_elems.max(1));
-    if desired < 2 {
-        return None;
-    }
-    // Storage owns shard-aware run iteration: one balanced group of
-    // zero-copy run pieces per prospective worker.
-    let groups: Vec<Vec<ScanRun<'a>>> = match source {
-        BoundSource::PLabels(intervals) => store.shard_plabels(intervals, config.shards),
-        BoundSource::Tag(t) => store.shard_tag(*t, config.shards),
-        BoundSource::All => store.shard_doc(config.shards),
-        BoundSource::Empty => unreachable!("an empty scan has no shard to fill"),
-    };
-    debug_assert_eq!(
-        groups.iter().flatten().map(ScanRun::len).sum::<usize>(),
-        total,
-        "directory size must agree with the materialized runs"
-    );
-    if groups.len() < 2 {
-        return None;
-    }
-    let groups = coalesce_groups(groups, desired);
-    let filter = resolve_filter(value_eq, level_eq, store);
-
-    // Fan out: sub-jobs take groups 1…, this thread scans group 0
-    // itself and then joins the sub-jobs, helping the pool while
-    // it waits. Each sub-job owns its output buffer and its
-    // ExecStats accumulator.
-    let shard_out = pool::scope(&config.pool, |scope| {
-        let mut groups = groups.into_iter();
-        let first = groups.next().expect("at least two groups");
-        let handles: Vec<_> = groups
-            .map(|group| scope.spawn_job(move || scan_shard(&group, filter)))
-            .collect();
-        let mut shard_out = Vec::with_capacity(handles.len() + 1);
-        shard_out.push(scan_shard(&first, filter));
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => shard_out.push(out),
-                // A shard panic (a bug, not a data condition)
-                // unwinds to the caller once the scope barrier has
-                // passed; the pool survives.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        shard_out
-    });
-
-    // Merge the per-shard accumulators exactly once, and check that
-    // the partition counted every tuple of the scan exactly once.
-    let mut shard_total = ExecStats::default();
-    for (_, s) in &shard_out {
-        shard_total.absorb(s);
-    }
-    debug_assert_eq!(
-        shard_total.elements_visited, total as u64,
-        "sharded scan must count each tuple exactly once"
-    );
-    stats.absorb(&shard_total);
-
-    // Restore global start order: per-shard outputs are already
-    // sorted, so they form segments for one final ping-pong merge.
-    // Consecutive shards that are already ordered (single-run scans
-    // split into consecutive pieces) coalesce into one segment,
-    // making the merge a no-op for that common case.
-    let mut out = bufs.take();
-    bufs.merge.bounds.clear();
-    for (shard, _) in &shard_out {
-        push_segment(&mut out, shard, &mut bufs.merge);
-    }
-    merge_segments(&mut out, &mut bufs.merge);
-    Some(Labels::Owned(out))
-}
-
-/// Merge adjacent shard groups until at most `desired` remain (the
-/// per-shard minimum asked for fewer workers than storage prepared).
-fn coalesce_groups<'a>(groups: Vec<Vec<ScanRun<'a>>>, desired: usize) -> Vec<Vec<ScanRun<'a>>> {
-    if groups.len() <= desired {
-        return groups;
-    }
-    let per_bucket = groups.len().div_ceil(desired);
-    let mut out: Vec<Vec<ScanRun<'a>>> = Vec::with_capacity(desired);
-    for (i, group) in groups.into_iter().enumerate() {
-        if i % per_bucket == 0 {
-            out.push(group);
-        } else {
-            out.last_mut().expect("bucket opened").extend(group);
-        }
-    }
-    out
-}
-
-/// One sub-job's share of a sharded scan: filter its run pieces and
-/// restore start order among them, tallying into a private
-/// accumulator.
-fn scan_shard(runs: &[ScanRun<'_>], filter: Filter) -> (Vec<DLabel>, ExecStats) {
-    let mut stats = ExecStats::default();
-    let mut out = Vec::new();
-    let mut scratch = MergeScratch::default();
-    for run in runs {
-        stats.elements_visited += run.len() as u64;
-        let before = out.len();
-        run.filter_into(filter, &mut out);
-        if out.len() > before {
-            scratch.bounds.push(out.len());
-        }
-    }
-    merge_segments(&mut out, &mut scratch);
-    (out, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
+    use crate::pool::PoolHandle;
     use crate::twig::TwigQuery;
     use blas_labeling::{label_document, PInterval};
     use blas_translate::{
         bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold, BoundPlan,
-        BoundSelection,
+        BoundSelection, BoundSource,
     };
     use blas_xml::{Document, SchemaGraph};
     use blas_xpath::parse;
+    use std::sync::Arc;
 
     const SAMPLE: &str = concat!(
         "<db>",
@@ -576,53 +303,30 @@ mod tests {
         bind(&translate_pushup(&q).unwrap(), doc.tags(), dom, &[])
     }
 
-    fn forced_parallel(shards: usize) -> ExecConfig {
-        ExecConfig::sharded(shards).with_min_shard_elems(1)
-    }
-
     #[test]
     fn pooled_execution_equals_sequential() {
+        // The executor is thread-agnostic: a plan run as a task on a
+        // pool worker — how a server runs a binary request — returns
+        // the same labels and counters as on the calling thread.
         let (doc, store, dom) = fixture(SAMPLE);
-        for xpath in ["/db/e/r/f/t", "//f", "/db/e[p//s='cyt']/r/f[y='2001']/t", "//s='cyt'"] {
-            let b = bound(&doc, &dom, xpath);
-            let plan = lower_plan(&b);
-            let mut seq_stats = ExecStats::default();
-            let seq = execute(&plan, &store, &ExecConfig::default(), &mut seq_stats);
-            for shards in [2, 3, 7] {
-                let mut par_stats = ExecStats::default();
-                let par = execute(&plan, &store, &forced_parallel(shards), &mut par_stats);
-                assert_eq!(par, seq, "{xpath} @ {shards}");
-                par_stats.elapsed = seq_stats.elapsed;
-                assert_eq!(par_stats, seq_stats, "{xpath} @ {shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn one_pool_serves_repeated_queries() {
-        let (doc, store, dom) = fixture(SAMPLE);
+        let store = Arc::new(store);
         let pool = PoolHandle::new(2);
-        let config = ExecConfig::on_pool(pool.clone(), 4).with_min_shard_elems(1);
-        let b = bound(&doc, &dom, "/db/e[p//s='cyt']/r/f/t");
-        let plan = lower_plan(&b);
-        let mut first: Option<Vec<DLabel>> = None;
-        let mut per_query = Vec::new();
-        for _ in 0..5 {
-            let before = pool.jobs_submitted();
-            let mut stats = ExecStats::default();
-            let out = execute(&plan, &store, &config, &mut stats);
-            per_query.push(pool.jobs_submitted() - before);
-            match &first {
-                None => first = Some(out),
-                Some(expect) => assert_eq!(&out, expect),
-            }
+        for xpath in ["/db/e/r/f/t", "//f", "/db/e[p//s='cyt']/r/f[y='2001']/t", "//s='cyt'"] {
+            let plan = Arc::new(lower_plan(&bound(&doc, &dom, xpath)));
+            let mut seq_stats = ExecStats::default();
+            let seq = execute(&plan, &store, &mut seq_stats);
+            let (p, s) = (Arc::clone(&plan), Arc::clone(&store));
+            let (par, mut par_stats) = pool
+                .spawn_task(move || {
+                    let mut stats = ExecStats::default();
+                    (execute(&p, &s, &mut stats), stats)
+                })
+                .join()
+                .unwrap();
+            assert_eq!(par, seq, "{xpath}");
+            par_stats.elapsed = seq_stats.elapsed;
+            assert_eq!(par_stats, seq_stats, "{xpath}");
         }
-        // Every execution fanned its scans out over the same persistent
-        // pool — no per-query or per-scan thread spawns — and the same
-        // plan submits the same number of shard jobs every time.
-        assert!(per_query[0] > 0, "some scan must fan out");
-        assert!(per_query.iter().all(|&n| n == per_query[0]), "{per_query:?}");
-        assert_eq!(pool.threads(), 2);
     }
 
     #[test]
@@ -631,29 +335,14 @@ mod tests {
         let b = bound(&doc, &dom, "/db/e[p/c/s]/r/f/t");
         let twig = TwigQuery::from_plan(&b);
         let mut s1 = ExecStats::default();
-        let rdbms = execute(&lower_plan(&b), &store, &ExecConfig::default(), &mut s1);
+        let rdbms = execute(&lower_plan(&b), &store, &mut s1);
         let mut s2 = ExecStats::default();
-        let semi = execute(&lower_twig(&twig), &store, &ExecConfig::default(), &mut s2);
+        let semi = execute(&lower_twig(&twig), &store, &mut s2);
         let mut s3 = ExecStats::default();
-        let holistic = execute(&lower_twigstack(&twig), &store, &ExecConfig::default(), &mut s3);
+        let holistic = execute(&lower_twigstack(&twig), &store, &mut s3);
         assert_eq!(rdbms, semi);
         assert_eq!(rdbms, holistic);
         assert_eq!(s2.elements_visited, s3.elements_visited);
-    }
-
-    #[test]
-    fn small_scans_fall_back_to_sequential() {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let b = bound(&doc, &dom, "//f");
-        let plan = lower_plan(&b);
-        let mut stats = ExecStats::default();
-        // Default min_shard_elems (4096) far exceeds this store's size,
-        // so the sharded config must not fan any scan out: the plan
-        // submits nothing to the pool.
-        let config = ExecConfig::sharded(4);
-        let out = execute(&plan, &store, &config, &mut stats);
-        assert_eq!(out.len(), 3);
-        assert_eq!(config.pool.jobs_submitted(), 0);
     }
 
     #[test]
@@ -681,7 +370,7 @@ mod tests {
         ];
         let plan = plan_from(ops, 3);
         let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &ExecConfig::default(), &mut stats);
+        let out = execute(&plan, &store, &mut stats);
         assert_eq!(out.len(), 2, "two s-nodes carry 'cyt'");
         // Level-only standalone filter.
         let ops = vec![
@@ -702,7 +391,7 @@ mod tests {
         ];
         let plan = plan_from(ops, 3);
         let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &ExecConfig::default(), &mut stats);
+        let out = execute(&plan, &store, &mut stats);
         assert!(out.is_empty(), "the root has no ancestor to join with");
     }
 
@@ -713,13 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_union_plan_stays_duplicate_free() {
+    fn union_plan_stays_duplicate_free() {
         let (doc, store, dom) = fixture(SAMPLE);
         let q = parse("//s").unwrap();
         let b = bind(&translate_split(&q).unwrap(), doc.tags(), &dom, &[]);
         let plan = lower_plan(&b);
         let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &forced_parallel(4), &mut stats);
+        let out = execute(&plan, &store, &mut stats);
         assert_eq!(out.len(), 3);
         assert!(out.windows(2).all(|w| w[0].start < w[1].start));
     }
@@ -737,30 +426,24 @@ mod tests {
             PhysOp::ValueFilter { input: 0, value_eq: Some("cyt".into()), level_eq: None },
         ];
         let plan = plan_from(ops, 0);
-        let mut seq_stats = ExecStats::default();
-        let seq = execute(&plan, &store, &ExecConfig::default(), &mut seq_stats);
-        assert_eq!(seq.len(), store.live_len(), "the root scan's full output");
-        let mut stats = ExecStats::default();
-        let par = execute(&plan, &store, &forced_parallel(2), &mut stats);
-        assert_eq!(par, seq, "the root's slot must hold its real output");
+        let out = execute(&plan, &store, &mut ExecStats::default());
+        assert_eq!(out.len(), store.live_len(), "the root's slot must hold its real output");
     }
 
     // --- The count sink ----------------------------------------------
 
     /// `count` ≡ `execute(..).len()`; a directory-answered count reads
-    /// nothing and submits no job, any other reports `execute`'s
-    /// counters exactly. Returns whether the directory answered.
-    fn assert_count_matches(plan: &PhysPlan, store: &NodeStore, config: &ExecConfig) -> bool {
+    /// nothing, any other reports `execute`'s counters exactly. Returns
+    /// whether the directory answered.
+    fn assert_count_matches(plan: &PhysPlan, store: &NodeStore) -> bool {
         let mut q = ExecStats::default();
-        let nodes = execute(plan, store, config, &mut q);
-        let before = config.pool.jobs_submitted();
+        let nodes = execute(plan, store, &mut q);
         let mut c = ExecStats::default();
-        assert_eq!(count(plan, store, config, &mut c), nodes.len(), "{plan:?}");
+        assert_eq!(count(plan, store, &mut c), nodes.len(), "{plan:?}");
         assert_eq!(c.result_count, nodes.len());
         let from_directory = c.elements_visited == 0 && q.elements_visited > 0;
         if from_directory {
             assert_eq!(c.d_joins, 0);
-            assert_eq!(config.pool.jobs_submitted(), before, "a directory count submits no job");
         } else {
             c.elapsed = q.elapsed;
             assert_eq!(c, q, "a walked count reports the query's counters");
@@ -788,9 +471,7 @@ mod tests {
                 plans.extend([lower_plan(&b), lower_twig(&twig), lower_twigstack(&twig)]);
             }
             for plan in &plans {
-                for config in [ExecConfig::default(), forced_parallel(2), forced_parallel(4)] {
-                    assert_count_matches(plan, &store, &config);
-                }
+                assert_count_matches(plan, &store);
             }
         }
     }
@@ -814,12 +495,12 @@ mod tests {
             ));
             let twig = TwigQuery::from_plan(b);
             for plan in [lower_plan(b), lower_twig(&twig), lower_twigstack(&twig)] {
-                assert!(assert_count_matches(&plan, &store, &forced_parallel(4)), "{plan:?}");
+                assert!(assert_count_matches(&plan, &store), "{plan:?}");
             }
         }
         // A filtered scan walks.
         let filtered = lower_plan(&bound(&doc, &dom, "//s='cyt'"));
-        assert!(!assert_count_matches(&filtered, &store, &ExecConfig::default()));
+        assert!(!assert_count_matches(&filtered, &store));
     }
 
     #[test]
@@ -835,11 +516,11 @@ mod tests {
         // Answered: every source kind, a multi-interval set included.
         for source in [set.clone(), BoundSource::Tag(s), BoundSource::All] {
             let plan = with_root(scan(source.clone()));
-            assert!(assert_count_matches(&plan, &store, &ExecConfig::default()), "{source:?}");
+            assert!(assert_count_matches(&plan, &store), "{source:?}");
         }
         // A root that is not a Materialize (only `from_ops` builds one).
         let bare = plan_from(vec![scan(BoundSource::Tag(s))], 0);
-        assert!(assert_count_matches(&bare, &store, &ExecConfig::default()));
+        assert!(assert_count_matches(&bare, &store));
         // Walked: a union deduplicates what a sum would count twice.
         for sources in [vec![set.clone(), set], vec![BoundSource::Tag(s), BoundSource::Tag(f)]] {
             let n = sources.len();
@@ -847,80 +528,7 @@ mod tests {
             ops.push(PhysOp::Union { inputs: (0..n).collect() });
             ops.push(PhysOp::Materialize { input: n });
             let plan = plan_from(ops, n + 1);
-            assert!(!assert_count_matches(&plan, &store, &ExecConfig::default()), "{plan:?}");
+            assert!(!assert_count_matches(&plan, &store), "{plan:?}");
         }
-    }
-
-    // --- Fan-out pins -------------------------------------------------
-
-    /// One scan operator run on its own: how many tuples its clustered
-    /// run holds (the sequential `elements_visited`) and how many pool
-    /// jobs it submits under `config`.
-    fn scan_alone(op: &PhysOp, store: &NodeStore, config: &ExecConfig) -> (u64, u64) {
-        let plan = plan_from(vec![op.clone()], 0);
-        let mut seq = ExecStats::default();
-        execute(&plan, store, &ExecConfig::default(), &mut seq);
-        let before = config.pool.jobs_submitted();
-        execute(&plan, store, config, &mut ExecStats::default());
-        (seq.elements_visited, config.pool.jobs_submitted() - before)
-    }
-
-    /// The single-walk contract, exactly: with two shards and no
-    /// per-shard minimum, a scan of `n ≥ 2` tuples splits into exactly
-    /// two groups (`shard_runs` targets `⌈n/2⌉` per group) and so
-    /// submits exactly one pool job, a one-tuple scan submits none,
-    /// and the whole plan submits the sum — every join, union, filter,
-    /// materialize and twig match adds 0. Under the default per-shard
-    /// minimum nothing in this tiny store fans out at all.
-    fn assert_fan_out_pin(plan: &PhysPlan, store: &NodeStore, name: &str) {
-        let pool = PoolHandle::new(1);
-        let config = ExecConfig::on_pool(pool.clone(), 2).with_min_shard_elems(1);
-        let mut expected = 0;
-        for op in plan.ops().iter().filter(|op| matches!(op, PhysOp::ClusteredScan { .. })) {
-            let (tuples, jobs) = scan_alone(op, store, &config);
-            assert_eq!(jobs, u64::from(tuples >= 2), "{name}: {op:?} over {tuples} tuples");
-            expected += jobs;
-        }
-        assert!(expected > 0, "{name}: the pin must exercise at least one fan-out");
-
-        let mut seq_stats = ExecStats::default();
-        let seq = execute(plan, store, &ExecConfig::default(), &mut seq_stats);
-        let before = pool.jobs_submitted();
-        let mut stats = ExecStats::default();
-        let out = execute(plan, store, &config, &mut stats);
-        assert_eq!(pool.jobs_submitted() - before, expected, "{name}: non-scan operators submit 0");
-        assert_eq!(out, seq, "{name}");
-        stats.elapsed = seq_stats.elapsed;
-        assert_eq!(stats, seq_stats, "{name}: every counter agrees");
-
-        let unsharded = ExecConfig::on_pool(pool.clone(), 2);
-        let before = pool.jobs_submitted();
-        execute(plan, store, &unsharded, &mut ExecStats::default());
-        assert_eq!(pool.jobs_submitted(), before, "{name}: narrow scans never fan out");
-    }
-
-    fn pin_query() -> (Document, NodeStore, TwigQuery, BoundPlan) {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let b = bound(&doc, &dom, "/db/e[p//s='cyt']/r/f[y='2001']/t");
-        let twig = TwigQuery::from_plan(&b).remove(0);
-        (doc, store, twig, b)
-    }
-
-    #[test]
-    fn rdbms_plan_submits_one_job_per_fanned_out_scan() {
-        let (_, store, _, b) = pin_query();
-        assert_fan_out_pin(&lower_plan(&b), &store, "rdbms");
-    }
-
-    #[test]
-    fn twig_plan_submits_one_job_per_fanned_out_scan() {
-        let (_, store, twig, _) = pin_query();
-        assert_fan_out_pin(&lower_twig(&[twig]), &store, "twig");
-    }
-
-    #[test]
-    fn twigstack_plan_submits_one_job_per_fanned_out_scan() {
-        let (_, store, twig, _) = pin_query();
-        assert_fan_out_pin(&lower_twigstack(&[twig]), &store, "twigstack");
     }
 }

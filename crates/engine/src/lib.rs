@@ -8,21 +8,14 @@
 //!   `Union`, `Materialize`, `TwigStackMatch`) in a flat arena DAG,
 //!   plus the three lowering strategies and the filter-pushdown pass.
 //! * [`exec`] — the one executor: runs any physical plan in arena
-//!   order on the calling thread with pooled buffers. Parallelism is
-//!   data partitioning inside one operator: under a sharded
-//!   [`ExecConfig`] a wide clustered scan splits its runs into shard
-//!   groups scanned as sub-jobs on the persistent worker pool and
-//!   merged back into start order; every other operator stays on the
-//!   calling thread.
+//!   order, start to finish on the calling thread, with pooled buffers.
 //! * [`opt`] — the cost-based optimizer behind `EngineChoice::Auto`:
 //!   O(log n) cardinalities from the SP/SD run directories, per-operator
 //!   ns/elem rates calibrated against the measured kernels, and the
-//!   engine/join-order/filter-placement/shard decisions derived from
-//!   them.
-//! * [`pool`] — the persistent worker pool scan shards run on: fixed
-//!   threads, one injector queue, scoped submission, helping joins and
-//!   panic propagation. One pool (typically owned by `blas::BlasDb`)
-//!   serves every sharded scan across repeated queries.
+//!   engine/join-order/filter-placement decisions derived from them.
+//! * [`pool`] — the worker pool a server runs whole requests on: fixed
+//!   threads over one FIFO queue, with panics delivered at the join.
+//!   No query hands part of its plan to it.
 //! * [`rdbms`] — the relational engine (§5.2): lowers a [`BoundPlan`]
 //!   into the Fig. 11 operator shape (selections, semi-join D-joins,
 //!   unions).
@@ -43,12 +36,9 @@
 //!
 //! Every tuple pulled from storage increments
 //! [`ExecStats::elements_visited`]; this is the deterministic
-//! "Number of elements read" metric of Figs. 14–18. Sharded scans
-//! tally into per-shard accumulators merged once, so the counts are
-//! identical to sequential execution.
+//! "Number of elements read" metric of Figs. 14–18.
 //!
 //! [`BoundPlan`]: blas_translate::BoundPlan
-//! [`ExecConfig::shards`]: exec::ExecConfig
 
 pub mod exec;
 pub mod naive;
@@ -62,16 +52,15 @@ pub mod stream;
 pub mod twig;
 pub mod twigstack;
 
-pub use exec::{ExecConfig, DEFAULT_MIN_SHARD_ELEMS};
 pub use opt::{
-    choose_shards, estimate_plan, lower_plan_costed, order_twig_joins, source_cardinality,
-    CostModel, PlanEstimate,
+    estimate_plan, lower_plan_costed, order_twig_joins, source_cardinality, CostModel,
+    PlanEstimate,
 };
-pub use pool::{JobHandle, PoolHandle, Scope, TaskHandle};
+pub use pool::{PoolHandle, TaskHandle};
 pub use physical::{
     lower_plan, lower_plan_raw, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern,
 };
-pub use rdbms::{execute_plan, execute_plan_config, execute_plan_with};
+pub use rdbms::{execute_plan, execute_plan_with};
 pub use stats::ExecStats;
 pub use stream::{ExecBuffers, Labels};
 pub use twig::TwigQuery;

@@ -23,11 +23,10 @@
 //!    stack work per element is why the paper's own engines beat it).
 //!    Estimated selectivities propagate cardinalities up the DAG.
 //! 3. **A plan walk** ([`estimate_plan`]) — one pass over the operator
-//!    arena in execution order, producing total estimated cost, the
-//!    result cardinality, and the largest single scan (the input to
-//!    the shard decision).
+//!    arena in execution order, producing total estimated cost and the
+//!    result cardinality.
 //!
-//! On top of the estimates sit the three decisions `EngineChoice::Auto`
+//! On top of the estimates sit the two decisions `EngineChoice::Auto`
 //! delegates here:
 //!
 //! * **engine/lowering** — `blas::BlasDb` translates and binds a query
@@ -44,10 +43,7 @@
 //!   bottom-up semi-joins against one parent commute, so smallest
 //!   stream first shrinks the ancestor side soonest), and
 //!   [`lower_plan_costed`] places each pushable filter by comparing
-//!   the fused and standalone costs per site;
-//! * **shard count** — [`choose_shards`] only parallelizes when the
-//!   largest scan clears a per-shard element threshold, so point
-//!   queries never pay pool overhead.
+//!   the fused and standalone costs per site.
 
 use crate::physical::{lower_plan_raw, PhysOp, PhysPlan};
 use crate::twig::TwigQuery;
@@ -73,8 +69,8 @@ pub fn source_cardinality(store: &NodeStore, source: &BoundSource) -> usize {
 /// The rates come from the measured kernel and engine rows of
 /// `BENCH_storage.json` at Auction ×10 (see each field); they only
 /// need to *rank* plans, not predict wall-clock, so rough blends are
-/// fine — the decisive gaps (twigstack vs everything else, pool
-/// overhead vs point queries) are orders of magnitude wide.
+/// fine — the decisive gap (twigstack vs everything else) is orders of
+/// magnitude wide.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Clustered-scan streaming rate. Measured: raw columns ~0.27
@@ -170,11 +166,6 @@ pub struct PlanEstimate {
     pub cost_ns: f64,
     /// Estimated result cardinality.
     pub result_card: f64,
-    /// Largest single clustered scan (elements) — the shard decision's
-    /// input: only this much work is divisible.
-    pub max_scan_card: usize,
-    /// Sum of all clustered-scan extents (elements).
-    pub total_scan_card: usize,
 }
 
 /// Walk a physical plan once, in execution order, pricing every
@@ -184,16 +175,11 @@ pub fn estimate_plan(plan: &PhysPlan, store: &NodeStore, model: &CostModel) -> P
     let ops = plan.ops();
     let mut card = vec![0.0f64; ops.len()];
     let mut cost = 0.0f64;
-    let mut max_scan = 0usize;
-    let mut total_scan = 0usize;
     for (id, op) in ops.iter().enumerate() {
         cost += model.op_overhead_ns;
         card[id] = match op {
             PhysOp::ClusteredScan { source, value_eq, level_eq } => {
-                let n = source_cardinality(store, source);
-                max_scan = max_scan.max(n);
-                total_scan += n;
-                let nf = n as f64;
+                let nf = source_cardinality(store, source) as f64;
                 cost += nf * model.scan_ns_per_elem;
                 let (fcost, sel) =
                     model.filter_cost_and_sel(nf, value_eq.is_some(), level_eq.is_some());
@@ -237,12 +223,7 @@ pub fn estimate_plan(plan: &PhysPlan, store: &NodeStore, model: &CostModel) -> P
             }
         };
     }
-    PlanEstimate {
-        cost_ns: cost,
-        result_card: card[plan.root()],
-        max_scan_card: max_scan,
-        total_scan_card: total_scan,
-    }
+    PlanEstimate { cost_ns: cost, result_card: card[plan.root()] }
 }
 
 /// Lower a bound plan for the relational engine with **cost-decided
@@ -279,18 +260,6 @@ pub fn order_twig_joins(q: &TwigQuery, store: &NodeStore) -> TwigQuery {
         node.children.sort_by_key(|&c| cards[c]);
     }
     q
-}
-
-/// Pick the shard count for a plan: stay sequential unless the
-/// largest scan has at least `min_shard_elems` elements *per
-/// prospective shard*, so point queries never pay pool scheduling
-/// overhead, and never exceed the worker budget.
-pub fn choose_shards(max_scan_card: usize, workers: usize, min_shard_elems: usize) -> usize {
-    if workers < 2 {
-        return 1;
-    }
-    let by_size = max_scan_card / min_shard_elems.max(1);
-    by_size.min(workers).max(1)
 }
 
 #[cfg(test)]
@@ -370,10 +339,10 @@ mod tests {
     fn estimate_tracks_scan_extents() {
         let (doc, store) = fixture(SAMPLE);
         let b = bound_for(&doc, "/db/e[r/y]/p/n");
-        let est = estimate_plan(&lower_plan(&b), &store, &CostModel::default());
-        assert!(est.max_scan_card >= 3);
-        assert!(est.total_scan_card >= est.max_scan_card);
-        assert!(est.cost_ns > 0.0);
+        let model = CostModel::default();
+        let est = estimate_plan(&lower_plan(&b), &store, &model);
+        // Three e, three y and three n tuples are scanned at least.
+        assert!(est.cost_ns > 9.0 * model.scan_ns_per_elem);
         assert!(est.result_card > 0.0);
     }
 
@@ -438,18 +407,5 @@ mod tests {
         orig.sort_unstable();
         reord.sort_unstable();
         assert_eq!(orig, reord);
-    }
-
-    #[test]
-    fn shard_choice_gated_on_scan_size_and_workers() {
-        // One worker: never shard, whatever the scan size.
-        assert_eq!(choose_shards(1 << 20, 1, 4096), 1);
-        // Point query: never shard, whatever the worker count.
-        assert_eq!(choose_shards(3, 8, 4096), 1);
-        // Below one full shard of work beyond the first: stay whole.
-        assert_eq!(choose_shards(4095, 8, 4096), 1);
-        // Large scan: one shard per min_shard_elems, capped by workers.
-        assert_eq!(choose_shards(3 * 4096, 8, 4096), 3);
-        assert_eq!(choose_shards(100 * 4096, 8, 4096), 8);
     }
 }

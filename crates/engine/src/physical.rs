@@ -10,8 +10,8 @@
 //!
 //! | operator | paper artifact |
 //! |---|---|
-//! | [`PhysOp::ClusteredScan`] | the `σ` selections of Fig. 11 over the physically clustered SP (`plabel` equality/range) or SD (`tag`) relations — §4.2 / §5.2.1. This is the operator the executor shards across worker threads; its runs are raw column extents or the packed v3 encodings, filtered by the same chunked kernels (`blas_storage::scan`) either way. |
-//! | [`PhysOp::ValueFilter`] | the `data = 'v'` / `level = k` conjuncts of Fig. 11's selection predicates; pushed down into the scan by [`PhysPlan::pushdown_filters`] so they run during the (possibly sharded) run traversal, as fixed-width-block branch-free compaction loops |
+//! | [`PhysOp::ClusteredScan`] | the `σ` selections of Fig. 11 over the physically clustered SP (`plabel` equality/range) or SD (`tag`) relations — §4.2 / §5.2.1. Its runs are raw column extents or the packed v3 encodings, filtered by the same chunked kernels (`blas_storage::scan`) either way. |
+//! | [`PhysOp::ValueFilter`] | the `data = 'v'` / `level = k` conjuncts of Fig. 11's selection predicates; pushed down into the scan by [`PhysPlan::pushdown_filters`] so they run during the run traversal, as fixed-width-block branch-free compaction loops |
 //! | [`PhysOp::StructuralJoin`] | the `⋈` D-join of Fig. 11 (§3.1), as the structural *semi*-join both engines reduce to — keep one side's participants |
 //! | [`PhysOp::Union`] | the duplicate-free `∪` of unfolded paths (§4.1.3) |
 //! | [`PhysOp::Materialize`] | the final `π(start)` projection of Fig. 11: force an owned, start-sorted output |
@@ -281,7 +281,7 @@ impl PhysPlan {
 
     /// Fuse every [`PhysOp::ValueFilter`] sitting directly on a
     /// single-consumer [`PhysOp::ClusteredScan`] into the scan, so the
-    /// filter runs during the (possibly sharded) run traversal instead
+    /// filter runs during the run traversal instead
     /// of materializing an unfiltered copy first. Operators are
     /// renumbered; the plan stays topologically ordered.
     pub fn pushdown_filters(self) -> PhysPlan {

@@ -9,15 +9,15 @@
 //! [`PhysOp::StructuralJoin`] semi-join `⋈`s keeping the side the
 //! plan projects, duplicate-free [`PhysOp::Union`]s for unfolded
 //! alternatives (§4.1.3), and a final [`PhysOp::Materialize`] `π` —
-//! and the shared executor in [`crate::exec`] runs it, sequentially
-//! or with sharded parallel scans.
+//! and the shared executor in [`crate::exec`] runs it on the calling
+//! thread.
 //!
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 //! [`PhysOp::StructuralJoin`]: crate::physical::PhysOp::StructuralJoin
 //! [`PhysOp::Union`]: crate::physical::PhysOp::Union
 //! [`PhysOp::Materialize`]: crate::physical::PhysOp::Materialize
 
-use crate::exec::{self, ExecConfig};
+use crate::exec;
 use crate::physical::lower_plan;
 use crate::stats::ExecStats;
 use crate::stream::ExecBuffers;
@@ -40,18 +40,7 @@ pub fn execute_plan_with(
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
 ) -> Vec<DLabel> {
-    exec::execute_with(&lower_plan(plan), store, &ExecConfig::default(), stats, bufs)
-}
-
-/// Like [`execute_plan`], with an explicit executor configuration
-/// (sharded parallel scans).
-pub fn execute_plan_config(
-    plan: &BoundPlan,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-) -> Vec<DLabel> {
-    exec::execute(&lower_plan(plan), store, config, stats)
+    exec::execute_with(&lower_plan(plan), store, stats, bufs)
 }
 
 #[cfg(test)]

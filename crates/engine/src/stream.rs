@@ -89,18 +89,16 @@ impl ExecBuffers {
     }
 }
 
-/// The stream filter of a selection (`data = 'v'`, `level = k`) is the
-/// storage crate's [`ScanFilter`], whose chunked kernels run directly
-/// over raw or packed runs.
-pub(crate) type Filter = ScanFilter;
-
-/// Resolve textual predicates against the store's intern table: an
-/// un-interned value becomes `Some(NO_VALUE)`, which admits nothing.
+/// Resolve a selection's textual predicates (`data = 'v'`,
+/// `level = k`) against the store's intern table into the storage
+/// crate's [`ScanFilter`], whose chunked kernels run directly over raw
+/// or packed runs. An un-interned value becomes `Some(NO_VALUE)`, which
+/// admits nothing.
 pub(crate) fn resolve_filter(
     value_eq: Option<&str>,
     level_eq: Option<u16>,
     store: &NodeStore,
-) -> Filter {
+) -> ScanFilter {
     ScanFilter {
         value_id: value_eq.map(|v| store.value_id(v).unwrap_or(NO_VALUE)),
         level_eq,
@@ -136,7 +134,7 @@ pub fn materialize<'a>(
 /// of the chunked filter/decode kernel into a pooled buffer.
 fn single_run<'a>(
     run: ScanRun<'a>,
-    filter: Filter,
+    filter: ScanFilter,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
 ) -> Labels<'a> {
@@ -157,7 +155,7 @@ fn single_run<'a>(
 /// allocation).
 fn multi_run<'a>(
     mut runs: impl Iterator<Item = ScanRun<'a>>,
-    filter: Filter,
+    filter: ScanFilter,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
 ) -> Labels<'a> {

@@ -27,14 +27,12 @@
 //! [`lower_twig`] turns it into a DAG of shared [`PhysOp::ClusteredScan`]
 //! streams and [`PhysOp::StructuralJoin`] semi-joins — the two stack
 //! passes made explicit — which the one executor in [`crate::exec`]
-//! runs on the calling thread. Under a sharded [`ExecConfig`] a large
-//! stream's scan splits into pool sub-jobs; the semi-join passes
-//! themselves never leave the thread.
+//! runs, scans and semi-join passes alike, on the calling thread.
 //!
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 //! [`PhysOp::StructuralJoin`]: crate::physical::PhysOp::StructuralJoin
 
-use crate::exec::{self, ExecConfig};
+use crate::exec;
 use crate::physical::lower_twig;
 use crate::stats::ExecStats;
 use blas_labeling::DLabel;
@@ -97,7 +95,7 @@ impl TwigQuery {
     /// executor — one clustered-scan stream per node, then the two
     /// stack passes as an explicit semi-join DAG.
     pub fn execute(&self, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
-        exec::execute(&lower_twig(std::slice::from_ref(self)), store, &ExecConfig::default(), stats)
+        exec::execute(&lower_twig(std::slice::from_ref(self)), store, stats)
     }
 }
 
@@ -229,7 +227,7 @@ mod tests {
         for phys in [lower_twig(&arms), crate::physical::lower_twigstack(&arms)] {
             let unions = phys.ops().iter().filter(|o| matches!(o, PhysOp::Union { .. })).count();
             assert_eq!(unions, 1, "one union over the arms");
-            let out = exec::execute(&phys, &store, &ExecConfig::default(), &mut ExecStats::default());
+            let out = exec::execute(&phys, &store, &mut ExecStats::default());
             assert_eq!(out, expected);
         }
     }

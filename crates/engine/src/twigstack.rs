@@ -23,17 +23,15 @@
 //! engine entry point [`execute_twigstack`] is a lowering strategy —
 //! per-node [`PhysOp::ClusteredScan`] streams feeding the one
 //! holistic operator — over the shared executor in [`crate::exec`].
-//! The per-node streams load one after another in arena order (each
-//! large one sharding into pool sub-jobs under a sharded
-//! [`ExecConfig`]), and the match operator runs after the last of
-//! them. The default twig engine in
+//! The per-node streams load one after another in arena order, and
+//! the match operator runs after the last of them. The default twig engine in
 //! [`crate::twig`] computes the same answer with a semi-join DAG; the
 //! `ablation` Criterion bench compares the two.
 //!
 //! [`PhysOp::TwigStackMatch`]: crate::physical::PhysOp::TwigStackMatch
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 
-use crate::exec::{self, ExecConfig};
+use crate::exec;
 use crate::physical::{lower_twigstack, TwigPattern};
 use crate::stats::ExecStats;
 use crate::twig::TwigQuery;
@@ -50,7 +48,7 @@ pub fn execute_twigstack(
     store: &NodeStore,
     stats: &mut ExecStats,
 ) -> Vec<DLabel> {
-    exec::execute(&lower_twigstack(std::slice::from_ref(query)), store, &ExecConfig::default(), stats)
+    exec::execute(&lower_twigstack(std::slice::from_ref(query)), store, stats)
 }
 
 /// The [`PhysOp::TwigStackMatch`] operator: match `pattern` over one
@@ -434,22 +432,5 @@ mod tests {
         let twig = TwigQuery::from_plan(&bound).remove(0);
         let mut stats = ExecStats::default();
         assert!(execute_twigstack(&twig, &store, &mut stats).is_empty());
-    }
-
-    #[test]
-    fn sharded_streams_match_sequential() {
-        let (doc, store, dom) = fixture();
-        let q = parse("/db/e[p//s]/r/f/t").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
-        let twig = TwigQuery::from_plan(&bound).remove(0);
-        let mut seq = ExecStats::default();
-        let expect = execute_twigstack(&twig, &store, &mut seq);
-        let config = ExecConfig::sharded(4).with_min_shard_elems(1);
-        let mut par = ExecStats::default();
-        let plan = lower_twigstack(std::slice::from_ref(&twig));
-        let got = exec::execute(&plan, &store, &config, &mut par);
-        assert_eq!(got, expect);
-        assert_eq!(seq.elements_visited, par.elements_visited);
-        assert_eq!(seq.join_input_tuples, par.join_input_tuples);
     }
 }

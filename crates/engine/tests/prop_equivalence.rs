@@ -4,7 +4,7 @@
 //! set of the naive tree-walking evaluator, on random documents and
 //! random tree queries.
 
-use blas_engine::exec::{execute, ExecConfig};
+use blas_engine::exec::execute;
 use blas_engine::physical::{lower_plan, lower_twig, lower_twigstack};
 use blas_engine::pool::PoolHandle;
 use blas_engine::{naive, rdbms::execute_plan, ExecStats, TwigQuery};
@@ -14,17 +14,9 @@ use blas_translate::{bind, translate_dlabeling, translate_pushup, translate_spli
 use blas_xml::{Document, SchemaGraph};
 use blas_xpath::parse;
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
-
-/// Persistent pools shared by every proptest case: {1, 2, 4, 7}
-/// resident workers. Reusing them across hundreds of random
-/// plans/stores is itself part of the property — one pool instance
-/// must serve arbitrarily many executions.
-fn shared_pools() -> &'static [(usize, PoolHandle)] {
-    static POOLS: std::sync::OnceLock<Vec<(usize, PoolHandle)>> = std::sync::OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 4, 7].iter().map(|&t| (t, PoolHandle::new(t))).collect())
-}
 
 /// Random document over a tiny tag alphabet, with occasional text.
 fn xml_doc() -> impl Strategy<Value = String> {
@@ -114,7 +106,7 @@ proptest! {
             // Twig engines: one twig query per union arm.
             let arms = TwigQuery::from_plan(&bound);
             for (engine, pplan) in [("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))] {
-                let got: Vec<u32> = execute(&pplan, &store, &ExecConfig::default(), &mut ExecStats::default())
+                let got: Vec<u32> = execute(&pplan, &store, &mut ExecStats::default())
                     .into_iter()
                     .map(|l| l.start)
                     .collect();
@@ -123,20 +115,19 @@ proptest! {
         }
     }
 
-    /// Sharded execution is an execution detail: for random plans over
-    /// random stores, the one arena-order walk with every clustered
-    /// scan fanned out over persistent pools of 1, 2, 4 or 7 worker
-    /// threads (`min_shard_elems: 1`) returns byte-identical results
-    /// and an identical `ExecStats` — every field but the wall clock —
-    /// to sequential execution, on every lowering strategy (relational
-    /// tree, twig semi-join DAG, holistic TwigStack). The pools are
-    /// created once and shared across all cases, so this also
-    /// exercises pool reuse across many queries.
+    /// Execution is thread-agnostic: for random plans over random
+    /// stores, each lowering (relational tree, twig semi-join DAG,
+    /// holistic TwigStack) run as a task on a shared two-worker pool —
+    /// how a server runs a binary request — returns byte-identical
+    /// results and an identical `ExecStats`, every field but the wall
+    /// clock, to the calling thread. The one pool serves every case.
     #[test]
     fn pooled_execution_matches_sequential(src in xml_doc(), qsrc in xpath_query()) {
+        static POOL: OnceLock<PoolHandle> = OnceLock::new();
+        let pool = POOL.get_or_init(|| PoolHandle::new(2));
         let doc = Document::parse(&src).unwrap();
         let labels = label_document(&doc).unwrap();
-        let store = NodeStore::build(&doc, &labels);
+        let store = Arc::new(NodeStore::build(&doc, &labels));
         let schema = SchemaGraph::infer(&doc);
         let q = parse(&qsrc).unwrap();
 
@@ -154,28 +145,23 @@ proptest! {
             let arms = TwigQuery::from_plan(&bound);
             let phys =
                 [("rdbms", lower_plan(&bound)), ("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))];
-            for (engine, pplan) in &phys {
+            for (engine, pplan) in phys {
                 let mut seq_stats = ExecStats::default();
-                let seq = execute(pplan, &store, &ExecConfig::default(), &mut seq_stats);
-                for (threads, pool) in shared_pools() {
-                    // Shards ≥ 2 so scan fan-out is always active,
-                    // whatever the worker count — a 1-thread pool must
-                    // still be correct.
-                    let shards = (*threads).max(2);
-                    let config = ExecConfig::on_pool(pool.clone(), shards).with_min_shard_elems(1);
-                    let mut par_stats = ExecStats::default();
-                    let par = execute(pplan, &store, &config, &mut par_stats);
-                    prop_assert_eq!(
-                        &par, &seq,
-                        "{}/{} @ {} pool threads on {} over {}",
-                        engine, name, threads, qsrc, src
-                    );
-                    prop_assert_eq!(
-                        untimed(par_stats), untimed(seq_stats.clone()),
-                        "stats must not depend on sharding: {}/{} @ {} pool threads on {} over {}",
-                        engine, name, threads, qsrc, src
-                    );
-                }
+                let seq = execute(&pplan, &store, &mut seq_stats);
+                let task_store = Arc::clone(&store);
+                let (par, par_stats) = pool
+                    .spawn_task(move || {
+                        let mut stats = ExecStats::default();
+                        (execute(&pplan, &task_store, &mut stats), stats)
+                    })
+                    .join()
+                    .unwrap();
+                prop_assert_eq!(&par, &seq, "{}/{} on {} over {}", engine, name, qsrc, src);
+                prop_assert_eq!(
+                    untimed(par_stats), untimed(seq_stats),
+                    "stats must not depend on the thread: {}/{} on {} over {}",
+                    engine, name, qsrc, src
+                );
             }
         }
     }

@@ -24,8 +24,8 @@
 //! arrival order (pipelining is allowed; responses come back in
 //! request order). Binary connections are **multiplexed**: every frame
 //! carries a stream id, admitted requests run on the routed document's
-//! execution pool ([`BlasDb::pool`], one worker per core — the pool its
-//! sharded scans use) while the connection thread keeps reading, and
+//! request pool ([`BlasDb::pool`], one worker per core) while the
+//! connection thread keeps reading, and
 //! responses come back tagged with their stream id in *completion*
 //! order — one socket interleaves many logical in-flight requests.
 //!
@@ -998,7 +998,6 @@ fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodRe
     Ok(Response::Info(Json::Obj(vec![
         ("engine".into(), Json::str(info.engine.to_string())),
         ("translator".into(), Json::str(format!("{:?}", info.translator))),
-        ("shards".into(), Json::uint(info.shards as u64)),
         ("est_cost_ns".into(), Json::Num(info.est_cost_ns)),
         ("ops".into(), Json::uint(info.ops as u64)),
         ("cached".into(), Json::Bool(info.cached)),

@@ -13,11 +13,7 @@
 //!   encodings borrowed from a v3 mapping — scans, and therefore the
 //!   engines above, cannot tell the difference. Raw clustered scans
 //!   still return zero-copy `&[DLabel]` slices; packed ones decode
-//!   block-at-a-time through the same [`ScanRun`] interface. Scans are
-//!   also available in *sharded* form ([`shard_runs`] and the
-//!   `NodeStore::shard_*` methods): balanced groups of run pieces —
-//!   oversized runs are split with `slice` — that the engine's
-//!   parallel scan operator fans out across worker threads;
+//!   block-at-a-time through the same [`ScanRun`] interface;
 //! * [`delta`] — the mutable layer over the immutable base: inserted,
 //!   retagged, and deleted nodes held in small SP/SD-sorted side
 //!   columns with their own mini run directories, merged into every
@@ -59,6 +55,6 @@ pub mod snapshot;
 pub use bptree::BPlusTree;
 pub use delta::{decode_edits, encode_edits, DeltaEdits, DeltaError, DeltaStore};
 pub use mapped::MappedBytes;
-pub use relation::{shard_runs, NodeRecord, NodeStore, RecordView, RowId, Run, NO_VALUE};
-pub use scan::{PackedRun, RunLike, ScanFilter, ScanRun};
+pub use relation::{NodeRecord, NodeStore, RecordView, RowId, Run, NO_VALUE};
+pub use scan::{PackedRun, ScanFilter, ScanRun};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta};

@@ -53,9 +53,8 @@
 //! keys, value ids and permutation rows as FOR planes. Scans are
 //! source-agnostic: they return [`ScanRun::Raw`] over raw slices
 //! (still zero-copy) or [`ScanRun::Packed`] over the planes, and the
-//! engines — including the sharded parallel scan path built on
-//! [`shard_runs`] — filter both shapes through the same chunked
-//! kernels ([`crate::scan`]).
+//! engines filter both shapes through the same chunked kernels
+//! ([`crate::scan`]).
 //!
 //! There is **no per-tuple B+ tree traversal on the hot path**. The B+
 //! trees are *derived* data, built lazily on first use (so a mapped
@@ -78,7 +77,7 @@ use crate::bptree::BPlusTree;
 use crate::delta::{DeltaEdits, DeltaError, DeltaStore};
 use crate::mapped::MappedBytes;
 use crate::packed::{BitpackCol, LabelPlanesCol, PlaneCol};
-use crate::scan::{PackedRun, RunLike, ScanRun};
+use crate::scan::{PackedRun, ScanRun};
 use crate::snapshot::{self, SnapshotError, SnapshotMeta};
 use blas_labeling::{DLabel, DocumentLabels, PInterval, PLabelDomain};
 use blas_xml::{Document, TagId};
@@ -463,7 +462,7 @@ impl<'a> Run<'a> {
 
     /// The contiguous sub-run of positions `range`. Slices stay
     /// `start`-ascending (they are consecutive positions of a sorted
-    /// run), which is the invariant shard splitting relies on.
+    /// run), which is the invariant the delta merge relies on.
     pub fn slice(&self, range: Range<usize>) -> Run<'a> {
         Run {
             labels: &self.labels[range.clone()],
@@ -479,56 +478,6 @@ impl<'a> Run<'a> {
 
     pub(crate) const EMPTY: Run<'static> =
         Run { labels: &[], rows: &[], value_ids: &[], row_base: 0 };
-}
-
-/// Partition a scan's runs into at most `shards` balanced groups for
-/// parallel execution, **splitting oversized runs** into consecutive
-/// [`RunLike::slice`] pieces so no group exceeds ⌈total ∕ shards⌉
-/// tuples. Generic over the run shape, so raw [`Run`]s and packed
-/// [`ScanRun`]s shard through the same splitter.
-///
-/// Pieces appear in the same order as the input runs and exactly
-/// partition them (every tuple lands in exactly one piece of one
-/// group — the invariant that makes per-shard `elements_visited`
-/// accumulators sum to the sequential count). Empty runs are dropped;
-/// the result may hold fewer than `shards` groups, and each group is
-/// non-empty.
-pub fn shard_runs<R: RunLike>(runs: Vec<R>, shards: usize) -> Vec<Vec<R>> {
-    let total: usize = runs.iter().map(R::len).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    if shards <= 1 {
-        return vec![runs.into_iter().filter(|r| !r.is_empty()).collect()];
-    }
-    let target = total.div_ceil(shards);
-    let mut groups: Vec<Vec<R>> = Vec::with_capacity(shards);
-    let mut current: Vec<R> = Vec::new();
-    let mut filled = 0usize;
-    for run in runs {
-        let mut offset = 0usize;
-        while offset < run.len() {
-            let room = target - filled;
-            let take = room.min(run.len() - offset);
-            current.push(run.slice(offset..offset + take));
-            offset += take;
-            filled += take;
-            if filled == target {
-                groups.push(std::mem::take(&mut current));
-                filled = 0;
-            }
-        }
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    debug_assert!(groups.len() <= shards);
-    debug_assert_eq!(
-        groups.iter().flatten().map(R::len).sum::<usize>(),
-        total,
-        "shard groups must exactly partition the scan"
-    );
-    groups
 }
 
 // --- base ⊎ delta merge machinery ----------------------------------
@@ -629,22 +578,6 @@ fn merge_key_run<'a>(base: ScanRun<'a>, dins: Run<'a>, dels: &[u32]) -> ScanRun<
     let mut pieces = Vec::new();
     split_out_deleted(base, dels, &mut pieces);
     ScanRun::multi(interleave_inserts(pieces, dins))
-}
-
-/// Unnest [`ScanRun::Multi`] wrappers so shard splitting (and the
-/// engines' per-run loops) only ever slice flat runs.
-fn flatten_merged(runs: Vec<ScanRun<'_>>) -> Vec<ScanRun<'_>> {
-    if runs.iter().all(|r| !matches!(r, ScanRun::Multi(_))) {
-        return runs;
-    }
-    let mut out = Vec::with_capacity(runs.len());
-    for r in runs {
-        match r {
-            ScanRun::Multi(pieces) => out.extend(pieces),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Two-source iterator that keeps [`NodeStore::scan_plabel_range`]'s
@@ -753,7 +686,7 @@ pub struct StoreCols {
 /// a delta-carrying store transparently splice base and delta at the
 /// run level (tombstoned base rows are cut out, inserted tuples are
 /// interleaved in start order), so everything above the scan layer —
-/// all three engines, sequential and sharded — sees base ⊎ delta
+/// all three engines — sees base ⊎ delta
 /// without knowing deltas exist. A store without a delta pays one
 /// `Option` check per scan and keeps every zero-copy path.
 #[derive(Debug, Clone)]
@@ -1529,8 +1462,8 @@ impl NodeStore {
     /// Per-key merge walk for a delta-touched SP range: the base
     /// directory keys `base_keys` and the delta's keys in `[p1, p2]`
     /// stream out in ascending P-label order; equal keys merge, and
-    /// runs emptied by tombstones are dropped (engines and shard
-    /// splitting assume non-empty runs).
+    /// runs emptied by tombstones are dropped (the engines assume
+    /// non-empty runs).
     fn merged_plabel_range<'a>(
         &'a self,
         d: &'a DeltaStore,
@@ -1642,12 +1575,11 @@ impl NodeStore {
             .map(move |row| (row, self.record(row)))
     }
 
-    // --- shard-aware run iteration (parallel scan support) ----------
+    // --- run-directory sizes ------------------------------------------
 
     /// Tuples the SP range scan of `[p1, p2]` would yield, from the
     /// run directory alone — two binary searches, no run
-    /// materialization. The sharded scan asks this first so scans
-    /// below its fan-out threshold never pay for shard preparation.
+    /// materialization.
     pub fn plabel_range_size(&self, p1: u128, p2: u128) -> usize {
         let from = self.sp_keys.partition_point(|&k| k < p1);
         let to = self.sp_keys.partition_point(|&k| k <= p2);
@@ -1682,25 +1614,6 @@ impl NodeStore {
             None => base,
             Some(d) => base - d.dels_for_tag(tag).len() + d.sd_run(tag).labels.len(),
         }
-    }
-
-    /// The SP scan of an interval set partitioned into at most `shards`
-    /// balanced groups of run pieces (see [`shard_runs`]). Merged runs
-    /// are flattened first so the splitter slices only flat pieces.
-    pub fn shard_plabels(&self, intervals: &[PInterval], shards: usize) -> Vec<Vec<ScanRun<'_>>> {
-        shard_runs(flatten_merged(self.scan_plabels(intervals).collect()), shards)
-    }
-
-    /// The SD tag run partitioned into at most `shards` consecutive
-    /// pieces.
-    pub fn shard_tag(&self, tag: TagId, shards: usize) -> Vec<Vec<ScanRun<'_>>> {
-        shard_runs(flatten_merged(vec![self.scan_tag(tag)]), shards)
-    }
-
-    /// The live document-order scan partitioned into at most `shards`
-    /// consecutive pieces.
-    pub fn shard_doc(&self, shards: usize) -> Vec<Vec<ScanRun<'_>>> {
-        shard_runs(flatten_merged(vec![self.scan_doc()]), shards)
     }
 
     // --- reference (B+ tree) scan path ------------------------------
@@ -2038,52 +1951,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_runs_partitions_exactly() {
-        let (_, s) = store(SAMPLE);
-        let all: Vec<ScanRun> = s.scan_plabel_range(0, u128::MAX).collect();
-        let flat: Vec<u32> = all.iter().flat_map(|r| run_labels(r)).map(|l| l.start).collect();
-        for shards in [1usize, 2, 3, 4, 7, 100] {
-            let groups = shard_runs(all.clone(), shards);
-            assert!(groups.len() <= shards.max(1));
-            assert!(groups.iter().all(|g| !g.is_empty()), "no empty shard groups");
-            let got: Vec<u32> = groups
-                .iter()
-                .flatten()
-                .flat_map(run_labels)
-                .map(|l| l.start)
-                .collect();
-            assert_eq!(got, flat, "{shards} shards must preserve piece order");
-            // Balance: no group exceeds the ceiling target.
-            let target = s.len().div_ceil(shards);
-            for g in &groups {
-                assert!(g.iter().map(|r| r.len()).sum::<usize>() <= target);
-            }
-        }
-        assert!(shard_runs(Vec::<ScanRun>::new(), 4).is_empty());
-        assert!(shard_runs(vec![ScanRun::Raw(Run::EMPTY)], 4).is_empty());
-    }
-
-    #[test]
-    fn store_shard_helpers_cover_their_scans() {
-        let (doc, s) = store(SAMPLE);
-        let n = doc.tags().get("n").unwrap();
-        let tag_total: usize = s
-            .shard_tag(n, 2)
-            .iter()
-            .flatten()
-            .map(|r| r.len())
-            .sum();
-        assert_eq!(tag_total, s.scan_tag(n).len());
-        let doc_groups = s.shard_doc(3);
-        assert_eq!(doc_groups.iter().flatten().map(|r| r.len()).sum::<usize>(), s.len());
-        let all = PInterval { p1: 0, p2: u128::MAX };
-        let range_groups = s.shard_plabels(&[all], 3);
-        assert_eq!(range_groups.iter().flatten().map(|r| r.len()).sum::<usize>(), s.len());
-        let unused = PInterval { p1: u128::MAX, p2: u128::MAX };
-        assert!(s.shard_plabels(&[unused], 2).is_empty(), "unused plabel has no runs");
-    }
-
-    #[test]
     fn dlabel_view_consistent() {
         let (_, s) = store(SAMPLE);
         for (_, r) in s.scan_all() {
@@ -2283,9 +2150,6 @@ mod tests {
             let run = layered.scan_tag(tag);
             assert_eq!(run_labels(&run), run_labels(&rebuilt.scan_tag(tag)), "{tag:?}");
             assert_eq!(layered.tag_size(tag), run.len(), "{tag:?}");
-            let sharded: usize =
-                layered.shard_tag(tag, 2).iter().flatten().map(|r| r.len()).sum();
-            assert_eq!(sharded, run.len(), "{tag:?}");
         }
         // SP scans: the merged full range equals the rebuilt one.
         let got: Vec<DLabel> = layered
@@ -2323,10 +2187,6 @@ mod tests {
             assert_eq!(fields(got), fields(r));
         }
         assert!(layered.get_by_start(base[del_e].start).is_none());
-        // Sharded document scan partitions the live tuples exactly.
-        let doc_total: usize =
-            layered.shard_doc(3).iter().flatten().map(|r| r.len()).sum();
-        assert_eq!(doc_total, rebuilt.len());
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   — never per element — and the filter compaction is branch-free
 //!   (`write; advance-by-predicate`), so both paths autovectorize.
 //!
-//! [`RunLike`] abstracts the slicing the parallel scan sharder
-//! ([`crate::shard_runs`]) needs, so sharding works identically over
-//! raw and packed runs (packed slicing is just range arithmetic;
-//! blocks need not align with run or shard boundaries).
+//! Both shapes slice the same way ([`ScanRun::slice`]; packed slicing is
+//! range arithmetic, and blocks need not align with slice boundaries),
+//! which is how the delta merge cuts tombstones out of a base run.
 
 use crate::packed::{LabelPlanesRef, PlaneRef, BLOCK};
 use crate::relation::{Run, NO_VALUE};
@@ -135,8 +134,8 @@ impl<'a> PackedRun<'a> {
 /// engines; `Raw` preserves the zero-copy `&[DLabel]` path, `Packed`
 /// decodes on the fly inside the chunked kernels.
 // `Packed` carries the plane views inline (~10 slices). Runs are
-// created once per scan — not per element — and never stored in bulk
-// beyond the sharder's short-lived groups, so the variant skew is
+// created once per scan — not per element — and never stored in bulk,
+// so the variant skew is
 // cheaper than a per-run heap allocation would be.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
@@ -437,41 +436,6 @@ fn filter_packed(run: &PackedRun<'_>, filter: ScanFilter, out: &mut Vec<DLabel>)
     out.truncate(base + k);
 }
 
-/// The slicing interface the parallel-scan sharder needs: both raw
-/// [`Run`]s and [`ScanRun`]s shard the same way.
-pub trait RunLike: Clone {
-    /// Tuples in the run.
-    fn len(&self) -> usize;
-    /// True when the run holds no tuples.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Sub-run of relative positions `r`.
-    fn slice(&self, r: Range<usize>) -> Self;
-}
-
-impl<'a> RunLike for Run<'a> {
-    #[inline]
-    fn len(&self) -> usize {
-        Run::len(self)
-    }
-    #[inline]
-    fn slice(&self, r: Range<usize>) -> Self {
-        Run::slice(self, r)
-    }
-}
-
-impl<'a> RunLike for ScanRun<'a> {
-    #[inline]
-    fn len(&self) -> usize {
-        ScanRun::len(self)
-    }
-    #[inline]
-    fn slice(&self, r: Range<usize>) -> Self {
-        ScanRun::slice(self, r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,40 +592,15 @@ mod tests {
         raw.filter_into(filter, &mut fb);
         assert_eq!(fa, fb);
 
-        // Cross-piece slicing and sharding behave like the flat run.
+        // Cross-piece slicing behaves like the flat run.
         let s = multi.slice(500..2000);
         let (mut sa, mut sb) = (Vec::new(), Vec::new());
         s.decode_labels_into(&mut sa);
         raw.slice(500..2000).decode_labels_into(&mut sb);
         assert_eq!(sa, sb);
-        let groups = crate::shard_runs(vec![multi.clone()], 4);
-        let total: usize = groups.iter().flatten().map(|r| r.len()).sum();
-        assert_eq!(total, 3000);
-        let mut all = Vec::new();
-        for run in groups.iter().flatten() {
-            run.decode_labels_into(&mut all);
-        }
-        assert_eq!(all, b);
 
         // Degenerate shapes collapse back to flat runs.
         assert!(matches!(ScanRun::multi(Vec::new()), ScanRun::Raw(_)));
         assert!(matches!(ScanRun::multi(vec![raw.slice(0..5)]), ScanRun::Raw(_)));
-    }
-
-    #[test]
-    fn scan_runs_shard_like_raw_runs() {
-        let f = fixture(4096);
-        let (_, packed) = runs_of(&f);
-        let groups = crate::shard_runs(vec![packed.clone()], 4);
-        assert_eq!(groups.len(), 4);
-        let total: usize = groups.iter().flatten().map(|r| r.len()).sum();
-        assert_eq!(total, 4096);
-        let mut all = Vec::new();
-        for run in groups.iter().flatten() {
-            run.decode_labels_into(&mut all);
-        }
-        let mut expect = Vec::new();
-        packed.decode_labels_into(&mut expect);
-        assert_eq!(all, expect);
     }
 }

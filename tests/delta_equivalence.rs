@@ -3,7 +3,7 @@
 //! inserts on the rightmost spine, subtree deletes, retags — and the
 //! delta-layered database must answer **byte-identically** to a store
 //! rebuilt from scratch from its own folded snapshot, across every
-//! engine, sequential and sharded execution, and both column sources
+//! engine and both column sources
 //! (owned base and a memory-mapped v3 snapshot with packed columns,
 //! each carrying the same delta).
 //!
@@ -12,8 +12,8 @@
 //! against the rebuild — fails the test too.
 //!
 //! The count differential rides along: `BlasDb::count` must agree with
-//! `BlasDb::query`'s length for every engine × translator × shard
-//! count, on both twins, before and after the script and after a
+//! `BlasDb::query`'s length for every engine × translator, on both
+//! twins, before and after the script and after a
 //! compaction, on flat and on recursive (`parlist`/`listitem`)
 //! documents.
 
@@ -169,17 +169,9 @@ const QUERIES: &[&str] = &[
     "//b='x'",
 ];
 
-/// Engine × sharding grid the mutated databases must agree on.
-fn choices() -> [EngineChoice; 7] {
-    [
-        EngineChoice::auto(),
-        EngineChoice::rdbms(),
-        EngineChoice::rdbms().with_shards(4),
-        EngineChoice::twig(),
-        EngineChoice::twig().with_shards(4),
-        EngineChoice::twigstack(),
-        EngineChoice::twigstack().with_shards(4),
-    ]
+/// The engines the mutated databases must agree on.
+fn choices() -> [EngineChoice; 4] {
+    [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()]
 }
 
 /// Count-differential queries on flat documents: [`QUERIES`] (tag and
@@ -203,7 +195,7 @@ const RECURSIVE_COUNTS: &[&str] = &[
     "/parlist//bold",
 ];
 
-/// Every engine × translator × shard count {1, 2, 4}.
+/// Every engine × translator.
 fn count_choices() -> Vec<EngineChoice> {
     let engines = [Engine::Auto, Engine::Rdbms, Engine::Twig, Engine::TwigStack];
     let translators = [
@@ -216,9 +208,7 @@ fn count_choices() -> Vec<EngineChoice> {
     let mut out = Vec::new();
     for engine in engines {
         for translator in translators {
-            for shards in [1, 2, 4] {
-                out.push(EngineChoice { engine, translator, shards });
-            }
+            out.push(EngineChoice { engine, translator });
         }
     }
     out
@@ -309,7 +299,7 @@ proptest! {
 
     /// The differential property: after an arbitrary mutation script,
     /// base ⊎ delta ≡ a database rebuilt from scratch on the folded
-    /// snapshot — for every engine × sharding × column source.
+    /// snapshot — for every engine × column source.
     #[test]
     fn mutated_databases_answer_like_their_folded_rebuild(
         src in xml_doc(),
@@ -373,7 +363,7 @@ proptest! {
         );
         for (q, expect) in QUERIES.iter().zip(&before) {
             for db in [&owned, &mapped] {
-                for choice in [EngineChoice::auto(), EngineChoice::rdbms().with_shards(4)] {
+                for choice in [EngineChoice::auto(), EngineChoice::rdbms()] {
                     let got = db.query(q, choice).unwrap();
                     prop_assert_eq!(&got.nodes, expect, "{} under {:?}", q, choice);
                 }
@@ -422,7 +412,7 @@ fn pinned_script_matches_rebuild_everywhere() {
 /// while the delta edits keys inside them — a key it inserts into, one
 /// it creates, one it tombstones away, one a retag moves — on the owned
 /// store and on mapped raw (v2) and packed (v3) snapshots, under the
-/// stock engines at 1, 2 and 4 shards, and again after compaction.
+/// stock engines, and again after compaction.
 #[test]
 fn interval_sets_over_delta_touched_keys_count_like_they_query() {
     let xml = concat!(
@@ -473,15 +463,12 @@ fn interval_sets_over_delta_touched_keys_count_like_they_query() {
                     }
                     other => panic!("{xpath}: {other:?}"),
                 }
-                for engine in [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
-                    for shards in [1, 2, 4] {
-                        let choice = engine.with_shards(shards);
-                        let got = db.query(xpath, choice).unwrap();
-                        assert_eq!(got.nodes, expect, "{what} {twin} {xpath} {choice:?}");
-                        let c = db.count(xpath, choice).unwrap();
-                        assert_eq!(c.count, expect.len(), "{what} {twin} {xpath} {choice:?}");
-                        assert_eq!(c.stats.elements_visited, 0, "{what} {twin} {xpath} {choice:?}");
-                    }
+                for choice in choices() {
+                    let got = db.query(xpath, choice).unwrap();
+                    assert_eq!(got.nodes, expect, "{what} {twin} {xpath} {choice:?}");
+                    let c = db.count(xpath, choice).unwrap();
+                    assert_eq!(c.count, expect.len(), "{what} {twin} {xpath} {choice:?}");
+                    assert_eq!(c.stats.elements_visited, 0, "{what} {twin} {xpath} {choice:?}");
                 }
             }
         }

@@ -139,35 +139,6 @@ fn attribute_queries_work_end_to_end() {
     assert!(db.texts(&r).iter().flatten().all(|t| t.starts_with("person")));
 }
 
-/// Release-mode smoke for the sharded scan path on a real dataset:
-/// every Fig. 10 auction query under 2- and 4-way sharding returns the
-/// same nodes and counters as sequential execution, on all engines.
-/// Ignored by default (it generates Auction ×2); the CI
-/// `--include-ignored` release job runs it.
-#[test]
-#[ignore = "release-mode parallel-equivalence smoke; run via --include-ignored"]
-fn parallel_execution_smoke_on_auction() {
-    let db = BlasDb::load(&DatasetId::Auction.generate(2)).expect("well-formed");
-    for q in query_set(DatasetId::Auction) {
-        for engine in [Engine::Rdbms, Engine::Twig, Engine::TwigStack] {
-            let stripped = parse(q.xpath).unwrap().without_value_predicates();
-            let base = EngineChoice::auto().with_engine(engine).with_translator(Translator::PushUp);
-            let seq = db.run(&stripped, base).unwrap();
-            for shards in [2, 4] {
-                let par = db.run(&stripped, base.with_shards(shards)).unwrap();
-                assert_eq!(par.nodes, seq.nodes, "{} {engine:?} @ {shards}", q.id);
-                assert_eq!(
-                    par.stats.elements_visited, seq.stats.elements_visited,
-                    "{} {engine:?} @ {shards}",
-                    q.id
-                );
-                assert_eq!(par.stats.d_joins, seq.stats.d_joins);
-                assert_eq!(par.stats.join_input_tuples, seq.stats.join_input_tuples);
-            }
-        }
-    }
-}
-
 #[test]
 fn storage_is_bounded_like_the_paper_claims() {
     // §7: "the space used to represent an XML document is comparable to

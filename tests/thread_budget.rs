@@ -1,33 +1,41 @@
 //! The server's thread budget, counted from `/proc/self/task`: one
-//! acceptor, one thread per live connection, and the served document's
-//! execution pool of `available_parallelism` workers (at least two) —
-//! nothing sized by a configuration bound, and nothing left behind by a
-//! closed connection.
+//! acceptor, one thread per live connection, and — once a binary stream
+//! has run — the served document's request pool of
+//! `available_parallelism` workers (at least two). A query runs start
+//! to finish on the thread that asks for it, so neither an in-process
+//! query nor a JSON one ever starts a pool thread, however wide its
+//! scan. Nothing is sized by a configuration bound, and nothing is left
+//! behind by a closed connection.
 //!
 //! A test binary of its own (and a single test) so no other test's
 //! server can add threads to the count.
 #![cfg(target_os = "linux")]
 
-use blas::BlasDb;
+use blas::{BlasDb, EngineChoice};
 use blas_server::{Client, MuxClient, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Elements of the one wide tag: enough for two scan shards of the
-/// executor's default minimum, so a two-core host shards every scan.
+/// Elements of the one wide tag: well past the 4 096 elements per
+/// worker at which scans used to be split over the pool.
 const WIDE: usize = 10_000;
 
-/// Threads the server started, by their names (`comm` truncates to 15
-/// bytes; every server name fits).
-fn server_threads() -> usize {
+/// Threads whose name starts with one of `prefixes` (`comm` truncates
+/// to 15 bytes; every server name fits).
+fn threads_named(prefixes: &[&str]) -> usize {
     let tasks = std::fs::read_dir("/proc/self/task").expect("procfs is mounted");
     tasks
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| {
-            let name = comm.trim_end();
-            name == "blas-accept" || name.starts_with("blas-conn") || name.starts_with("blas-pool-")
-        })
+        .filter(|comm| prefixes.iter().any(|p| comm.trim_end().starts_with(p)))
         .count()
+}
+
+fn server_threads() -> usize {
+    threads_named(&["blas-accept", "blas-conn", "blas-pool-"])
+}
+
+fn pool_threads() -> usize {
+    threads_named(&["blas-pool-"])
 }
 
 /// Wait for a connection's thread to notice its peer left.
@@ -48,22 +56,29 @@ fn server_threads_are_one_per_live_connection_plus_one_pool() {
     let workers = cores.max(2);
     let xml = format!("<db>{}</db>", "<n/>".repeat(WIDE));
     let db = Arc::new(BlasDb::load(&xml).unwrap());
+
+    // In process, the wide scan runs on this thread: no pool job, no
+    // pool thread.
+    assert_eq!(db.query("//n", EngineChoice::auto()).unwrap().nodes.len(), WIDE);
+    assert_eq!(db.pool().jobs_submitted(), 0, "an in-process query submitted a pool job");
+    assert_eq!(pool_threads(), 0, "an in-process query started the pool");
+
     let server = Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
-    let budget = |open: usize| 1 + open + workers;
 
-    // A JSON connection runs its query on its own thread; the scan's
-    // second shard goes to the document's pool.
+    // A JSON connection runs the same wide query on its own thread, and
+    // still nothing reaches the pool.
     let mut json = Client::connect(addr, Some(Duration::from_secs(10))).unwrap();
-    let jobs = db.pool().jobs_submitted();
-    assert_eq!(json.query("//n", "auto").unwrap().count, WIDE);
-    if cores >= 2 {
-        assert!(db.pool().jobs_submitted() > jobs, "the wide scan must shard");
-    }
-    // A binary stream runs on that same pool, sharded scan included.
+    assert_eq!(json.query("//n", "auto").unwrap().nodes.len(), WIDE);
+    assert_eq!(db.pool().jobs_submitted(), 0, "a JSON query submitted a pool job");
+    assert_eq!(server_threads(), 2, "acceptor + one JSON connection, and no pool");
+
+    // A binary stream is one whole-request task on the document's pool:
+    // the first one starts its workers.
     let mux = MuxClient::connect(addr, Some(Duration::from_secs(10))).unwrap();
     assert_eq!(mux.query("/db/n", "auto").unwrap().count, WIDE);
-
+    assert_eq!(db.pool().jobs_submitted(), 1, "one binary request, one pool task");
+    let budget = |open: usize| 1 + open + workers;
     let open = server_threads();
     assert_eq!(open, budget(2), "acceptor + two connections + {workers} pool workers");
     assert!(open <= 2 * cores + 4, "{open} server threads on {cores} cores");
