@@ -12,7 +12,10 @@
 //!   query) summed over its contiguous runs, columnar vs B+ tree;
 //! * `tag_scan` — one SD tag run, columnar vs B+ tree;
 //! * `structural_join` — the stack-merge D-join kernel over two tag
-//!   streams, with reused vs per-call-allocated flag buffers.
+//!   streams, with reused vs per-call-allocated flag buffers; then the
+//!   one-level sweep vs the stack kernel on Q4's first join;
+//! * `twig_count` — `BlasDb::count` of the two `scan_heavy` twigs (QA3,
+//!   Q4), owned vs mapped store.
 //!
 //! Engine-level (Push-up translator, the configuration every engine
 //! can run): per Fig. 10 auction query, trimmed-mean wall-clock on
@@ -36,9 +39,13 @@ use blas::{BlasDb, Engine, EngineChoice, Translator};
 use blas_bench::bench_query;
 use blas_bench::arg_value;
 use blas_datagen::query_set;
-use blas_engine::stjoin::{structural_match, structural_match_into, JoinScratch};
+use blas_engine::stjoin::{
+    filter_flagged_into, is_one_level, one_level_semi_join_into, structural_match,
+    structural_match_into, JoinScratch,
+};
 use blas_labeling::DLabel;
 use blas_server::{Client, MuxClient, Server, ServerConfig};
+use blas_translate::Side;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -171,6 +178,12 @@ fn main() {
     });
 
     // --- kernel 3: structural join over two tag streams --------------
+    // `item ⋉ description` is one-to-one (each item holds exactly one
+    // description), so the stack kernel's admit/retire branches predict
+    // perfectly: this row is its best case (≈ 0.7 ns per element at ×10
+    // on an idle 2-core host). A join with a random fan-out (Q4's
+    // bidders per auction, below) costs the same kernel several times
+    // more per element.
     let description = tags.get("description").expect("auction has description");
     let mut anc: Vec<DLabel> = Vec::new();
     store.scan_tag(item).decode_labels_into(&mut anc);
@@ -200,6 +213,47 @@ fn main() {
         name: "structural_join/fresh_alloc",
         median_ns: fresh_alloc_ns,
         elements_per_op: join_elems,
+    });
+
+    // --- kernel 3b: Q4's first join, one-level sweep vs stack --------
+    // `open_auction[bidder/personref]`: every open_auction sits on
+    // level 3 and every personref two below it, a random number per
+    // auction. The executor picks the sweep for this one-level ancestor
+    // side; the stack row is what it ran before — flag, then copy the
+    // kept side out.
+    let open_auction = tags.get("open_auction").expect("auction has open_auction");
+    let personref = tags.get("personref").expect("auction has personref");
+    let mut q4_anc: Vec<DLabel> = Vec::new();
+    store.scan_tag(open_auction).decode_labels_into(&mut q4_anc);
+    let mut q4_desc: Vec<DLabel> = Vec::new();
+    store.scan_tag(personref).decode_labels_into(&mut q4_desc);
+    assert!(is_one_level(&q4_anc), "Q4's ancestor side sits on one level");
+    let q4_elems = (q4_anc.len() + q4_desc.len()) as u64;
+    let (mut sweep_out, mut stack_out) = (Vec::new(), Vec::new());
+    let (sweep_ns, stack_ns) = measure_pair(
+        JOIN_REPS,
+        || {
+            sweep_out.clear();
+            one_level_semi_join_into(&q4_anc, &q4_desc, Some(2), Side::Anc, &mut sweep_out);
+            sweep_out.len() as u64
+        },
+        || {
+            stack_out.clear();
+            structural_match_into(&q4_anc, &q4_desc, Some(2), &mut scratch);
+            filter_flagged_into(&q4_anc, &scratch.anc, &mut stack_out);
+            stack_out.len() as u64
+        },
+    );
+    assert_eq!(sweep_out, stack_out, "both kernels keep the same open_auctions");
+    results.push(KernelResult {
+        name: "structural_join/one_level_sweep",
+        median_ns: sweep_ns,
+        elements_per_op: q4_elems,
+    });
+    results.push(KernelResult {
+        name: "structural_join/stack",
+        median_ns: stack_ns,
+        elements_per_op: q4_elems,
     });
 
     // --- delta-overhead row: empty delta vs no delta ------------------
@@ -435,6 +489,36 @@ fn main() {
             owned_ns: median(&mut owned_ns),
             mapped_ns: median(&mut mapped_ns),
         });
+    }
+
+    // The `scan_heavy` twigs, counted in process the way the workload
+    // asks for them (`BlasDb::count` under Auto): owned vs mapped store,
+    // interleaved pairs. Their joins are all of what they cost beyond
+    // three single-key scans.
+    for (owned_name, mapped_name, xpath) in [
+        (
+            "twig_count/qa3_owned",
+            "twig_count/qa3_mapped",
+            "/site/regions/asia/item[shipping]/description",
+        ),
+        (
+            "twig_count/q4_owned",
+            "twig_count/q4_mapped",
+            "/site/open_auctions/open_auction[bidder/personref]/reserve",
+        ),
+    ] {
+        let auto = EngineChoice::auto();
+        let owned = db.count(xpath, auto).expect("twig counts");
+        let mapped = mapped_db.count(xpath, auto).expect("twig counts");
+        assert_eq!(owned.count, mapped.count, "mapped counts differ on {xpath}");
+        let (owned_ns, mapped_ns) = measure_pair(
+            MAPPED_REPS,
+            || db.count(xpath, auto).map_or(0, |c| c.count as u64),
+            || mapped_db.count(xpath, auto).map_or(0, |c| c.count as u64),
+        );
+        let elements_per_op = owned.stats.elements_visited;
+        results.push(KernelResult { name: owned_name, median_ns: owned_ns, elements_per_op });
+        results.push(KernelResult { name: mapped_name, median_ns: mapped_ns, elements_per_op });
     }
 
     // The packed-kernel rows: the same two scan kernels as rows 1-2,

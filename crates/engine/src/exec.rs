@@ -33,7 +33,9 @@
 use crate::opt::source_cardinality;
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::stats::ExecStats;
-use crate::stjoin::{filter_flagged_into, structural_match_into, union_into};
+use crate::stjoin::{
+    filter_flagged_into, is_one_level, one_level_semi_join_into, structural_match_into, union_into,
+};
 use crate::stream::{materialize, resolve_filter, ExecBuffers, Labels};
 use crate::twigstack;
 use blas_labeling::DLabel;
@@ -229,17 +231,23 @@ fn exec_op<'a>(
             Labels::Owned(out)
         }
         PhysOp::StructuralJoin { anc, desc, level_diff, keep, tally } => {
-            // Structural semi-join: flag participants, keep one side.
+            // Structural semi-join, keeping one side: a one-level
+            // ancestor side sweeps straight into the output; one that
+            // spans levels flags participants on the stack kernel.
             let (a, d) = (input(results, *anc), input(results, *desc));
             if *tally {
                 stats.d_joins += 1;
                 stats.join_input_tuples += (a.len() + d.len()) as u64;
             }
-            structural_match_into(a, d, *level_diff, &mut bufs.join);
             let mut out = bufs.take();
-            match keep {
-                Side::Anc => filter_flagged_into(a, &bufs.join.anc, &mut out),
-                Side::Desc => filter_flagged_into(d, &bufs.join.desc, &mut out),
+            if is_one_level(a) {
+                one_level_semi_join_into(a, d, *level_diff, *keep, &mut out);
+            } else {
+                structural_match_into(a, d, *level_diff, &mut bufs.join);
+                match keep {
+                    Side::Anc => filter_flagged_into(a, &bufs.join.anc, &mut out),
+                    Side::Desc => filter_flagged_into(d, &bufs.join.desc, &mut out),
+                }
             }
             Labels::Owned(out)
         }

@@ -26,10 +26,11 @@
 //!   union.
 //! * [`twigstack`] — the literal TwigStack algorithm (Bruno et al.,
 //!   SIGMOD'02) packaged as the executor's holistic match operator.
-//! * [`stjoin`] — the structural-join kernel: one merge pass with an
-//!   ancestor stack decides, for two start-sorted label lists, which
-//!   ancestors/descendants participate in a containment (or
-//!   exact-level) pair.
+//! * [`stjoin`] — the structural-join kernels: for two start-sorted
+//!   label lists, which ancestors/descendants participate in a
+//!   containment (or exact-level) pair. A stackless sweep when every
+//!   ancestor sits on one level, one merge pass with an ancestor stack
+//!   otherwise.
 //! * [`stream`] — zero-copy label streams over the columnar store's
 //!   clustered runs, plus the pooled scratch buffers
 //!   ([`ExecBuffers`]) every operator of one execution shares.

@@ -1,15 +1,28 @@
-//! Structural-join kernel: stack-based merge over start-sorted label
-//! lists (the D-join primitive of §3.1 / Al-Khalifa et al.).
+//! Structural-join kernels over start-sorted label lists (the D-join
+//! primitive of §3.1 / Al-Khalifa et al.).
 //!
 //! Both engines reduce to this operation: given ancestor candidates `A`
 //! and descendant candidates `D`, decide which elements of each side
 //! participate in at least one containment pair
 //! (`a.start < d.start ∧ a.end > d.end`, optionally
 //! `d.level = a.level + k`). Because all labels come from one document
-//! tree, intervals are well nested, and a single merge pass with an
-//! ancestor stack visits each element O(depth) times.
+//! tree, intervals are well nested. Two kernels answer it:
 //!
-//! The kernel is allocation-free on the hot path: callers keep a
+//! * [`one_level_semi_join_into`] — when every ancestor sits on one
+//!   level. Same-level intervals of one tree are pairwise disjoint, so
+//!   each descendant has at most one candidate ancestor: a two-pointer
+//!   sweep with no stack decides it and writes the kept side straight
+//!   to the output.
+//! * [`structural_match_into`] — the general case, for ancestor sides
+//!   that span several levels (recursive tags): one merge pass with an
+//!   ancestor stack visits each element O(depth) times and flags the
+//!   participants of both sides, which [`filter_flagged_into`] then
+//!   copies out.
+//!
+//! [`is_one_level`] is the rule that picks between them; the executor
+//! checks it on the ancestor input of every join.
+//!
+//! The kernels are allocation-free on the hot path: callers keep a
 //! [`JoinScratch`] (flag vectors + ancestor stack) alive across joins
 //! via [`structural_match_into`]; the [`structural_match`] wrapper
 //! allocates fresh [`MatchFlags`] for one-shot use. Start-order
@@ -18,6 +31,7 @@
 //! ([`merge_segments`]) instead of allocating a `Vec` per run.
 
 use blas_labeling::DLabel;
+use blas_translate::Side;
 
 /// Which elements of each input participate in a join pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,11 +138,76 @@ pub fn filter_flagged_into(items: &[DLabel], flags: &[bool], out: &mut Vec<DLabe
     );
 }
 
-/// Keep only the flagged elements (preserves order).
-pub fn filter_flagged(items: &[DLabel], flags: &[bool]) -> Vec<DLabel> {
-    let mut out = Vec::with_capacity(items.len());
-    filter_flagged_into(items, flags, &mut out);
-    out
+/// Whether every label sits on the level of the first — the property
+/// that makes a side's intervals pairwise disjoint and lets
+/// [`one_level_semi_join_into`] replace the stack kernel. True for an
+/// empty side.
+pub fn is_one_level(labels: &[DLabel]) -> bool {
+    labels.first().is_none_or(|f| labels.iter().all(|l| l.level == f.level))
+}
+
+/// The structural semi-join for an ancestor side on one level
+/// ([`is_one_level`]): appends to `out` the elements of the `keep` side
+/// that take part in at least one containment pair, in start order —
+/// exactly what [`structural_match_into`] + [`filter_flagged_into`]
+/// keep.
+///
+/// Same-level intervals are disjoint, so each ancestor owns the
+/// descendants that start inside it and no other ancestor does: one
+/// sweep over `a` moves a cursor through `d`, skipping what starts
+/// before the ancestor and deciding what starts inside it. No stack,
+/// no flags, no second pass.
+pub fn one_level_semi_join_into(
+    a: &[DLabel],
+    d: &[DLabel],
+    level_diff: Option<u16>,
+    keep: Side,
+    out: &mut Vec<DLabel>,
+) {
+    debug_assert!(is_one_level(a));
+    debug_assert!(a.windows(2).all(|w| w[0].end < w[1].start), "one-level intervals are disjoint");
+    debug_assert!(d.windows(2).all(|w| w[0].start <= w[1].start));
+    let Some(first) = a.first() else {
+        return;
+    };
+    // The level a descendant must sit on, if the join constrains it.
+    let want = level_diff.map(|k| first.level + k);
+    let level_ok = |l: &DLabel| want.is_none_or(|w| l.level == w);
+    // The kept side bounds the output: one allocation, no regrowth.
+    out.reserve(match keep {
+        Side::Anc => a.len(),
+        Side::Desc => d.len(),
+    });
+    let mut j = 0usize;
+    for ai in a {
+        // Skip the descendants that start before this ancestor.
+        while j < d.len() && d[j].start <= ai.start {
+            j += 1;
+        }
+        if j == d.len() {
+            break;
+        }
+        // What starts inside `ai` (start < ai.end) is contained in it.
+        match keep {
+            Side::Anc => {
+                while j < d.len() && d[j].start < ai.end {
+                    if level_ok(&d[j]) {
+                        out.push(*ai);
+                        break;
+                    }
+                    j += 1;
+                }
+            }
+            Side::Desc => {
+                while j < d.len() && d[j].start < ai.end {
+                    if level_ok(&d[j]) {
+                        out.push(d[j]);
+                    }
+                    j += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Reusable state for [`merge_segments`]: the segment boundary lists of
@@ -282,8 +361,110 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The one-level sweep keeps exactly what the stack kernel
+        /// flags, on random well-nested forests: the ancestor side a
+        /// random subset of one level, the descendant side a random
+        /// subset of every level (so some descendants sit outside
+        /// every ancestor), either side possibly empty, under every
+        /// level predicate and for either kept side.
+        #[test]
+        fn one_level_sweep_equals_stack_kernel(
+            steps in prop::collection::vec(0u8..4, 0..80),
+            level_pick in 0u8..8,
+            anc_mask in prop::collection::vec(any::<bool>(), 80),
+            desc_mask in prop::collection::vec(any::<bool>(), 80),
+            empty in 0u8..8,
+            level_diff in prop::option::of(1u16..=3),
+            keep_anc in any::<bool>(),
+        ) {
+            let nodes = forest(&steps);
+            let mut levels: Vec<u16> = nodes.iter().map(|n| n.level).collect();
+            levels.sort_unstable();
+            levels.dedup();
+            let level = levels.get(usize::from(level_pick) % levels.len().max(1)).copied();
+            let a: Vec<DLabel> = nodes
+                .iter()
+                .zip(&anc_mask)
+                .filter(|&(n, &keep)| keep && Some(n.level) == level && empty != 0)
+                .map(|(n, _)| *n)
+                .collect();
+            let d: Vec<DLabel> = nodes
+                .iter()
+                .zip(&desc_mask)
+                .filter(|&(_, &keep)| keep && empty != 1)
+                .map(|(n, _)| *n)
+                .collect();
+            let keep = if keep_anc { Side::Anc } else { Side::Desc };
+            prop_assert!(is_one_level(&a));
+            let mut want = Vec::new();
+            let mut scratch = JoinScratch::default();
+            structural_match_into(&a, &d, level_diff, &mut scratch);
+            match keep {
+                Side::Anc => filter_flagged_into(&a, &scratch.anc, &mut want),
+                Side::Desc => filter_flagged_into(&d, &scratch.desc, &mut want),
+            }
+            let mut got = Vec::new();
+            one_level_semi_join_into(&a, &d, level_diff, keep, &mut got);
+            prop_assert_eq!(got, want);
+        }
+    }
+
     fn l(start: u32, end: u32, level: u16) -> DLabel {
         DLabel { start, end, level }
+    }
+
+    /// A well-nested forest in start order: each step places the next
+    /// node in preorder as a child of the previous one (0), its sibling
+    /// (1) or an ancestor's sibling (2, 3), at most six levels deep.
+    fn forest(steps: &[u8]) -> Vec<DLabel> {
+        let mut nodes: Vec<DLabel> = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
+        let mut clock = 0u32;
+        let mut depth = 0u16;
+        for &step in steps {
+            depth = (depth + 1).saturating_sub(u16::from(step)).clamp(1, 6);
+            while open.last().is_some_and(|&i| nodes[i].level >= depth) {
+                let i = open.pop().unwrap();
+                nodes[i].end = clock;
+                clock += 1;
+            }
+            open.push(nodes.len());
+            nodes.push(l(clock, 0, depth));
+            clock += 1;
+        }
+        while let Some(i) = open.pop() {
+            nodes[i].end = clock;
+            clock += 1;
+        }
+        nodes
+    }
+
+    #[test]
+    fn one_level_sweep_keeps_either_side() {
+        // a0 [0,10] ⊃ d0 [2,3] (level 3), d1 [5,6] (level 2);
+        // a1 [12,20] ⊃ d2 [13,14]; a2 [22,24] has no descendant;
+        // d3 [25,26] sits outside every ancestor.
+        let a = vec![l(0, 10, 1), l(12, 20, 1), l(22, 24, 1)];
+        let d = vec![l(2, 3, 3), l(5, 6, 2), l(13, 14, 2), l(25, 26, 2)];
+        let sweep = |level_diff, keep| {
+            let mut out = Vec::new();
+            one_level_semi_join_into(&a, &d, level_diff, keep, &mut out);
+            out
+        };
+        assert_eq!(sweep(None, Side::Anc), [a[0], a[1]]);
+        assert_eq!(sweep(None, Side::Desc), [d[0], d[1], d[2]]);
+        assert_eq!(sweep(Some(1), Side::Desc), [d[1], d[2]]);
+        assert_eq!(sweep(Some(2), Side::Anc), [a[0]]);
+        assert!(sweep(Some(3), Side::Anc).is_empty());
+    }
+
+    #[test]
+    fn one_level_rule() {
+        assert!(is_one_level(&[]));
+        assert!(is_one_level(&[l(0, 3, 2), l(4, 9, 2)]));
+        assert!(!is_one_level(&[l(0, 9, 1), l(1, 3, 2)]));
     }
 
     #[test]

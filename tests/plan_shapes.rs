@@ -9,6 +9,7 @@
 
 use blas::{BlasDb, EngineChoice, Plan, PlanSummary, Translator};
 use blas_datagen::DatasetId;
+use blas_engine::naive;
 use blas_translate::{bind, BoundPlan, BoundSelection, BoundSource, SelectSource, Selection};
 use blas_xpath::{parse, Axis};
 use std::path::PathBuf;
@@ -278,10 +279,11 @@ fn twig_counts_of_linear_queries_read_nothing() {
     }
 }
 
-/// Auction at `scale` snapshotted to a temp file and reopened mapped
-/// (packed v3 columns), the form the `scan_heavy` workload queries.
+/// Auction at `scale` and the workload's default seed, snapshotted to
+/// a temp file and reopened mapped (packed v3 columns), the form the
+/// `scan_heavy` workload queries.
 fn mapped_auction(scale: u32) -> (BlasDb, PathBuf) {
-    let bytes = BlasDb::load(&DatasetId::Auction.generate(scale)).unwrap().to_snapshot();
+    let bytes = BlasDb::load(&blas_datagen::auction(scale, 1)).unwrap().to_snapshot();
     let path = std::env::temp_dir()
         .join(format!("blas_plan_shapes_x{scale}_{}.snap", std::process::id()));
     std::fs::write(&path, bytes).unwrap();
@@ -294,7 +296,10 @@ fn mapped_auction(scale: u32) -> (BlasDb, PathBuf) {
 /// range-scan-heavy QH1/QH2) on the workload's Auction ×10, and
 /// whether `Auto` counts them off the run directory: the suffix and
 /// unfolded paths do, the twigs need their joins. A count that walks
-/// reads exactly what the query reads.
+/// reads exactly what the query reads. The twigs' answers and costs
+/// are pinned on every engine: each of their joins has a one-level
+/// ancestor side, so the stackless sweep runs them, and it must answer
+/// and count exactly what the stack kernel did.
 #[test]
 fn auto_counts_scan_heavy_paths_off_the_directory_and_walks_twigs() {
     let (db, path) = mapped_auction(10);
@@ -320,7 +325,63 @@ fn auto_counts_scan_heavy_paths_off_the_directory_and_walks_twigs() {
             assert_eq!(c.stats, expect, "{id}: a walked count costs what the query costs");
         }
     }
+    // (count, elements_visited, d_joins, join_input_tuples) as the
+    // stack kernel recorded them, and TwigStack's own tuple tally.
+    for (id, xpath, pin, twigstack_tuples) in [
+        ("QA3", "/site/regions/asia/item[shipping]/description", (1306, 5706, 2, 7012), 3918),
+        (
+            "Q4",
+            "/site/open_auctions/open_auction[bidder/personref]/reserve",
+            (2721, 21658, 2, 27080),
+            10906,
+        ),
+    ] {
+        for choice in [EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
+            let mut want = pin;
+            if choice == EngineChoice::twigstack() {
+                want.3 = twigstack_tuples;
+            }
+            let q = db.query(xpath, choice).unwrap();
+            let c = db.count(xpath, choice).unwrap();
+            for (n, s) in [(q.nodes.len(), &q.stats), (c.count, &c.stats)] {
+                let got = (n, s.elements_visited, s.d_joins, s.join_input_tuples);
+                assert_eq!(got, want, "{id} under {choice}");
+            }
+        }
+    }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Both join kernels answer like the naive tree walker on one twig,
+/// `//listitem[text]` on Auction ×1, where `listitem` nests in itself
+/// through `parlist` on several levels. Unfold binds it to one arm per
+/// live `listitem` path, each join's ancestor side on one level (the
+/// sweep); Push-up joins one `listitem` range that spans every level
+/// (the stack kernel).
+#[test]
+fn one_level_and_multi_level_joins_answer_like_naive() {
+    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
+    let xpath = "//listitem[text]";
+    let listitems = db.query("//listitem", EngineChoice::auto()).unwrap().nodes;
+    let mut levels: Vec<u16> = listitems.iter().map(|l| l.level).collect();
+    levels.sort_unstable();
+    levels.dedup();
+    assert!(levels.len() > 1, "listitem must span several levels: {levels:?}");
+    let mut expected: Vec<u32> = naive::evaluate(&parse(xpath).unwrap(), db.document())
+        .into_iter()
+        .map(|n| db.labels().dlabels[n.index()].start)
+        .collect();
+    expected.sort_unstable();
+    assert!(!expected.is_empty());
+    for (translator, d_joins) in [(Translator::Unfold, 23), (Translator::PushUp, 1)] {
+        for choice in [EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()] {
+            let choice = choice.with_translator(translator);
+            let r = db.query(xpath, choice).unwrap();
+            let got: Vec<u32> = r.nodes.iter().map(|l| l.start).collect();
+            assert_eq!(got, expected, "{xpath} under {choice:?}");
+            assert_eq!(r.stats.d_joins, d_joins, "{xpath} under {choice:?}");
+        }
+    }
 }
 
 /// Clock-free cost pins on a mapped Auction ×1, with every count issued
