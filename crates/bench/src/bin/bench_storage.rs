@@ -17,6 +17,11 @@
 //! * `twig_count` — `BlasDb::count` of the two `scan_heavy` twigs (QA3,
 //!   Q4), owned vs mapped store.
 //!
+//! The `wire_decode` rows price a hot read's client decode per wire:
+//! the eight hot replies with their labels, decoded from the JSON text
+//! (`wire/json_nodes_decode`) and from the binary payload
+//! (`wire/bin_nodes_decode`), in ns per reply byte and ns per label.
+//!
 //! Engine-level (Push-up translator, the configuration every engine
 //! can run): per Fig. 10 auction query, trimmed-mean wall-clock on
 //! each engine.
@@ -44,7 +49,8 @@ use blas_engine::stjoin::{
     structural_match_into, JoinScratch,
 };
 use blas_labeling::DLabel;
-use blas_server::{Client, MuxClient, Server, ServerConfig};
+use blas_server::wire::{decode_json_query_response, decode_response, encode_response};
+use blas_server::{Client, Json, MuxClient, NodesBlob, Response, Server, ServerConfig};
 use blas_translate::Side;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -658,6 +664,69 @@ fn main() {
     let serve_stats = server.shutdown();
     drop(serve_db);
 
+    // --- a hot read's client decode, per wire --------------------------
+    // The replies `serve_hot_json` / `serve_hot_bin` carry: the
+    // benchmark's eight hot queries (`HOT` in `benchmark/src/script.rs`)
+    // answered with labels and framed as the server sends them, decoded
+    // as the clients decode them. One op decodes all eight replies;
+    // interleaved pairs, medians.
+    const HOT: [&str; 8] = [
+        "//category/description/parlist/listitem",
+        "/site/people/person/name",
+        "/site/open_auctions/open_auction/bidder/increase",
+        "/site/closed_auctions/closed_auction/price",
+        "/site/regions/asia/item[shipping]/description",
+        "/site/regions/europe/item/name",
+        "/site/people/person/address/city",
+        "/site/categories/category/name",
+    ];
+    const WIRE_REPS: usize = 33;
+    let hot_replies: Vec<Response> = HOT
+        .iter()
+        .map(|xpath| {
+            let result = db.query(xpath, EngineChoice::auto()).expect("hot queries run");
+            let nodes = NodesBlob::encode(result.nodes.iter().map(|d| (d.start, d.end, d.level)));
+            Response::Query {
+                generation: 1,
+                engine: "auto".into(),
+                cached: true,
+                count: nodes.len() as u64,
+                elements_visited: result.stats.elements_visited,
+                nodes: Some(Arc::new(nodes)),
+            }
+        })
+        .collect();
+    let json_replies: Vec<String> =
+        hot_replies.iter().map(|r| r.to_json(&Json::uint(7)).to_string()).collect();
+    let bin_replies: Vec<Vec<u8>> = hot_replies
+        .iter()
+        .map(|r| {
+            let mut payload = Vec::new();
+            encode_response(7, r, &mut payload);
+            payload
+        })
+        .collect();
+    for ((resp, text), payload) in hot_replies.iter().zip(&json_replies).zip(&bin_replies) {
+        assert_eq!(decode_json_query_response(text).expect("json reply decodes").1, *resp);
+        assert_eq!(decode_response(payload).expect("binary reply decodes").1, *resp);
+    }
+    let labels_of = |resp: Response| match resp {
+        Response::Query { nodes: Some(blob), .. } => blob.len() as u64,
+        other => panic!("a hot reply decoded as {other:?}"),
+    };
+    let (json_decode_ns, bin_decode_ns) = measure_pair(
+        WIRE_REPS,
+        || json_replies.iter().map(|t| labels_of(decode_json_query_response(t).unwrap().1)).sum(),
+        || bin_replies.iter().map(|p| labels_of(decode_response(p).unwrap().1)).sum(),
+    );
+    let hot_labels: u64 = hot_replies.iter().cloned().map(labels_of).sum();
+    let json_bytes: usize = json_replies.iter().map(String::len).sum();
+    let bin_bytes: usize = bin_replies.iter().map(Vec::len).sum();
+    let wire_rows = [
+        ("wire/json_nodes_decode", json_decode_ns, json_bytes),
+        ("wire/bin_nodes_decode", bin_decode_ns, bin_bytes),
+    ];
+
     // --- report -------------------------------------------------------
     println!(
         "{:<38} {:>14} {:>12} {:>10}",
@@ -771,6 +840,19 @@ fn main() {
          p50 ratio {serve_proto_ratio:.2}x (ceiling 0.6x at scale >= 10)"
     );
 
+    println!(
+        "\na hot read's client decode ({} replies, {hot_labels} labels, median of {WIRE_REPS} \
+         interleaved pairs):",
+        HOT.len()
+    );
+    for (name, ns, bytes) in wire_rows {
+        println!(
+            "  {name:<24} {ns:>12.0} ns/op {bytes:>10} B/op {:>7.3} ns/byte {:>7.2} ns/label",
+            ns / bytes as f64,
+            ns / hot_labels as f64
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"dataset\": \"Auction\",");
@@ -867,6 +949,20 @@ fn main() {
     let _ = writeln!(json, "    \"binary_hit_p50_ns\": {serve_bin_p50:.0},");
     let _ = writeln!(json, "    \"binary_hit_p99_ns\": {serve_bin_p99:.0},");
     let _ = writeln!(json, "    \"binary_vs_json_p50_ratio\": {serve_proto_ratio:.2}");
+    json.push_str("  },\n");
+    json.push_str("  \"wire_decode\": {\n");
+    let _ = writeln!(json, "    \"replies\": {},", HOT.len());
+    let _ = writeln!(json, "    \"labels_per_op\": {hot_labels},");
+    for (i, (name, ns, bytes)) in wire_rows.iter().enumerate() {
+        let comma = if i + 1 == wire_rows.len() { "" } else { "," };
+        let _ = writeln!(
+            json,
+            "    \"{name}\": {{\"median_ns_per_op\": {ns:.0}, \"bytes_per_op\": {bytes}, \
+             \"ns_per_byte\": {:.3}, \"ns_per_label\": {:.2}}}{comma}",
+            ns / *bytes as f64,
+            ns / hot_labels as f64
+        );
+    }
     json.push_str("  },\n");
     json.push_str("  \"speedup_columnar_vs_bptree\": {\n");
     let _ = writeln!(json, "    \"plabel_range_scan\": {range_speedup:.2},");

@@ -279,8 +279,9 @@ enum Lexed {
 /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, returning
 /// where it ends; `None` when the bytes there are not a number. This is
 /// the one definition of an integer literal: [`parse`] keeps such a
-/// literal exact, and [`Cursor::uint`] (the node-array scanner's field
-/// reader) accepts nothing else.
+/// literal exact, and [`Cursor::uint`] (the field reader of the reply
+/// decoder and of [`Cursor::node_array`]'s scalar step) accepts
+/// nothing else.
 fn lex_number(b: &[u8], start: usize) -> Option<(usize, Lexed)> {
     let digits = |mut i: usize| {
         while b.get(i).is_some_and(u8::is_ascii_digit) {
@@ -318,10 +319,36 @@ fn lex_number(b: &[u8], start: usize) -> Option<(usize, Lexed)> {
     Some((end, if float { Lexed::Float } else { Lexed::Integer { negative, magnitude } }))
 }
 
+/// Eight copies of byte `b`, one per lane of a `u64` word.
+const fn lanes(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// Bit `i` set where lane `i` of `t` — eight text bytes loaded
+/// little-endian, each XORed with `'0'` — is not a digit: a digit's
+/// lane holds 0..=9, any other byte's is above 9 or has its top bit.
+fn non_digits(t: u64) -> u32 {
+    let high = ((t & lanes(0x7f)).wrapping_add(lanes(0x7f - 9)) | t) & lanes(0x80);
+    // Gather the eight lane flags into the top byte, lane `i` at bit `i`.
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
+}
+
+/// The value of the `len` (1..=8) digits that start `t` (as in
+/// [`non_digits`]). Shifting them to the top drops the bytes after them
+/// and leaves zero lanes in front as leading zeros; three
+/// multiply-shifts then fold the lanes pairwise into 2-, 4- and 8-digit
+/// values.
+fn digit_run(t: u64, len: usize) -> u64 {
+    let t = t << (64 - 8 * len);
+    let t = t.wrapping_mul(10 << 8 | 1) >> 8;
+    let t = (t & 0x00ff_00ff_00ff_00ff).wrapping_mul(100 << 16 | 1) >> 16;
+    (t & 0x0000_ffff_0000_ffff).wrapping_mul(10_000 << 32 | 1) >> 32
+}
+
 /// A position in JSON text and the grammar's steps from it. [`parse`]
 /// builds its value tree with these steps; a decoder that wants no tree
-/// — the `query` reply's node array in `crate::wire` — walks the same
-/// text with the same steps, so both accept exactly one grammar.
+/// — the `query` reply in `crate::wire` — walks the same text with the
+/// same steps, so both accept exactly one grammar.
 pub(crate) struct Cursor<'a> {
     b: &'a [u8],
     input: &'a str,
@@ -476,6 +503,115 @@ impl<'a> Cursor<'a> {
             }
             _ => Err(self.err("expected an unsigned integer literal")),
         }
+    }
+
+    /// Step over a node array, `[[start,end,level],…]`, appending each
+    /// label to `out` as its 10-byte little-endian record (`u32`, `u32`,
+    /// `u16`). The grammar is [`Cursor::array`] of arrays of exactly
+    /// three [`Cursor::uint`] literals, whitespace between any two
+    /// tokens, each field within its type; anything else is an error.
+    pub(crate) fn node_array(&mut self, out: &mut Vec<u8>) -> Result<(), JsonError> {
+        self.ws();
+        if !self.eat(b'[') {
+            return Err(self.err("expected '['"));
+        }
+        self.ws();
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            let (start, end, level) = match self.label_window() {
+                Some(label) => label,
+                None => {
+                    self.ws();
+                    self.label()?
+                }
+            };
+            let mut record = [0u8; 10];
+            record[..4].copy_from_slice(&start.to_le_bytes());
+            record[4..8].copy_from_slice(&end.to_le_bytes());
+            record[8..].copy_from_slice(&level.to_le_bytes());
+            out.extend_from_slice(&record);
+            if self.eat(b',') {
+                continue;
+            }
+            self.ws();
+            if self.eat(b',') {
+                continue;
+            }
+            if self.eat(b']') {
+                return Ok(());
+            }
+            return Err(self.err("expected ',' or ']'"));
+        }
+    }
+
+    /// The fast path of [`Cursor::node_array`]: one label read from the
+    /// 32 bytes at the cursor. The non-digit bytes among the first 24,
+    /// as a bit mask from three 8-byte loads, place the label's `[`,
+    /// `,`, `,` and `]`; each field between two of them is one
+    /// multiply-shift fold of the 8-byte load at its start. It takes
+    /// only a label [`Cursor::label`] would take the same way — no
+    /// whitespace, at most 24 bytes, each field 1 to 8 digits (`level`
+    /// 1 to 5, at most `u16::MAX`) with no leading zero — and leaves
+    /// everything else, the frame's last 32 bytes included, to it.
+    fn label_window(&mut self) -> Option<(u32, u32, u16)> {
+        let window = self.b[self.pos..].first_chunk::<32>()?;
+        if window[0] != b'[' {
+            return None;
+        }
+        let word = |at: usize| {
+            let mut bytes = [0; 8];
+            bytes.copy_from_slice(&window[at..at + 8]);
+            u64::from_le_bytes(bytes) ^ lanes(b'0')
+        };
+        // The stops after the `[`: bit `i` set where byte `i` is not a digit.
+        let mut stops = (0..3).fold(0, |m, i| m | non_digits(word(8 * i)) << (8 * i)) & !1;
+        let mut fields = [0u64; 3];
+        let mut from = 1;
+        for (field, (delim, widest)) in fields.iter_mut().zip([(b',', 8), (b',', 8), (b']', 5)]) {
+            let at = stops.trailing_zeros() as usize;
+            let len = at.wrapping_sub(from);
+            if !(1..=widest).contains(&len)
+                || window[at] != delim
+                || (len > 1 && window[from] == b'0')
+            {
+                return None;
+            }
+            *field = digit_run(word(from), len);
+            stops &= stops - 1;
+            from = at + 1;
+        }
+        let [start, end, level] = fields;
+        let level = u16::try_from(level).ok()?;
+        self.pos += from;
+        Some((start as u32, end as u32, level))
+    }
+
+    /// One label by the grammar's scalar steps: `[`, three
+    /// [`Cursor::uint`] literals within `u32` / `u32` / `u16` split by
+    /// `,`, then `]`, whitespace between any two tokens.
+    fn label(&mut self) -> Result<(u32, u32, u16), JsonError> {
+        if !self.eat(b'[') {
+            return Err(self.err("expected '['"));
+        }
+        let mut fields = [0u64; 3];
+        let shape = [(u32::MAX.into(), b','), (u32::MAX.into(), b','), (u16::MAX.into(), b']')];
+        for (field, (max, delim)) in fields.iter_mut().zip(shape) {
+            *field = self.uint()?;
+            if *field > max {
+                return Err(self.err("label field out of range"));
+            }
+            self.ws();
+            match self.b.get(self.pos) {
+                Some(&c) if c == delim => self.pos += 1,
+                Some(b']') => return Err(self.err("a label has fewer than three fields")),
+                Some(b',') => return Err(self.err("a label has more than three fields")),
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+        let [start, end, level] = fields;
+        Ok((start as u32, end as u32, level as u16))
     }
 
     /// Step over one string and return its text — borrowed from the
@@ -665,7 +801,8 @@ mod tests {
         assert_eq!(parse(r#""\u0041\u00E9""#).unwrap(), Json::str("Aé"));
     }
 
-    /// The node-array scanner's field reader takes exactly the literals
+    /// The integer-literal reader (the reply decoder's fields, the
+    /// node-array scanner's scalar step) takes exactly the literals
     /// `parse` keeps as exact non-negative integers.
     #[test]
     fn uint_reads_exactly_the_unsigned_integer_literals() {
@@ -677,6 +814,26 @@ mod tests {
         for src in ["-1", "1.0", "1e3", "01", "+1", "18446744073709551616", "\"1\"", "[1]", ""] {
             assert!(Cursor::new(src).uint().is_err(), "{src:?} is not an unsigned integer literal");
         }
+    }
+
+    /// The scanner's word arithmetic reads what a byte-at-a-time walk
+    /// reads: which of eight bytes are digits, and the value of a run
+    /// of every length from 1 to 8.
+    #[test]
+    fn word_steps_agree_with_the_bytes() {
+        for text in [*b"12345678", *b"99999999", *b"00000000", *b"4294967,", *b"7]/:.e -"] {
+            let t = u64::from_le_bytes(text) ^ lanes(b'0');
+            let stops = (0..8).filter(|&i| !text[i].is_ascii_digit()).fold(0, |m, i| m | 1 << i);
+            assert_eq!(non_digits(t), stops, "{:?}", std::str::from_utf8(&text));
+            let run = text.iter().take_while(|b| b.is_ascii_digit()).count();
+            for len in 1..=run {
+                let want: u64 = std::str::from_utf8(&text[..len]).unwrap().parse().unwrap();
+                assert_eq!(digit_run(t, len), want, "{:?}[..{len}]", std::str::from_utf8(&text));
+            }
+        }
+        // Bytes past ASCII are never digits.
+        let high = u64::from_le_bytes(*b"1\xb02\xff3\x804\x39");
+        assert_eq!(non_digits(high ^ lanes(b'0')), 0b0010_1010);
     }
 
     #[test]

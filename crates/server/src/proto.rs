@@ -132,23 +132,18 @@ impl FrameReader {
                         self.payload_len = None;
                         return Ok(ReadEvent::Frame(std::mem::take(&mut self.payload)));
                     }
-                    let want = (len - self.payload.len()).min(64 * 1024);
-                    let start = self.payload.len();
-                    self.payload.resize(start + want, 0);
-                    match r.read(&mut self.payload[start..]) {
-                        Ok(0) => {
+                    // Straight into the capacity reserved at the header:
+                    // no zero-fill for the socket to overwrite. Bytes read
+                    // before a timeout stay appended; `Interrupted` is
+                    // retried inside `read_to_end`.
+                    let want = (len - self.payload.len()) as u64;
+                    match (&mut *r).take(want).read_to_end(&mut self.payload) {
+                        Ok(_) if self.payload.len() < len => {
                             return Err(io::ErrorKind::UnexpectedEof.into());
                         }
-                        Ok(n) => self.payload.truncate(start + n),
-                        Err(e) => {
-                            self.payload.truncate(start);
-                            if is_timeout(&e) {
-                                return Ok(ReadEvent::Idle);
-                            }
-                            if e.kind() != io::ErrorKind::Interrupted {
-                                return Err(e);
-                            }
-                        }
+                        Ok(_) => {}
+                        Err(e) if is_timeout(&e) => return Ok(ReadEvent::Idle),
+                        Err(e) => return Err(e),
                     }
                 }
             }
@@ -372,6 +367,57 @@ mod tests {
         huge.resize(PREFIX_BYTES + MAX_FRAME_BYTES + 1, 0);
         assert!(send_frame(&mut w, &mut huge).is_err());
         assert_eq!(w.writes, 0);
+    }
+
+    /// A payload split by a signal (`Interrupted`) and then by a socket
+    /// timeout (`WouldBlock`) surfaces as `Idle`, keeps the bytes read
+    /// before either, and the next poll returns the exact frame.
+    #[test]
+    fn a_payload_split_by_interrupted_and_would_block_resumes_exactly() {
+        use std::collections::VecDeque;
+        /// Hands out its steps in order: bytes (as much as fits) or an
+        /// error of a kind.
+        struct Scripted(VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+        impl Read for Scripted {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.pop_front() {
+                    None => Ok(0),
+                    Some(Err(kind)) => Err(kind.into()),
+                    Some(Ok(mut bytes)) => {
+                        let n = bytes.len().min(buf.len());
+                        buf[..n].copy_from_slice(&bytes[..n]);
+                        if n < bytes.len() {
+                            self.0.push_front(Ok(bytes.split_off(n)));
+                        }
+                        Ok(n)
+                    }
+                }
+            }
+        }
+        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        let (head, rest) = bytes.split_at(PREFIX_BYTES + 1000);
+        let (middle, tail) = rest.split_at(70_000);
+        for split in [io::ErrorKind::WouldBlock, io::ErrorKind::Interrupted] {
+            let mut r = FrameReader::new();
+            let mut script = Scripted(VecDeque::from([
+                Ok(head.to_vec()),
+                Err(split),
+                Ok(middle.to_vec()),
+                Err(io::ErrorKind::WouldBlock),
+                Ok(tail.to_vec()),
+            ]));
+            if split == io::ErrorKind::WouldBlock {
+                assert!(matches!(r.poll(&mut script).unwrap(), ReadEvent::Idle));
+            }
+            assert!(matches!(r.poll(&mut script).unwrap(), ReadEvent::Idle), "{split:?}");
+            match r.poll(&mut script).unwrap() {
+                ReadEvent::Frame(f) => assert!(f == payload, "{split:?}: the frame differs"),
+                other => panic!("{split:?}: {other:?}"),
+            }
+            assert!(matches!(r.poll(&mut script).unwrap(), ReadEvent::Eof));
+        }
     }
 
     /// A reader fed one byte at a time (worst-case fragmentation)

@@ -431,41 +431,18 @@ impl NodesBlob {
         Ok(blob)
     }
 
-    /// The scanner behind [`NodesBlob::from_json`], at `cur`. `count`
-    /// pre-sizes the output, capped by the labels the rest of the text
-    /// could hold (`[0,0,0],` — 8 bytes — is the shortest), so a hostile
-    /// count cannot allocate beyond the frame.
+    /// Read the node array at `cur` ([`Cursor::node_array`]) into a
+    /// blob. `count` pre-sizes the output, capped by the labels the rest
+    /// of the text could hold (`[0,0,0],` — 8 bytes — is the shortest),
+    /// so a hostile count cannot allocate beyond the frame.
     pub(crate) fn scan_json(
         cur: &mut Cursor<'_>,
         count: Option<u64>,
     ) -> Result<NodesBlob, JsonError> {
-        const FIELD_MAX: [u64; 3] = [u32::MAX as u64, u32::MAX as u64, u16::MAX as u64];
         let most = cur.remaining() / 8;
         let labels = count.map_or(most, |c| usize::try_from(c).unwrap_or(most).min(most));
         let mut bin = Vec::with_capacity(labels * NODE_BYTES);
-        cur.array(|cur| {
-            let mut label = [0u64; 3];
-            let mut fields = 0;
-            cur.array(|cur| {
-                let max = *FIELD_MAX
-                    .get(fields)
-                    .ok_or_else(|| cur.err("a label has more than three fields"))?;
-                label[fields] = cur.uint()?;
-                if label[fields] > max {
-                    return Err(cur.err("label field out of range"));
-                }
-                fields += 1;
-                Ok(())
-            })?;
-            if fields < 3 {
-                return Err(cur.err("a label has fewer than three fields"));
-            }
-            let [start, end, level] = label;
-            bin.extend_from_slice(&(start as u32).to_le_bytes());
-            bin.extend_from_slice(&(end as u32).to_le_bytes());
-            bin.extend_from_slice(&(level as u16).to_le_bytes());
-            Ok(())
-        })?;
+        cur.node_array(&mut bin)?;
         Ok(NodesBlob::from_bin(bin))
     }
 

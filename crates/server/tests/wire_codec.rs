@@ -17,6 +17,11 @@
 //!    decode (`json::parse` + a walk) reads, whatever the whitespace and
 //!    field order, and rejects every malformed node array with a typed
 //!    error.
+//! 5. **One node-array grammar** — the byte-level node-array scanner
+//!    accepts exactly the texts the generic parser reads as labels
+//!    (`json::parse` plus a shape and range check), with equal triples,
+//!    across every field width, the integer edges, whitespace, the
+//!    frame's last bytes and random single-byte edits.
 
 use blas_server::json::{self, Json};
 use blas_server::wire::{
@@ -545,4 +550,139 @@ fn malformed_json_query_replies_are_typed_errors() {
         resp,
         Response::Error { code: ErrorCode::Overloaded, message: "connection limit reached".into() }
     );
+}
+
+// --- the node-array scanner against the generic parser -------------------
+
+/// Label fields past the common case: each type's maximum and the value
+/// after it, 2^64 (past `u64`) and the widest 10-digit run.
+const FIELD_EDGES: &[&str] =
+    &["4294967295", "4294967296", "65535", "65536", "18446744073709551616", "9999999999"];
+
+/// Bytes a single-byte edit writes: digits and their ASCII neighbours
+/// `/` and `:`, the node array's structure, whitespace, and the starts
+/// of floats, signs, strings and garbage.
+const EDIT_BYTES: &[u8] = b"0123456789/:,[] \t\n.eE-+\"x";
+
+/// One label field's literal: a value within `max` whose decimal length
+/// is drawn uniformly (1–10 digits for `u32`, 1–5 for `u16`), or, one
+/// time in 32, an edge from [`FIELD_EDGES`].
+fn field_text(max: u64) -> impl Strategy<Value = String> {
+    let widest = max.to_string().len() as u32;
+    (1..widest + 1, 0..u64::MAX, 0u32..32, prop::sample::select(FIELD_EDGES.to_vec())).prop_map(
+        move |(len, raw, roll, edge)| {
+            if roll == 0 {
+                return edge.to_string();
+            }
+            let lo = if len == 1 { 0 } else { 10u64.pow(len - 1) };
+            let hi = (10u64.pow(len) - 1).min(max);
+            (lo + raw % (hi - lo + 1)).to_string()
+        },
+    )
+}
+
+/// A node array as text, whitespace between tokens now and then
+/// (`gaps` indexes [`GAPS`] one time in eight) and 0–9 bytes of it
+/// after the closing bracket, so the last label ends anywhere in the
+/// frame's last 8 bytes.
+fn node_array_text() -> impl Strategy<Value = String> {
+    let wide = || field_text(u32::MAX.into());
+    let label = (wide(), wide(), field_text(u16::MAX.into()));
+    (prop::collection::vec(label, 0..12), prop::collection::vec(0usize..56, 1..24), 0usize..10)
+        .prop_map(|(labels, gaps, tail)| {
+            let mut gap = gaps.iter().cycle().map(|&g| GAPS.get(g).copied().unwrap_or(""));
+            let mut text = String::new();
+            let mut token = |text: &mut String, t: &str| {
+                text.push_str(gap.next().unwrap_or(""));
+                text.push_str(t);
+            };
+            token(&mut text, "[");
+            for (i, (s, e, l)) in labels.iter().enumerate() {
+                if i > 0 {
+                    token(&mut text, ",");
+                }
+                for t in ["[", s, ",", e, ",", l, "]"] {
+                    token(&mut text, t);
+                }
+            }
+            token(&mut text, "]");
+            text.push_str(&" ".repeat(tail));
+            text
+        })
+}
+
+/// Apply single-byte edits — `(at, kind, byte)`: replace, insert or
+/// delete the byte at `at` modulo the length.
+fn edit(text: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(at, kind, byte) in edits {
+        let at = at % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+    // Every edit byte is ASCII, so the text stays UTF-8.
+    String::from_utf8(bytes).unwrap()
+}
+
+/// The labels the generic parser reads from `text`: a JSON array of
+/// three-element arrays of integers within `u32` / `u32` / `u16`, or
+/// `None`. A text whose every value is a number holds `.`, `e`, `E` or
+/// `-` only inside a float or a negative literal, so refusing those
+/// bytes leaves exactly the unsigned integer literals.
+fn reference_nodes(text: &str) -> Option<Vec<(u32, u32, u16)>> {
+    let value = json::parse(text).ok()?;
+    let nodes = value
+        .as_arr()?
+        .iter()
+        .map(|label| match label.as_arr()? {
+            [s, e, l] => Some((
+                u32::try_from(s.as_u64()?).ok()?,
+                u32::try_from(e.as_u64()?).ok()?,
+                u16::try_from(l.as_u64()?).ok()?,
+            )),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    (!text.bytes().any(|b| matches!(b, b'.' | b'e' | b'E' | b'-'))).then_some(nodes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The node-array scanner and the generic parser treat every text
+    /// the same way: both accept it with equal triples, or both reject
+    /// it — through `NodesBlob::from_json` and inside a whole reply.
+    #[test]
+    fn json_node_array_scanner_equals_the_generic_parser(
+        text in node_array_text(),
+        edits in prop::collection::vec(
+            (0usize..4096, 0u8..3, prop::sample::select(EDIT_BYTES.to_vec())),
+            0..3,
+        ),
+    ) {
+        let text = edit(&text, &edits);
+        let want = reference_nodes(&text);
+        let got = NodesBlob::from_json(&text).ok().map(|blob| blob.triples());
+        prop_assert_eq!(&got, &want, "text: {:?}", text);
+
+        let count = want.as_ref().map_or(0, Vec::len);
+        let frame = format!(
+            concat!(
+                r#"{{"id":1,"result":{{"generation":0,"engine":"auto","cached":true,"#,
+                r#""count":{},"elements_visited":0,"nodes":{}}}}}"#
+            ),
+            count, text
+        );
+        let got = match decode_json_query_response(&frame) {
+            Ok((_, Response::Query { nodes, .. })) => nodes.map(|blob| blob.triples()),
+            _ => None,
+        };
+        prop_assert_eq!(&got, &want, "frame: {:?}", frame);
+    }
 }
