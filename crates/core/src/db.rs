@@ -446,6 +446,29 @@ impl DbSnapshot<'_> {
     }
 }
 
+/// A [`DbSnapshot`] that holds its database by [`Arc`]
+/// ([`BlasDb::shared_snapshot`]): the same pinned generation, but owned,
+/// so it can move to another thread and outlive the borrow it was taken
+/// through — a server pins a request's generation on the thread that
+/// reads it and runs it on another.
+#[derive(Debug, Clone)]
+pub struct SharedSnapshot {
+    db: Arc<BlasDb>,
+    gen: Arc<DbGen>,
+}
+
+impl SharedSnapshot {
+    /// The pinned generation number.
+    pub fn generation(&self) -> u64 {
+        self.gen.number
+    }
+
+    /// The pinned generation as a [`DbSnapshot`] to query.
+    pub fn view(&self) -> DbSnapshot<'_> {
+        DbSnapshot { db: &self.db, gen: Arc::clone(&self.gen) }
+    }
+}
+
 /// A loaded, labeled, indexed XML document — the unit of querying.
 ///
 /// Only the clustered store, the tag table and the P-label domain are
@@ -493,6 +516,33 @@ pub struct BlasDb {
     /// invalidation signal for caches layered above the database
     /// (e.g. the server's result cache).
     publish_hooks: Mutex<PublishHooks>,
+    /// Declared last, so it drops after every other field has been
+    /// freed: see [`HeapTrim`].
+    _trim: HeapTrim,
+}
+
+/// Hands the heap a dropped database freed back to the OS. Without it
+/// glibc keeps those pages: later small allocations pin the top of its
+/// main arena, and its dynamic mmap threshold puts a rebuilt store's
+/// columns in that arena, so a process that builds a store, snapshots
+/// it and drops it keeps the build's peak resident. A no-op off glibc.
+#[derive(Debug)]
+struct HeapTrim;
+
+impl Drop for HeapTrim {
+    fn drop(&mut self) {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            extern "C" {
+                fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+            }
+            // SAFETY: `malloc_trim` only returns free memory to the OS;
+            // it takes no pointer and is safe to call at any time.
+            unsafe {
+                malloc_trim(0);
+            }
+        }
+    }
 }
 
 impl BlasDb {
@@ -588,6 +638,7 @@ impl BlasDb {
             pool: OnceLock::new(),
             plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
             publish_hooks: Mutex::new(PublishHooks::default()),
+            _trim: HeapTrim,
         }
     }
 
@@ -1052,6 +1103,12 @@ impl BlasDb {
     /// ```
     pub fn snapshot(&self) -> DbSnapshot<'_> {
         DbSnapshot { db: self, gen: self.current_gen() }
+    }
+
+    /// [`BlasDb::snapshot`] holding the database by [`Arc`]; see
+    /// [`SharedSnapshot`].
+    pub fn shared_snapshot(self: &Arc<Self>) -> SharedSnapshot {
+        SharedSnapshot { db: Arc::clone(self), gen: self.current_gen() }
     }
 
     /// The current generation number: 0 at open, +1 per successful

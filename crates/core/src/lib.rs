@@ -38,7 +38,7 @@ mod gen_cache;
 pub use collection::{BlasCollection, DocId};
 pub use db::{
     BlasDb, DbSnapshot, DeltaStats, Engine, EngineChoice, PlanCacheStats, PlanInfo, QueryCount,
-    QueryResult, Translator,
+    QueryResult, SharedSnapshot, Translator,
 };
 pub use error::BlasError;
 pub use gen_cache::{GenCache, GenKey};

@@ -7,21 +7,22 @@
 //!   ([`Proto`]); the JSON default is wire-compatible with pre-v2
 //!   servers.
 //! - [`MuxConn`]/[`MuxClient`] — binary-only, **multiplexed**: one
-//!   socket, many concurrent in-flight calls routed back by stream id
-//!   from a dedicated reader thread. Clone the [`MuxClient`] per
-//!   thread; they share the connection.
+//!   socket, many concurrent in-flight calls routed back by stream id.
+//!   There is no reader thread: callers read their own replies, and
+//!   the one reading hands the others theirs. Clone the [`MuxClient`]
+//!   per thread; they share the connection.
 //!
 //! ## Decoding
 //!
 //! A `query` reply is decoded without a value tree on every path: the
 //! typed calls ([`Client::query`], [`Client::query_on`],
 //! [`Client::query_count`], [`MuxClient`]'s) read it into a
-//! [`Response`] — binary by [`wire::decode_response`], JSON in one pass
-//! by [`wire::decode_json_query_response`], which writes the node array
-//! straight into D-label triples — and unwrap that into a
-//! [`QueryReply`]. Only the generic [`Client::call`] builds a [`Json`]
-//! tree of the whole reply, and hands back its `result` moved out, not
-//! copied.
+//! [`QueryReply`] — binary by [`wire::decode_response_triples`], which
+//! reads the node array from the frame straight into D-label triples,
+//! JSON in one pass by [`wire::decode_json_query_response`], which
+//! writes it straight into the canonical binary records. Only the
+//! generic [`Client::call`] builds a [`Json`] tree of the whole reply,
+//! and hands back its `result` moved out, not copied.
 //!
 //! ## Poisoning
 //!
@@ -35,13 +36,13 @@
 
 use crate::json::{self, Json};
 use crate::proto::{frame_buf, json_frame, send_frame, FrameReader, ReadEvent};
-use crate::wire::{self, Request, Response};
+use crate::wire::{self, Request, Response, Triples, WireError};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Which encoding a [`Client`] speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -205,13 +206,12 @@ impl Client {
                     ("params".into(), params),
                 ]);
                 self.write_poisoning(json_frame(&req))?;
-                let bytes = self.read_frame()?;
-                let text = self.text(&bytes)?;
-                let resp = json::parse(text).map_err(|e| {
-                    self.poison();
-                    ClientError::Protocol(format!("bad response JSON: {e}"))
+                let (echoed, result, error) = self.read_reply(|bytes| {
+                    let resp = json::parse(utf8(bytes)?).map_err(|e| {
+                        ClientError::Protocol(format!("bad response JSON: {e}"))
+                    })?;
+                    Ok(envelope(resp))
                 })?;
-                let (echoed, result, error) = envelope(resp);
                 self.check_echo(&echoed, error.is_some(), id)?;
                 if let Some(err) = error {
                     let field = |key| err.get(key).and_then(Json::as_str);
@@ -228,7 +228,7 @@ impl Client {
                 let req = Request::from_json(method, &params).map_err(|(code, message)| {
                     ClientError::Rpc { code: code.as_str().into(), message }
                 })?;
-                result_tree(self.binary_call(id, &req)?)
+                result_tree(self.binary_call(id, &req, wire::decode_response)?)
             }
         }
     }
@@ -236,50 +236,44 @@ impl Client {
     /// Send a typed `query` and decode its reply on either wire without
     /// a value tree: JSON through
     /// [`wire::decode_json_query_response`], binary through
-    /// [`wire::decode_response`], then the same [`reply_of`] the
+    /// [`wire::decode_response_triples`], then the same [`reply_of`] the
     /// [`MuxConn`] uses.
     fn query_call(&mut self, req: &Request) -> Result<QueryReply, ClientError> {
         let id = self.next_call()?;
-        let resp = match self.proto {
+        let (resp, labels) = match self.proto {
             Proto::Json => {
                 self.write_poisoning(json_frame(&req.to_json(&Json::uint(id))))?;
-                let bytes = self.read_frame()?;
-                let text = self.text(&bytes)?;
-                let (echoed, resp) = wire::decode_json_query_response(text).map_err(|e| {
-                    self.poison();
-                    ClientError::Protocol(format!("bad query reply: {e}"))
+                let (echoed, resp) = self.read_reply(|bytes| {
+                    wire::decode_json_query_response(utf8(bytes)?)
+                        .map_err(|e| ClientError::Protocol(format!("bad query reply: {e}")))
                 })?;
                 self.check_echo(&echoed, matches!(resp, Response::Error { .. }), id)?;
-                resp
+                (resp, Vec::new())
             }
-            Proto::Binary => self.binary_call(id, req)?,
+            Proto::Binary => self.binary_call(id, req, with_triples)?,
         };
-        reply_of(resp)
+        reply_of(resp, labels)
     }
 
-    /// One binary round trip on stream `id`.
-    fn binary_call(&mut self, id: u64, req: &Request) -> Result<Response, ClientError> {
+    /// One binary round trip on stream `id`, its reply read by `decode`.
+    fn binary_call<T>(
+        &mut self,
+        id: u64,
+        req: &Request,
+        decode: impl FnOnce(&[u8]) -> Result<(u64, T), WireError>,
+    ) -> Result<T, ClientError> {
         let mut frame = frame_buf(REQUEST_HINT);
         wire::encode_request(id, req, &mut frame)
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         self.write_poisoning(frame)?;
-        let bytes = self.read_frame()?;
-        let (sid, resp) = wire::decode_response(&bytes).map_err(|e| {
-            self.poison();
-            ClientError::Protocol(e.to_string())
-        })?;
-        if sid != id {
-            self.poison();
-            return Err(ClientError::Protocol(format!("response for stream {sid}, expected {id}")));
-        }
-        Ok(resp)
-    }
-
-    /// A JSON frame's text; a frame that is not UTF-8 poisons.
-    fn text<'b>(&mut self, bytes: &'b [u8]) -> Result<&'b str, ClientError> {
-        std::str::from_utf8(bytes).map_err(|_| {
-            self.poison();
-            ClientError::Protocol("response is not UTF-8".into())
+        self.read_reply(|bytes| {
+            let (sid, out) = decode(bytes).map_err(|e| ClientError::Protocol(e.to_string()))?;
+            if sid != id {
+                return Err(ClientError::Protocol(format!(
+                    "response for stream {sid}, expected {id}"
+                )));
+            }
+            Ok(out)
         })
     }
 
@@ -310,30 +304,32 @@ impl Client {
         })
     }
 
-    fn read_frame(&mut self) -> Result<Vec<u8>, ClientError> {
+    /// Read the next frame and decode it with `decode`, straight from
+    /// the reader's buffer. A frame that does not arrive whole — a
+    /// timeout, end of stream, an oversized prefix — or that `decode`
+    /// rejects poisons the connection; a typed server error is a reply
+    /// `decode` returns, and never poisons.
+    fn read_reply<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         // The client's socket timeout is the whole deadline, so an
         // Idle poll is terminal here (unlike the server's poll loop)
         // — and the pending response could still land later, so the
         // connection is no longer aligned and must be poisoned.
-        match self.reader.poll(&mut self.stream) {
-            Ok(ReadEvent::Frame(bytes)) => Ok(bytes),
-            Ok(ReadEvent::Idle) => {
-                self.poison();
-                Err(ClientError::Io(io::ErrorKind::TimedOut.into()))
-            }
-            Ok(ReadEvent::Eof) => {
-                self.poison();
-                Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into()))
-            }
+        let out = match self.reader.poll_ref(&mut self.stream) {
+            Ok(ReadEvent::Frame(bytes)) => decode(bytes),
+            Ok(ReadEvent::Idle) => Err(ClientError::Io(io::ErrorKind::TimedOut.into())),
+            Ok(ReadEvent::Eof) => Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into())),
             Ok(ReadEvent::TooLarge(n)) => {
-                self.poison();
                 Err(ClientError::Protocol(format!("{n}-byte response frame")))
             }
-            Err(e) => {
-                self.poison();
-                Err(ClientError::Io(e))
-            }
+            Err(e) => Err(ClientError::Io(e)),
+        };
+        if out.is_err() {
+            self.poison();
         }
+        out
     }
 
     /// Run `xpath` with the given engine token (`"auto"`, `"rdbms"`,
@@ -399,6 +395,17 @@ impl Client {
     pub fn clear_cache(&mut self) -> Result<u64, ClientError> {
         cleared_of(&self.call("clear_cache", Json::Obj(Vec::new()))?)
     }
+}
+
+/// A JSON frame's text.
+fn utf8(bytes: &[u8]) -> Result<&str, ClientError> {
+    std::str::from_utf8(bytes).map_err(|_| ClientError::Protocol("response is not UTF-8".into()))
+}
+
+/// [`wire::decode_response_triples`] in the shape the round trips take:
+/// the stream id, then the reply with its labels beside it.
+fn with_triples(payload: &[u8]) -> Result<(u64, (Response, Triples)), WireError> {
+    wire::decode_response_triples(payload).map(|(sid, resp, labels)| (sid, (resp, labels)))
 }
 
 fn generation_of(result: &Json) -> Result<u64, ClientError> {
@@ -467,45 +474,76 @@ fn result_tree(mut resp: Response) -> Result<Json, ClientError> {
     Ok(result)
 }
 
-struct MuxShared {
-    stream: TcpStream,
-    write_lock: Mutex<()>,
-    pending: Mutex<HashMap<u64, mpsc::Sender<Response>>>,
-    dead: AtomicBool,
-    next_stream: AtomicU64,
-}
-
-impl MuxShared {
-    /// The in-flight calls by stream id (a panicked holder leaves the
-    /// map usable).
-    fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, mpsc::Sender<Response>>> {
-        self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn kill(&self) {
-        self.dead.store(true, Ordering::Release);
-        let _ = self.stream.shutdown(Shutdown::Both);
-        // Dropping the senders fails every waiting call fast.
-        self.pending().clear();
-    }
-}
-
 /// A multiplexed binary connection: one socket, many concurrent
 /// in-flight calls. All methods take `&self`; wrap in an [`Arc`] (or
 /// use [`MuxClient`], which does) and call from as many threads as you
 /// like — stream ids route each response back to its caller.
+///
+/// There is no reader thread: callers read for each other. A caller
+/// waiting for its reply takes the *read role* when nobody holds it,
+/// reads frames, hands every other stream's reply to its waiter, and
+/// gives the role up when its own reply arrives — decoded straight from
+/// the frame buffer. A caller that finds the role taken waits to be
+/// handed its reply, or the role.
 pub struct MuxConn {
-    shared: Arc<MuxShared>,
+    stream: TcpStream,
     timeout: Option<Duration>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    write_lock: Mutex<()>,
+    /// The read side. Only the holder of the read role locks it, so it
+    /// is never contended.
+    reader: Mutex<MuxReader>,
+    state: Mutex<MuxState>,
+    /// Signalled when a reply is handed to its waiter, when the read
+    /// role is given up, and when the connection dies.
+    wake: Condvar,
+    dead: AtomicBool,
+    next_stream: AtomicU64,
+}
+
+/// The read side of a [`MuxConn`].
+struct MuxReader {
+    frames: FrameReader,
+    /// The socket read timeout in force.
+    armed: Option<Duration>,
+}
+
+impl MuxReader {
+    /// Bound the next socket read by `wait`. A socket timeout that
+    /// already ends within a sixteenth of `wait` past it stays, so a
+    /// fresh call finds the socket armed and pays no syscall.
+    fn arm(&mut self, stream: &TcpStream, wait: Option<Duration>) -> io::Result<()> {
+        let armed = match (self.armed, wait) {
+            (None, None) => true,
+            (Some(a), Some(w)) => a >= w && a - w <= w / 16,
+            _ => false,
+        };
+        if !armed {
+            stream.set_read_timeout(wait)?;
+            self.armed = wait;
+        }
+        Ok(())
+    }
+}
+
+/// The calls of a [`MuxConn`] and who is reading for them.
+#[derive(Default)]
+struct MuxState {
+    /// In-flight calls by stream id: `None` until the holder of the
+    /// read role hands the reply's frame over. A call that dies or
+    /// times out leaves; a late reply for it is dropped.
+    pending: HashMap<u64, Option<Vec<u8>>>,
+    /// A caller holds the read role.
+    reading: bool,
+    /// Callers asleep on [`MuxConn::wake`].
+    waiting: usize,
 }
 
 impl MuxConn {
-    /// Connect, send the binary hello, and start the reader thread.
-    /// `timeout` bounds each individual call's wait for its response;
-    /// an expired call returns [`ClientError::Io`] (`TimedOut`) but
-    /// does **not** poison the connection — the late response is
-    /// discarded by stream id when it lands.
+    /// Connect and send the binary hello. `timeout` bounds each
+    /// individual call's wait for its response; an expired call returns
+    /// [`ClientError::Io`] (`TimedOut`) but does **not** poison the
+    /// connection — the late response is discarded by stream id when it
+    /// lands.
     pub fn connect(
         addr: impl ToSocketAddrs,
         timeout: Option<Duration>,
@@ -513,106 +551,233 @@ impl MuxConn {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(timeout)?;
+        stream.set_read_timeout(timeout)?;
         io::Write::write_all(&mut stream, &[wire::MAGIC, wire::VERSION])?;
-        let shared = Arc::new(MuxShared {
+        Ok(MuxConn {
             stream,
+            timeout,
             write_lock: Mutex::new(()),
-            pending: Mutex::new(HashMap::new()),
+            reader: Mutex::new(MuxReader { frames: FrameReader::new(), armed: timeout }),
+            state: Mutex::new(MuxState::default()),
+            wake: Condvar::new(),
             dead: AtomicBool::new(false),
             next_stream: AtomicU64::new(0),
-        });
-        let reader_shared = Arc::clone(&shared);
-        let reader = std::thread::Builder::new()
-            .name("blas-mux-read".into())
-            .spawn(move || mux_read_loop(reader_shared))
-            .map_err(ClientError::Io)?;
-        Ok(MuxConn { shared, timeout, reader: Some(reader) })
+        })
     }
 
     /// Whether the connection has died (server gone, or a framing
-    /// failure on the shared socket).
+    /// failure on the shared socket). With no call reading, a closed
+    /// peer shows only to a read: this takes the free read role and
+    /// reads what has already arrived, without waiting.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Acquire)
+        if self.dead.load(Ordering::Acquire) {
+            return true;
+        }
+        let mut state = self.state();
+        if !state.reading {
+            state.reading = true;
+            drop(state);
+            self.read_arrived();
+            self.give_up_role(None);
+        }
+        self.dead.load(Ordering::Acquire)
     }
 
     /// Issue one typed request on a fresh stream id and wait for its
     /// response. Safe to call from many threads at once.
     pub fn call(&self, req: &Request) -> Result<Response, ClientError> {
-        let shared = &self.shared;
-        if shared.dead.load(Ordering::Acquire) {
+        self.round_trip(req, wire::decode_response)
+    }
+
+    /// [`MuxConn::call`] unwrapped to the query shape, its labels
+    /// decoded straight from the reply's frame.
+    pub fn query(&self, req: &Request) -> Result<QueryReply, ClientError> {
+        let (resp, labels) = self.round_trip(req, with_triples)?;
+        reply_of(resp, labels)
+    }
+
+    /// The calls' shared state (a panicked holder leaves it usable).
+    fn state(&self) -> std::sync::MutexGuard<'_, MuxState> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn reader(&self) -> std::sync::MutexGuard<'_, MuxReader> {
+        self.reader.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Send `req` on a fresh stream and wait for its reply — read by
+    /// this caller or handed over by another — decoded by `decode`.
+    fn round_trip<T>(
+        &self,
+        req: &Request,
+        decode: impl FnOnce(&[u8]) -> Result<(u64, T), WireError>,
+    ) -> Result<T, ClientError> {
+        if self.dead.load(Ordering::Acquire) {
             return Err(ClientError::Poisoned);
         }
-        let sid = shared.next_stream.fetch_add(1, Ordering::Relaxed) + 1;
+        let sid = self.next_stream.fetch_add(1, Ordering::Relaxed) + 1;
         let mut frame = frame_buf(REQUEST_HINT);
         wire::encode_request(sid, req, &mut frame)
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let (tx, rx) = mpsc::channel();
-        shared.pending().insert(sid, tx);
+        self.state().pending.insert(sid, None);
         {
-            let _guard = shared
-                .write_lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Err(e) = send_frame(&mut &shared.stream, &mut frame) {
+            let _guard =
+                self.write_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            if let Err(e) = send_frame(&mut &self.stream, &mut frame) {
                 // A partial frame poisons the whole shared socket.
-                shared.kill();
+                self.kill();
                 return Err(ClientError::Io(e));
             }
         }
-        match self.timeout {
-            Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => {
-                    // Abandon the stream; the reader drops the late
-                    // response when (if) it arrives.
-                    shared.pending().remove(&sid);
-                    ClientError::Io(io::ErrorKind::TimedOut.into())
-                }
-                mpsc::RecvTimeoutError::Disconnected => ClientError::Poisoned,
-            }),
-            None => rx.recv().map_err(|_| ClientError::Poisoned),
-        }
-    }
-
-    /// [`MuxConn::call`] unwrapped to the query shape.
-    pub fn query(&self, req: &Request) -> Result<QueryReply, ClientError> {
-        reply_of(self.call(req)?)
-    }
-}
-
-impl Drop for MuxConn {
-    fn drop(&mut self) {
-        self.shared.kill();
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// The reader blocks on the socket; [`MuxShared::kill`] shutting the
-/// socket down is what wakes it to exit.
-fn mux_read_loop(shared: Arc<MuxShared>) {
-    let mut reader = FrameReader::new();
-    loop {
-        match reader.poll(&mut &shared.stream) {
-            Ok(ReadEvent::Frame(payload)) => match wire::decode_response(&payload) {
-                Ok((sid, resp)) => {
-                    let tx = shared.pending().remove(&sid);
-                    if let Some(tx) = tx {
-                        let _ = tx.send(resp); // receiver may have timed out
+        // A timeout past the clock's range is no deadline at all.
+        let deadline = self.timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut state = self.state();
+        loop {
+            match state.pending.get_mut(&sid) {
+                // The connection died and took every call with it.
+                None => return Err(ClientError::Poisoned),
+                Some(slot) => {
+                    if let Some(frame) = slot.take() {
+                        state.pending.remove(&sid);
+                        drop(state);
+                        return self.decode_own(&frame, decode);
                     }
                 }
-                Err(_) => {
-                    // Undecodable response frame: the stream can't be
-                    // trusted any further.
-                    shared.kill();
-                    return;
+            }
+            if !state.reading {
+                state.reading = true;
+                drop(state);
+                return self.lead(sid, deadline, decode);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                // Abandon the stream; the late reply is dropped when
+                // (if) it is read.
+                state.pending.remove(&sid);
+                return Err(ClientError::Io(io::ErrorKind::TimedOut.into()));
+            }
+            state.waiting += 1;
+            state = match deadline {
+                None => self.wake.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(d) => {
+                    let waited = self.wake.wait_timeout(state, d - now);
+                    waited.unwrap_or_else(std::sync::PoisonError::into_inner).0
                 }
-            },
-            Ok(ReadEvent::Eof) | Ok(ReadEvent::Idle) | Ok(ReadEvent::TooLarge(_)) | Err(_) => {
-                shared.kill();
-                return;
+            };
+            state.waiting -= 1;
+        }
+    }
+
+    /// Hold the read role until stream `sid`'s reply arrives, the
+    /// deadline passes or the connection dies, handing every other
+    /// stream's reply to its waiter on the way; then give the role up.
+    fn lead<T>(
+        &self,
+        sid: u64,
+        deadline: Option<Instant>,
+        decode: impl FnOnce(&[u8]) -> Result<(u64, T), WireError>,
+    ) -> Result<T, ClientError> {
+        let mut reader = self.reader();
+        let reader = &mut *reader;
+        let out = loop {
+            let wait = deadline.map(|d| {
+                d.saturating_duration_since(Instant::now()).max(Duration::from_micros(1))
+            });
+            if let Err(e) = reader.arm(&self.stream, wait) {
+                self.kill();
+                break Err(ClientError::Io(e));
+            }
+            match reader.frames.poll_ref(&mut &self.stream) {
+                Ok(ReadEvent::Frame(frame)) => match wire::split_stream_id(frame) {
+                    Ok((own, _)) if own == sid => break self.decode_own(frame, decode),
+                    Ok((other, _)) => self.hand_over(other, frame),
+                    Err(e) => {
+                        self.kill();
+                        break Err(ClientError::Protocol(e.to_string()));
+                    }
+                },
+                Ok(ReadEvent::Idle) if deadline.is_some_and(|d| Instant::now() >= d) => {
+                    break Err(ClientError::Io(io::ErrorKind::TimedOut.into()));
+                }
+                // The socket rounds its timeout down: wait out the rest.
+                Ok(ReadEvent::Idle) => {}
+                Ok(ReadEvent::Eof) | Ok(ReadEvent::TooLarge(_)) | Err(_) => {
+                    self.kill();
+                    break Err(ClientError::Poisoned);
+                }
+            }
+        };
+        self.give_up_role(Some(sid));
+        out
+    }
+
+    /// Under the read role: read and hand over every frame that has
+    /// already arrived, and notice a peer that has closed.
+    fn read_arrived(&self) {
+        let mut reader = self.reader();
+        let reader = &mut *reader;
+        // The shortest wait a socket timeout can express.
+        if reader.arm(&self.stream, Some(Duration::from_micros(1))).is_err() {
+            self.kill();
+            return;
+        }
+        loop {
+            match reader.frames.poll_ref(&mut &self.stream) {
+                Ok(ReadEvent::Frame(frame)) => match wire::split_stream_id(frame) {
+                    Ok((sid, _)) => self.hand_over(sid, frame),
+                    Err(_) => return self.kill(),
+                },
+                Ok(ReadEvent::Idle) => return,
+                Ok(ReadEvent::Eof) | Ok(ReadEvent::TooLarge(_)) | Err(_) => return self.kill(),
             }
         }
+    }
+
+    /// Release the read role (and `sid`'s place among the calls), and
+    /// wake the waiters so one of them can take it.
+    fn give_up_role(&self, sid: Option<u64>) {
+        let mut state = self.state();
+        state.reading = false;
+        if let Some(sid) = sid {
+            state.pending.remove(&sid);
+        }
+        if state.waiting > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Give `frame`, stream `sid`'s reply, to the caller waiting for it;
+    /// a stream nobody waits for any more drops it.
+    fn hand_over(&self, sid: u64, frame: &[u8]) {
+        let mut state = self.state();
+        if let Some(slot) = state.pending.get_mut(&sid) {
+            *slot = Some(frame.to_vec());
+            if state.waiting > 0 {
+                self.wake.notify_all();
+            }
+        }
+    }
+
+    /// Decode this caller's own reply; one that does not decode means
+    /// the shared stream cannot be trusted any further.
+    fn decode_own<T>(
+        &self,
+        frame: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<(u64, T), WireError>,
+    ) -> Result<T, ClientError> {
+        decode(frame).map(|(_, out)| out).map_err(|e| {
+            self.kill();
+            ClientError::Protocol(e.to_string())
+        })
+    }
+
+    /// Mark the connection dead, close the socket and fail every
+    /// in-flight call fast.
+    fn kill(&self) {
+        self.dead.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.state().pending.clear();
+        self.wake.notify_all();
     }
 }
 
@@ -625,7 +790,10 @@ fn unexpected(resp: Response) -> ClientError {
     }
 }
 
-fn reply_of(resp: Response) -> Result<QueryReply, ClientError> {
+/// A query response as a [`QueryReply`]. Its labels are `labels`, as a
+/// binary decode read them straight from the frame, or — when the
+/// response carries a blob, as a JSON decode's does — the blob's.
+fn reply_of(resp: Response, labels: Triples) -> Result<QueryReply, ClientError> {
     match resp {
         Response::Query { generation, engine, cached, count, elements_visited, nodes } => {
             Ok(QueryReply {
@@ -634,7 +802,7 @@ fn reply_of(resp: Response) -> Result<QueryReply, ClientError> {
                 cached,
                 count: count as usize,
                 elements_visited,
-                nodes: nodes.map(|b| b.triples()).unwrap_or_default(),
+                nodes: nodes.map_or(labels, |blob| blob.triples()),
             })
         }
         other => Err(unexpected(other)),

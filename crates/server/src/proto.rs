@@ -13,7 +13,7 @@
 //! survives that must not lose the bytes already consumed.
 
 use crate::json::Json;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard bound on one frame's payload.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -31,6 +31,13 @@ pub fn frame_buf(payload_hint: usize) -> Vec<u8> {
     frame
 }
 
+/// Empty a frame begun with [`frame_buf`] for the next one, keeping its
+/// capacity.
+pub(crate) fn clear_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; PREFIX_BYTES]);
+}
+
 /// [`frame_buf`] holding `msg` rendered as the payload.
 pub fn json_frame(msg: &Json) -> Vec<u8> {
     let mut text = String::with_capacity(PREFIX_BYTES + msg.len_hint());
@@ -40,15 +47,32 @@ pub fn json_frame(msg: &Json) -> Vec<u8> {
 }
 
 /// Fill in the prefix of a frame begun with [`frame_buf`] and send it
-/// with a single `write_all`, then flush.
+/// in one write (retried until the socket has taken it all), then
+/// flush.
 pub fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
-    let len = frame
-        .len()
+    send_frame_parts(w, frame, &[])
+}
+
+/// [`send_frame`] for a frame in two parts: `head`, begun with
+/// [`frame_buf`], and a `tail` sent as it lies after it — a cached node
+/// array leaves from where it is stored, in one vectored write when the
+/// socket takes the frame whole.
+pub(crate) fn send_frame_parts(w: &mut impl Write, head: &mut [u8], tail: &[u8]) -> io::Result<()> {
+    let len = (head.len() + tail.len())
         .checked_sub(PREFIX_BYTES)
         .filter(|&len| len <= MAX_FRAME_BYTES)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    frame[..PREFIX_BYTES].copy_from_slice(&(len as u32).to_be_bytes());
-    w.write_all(frame)?;
+    head[..PREFIX_BYTES].copy_from_slice(&(len as u32).to_be_bytes());
+    let mut parts = [IoSlice::new(head), IoSlice::new(tail)];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -61,11 +85,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     send_frame(w, &mut frame)
 }
 
-/// One step of frame reading.
+/// One step of frame reading. The frame is owned ([`FrameReader::poll`])
+/// or borrowed from the reader's buffer ([`FrameReader::poll_ref`]).
 #[derive(Debug)]
-pub enum ReadEvent {
+pub enum ReadEvent<F = Vec<u8>> {
     /// A complete frame payload.
-    Frame(Vec<u8>),
+    Frame(F),
     /// The socket timed out with **no** complete frame pending; the
     /// caller decides what an expired read budget means.
     Idle,
@@ -78,12 +103,17 @@ pub enum ReadEvent {
 }
 
 /// Resumable length-prefixed frame reader: survives socket timeouts at
-/// any byte position without losing progress.
+/// any byte position without losing progress. One payload buffer serves
+/// every frame: it grows (zero-filled) to the largest payload seen and
+/// is never shrunk, so a steady stream of frames allocates nothing.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     header: [u8; 4],
     header_got: usize,
-    payload: Vec<u8>,
+    /// The payload buffer, kept across frames.
+    buf: Vec<u8>,
+    /// Payload bytes of the current frame read so far.
+    got: usize,
     payload_len: Option<usize>,
 }
 
@@ -93,11 +123,25 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Advance until a frame completes, the stream ends, or the socket
-    /// times out. Timeouts (`WouldBlock`/`TimedOut`) surface as
-    /// [`ReadEvent::Idle`]; every other error is real.
+    /// [`FrameReader::poll_ref`], with the frame copied out of the
+    /// reader's buffer.
     pub fn poll(&mut self, r: &mut impl Read) -> io::Result<ReadEvent> {
-        loop {
+        Ok(match self.poll_ref(r)? {
+            ReadEvent::Frame(frame) => ReadEvent::Frame(frame.to_vec()),
+            ReadEvent::Idle => ReadEvent::Idle,
+            ReadEvent::Eof => ReadEvent::Eof,
+            ReadEvent::TooLarge(n) => ReadEvent::TooLarge(n),
+        })
+    }
+
+    /// Advance until a frame completes, the stream ends, or the socket
+    /// times out, and lend the frame out of the reader's buffer until
+    /// the next poll. Timeouts (`WouldBlock`/`TimedOut`) surface as
+    /// [`ReadEvent::Idle`]; every other error is real. Each payload
+    /// `read` is offered all that is left of the payload, so a payload
+    /// that has already arrived is one `read`.
+    pub fn poll_ref(&mut self, r: &mut impl Read) -> io::Result<ReadEvent<&[u8]>> {
+        let len = loop {
             match self.payload_len {
                 None => {
                     // Header phase.
@@ -116,9 +160,11 @@ impl FrameReader {
                                 if len > MAX_FRAME_BYTES {
                                     return Ok(ReadEvent::TooLarge(len));
                                 }
+                                if len > self.buf.len() {
+                                    self.buf.resize(len, 0);
+                                }
+                                self.got = 0;
                                 self.payload_len = Some(len);
-                                self.payload.clear();
-                                self.payload.reserve(len);
                             }
                         }
                         Err(e) if is_timeout(&e) => return Ok(ReadEvent::Idle),
@@ -126,28 +172,20 @@ impl FrameReader {
                         Err(e) => return Err(e),
                     }
                 }
-                Some(len) => {
-                    if self.payload.len() == len {
-                        self.header_got = 0;
-                        self.payload_len = None;
-                        return Ok(ReadEvent::Frame(std::mem::take(&mut self.payload)));
-                    }
-                    // Straight into the capacity reserved at the header:
-                    // no zero-fill for the socket to overwrite. Bytes read
-                    // before a timeout stay appended; `Interrupted` is
-                    // retried inside `read_to_end`.
-                    let want = (len - self.payload.len()) as u64;
-                    match (&mut *r).take(want).read_to_end(&mut self.payload) {
-                        Ok(_) if self.payload.len() < len => {
-                            return Err(io::ErrorKind::UnexpectedEof.into());
-                        }
-                        Ok(_) => {}
-                        Err(e) if is_timeout(&e) => return Ok(ReadEvent::Idle),
-                        Err(e) => return Err(e),
-                    }
-                }
+                Some(len) if self.got == len => break len,
+                // Bytes read before a timeout stay counted in `got`.
+                Some(len) => match r.read(&mut self.buf[self.got..len]) {
+                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    Ok(n) => self.got += n,
+                    Err(e) if is_timeout(&e) => return Ok(ReadEvent::Idle),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                },
             }
-        }
+        };
+        self.header_got = 0;
+        self.payload_len = None;
+        Ok(ReadEvent::Frame(&self.buf[..len]))
     }
 }
 
@@ -418,6 +456,69 @@ mod tests {
             }
             assert!(matches!(r.poll(&mut script).unwrap(), ReadEvent::Eof));
         }
+    }
+
+    /// A payload that has already arrived whole is one payload `read`,
+    /// offered all of it, and the buffer it lands in serves the next
+    /// frame without growing.
+    #[test]
+    fn a_payload_already_there_is_one_read() {
+        /// Records the size of every buffer `read` is offered.
+        struct Counting<R>(R, Vec<usize>);
+        impl<R: Read> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1.push(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let payload: Vec<u8> = (0..85_000u32).map(|i| (i % 253) as u8).collect();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        write_frame(&mut bytes, &payload[..45_000]).unwrap();
+        let mut src = Counting(io::Cursor::new(bytes), Vec::new());
+        let mut r = FrameReader::new();
+        match r.poll_ref(&mut src).unwrap() {
+            ReadEvent::Frame(f) => assert!(f == payload),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(src.1, [PREFIX_BYTES, 85_000], "one header read, one payload read");
+        let buf = r.buf.as_ptr();
+        match r.poll_ref(&mut src).unwrap() {
+            ReadEvent::Frame(f) => assert!(f == &payload[..45_000]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(src.1[2..], [PREFIX_BYTES, 45_000]);
+        assert_eq!(r.buf.as_ptr(), buf, "the second frame reuses the first one's buffer");
+    }
+
+    /// A frame sent as head + tail is the bytes [`send_frame`] sends,
+    /// and a writer that takes a little at a time still gets all of it.
+    #[test]
+    fn a_frame_in_two_parts_is_the_frame_in_one() {
+        /// Takes at most 7 bytes per call, like a socket whose buffer
+        /// is nearly full.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let tail: Vec<u8> = (0..100u8).collect();
+        let mut whole = frame_buf(0);
+        whole.extend_from_slice(b"head");
+        whole.extend_from_slice(&tail);
+        let mut one = Vec::new();
+        send_frame(&mut one, &mut whole).unwrap();
+        let mut head = frame_buf(0);
+        head.extend_from_slice(b"head");
+        let mut two = Trickle(Vec::new());
+        send_frame_parts(&mut two, &mut head, &tail).unwrap();
+        assert_eq!(two.0, one);
     }
 
     /// A reader fed one byte at a time (worst-case fragmentation)

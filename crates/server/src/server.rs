@@ -23,11 +23,15 @@
 //! JSON connections handle requests synchronously on their thread, in
 //! arrival order (pipelining is allowed; responses come back in
 //! request order). Binary connections are **multiplexed**: every frame
-//! carries a stream id, admitted requests run on the routed document's
-//! request pool ([`BlasDb::pool`], one worker per core) while the
-//! connection thread keeps reading, and
-//! responses come back tagged with their stream id in *completion*
-//! order — one socket interleaves many logical in-flight requests.
+//! carries a stream id, and responses come back tagged with their
+//! stream id in *completion* order — one socket interleaves many
+//! logical in-flight requests. The connection thread probes an
+//! admitted `query`'s result-cache entry itself and answers a **hit**
+//! on the spot, writing the stored node array as it lies; a miss, and
+//! every other admitted request, runs on the routed document's request
+//! pool ([`BlasDb::pool`], one worker per core) while the connection
+//! thread keeps reading. A hit therefore never waits behind a slow
+//! miss, and costs no thread hand-off.
 //!
 //! ## Admission control
 //!
@@ -37,10 +41,10 @@
 //! immediately with [`ErrorCode::Overloaded`] — the server never
 //! builds an unbounded queue in front of the database. On a
 //! multiplexed connection the permit is acquired *at frame-read time*,
-//! before the request is handed to the execution pool, so the
-//! rejection is per-stream and the pool's queue stays bounded by the
-//! permit count. Cheap admin methods (`stats`, `plan_info`,
-//! `clear_cache`) bypass admission.
+//! before the cache is probed or the request is handed to the
+//! execution pool, so the rejection is per-stream and the pool's queue
+//! stays bounded by the permit count. Cheap admin methods (`stats`,
+//! `plan_info`, `clear_cache`) bypass admission.
 //!
 //! ## Result cache
 //!
@@ -77,11 +81,11 @@
 
 use crate::json::{self, Json};
 use crate::proto::{
-    err_response, frame_buf, is_timeout, json_frame, send_frame, ErrorCode, FrameReader,
-    ReadEvent,
+    clear_frame, err_response, frame_buf, is_timeout, json_frame, send_frame, send_frame_parts,
+    ErrorCode, FrameReader, ReadEvent,
 };
 use crate::wire::{self, NodesBlob, Request, Response};
-use blas::{BlasCollection, BlasDb, DocId, EngineChoice, GenCache, GenKey};
+use blas::{BlasCollection, BlasDb, DocId, EngineChoice, GenCache, GenKey, SharedSnapshot};
 use blas_engine::TaskHandle;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -93,6 +97,9 @@ use std::time::{Duration, Instant};
 
 /// The farewell of a connection whose idle budget ran out.
 const IDLE: &str = "connection idle past the read timeout";
+
+/// Room for a binary reply's envelope: everything but a node array.
+const ENVELOPE_HINT: usize = 64;
 
 /// Which wire encodings a server accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -288,6 +295,13 @@ struct Inner {
 }
 
 impl Inner {
+    /// How long a `query` carrying `hold_ms` waits before it runs: only
+    /// a `debug_hold` server holds at all.
+    fn hold(&self, hold_ms: Option<u64>) -> Option<Duration> {
+        let ms = hold_ms.filter(|_| self.cfg.debug_hold)?;
+        Some(Duration::from_millis(ms.min(10_000)))
+    }
+
     fn stats(&self) -> ServerStats {
         let cache = self.cache.lock();
         ServerStats {
@@ -630,15 +644,15 @@ fn binary_frame(stream_id: u64, resp: &Response) -> Vec<u8> {
 fn serve_json(inner: &Inner, mut stream: &TcpStream, mut input: Input<'_>) {
     let mut reader = FrameReader::new();
     loop {
-        match reader.poll(&mut input) {
+        match reader.poll_ref(&mut input) {
             Ok(ReadEvent::Frame(bytes)) => {
                 if inner.stop.load(Ordering::SeqCst) {
-                    let id = request_id(&bytes);
+                    let id = request_id(bytes);
                     let resp = err_response(&id, ErrorCode::ShuttingDown, "server is draining");
                     let _ = send_json(&mut stream, &resp);
                     return;
                 }
-                if send_json(&mut stream, &respond(inner, &bytes)).is_err() {
+                if send_json(&mut stream, &respond(inner, bytes)).is_err() {
                     return;
                 }
                 input.get_mut().restart();
@@ -664,9 +678,10 @@ fn serve_json(inner: &Inner, mut stream: &TcpStream, mut input: Input<'_>) {
 }
 
 /// The shared write half of a multiplexed connection: response frames
-/// from concurrent execution tasks interleave under one lock (a frame
-/// is written atomically), and the first write failure marks the
-/// connection dead so the read loop stops feeding it.
+/// from the connection thread and from concurrent execution tasks
+/// interleave under one lock (a frame is written atomically), and the
+/// first write failure marks the connection dead so the read loop stops
+/// feeding it.
 struct MuxWriter {
     stream: Arc<TcpStream>,
     lock: Mutex<()>,
@@ -674,15 +689,24 @@ struct MuxWriter {
 }
 
 impl MuxWriter {
-    fn send(&self, stream_id: u64, resp: &Response) {
-        let mut frame = binary_frame(stream_id, resp);
+    /// Send `resp` on `stream_id`. Its envelope is encoded into `head`
+    /// (a buffer the caller may reuse), and a query reply's node array
+    /// follows it on the wire from where its blob holds it — a cached
+    /// reply is sent without copying its labels.
+    fn send_with(&self, head: &mut Vec<u8>, stream_id: u64, resp: &Response) {
+        clear_frame(head);
+        let tail = wire::encode_response_head(stream_id, resp, head);
         let _guard = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        if send_frame(&mut &*self.stream, &mut frame).is_err() {
+        if send_frame_parts(&mut &*self.stream, head, tail).is_err() {
             self.dead.store(true, Ordering::Release);
         }
+    }
+
+    fn send(&self, stream_id: u64, resp: &Response) {
+        self.send_with(&mut frame_buf(ENVELOPE_HINT), stream_id, resp);
     }
 }
 
@@ -692,10 +716,12 @@ fn send_binary_error(stream: &TcpStream, stream_id: u64, code: ErrorCode, messag
 }
 
 /// The multiplexed binary serve loop. The connection thread reads
-/// frames; admission happens here, at read time — an admitted request
-/// moves its permit onto the routed document's pool and the thread
-/// keeps reading, a rejected one is answered `overloaded` on its own
-/// stream.
+/// frames; admission happens here, at read time. An admitted `query` is
+/// probed here too: a result-cache hit is answered from this thread,
+/// straight from the stored bytes. A miss, a held query and every other
+/// admitted request move their permit onto the routed document's pool
+/// and the thread keeps reading; a rejected one is answered
+/// `overloaded` on its own stream.
 fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_>) {
     let writer = Arc::new(MuxWriter {
         stream: Arc::clone(stream),
@@ -703,35 +729,40 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
         dead: AtomicBool::new(false),
     });
     let mut reader = FrameReader::new();
+    // The envelope of every reply this thread sends.
+    let mut head = frame_buf(ENVELOPE_HINT);
     let mut tasks: Vec<TaskHandle<()>> = Vec::new();
     while !writer.dead.load(Ordering::Acquire) {
-        match reader.poll(&mut input) {
+        match reader.poll_ref(&mut input) {
             Ok(ReadEvent::Frame(payload)) => {
                 input.get_mut().restart();
                 tasks.retain(|t| !t.is_done());
-                let (sid, body) = match wire::split_stream_id(&payload) {
+                let (sid, body) = match wire::split_stream_id(payload) {
                     Ok(x) => x,
                     Err(e) => {
                         let message = format!("malformed frame: {e}");
-                        writer.send(0, &Response::Error { code: ErrorCode::BadRequest, message });
+                        let resp = Response::Error { code: ErrorCode::BadRequest, message };
+                        writer.send_with(&mut head, 0, &resp);
                         continue;
                     }
                 };
                 if inner.stop.load(Ordering::SeqCst) {
                     let message = "server is draining".into();
-                    writer.send(sid, &Response::Error { code: ErrorCode::ShuttingDown, message });
+                    let resp = Response::Error { code: ErrorCode::ShuttingDown, message };
+                    writer.send_with(&mut head, sid, &resp);
                     break;
                 }
                 let req = match wire::decode_request_body(body) {
                     Ok(r) => r,
                     Err(e) => {
                         let message = format!("malformed frame: {e}");
-                        writer.send(sid, &Response::Error { code: ErrorCode::BadRequest, message });
+                        let resp = Response::Error { code: ErrorCode::BadRequest, message };
+                        writer.send_with(&mut head, sid, &resp);
                         continue;
                     }
                 };
                 if !req.needs_admission() {
-                    writer.send(sid, &dispatch(inner, &req, None));
+                    writer.send_with(&mut head, sid, &dispatch(inner, &req, None));
                     continue;
                 }
                 // Per-stream admission at read time: the permit — not
@@ -740,8 +771,27 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
                 let Some(permit) = inner.inflight.try_acquire() else {
                     inner.overloaded.fetch_add(1, Ordering::Relaxed);
                     let (code, message) = overloaded(inner);
-                    writer.send(sid, &Response::Error { code, message });
+                    writer.send_with(&mut head, sid, &Response::Error { code, message });
                     continue;
+                };
+                let missed = match &req {
+                    Request::Query { db, xpath, engine, labels, cache, hold_ms }
+                        if inner.hold(*hold_ms).is_none() =>
+                    {
+                        match probe(inner, db, xpath, engine, *cache) {
+                            Ok(Probed::Miss(probe)) => Some(probe),
+                            Ok(Probed::Hit(hit)) => {
+                                let resp = account(inner, Ok(hit.reply(engine, *labels)));
+                                writer.send_with(&mut head, sid, &resp);
+                                continue;
+                            }
+                            Err(e) => {
+                                writer.send_with(&mut head, sid, &account(inner, Err(e)));
+                                continue;
+                            }
+                        }
+                    }
+                    _ => None,
                 };
                 // An unknown name is the dispatch's to answer, from the
                 // first document's pool.
@@ -749,7 +799,14 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
                     .map_or(inner.coll.doc_shared(DocId(0)), |(_, db)| db);
                 let (task_inner, task_writer) = (Arc::clone(inner), Arc::clone(&writer));
                 tasks.push(db.pool().spawn_task(move || {
-                    let resp = dispatch(&task_inner, &req, Some(permit));
+                    let resp = match (missed, &req) {
+                        (Some(probe), Request::Query { xpath, engine, labels, .. }) => {
+                            let resp = execute(&task_inner, probe, xpath, engine, *labels);
+                            drop(permit);
+                            account(&task_inner, resp)
+                        }
+                        _ => dispatch(&task_inner, &req, Some(permit)),
+                    };
                     task_writer.send(sid, &resp);
                 }));
             }
@@ -829,7 +886,13 @@ type MethodResult = Result<Response, (ErrorCode, String)>;
 /// the admission permit when the caller already acquired it (the
 /// multiplexed read loop); `None` makes admission this function's job.
 fn dispatch(inner: &Inner, req: &Request, permit: Option<Permit>) -> Response {
-    let resp = match dispatch_inner(inner, req, permit) {
+    account(inner, dispatch_inner(inner, req, permit))
+}
+
+/// A method's outcome as the response it sends, counted in the serving
+/// counters.
+fn account(inner: &Inner, result: MethodResult) -> Response {
+    let resp = match result {
         Ok(resp) => resp,
         Err((code, message)) => Response::Error { code, message },
     };
@@ -923,6 +986,84 @@ fn overloaded(inner: &Inner) -> (ErrorCode, String) {
     )
 }
 
+/// A `query` resolved up to its result-cache lookup: the document
+/// routed, the engine token parsed, one generation pinned and the key
+/// built. A miss carries it on to [`execute`], so a request probes the
+/// cache once, wherever it runs.
+struct Probe {
+    snap: SharedSnapshot,
+    choice: EngineChoice,
+    /// `None`: the request neither consults nor fills the cache.
+    key: Option<ResultKey>,
+}
+
+/// What a probe found.
+enum Probed {
+    /// The stored answer for the pinned generation.
+    Hit(Hit),
+    /// Nothing stored (or the cache is not in play): execute it.
+    Miss(Probe),
+}
+
+/// A result-cache hit: the stored answer and the generation it is for.
+struct Hit {
+    generation: u64,
+    entry: CachedResult,
+}
+
+impl Hit {
+    /// The reply: the stored counts, and the stored node array when the
+    /// request asked for labels.
+    fn reply(self, engine_tok: &str, want_labels: bool) -> Response {
+        let Hit { generation, entry } = self;
+        let nodes = want_labels.then_some(entry.nodes);
+        query_reply(generation, engine_tok, true, entry.count, entry.elements_visited, nodes)
+    }
+}
+
+fn probe(
+    inner: &Inner,
+    db: &str,
+    xpath: &str,
+    engine_tok: &str,
+    use_cache: bool,
+) -> Result<Probed, (ErrorCode, String)> {
+    let (doc, handle) = resolve(inner, db)?;
+    let choice: EngineChoice = engine_tok
+        .parse()
+        .map_err(|e: blas::BlasError| (ErrorCode::BadRequest, e.to_string()))?;
+    let snap = handle.shared_snapshot();
+    let generation = snap.generation();
+    // The key (two string copies) exists only when the cache is in play.
+    let key = use_cache.then(|| ResultKey {
+        scope: doc,
+        key: (xpath.to_string(), engine_tok.to_string()),
+        generation,
+    });
+    if let Some(entry) = key.as_ref().and_then(|key| inner.cache.get(key)) {
+        return Ok(Probed::Hit(Hit { generation, entry }));
+    }
+    Ok(Probed::Miss(Probe { snap, choice, key }))
+}
+
+fn query_reply(
+    generation: u64,
+    engine_tok: &str,
+    cached: bool,
+    count: u64,
+    elements_visited: u64,
+    nodes: Option<Arc<NodesBlob>>,
+) -> Response {
+    Response::Query {
+        generation,
+        engine: engine_tok.to_string(),
+        cached,
+        count,
+        elements_visited,
+        nodes,
+    }
+}
+
 fn query(
     inner: &Inner,
     db: &str,
@@ -932,42 +1073,33 @@ fn query(
     use_cache: bool,
     hold_ms: Option<u64>,
 ) -> MethodResult {
-    let (doc, handle) = resolve(inner, db)?;
-    let choice: EngineChoice = engine_tok
-        .parse()
-        .map_err(|e: blas::BlasError| (ErrorCode::BadRequest, e.to_string()))?;
-    if inner.cfg.debug_hold {
-        if let Some(ms) = hold_ms {
-            std::thread::sleep(Duration::from_millis(ms.min(10_000)));
-        }
+    if let Some(hold) = inner.hold(hold_ms) {
+        std::thread::sleep(hold);
     }
+    match probe(inner, db, xpath, engine_tok, use_cache)? {
+        Probed::Hit(hit) => Ok(hit.reply(engine_tok, want_labels)),
+        Probed::Miss(probe) => execute(inner, probe, xpath, engine_tok, want_labels),
+    }
+}
 
-    let snap = handle.snapshot();
+/// Answer a probed miss from its pinned generation, and store the
+/// answer when the request fills the cache.
+fn execute(
+    inner: &Inner,
+    probe: Probe,
+    xpath: &str,
+    engine_tok: &str,
+    want_labels: bool,
+) -> MethodResult {
+    let Probe { snap, choice, key } = probe;
     let generation = snap.generation();
-    let reply = |cached: bool, count: u64, elements_visited: u64, nodes| Response::Query {
-        generation,
-        engine: engine_tok.to_string(),
-        cached,
-        count,
-        elements_visited,
-        nodes,
-    };
-    if !want_labels && !use_cache {
+    let snap = snap.view();
+    if !want_labels && key.is_none() {
         // Nothing will read the nodes: count them, don't build them.
         let c = snap.count(xpath, choice).map_err(query_error)?;
-        return Ok(reply(false, c.count as u64, c.stats.elements_visited, None));
+        let (count, visited) = (c.count as u64, c.stats.elements_visited);
+        return Ok(query_reply(generation, engine_tok, false, count, visited, None));
     }
-    // The key (two string copies) exists only when the cache is in play.
-    let key = use_cache.then(|| ResultKey {
-        scope: doc,
-        key: (xpath.to_string(), engine_tok.to_string()),
-        generation,
-    });
-    if let Some(hit) = key.as_ref().and_then(|key| inner.cache.get(key)) {
-        let nodes = want_labels.then_some(hit.nodes);
-        return Ok(reply(true, hit.count, hit.elements_visited, nodes));
-    }
-
     let result = snap.query(xpath, choice).map_err(query_error)?;
     let count = result.nodes.len() as u64;
     let elements_visited = result.stats.elements_visited;
@@ -979,7 +1111,8 @@ fn query(
         let entry = CachedResult { count, elements_visited, nodes: Arc::clone(&nodes) };
         inner.cache.lock().insert(key, entry, generation);
     }
-    Ok(reply(false, count, elements_visited, want_labels.then_some(nodes)))
+    let nodes = want_labels.then_some(nodes);
+    Ok(query_reply(generation, engine_tok, false, count, elements_visited, nodes))
 }
 
 fn query_error(e: blas::BlasError) -> (ErrorCode, String) {

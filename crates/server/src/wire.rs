@@ -326,8 +326,7 @@ fn u32_param(params: &Json, key: &str) -> Result<u32, (ErrorCode, String)> {
 /// The binary side always exists. The JSON side is rendered **on first
 /// use** and kept, so a blob that only ever travels the binary wire —
 /// a result-cache entry nobody asked for over JSON, a binary-decoded
-/// reply ([`NodesBlob::from_bin`], the client hot path) — never pays
-/// for text, while every JSON reply after the first replays it as a
+/// reply ([`decode_response`]) — never pays for text, while every JSON reply after the first replays it as a
 /// memcpy. Concurrent first uses race benignly: one render wins and
 /// every caller sees that text. Equality compares the canonical bytes.
 #[derive(Debug, Clone)]
@@ -448,17 +447,25 @@ impl NodesBlob {
 
     /// Decode the binary side back into `(start, end, level)` triples.
     pub fn triples(&self) -> Vec<(u32, u32, u16)> {
-        self.bin
-            .chunks_exact(NODE_BYTES)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                    u16::from_le_bytes([c[8], c[9]]),
-                )
-            })
-            .collect()
+        triples_of(&self.bin)
     }
+}
+
+/// Node labels as `(start, end, level)` triples.
+pub type Triples = Vec<(u32, u32, u16)>;
+
+/// Canonical binary node records as triples, in one pre-sized pass.
+fn triples_of(records: &[u8]) -> Triples {
+    records
+        .chunks_exact(NODE_BYTES)
+        .map(|c| {
+            (
+                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+                u16::from_le_bytes([c[8], c[9]]),
+            )
+        })
+        .collect()
 }
 
 /// One response, independent of the wire encoding.
@@ -780,9 +787,22 @@ pub fn decode_request_body(b: &[u8]) -> Result<Request, WireError> {
 // --- response codec --------------------------------------------------
 
 /// Encode one response frame payload. Infallible: every [`Response`]
-/// has a binary form, and a cached hit's node array is appended with
-/// one memcpy from the blob.
+/// has a binary form, and a query reply's node array is appended with
+/// one memcpy from its blob.
 pub fn encode_response(stream_id: u64, resp: &Response, out: &mut Vec<u8>) {
+    let tail = encode_response_head(stream_id, resp, out);
+    out.extend_from_slice(tail);
+}
+
+/// [`encode_response`] up to a query reply's node array: everything in
+/// front of it goes into `out`, and the records that follow it on the
+/// wire come back as they lie in the blob (empty for any other reply),
+/// so a cached reply can be sent without copying them.
+pub(crate) fn encode_response_head<'r>(
+    stream_id: u64,
+    resp: &'r Response,
+    out: &mut Vec<u8>,
+) -> &'r [u8] {
     put_varint(out, stream_id);
     match resp {
         Response::Query { generation, engine, cached, count, elements_visited, nodes } => {
@@ -803,7 +823,7 @@ pub fn encode_response(stream_id: u64, resp: &Response, out: &mut Vec<u8>) {
             put_varint(out, *count);
             put_varint(out, *elements_visited);
             if let Some(blob) = nodes {
-                out.extend_from_slice(blob.bin());
+                return blob.bin();
             }
         }
         Response::Generation { generation } => {
@@ -820,15 +840,39 @@ pub fn encode_response(stream_id: u64, resp: &Response, out: &mut Vec<u8>) {
             put_str(out, message);
         }
     }
+    &[]
 }
 
 /// Decode one response frame payload into its stream id and response.
 /// Total over arbitrary bytes.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
+    let (sid, mut resp, records) = decode_response_parts(payload)?;
+    if let (Response::Query { nodes, .. }, Some(records)) = (&mut resp, records) {
+        *nodes = Some(Arc::new(NodesBlob::from_bin(records.to_vec())));
+    }
+    Ok((sid, resp))
+}
+
+/// [`decode_response`] for a caller that wants a query reply's labels
+/// as `(start, end, level)` triples: they are read straight from the
+/// frame's records, with no [`NodesBlob`] in between. The
+/// [`Response::Query`] comes back with `nodes: None`, and the triples
+/// beside it — empty when the reply carries no labels, or is not a
+/// query reply.
+pub fn decode_response_triples(payload: &[u8]) -> Result<(u64, Response, Triples), WireError> {
+    let (sid, resp, records) = decode_response_parts(payload)?;
+    Ok((sid, resp, records.map(triples_of).unwrap_or_default()))
+}
+
+/// Decode a response payload, leaving a query reply's node records in
+/// the frame: the response (its `nodes` unset) and the records, when
+/// the reply carries them.
+fn decode_response_parts(payload: &[u8]) -> Result<(u64, Response, Option<&[u8]>), WireError> {
     let mut pos = 0;
     let sid = get_varint(payload, &mut pos)?;
     let b = payload;
     let op = get_u8(b, &mut pos)?;
+    let mut records = None;
     let resp = match op {
         OP_QUERY_OK => {
             let generation = get_u64_le(b, &mut pos)?;
@@ -839,25 +883,22 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
             }
             let count = get_varint(b, &mut pos)?;
             let elements_visited = get_varint(b, &mut pos)?;
-            let nodes = if flags & RF_NODES != 0 {
+            if flags & RF_NODES != 0 {
                 let want = usize::try_from(count)
                     .ok()
                     .and_then(|c| c.checked_mul(NODE_BYTES))
                     .filter(|&w| pos.checked_add(w).is_some_and(|e| e <= b.len()))
                     .ok_or_else(|| WireError::new("truncated node array"))?;
-                let blob = NodesBlob::from_bin(b[pos..pos + want].to_vec());
+                records = Some(&b[pos..pos + want]);
                 pos += want;
-                Some(Arc::new(blob))
-            } else {
-                None
-            };
+            }
             Response::Query {
                 generation,
                 engine,
                 cached: flags & RF_CACHED != 0,
                 count,
                 elements_visited,
-                nodes,
+                nodes: None,
             }
         }
         OP_GENERATION_OK => Response::Generation { generation: get_u64_le(b, &mut pos)? },
@@ -875,7 +916,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
         other => return Err(WireError::new(format!("unknown response opcode {other:#04x}"))),
     };
     check_consumed(b, pos)?;
-    Ok((sid, resp))
+    Ok((sid, resp, records))
 }
 
 /// Decode one JSON-protocol response to a `query` request into its

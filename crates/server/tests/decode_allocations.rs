@@ -1,11 +1,14 @@
-//! Clock-free pin on the JSON client's `query` reply decoder: reading a
+//! Clock-free pins on the clients' `query` reply decoders: reading a
 //! 10 858-label reply into D-label triples allocates a fixed handful of
-//! times, never per label, and a hostile `count` allocates no more than
-//! the frame could hold. A test binary of its own, because it installs
-//! a counting global allocator.
+//! times, never per label, on either wire — the binary one without a
+//! copy of the node records — and a hostile `count` allocates no more
+//! than the frame could hold. A test binary of its own, because it
+//! installs a counting global allocator.
 
 use blas_server::json;
-use blas_server::wire::{decode_json_query_response, NodesBlob};
+use blas_server::wire::{
+    decode_json_query_response, decode_response_triples, encode_response, NodesBlob,
+};
 use blas_server::{Json, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,6 +97,34 @@ fn a_query_reply_decodes_in_a_fixed_number_of_allocations() {
         tree_allocations >= 2 * LABELS as usize,
         "the tree decode made only {tree_allocations} allocations"
     );
+}
+
+#[test]
+fn a_binary_query_reply_decodes_straight_to_triples() {
+    let triples: Vec<(u32, u32, u16)> =
+        (0..LABELS).map(|i| (3 * i + 1, 3 * i + 2, (i % 12) as u16 + 1)).collect();
+    let mut sent = Response::Query {
+        generation: 1,
+        engine: "twigstack".into(),
+        cached: true,
+        count: LABELS.into(),
+        elements_visited: 123_456,
+        nodes: Some(Arc::new(NodesBlob::encode(triples.iter().copied()))),
+    };
+    let mut frame = Vec::new();
+    encode_response(42, &sent, &mut frame);
+
+    // What `MuxClient::query` does with the frame: the engine token and
+    // the triples are the only allocations — no blob, no copy of the
+    // 10-byte records.
+    let (decoded, (allocations, bytes)) = counted(|| decode_response_triples(&frame).unwrap());
+    assert_eq!(allocations, 2, "decoding {LABELS} labels made {allocations} allocations");
+    let triple_bytes = LABELS as usize * std::mem::size_of::<(u32, u32, u16)>();
+    assert!(bytes < triple_bytes + 64, "{bytes} bytes allocated for {triple_bytes} of triples");
+    if let Response::Query { nodes, .. } = &mut sent {
+        *nodes = None;
+    }
+    assert_eq!(decoded, (42, sent, triples));
 }
 
 #[test]

@@ -254,6 +254,38 @@ fn streams_complete_out_of_order_on_one_socket() {
     server.shutdown();
 }
 
+/// Head of line: a cached hit is answered by the connection's own
+/// thread, so it never waits behind a slow stream on the same socket —
+/// and the held call, reading for both, hands the hit its reply.
+#[test]
+fn a_cached_hit_returns_while_a_held_stream_is_in_flight() {
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { debug_hold: true, ..Default::default() },
+    )
+    .unwrap();
+    let mux = MuxClient::connect(server.local_addr(), Some(Duration::from_secs(30))).unwrap();
+    assert!(!mux.query("//n", "auto").unwrap().cached, "the first ask stores the entry");
+
+    let held = mux.clone();
+    std::thread::scope(|s| {
+        let started = Instant::now();
+        let slow = s.spawn(move || held.query_hold("//n", "auto", 600));
+        // Give the held stream time to be admitted first.
+        std::thread::sleep(Duration::from_millis(100));
+        let hit = mux.query("//n", "auto").expect("the hit answers");
+        let answered = started.elapsed();
+        assert_eq!((hit.cached, hit.count), (true, 2));
+        assert!(!slow.is_finished(), "the held stream must still be in flight");
+        assert!(answered < Duration::from_millis(600), "the hit waited {answered:?}");
+        assert_eq!(slow.join().unwrap().expect("the held stream answers").count, 2);
+    });
+    let stats = server.shutdown();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+}
+
 /// Admission control is per stream: with one in-flight slot held, a
 /// second stream on the same socket is rejected with a typed
 /// `overloaded` on *its* stream id — the connection survives, and

@@ -1,11 +1,13 @@
 //! The server's thread budget, counted from `/proc/self/task`: one
 //! acceptor, one thread per live connection, and — once a binary stream
-//! has run — the served document's request pool of
+//! has missed the result cache — the served document's request pool of
 //! `available_parallelism` workers (at least two). A query runs start
 //! to finish on the thread that asks for it, so neither an in-process
 //! query nor a JSON one ever starts a pool thread, however wide its
-//! scan. Nothing is sized by a configuration bound, and nothing is left
-//! behind by a closed connection.
+//! scan, and a binary cache hit is answered on its connection's thread.
+//! The multiplexed client has no thread of its own. Nothing is sized by
+//! a configuration bound, and nothing is left behind by a closed
+//! connection.
 //!
 //! A test binary of its own (and a single test) so no other test's
 //! server can add threads to the count.
@@ -78,6 +80,13 @@ fn server_threads_are_one_per_live_connection_plus_one_pool() {
     let mux = MuxClient::connect(addr, Some(Duration::from_secs(10))).unwrap();
     assert_eq!(mux.query("/db/n", "auto").unwrap().count, WIDE);
     assert_eq!(db.pool().jobs_submitted(), 1, "one binary request, one pool task");
+    // Repeated, it is a result-cache hit: the connection's own thread
+    // answers it, and nothing reaches the pool.
+    let hit = mux.query("/db/n", "auto").unwrap();
+    assert_eq!((hit.cached, hit.count), (true, WIDE));
+    assert_eq!(db.pool().jobs_submitted(), 1, "a cache hit submitted a pool job");
+    // The multiplexed client reads its replies on the calling thread.
+    assert_eq!(threads_named(&["blas-mux-read"]), 0, "a client reader thread is running");
     let budget = |open: usize| 1 + open + workers;
     let open = server_threads();
     assert_eq!(open, budget(2), "acceptor + two connections + {workers} pool workers");
