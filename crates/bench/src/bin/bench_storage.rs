@@ -116,7 +116,7 @@ fn main() {
     let xml = blas_datagen::auction(scale, 42);
     let db = BlasDb::load(&xml).expect("generator output is well-formed");
     let store = db.store();
-    let tags = db.document().tags();
+    let tags = db.tags();
     let domain = db.domain();
     eprintln!(
         "[bench_storage] {} nodes, {} source-path runs, {} tag runs, SP B+ tree height {}",

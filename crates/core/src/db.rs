@@ -4,7 +4,8 @@
 //! A [`BlasDb`] comes into existence three ways, with very different
 //! cold-start costs:
 //!
-//! * [`BlasDb::load`] — parse, label and index XML text (O(document));
+//! * [`BlasDb::load`] — parse, label and index XML text in one pass of
+//!   SAX events, with no tree (O(document));
 //! * [`BlasDb::from_snapshot`] — fully decode a snapshot into owned
 //!   columns (O(data), but no parsing or relabeling);
 //! * [`BlasDb::open_mapped`] — **memory-map a snapshot file and query
@@ -14,10 +15,11 @@
 //! clustered scans, and nothing on the query path ever needs a tree:
 //! the path summary the Unfold translator asks for is read off each
 //! generation's **SP run directory** (a P-label *is* a source path, so
-//! the distinct live P-labels are the document's path summary). The
-//! document tree and the per-node label vectors survive only as
-//! explicit generation-0 accessors ([`BlasDb::document`],
-//! [`BlasDb::labels`], [`BlasDb::stats`]), built on first call.
+//! the distinct live P-labels are the document's path summary). A
+//! database holds its columns and nothing else; the document tree and
+//! the per-node label vectors survive only as explicit generation-0
+//! accessors ([`BlasDb::document`], [`BlasDb::labels`]), rebuilt from
+//! the columns on first call.
 //!
 //! A database is **mutable** after open: [`BlasDb::insert_subtree`],
 //! [`BlasDb::delete`] and [`BlasDb::retag`] record edits in a delta
@@ -37,13 +39,15 @@ use blas_engine::{
     estimate_plan, exec, lower_plan, lower_plan_costed, lower_twig, lower_twigstack,
     order_twig_joins, CostModel, ExecStats, PhysOp, PhysPlan, PoolHandle, TwigQuery,
 };
-use blas_labeling::{label_document, DLabel, DocumentLabels, PLabelDomain};
-use blas_storage::{DeltaEdits, DeltaStore, MappedBytes, NodeRecord, NodeStore};
+use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
+use blas_storage::{
+    DeltaEdits, DeltaStore, IndexBuilder, MappedBytes, NodeRecord, NodeStore, RecordView,
+};
 use blas_translate::{
     bind, render_algebra, render_sql, translate_dlabeling, translate_pushup, translate_split,
     translate_unfold, BoundPlan, Plan,
 };
-use blas_xml::{DocStats, Document, NodeId, SchemaGraph, TagId, TagInterner};
+use blas_xml::{DocStats, Document, ElementSink, NodeId, SchemaGraph, TagId, TagInterner};
 use blas_xpath::QueryTree;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -472,8 +476,9 @@ impl SharedSnapshot {
 /// A loaded, labeled, indexed XML document — the unit of querying.
 ///
 /// Only the clustered store, the tag table and the P-label domain are
-/// materialized eagerly (which is what lets [`BlasDb::open_mapped`]
-/// return in O(1)); queries need nothing else.
+/// held eagerly, however the database was made (which is also what
+/// lets [`BlasDb::open_mapped`] return in O(1)); queries need nothing
+/// else.
 #[derive(Debug)]
 pub struct BlasDb {
     tags: TagInterner,
@@ -483,9 +488,9 @@ pub struct BlasDb {
     /// ([`BlasDb::store`], [`BlasDb::document`], [`BlasDb::labels`],
     /// [`BlasDb::schema`]) have a stable address to borrow from.
     base: Arc<DbGen>,
-    /// Generation 0's document tree: set at load, otherwise rebuilt
-    /// from the columns by the first [`BlasDb::document`] call. No
-    /// query, plan or mutation reads it.
+    /// Generation 0's document tree, rebuilt from the columns by the
+    /// first [`BlasDb::document`] call. No query, plan or mutation
+    /// reads it.
     base_doc: OnceLock<Document>,
     /// Generation 0's per-node label vectors ([`BlasDb::labels`]).
     base_labels: OnceLock<DocumentLabels>,
@@ -547,39 +552,57 @@ impl Drop for HeapTrim {
 
 impl BlasDb {
     /// Parse, label and index an XML document (the index generator of
-    /// Fig. 6).
+    /// Fig. 6): one pass of parse events into the columns, with no
+    /// document tree. The events and errors are [`Document::parse`]'s.
     pub fn load(xml: &str) -> Result<Self, BlasError> {
-        Self::from_document(Document::parse(xml)?)
+        // Every element has a `<` and every attribute an `=`; each takes
+        // at least four bytes.
+        let marks = xml.bytes().filter(|&b| b == b'<' || b == b'=').count();
+        let rows = marks.min(xml.len() / 4);
+        let mut builder = IndexBuilder::with_capacity(TagInterner::new(), rows);
+        blas_xml::feed(xml, &mut builder)?;
+        Self::from_builder(builder)
     }
 
-    /// Build from an already parsed document.
+    /// Build from an already parsed document: a walk of the tree
+    /// through the same index generator as [`BlasDb::load`]. The tree
+    /// is dropped as soon as it has been walked.
     pub fn from_document(doc: Document) -> Result<Self, BlasError> {
-        let labels = label_document(&doc)?;
-        let store = NodeStore::build(&doc, &labels);
-        let tags = doc.tags().clone();
-        let domain = labels.domain;
-        let db = Self::assemble(store, tags, domain);
-        let _ = db.base_doc.set(doc);
-        let _ = db.base_labels.set(labels);
-        Ok(db)
+        let mut builder = IndexBuilder::with_capacity(doc.tags().clone(), doc.len());
+        let mut open: Vec<NodeId> = Vec::new();
+        for id in doc.dfs() {
+            let node = doc.node(id);
+            while open.last().is_some_and(|&p| Some(p) != node.parent) {
+                open.pop();
+                builder.close();
+            }
+            builder.open_tag(node.tag);
+            if let Some(text) = &node.text {
+                builder.text(text);
+            }
+            open.push(id);
+        }
+        drop(doc);
+        Self::from_builder(builder)
+    }
+
+    fn from_builder(builder: IndexBuilder) -> Result<Self, BlasError> {
+        let (store, tags, domain) = builder.finish()?;
+        Ok(Self::assemble(store, tags, domain))
     }
 
     /// Rebuild a queryable database from [`BlasDb::to_snapshot`] bytes:
-    /// the **fully decoding** path. Every byte is checksum-verified and
-    /// every record validated, columns are rebuilt in owned memory, and
-    /// the document tree is reconstructed eagerly — O(data), the cost
-    /// [`BlasDb::open_mapped`] exists to avoid.
+    /// the **fully decoding** path. Every byte is checksum-verified,
+    /// every record validated and the labels checked to nest as one
+    /// tree, and columns are rebuilt in owned memory — O(data), the
+    /// cost [`BlasDb::open_mapped`] exists to avoid.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, BlasError> {
         let snap = blas_storage::snapshot::decode(bytes)
             .map_err(|e| BlasError::Snapshot(e.to_string()))?;
         let (tags, domain) = tags_and_domain(&snap.tag_names, snap.num_tags, snap.digits)?;
         let store = NodeStore::from_records(snap.records);
-        let db = Self::assemble(store, tags, domain);
-        // Materialize (and thereby validate) the tree now, preserving
-        // this path's historical load-time strictness.
-        let doc = document_from_store(&db.base.store, &db.tags)?;
-        let _ = db.base_doc.set(doc);
-        Ok(db)
+        walk_tree(&store, |_| {})?;
+        Ok(Self::assemble(store, tags, domain))
     }
 
     /// Open a snapshot **file** and query it in place: the columns,
@@ -985,11 +1008,16 @@ impl BlasDb {
     }
 
     /// Dataset statistics (the Fig. 12 row for this document **as of
-    /// generation 0**), given the serialized size. Goes through
-    /// [`BlasDb::document`], so on a mapped database the first call
-    /// rebuilds the tree.
+    /// generation 0**), given the serialized size: read off the columns
+    /// (the row count, the tag table and the P-label domain's depth),
+    /// with no tree built.
     pub fn stats(&self, bytes: usize) -> DocStats {
-        DocStats::new(self.document(), bytes)
+        DocStats {
+            bytes,
+            nodes: self.base.store.len(),
+            tags: self.tags.len(),
+            depth: (self.domain.digits() - 1) as u16,
+        }
     }
 
     /// The document's tag table (name ↔ [`blas_xml::TagId`]), available
@@ -999,19 +1027,19 @@ impl BlasDb {
     }
 
     /// The parsed document **as of generation 0** (the state at open).
-    /// A database built by [`BlasDb::load`] / [`BlasDb::from_document`]
-    /// / [`BlasDb::from_snapshot`] already holds it; a mapped one
-    /// **rebuilds it from the stored D-labels on the first call**
-    /// (tuples in start order nest by their intervals; O(nodes)) and
-    /// keeps it. This is an explicit accessor for inspection and
-    /// statistics: no query, plan, explain or mutation ever calls it,
-    /// and mutations do not change what it returns — pin a generation
-    /// with [`BlasDb::snapshot`] for post-edit state.
+    /// No database holds it: the first call **rebuilds it from the
+    /// stored D-labels** (tuples in start order nest by their
+    /// intervals; O(nodes)) and keeps it for the database's lifetime,
+    /// roughly doubling what the database holds. This is an explicit
+    /// accessor for inspection and tests: no query, plan, explain,
+    /// statistic or mutation ever calls it, and mutations do not change
+    /// what it returns — pin a generation with [`BlasDb::snapshot`] for
+    /// post-edit state.
     ///
     /// # Panics
     ///
-    /// If a mapped snapshot that escaped full-checksum verification
-    /// encodes an inconsistent tree. [`BlasDb::from_snapshot`] and
+    /// If a mapped snapshot that escaped full verification encodes an
+    /// inconsistent tree. [`BlasDb::from_snapshot`] and
     /// [`blas_storage::snapshot::verify_checksum`] both reject such
     /// inputs with typed errors instead.
     pub fn document(&self) -> &Document {
@@ -1022,10 +1050,10 @@ impl BlasDb {
     }
 
     /// The bi-labeling of every node **as of generation 0**, indexed
-    /// by `NodeId`: the label vectors computed at load, or — for a
-    /// snapshot-born database — decoded from the generation-0 columns
-    /// on the first call (node ids are assigned in document order,
-    /// which is row order). Like [`BlasDb::document`], an explicit
+    /// by `NodeId`: decoded from the generation-0 columns by the first
+    /// call (node ids are assigned in document order, which is row
+    /// order), which keeps the vectors (28 bytes a node) for the
+    /// database's lifetime. Like [`BlasDb::document`], an explicit
     /// accessor nothing on the query or mutation path reads.
     pub fn labels(&self) -> &DocumentLabels {
         self.base_labels.get_or_init(|| DocumentLabels {
@@ -1486,29 +1514,56 @@ fn tags_and_domain(
     Ok((tags, PLabelDomain::with_digits(num_tags as usize, digits)?))
 }
 
-/// Rebuild the document tree from a store's columns: records are in
-/// start (pre-)order; a tuple is a child of the nearest open interval
-/// containing it.
+/// Walk a store's labels, in start order, as one tree — one root at
+/// level 1, every other node strictly inside the nearest open interval
+/// and one level below it — calling `visit(Some(node))` as a node opens
+/// and `visit(None)` as one closes. One stack pass.
+fn walk_tree<'a>(
+    store: &'a NodeStore,
+    mut visit: impl FnMut(Option<RecordView<'a>>),
+) -> Result<(), BlasError> {
+    let inconsistent = |e| Err(BlasError::Snapshot(format!("inconsistent snapshot tree: {e}")));
+    let mut open: Vec<DLabel> = Vec::new();
+    for (i, (_, r)) in store.scan_all().enumerate() {
+        let node = r.dlabel();
+        while open.last().is_some_and(|p| p.end < node.start) {
+            open.pop();
+            visit(None);
+        }
+        let nested = match open.last() {
+            None if i > 0 => return inconsistent("multiple roots"),
+            None => node.level == 1,
+            Some(p) => {
+                p.start < node.start
+                    && node.end < p.end
+                    && p.level.checked_add(1) == Some(node.level)
+            }
+        };
+        if !nested || node.start > node.end {
+            return inconsistent("a node does not nest one level inside its parent");
+        }
+        open.push(node);
+        visit(Some(r));
+    }
+    open.iter().for_each(|_| visit(None));
+    match open.is_empty() {
+        true => inconsistent("no root element"),
+        false => Ok(()),
+    }
+}
+
+/// Rebuild the document tree from a store's columns.
 fn document_from_store(store: &NodeStore, tags: &TagInterner) -> Result<Document, BlasError> {
     let mut builder = blas_xml::DocumentBuilder::new();
-    let mut open: Vec<u32> = Vec::new(); // end positions of open nodes
-    for (_, r) in store.scan_all() {
-        while open.last().is_some_and(|&end| end < r.start) {
-            builder.close();
-            open.pop();
+    walk_tree(store, |node| match node {
+        Some(r) => {
+            builder.open(tags.name(r.tag));
+            if let Some(d) = r.data {
+                builder.text(d);
+            }
         }
-        builder.open(tags.name(r.tag));
-        if let Some(d) = r.data {
-            builder.text(d);
-        }
-        open.push(r.end);
-    }
-    for _ in open {
-        builder.close();
-    }
-    let doc = builder
-        .finish()
-        .map_err(|e| BlasError::Snapshot(format!("inconsistent snapshot tree: {e}")))?;
+        None => builder.close(),
+    })?;
     // The rebuilt interner assigns TagIds in first-appearance order,
     // which mutations can legitimately shuffle relative to the
     // fixed-at-load table (a delete or retag can remove a tag's first
@@ -1516,7 +1571,7 @@ fn document_from_store(store: &NodeStore, tags: &TagInterner) -> Result<Document
     // mixes the two id spaces: the path summary is name-based and
     // labels always come from the store columns, while record tag ids
     // are range-checked against the table when a snapshot decodes.
-    Ok(doc)
+    builder.finish().map_err(|e| BlasError::Snapshot(format!("inconsistent snapshot tree: {e}")))
 }
 
 #[cfg(test)]

@@ -55,6 +55,6 @@ pub mod snapshot;
 pub use bptree::BPlusTree;
 pub use delta::{decode_edits, encode_edits, DeltaEdits, DeltaError, DeltaStore};
 pub use mapped::MappedBytes;
-pub use relation::{NodeRecord, NodeStore, RecordView, RowId, Run, NO_VALUE};
+pub use relation::{IndexBuilder, NodeRecord, NodeStore, RecordView, RowId, Run, NO_VALUE};
 pub use scan::{PackedRun, ScanFilter, ScanRun};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotMeta};

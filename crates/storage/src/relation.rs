@@ -44,8 +44,8 @@
 //! # Column sources: owned, mapped-raw, mapped-packed
 //!
 //! Every column is served from one of three sources. The in-memory
-//! build paths ([`NodeStore::build`] / [`NodeStore::from_records`])
-//! own plain `Vec`s. A mapped snapshot ([`NodeStore::from_mapped`])
+//! build paths ([`IndexBuilder`] / [`NodeStore::from_records`]) own
+//! plain `Vec`s. A mapped snapshot ([`NodeStore::from_mapped`])
 //! borrows extents of the read-only file mapping — raw little-endian
 //! slices for a v2 file, or the **packed encodings** of a v3 file
 //! ([`crate::packed`]): D-label columns as three FOR planes, tags
@@ -79,8 +79,8 @@ use crate::mapped::MappedBytes;
 use crate::packed::{BitpackCol, LabelPlanesCol, PlaneCol};
 use crate::scan::{PackedRun, ScanRun};
 use crate::snapshot::{self, SnapshotError, SnapshotMeta};
-use blas_labeling::{DLabel, DocumentLabels, PInterval, PLabelDomain};
-use blas_xml::{Document, TagId};
+use blas_labeling::{DLabel, DocumentLabels, LabelError, PInterval, PLabelDomain};
+use blas_xml::{Document, ElementSink, TagId, TagInterner};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
@@ -674,8 +674,8 @@ pub struct StoreCols {
 
 /// The columnar, doubly clustered store for one labeled document.
 ///
-/// Built three ways: from a parsed document ([`NodeStore::build`]),
-/// from owned records ([`NodeStore::from_records`]), or directly over
+/// Built three ways: by the index generator ([`IndexBuilder`]), from
+/// owned records ([`NodeStore::from_records`]), or directly over
 /// a read-only snapshot mapping ([`NodeStore::from_mapped`]) — the
 /// zero-decode path, which serves v3 files through their packed
 /// column encodings. Scans behave identically across all of them.
@@ -726,8 +726,8 @@ struct MappedCols {
 }
 
 impl NodeStore {
-    /// Build the store from a parsed document and its labels (the
-    /// index-generator output of Fig. 6).
+    /// Build the store from a parsed document and its labels: the
+    /// reference [`IndexBuilder`] is tested against.
     pub fn build(doc: &Document, labels: &DocumentLabels) -> Self {
         let mut order: Vec<u32> = (0..doc.len() as u32).collect();
         order.sort_unstable_by_key(|&i| labels.dlabels[i as usize].start);
@@ -745,14 +745,13 @@ impl NodeStore {
     }
 
     /// Build from pre-labeled records (tests, generators, snapshot
-    /// restore). Consumes the records; data strings are interned, not
-    /// cloned.
+    /// restore). Consumes the records; data strings are interned.
     pub fn from_records(mut records: Vec<NodeRecord>) -> Self {
         records.sort_unstable_by_key(|r| r.start);
         let mut columns = Columns::with_capacity(records.len());
         for r in records {
             let d = DLabel { start: r.start, end: r.end, level: r.level };
-            columns.push_owned(r.plabel, d, r.tag, r.data);
+            columns.push(r.plabel, d, r.tag, r.data.as_deref());
         }
         columns.into_store()
     }
@@ -1713,6 +1712,7 @@ fn cluster<K: Copy + Ord + std::hash::Hash>(keys: &[K]) -> (Vec<u32>, Vec<K>, Ve
 }
 
 /// Column accumulator shared by the construction paths.
+#[derive(Default)]
 struct Columns {
     labels: Vec<DLabel>,
     plabels: Vec<u128>,
@@ -1729,48 +1729,36 @@ impl Columns {
             plabels: Vec::with_capacity(n),
             tags: Vec::with_capacity(n),
             value_ids: Vec::with_capacity(n),
-            values: Vec::new(),
-            intern: BTreeMap::new(),
+            ..Self::default()
         }
     }
 
     fn push(&mut self, plabel: u128, label: DLabel, tag: TagId, data: Option<&str>) {
-        // Look up by `&str` first so duplicate occurrences (the common
-        // case interning exists for) allocate nothing.
-        let value_id = match data {
-            None => NO_VALUE,
-            Some(s) => match self.intern.get(s) {
-                Some(&id) => id,
-                None => self.intern_new(s.to_string()),
-            },
-        };
+        let value_id = data.map_or(NO_VALUE, |s| self.intern(s));
         self.push_columns(plabel, label, tag, value_id);
     }
 
-    fn push_owned(&mut self, plabel: u128, label: DLabel, tag: TagId, data: Option<String>) {
-        let value_id = match data {
-            None => NO_VALUE,
-            Some(s) => match self.intern.get(&s) {
-                Some(&id) => id,
-                None => self.intern_new(s),
-            },
-        };
-        self.push_columns(plabel, label, tag, value_id);
+    /// The value id of `s`. Looks up by `&str` first so duplicate
+    /// occurrences (the common case interning exists for) allocate
+    /// nothing.
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.intern.get(s) {
+            return id;
+        }
+        let id = self.values.len() as u32;
+        self.intern.insert(s.to_string(), id);
+        self.values.push(s.to_string());
+        id
     }
 
     /// Finish a store whose strings went through `intern`: the map
     /// iterates in string order, which is exactly the sorted-value-id
-    /// column the binary-search lookup needs.
-    fn into_store(self) -> NodeStore {
-        let value_sorted = self.intern.values().copied().collect();
+    /// column the binary-search lookup needs. The map's second copy of
+    /// every string is freed before the clusterings are built.
+    fn into_store(mut self) -> NodeStore {
+        self.values.shrink_to_fit();
+        let value_sorted = std::mem::take(&mut self.intern).into_values().collect();
         NodeStore::from_columns(self, value_sorted)
-    }
-
-    fn intern_new(&mut self, s: String) -> u32 {
-        let id = self.values.len() as u32;
-        self.intern.insert(s.clone(), id);
-        self.values.push(s);
-        id
     }
 
     fn push_columns(&mut self, plabel: u128, label: DLabel, tag: TagId, value_id: u32) {
@@ -1778,6 +1766,163 @@ impl Columns {
         self.plabels.push(plabel);
         self.tags.push(tag.0);
         self.value_ids.push(value_id);
+    }
+}
+
+/// The index generator of Fig. 6: element events in, a [`NodeStore`]
+/// with its tag table and P-label domain out, with no document tree in
+/// between. `BlasDb::load` feeds it parse events ([`blas_xml::feed`])
+/// and `from_document` a tree walk, a balanced sequence with one root.
+///
+/// Rows are appended at `open`, which is start order, so nothing is
+/// sorted. Each row's source path is interned in a trie, and one
+/// P-label is computed per distinct path once the domain is known. A
+/// node's text unit sits right after its start tag even when the text
+/// arrives after a child (`<p><b/>tail</p>`), so D-labels are assigned
+/// only in [`IndexBuilder::finish`], in one pass over the rows.
+pub struct IndexBuilder {
+    tags: TagInterner,
+    /// The row columns. Until `finish`, a row's `plabels` slot holds
+    /// its path's index in `paths` and its label only its level.
+    columns: Columns,
+    /// The path trie as `(parent path, tag)` per distinct source path;
+    /// path 0 is the empty path above the root.
+    paths: Vec<(u32, u32)>,
+    path_ids: HashMap<(u32, u32), u32>,
+    /// `(row, path, whether any text arrived)` per open element,
+    /// outermost first. Even an empty text takes a D-label unit.
+    open: Vec<(u32, u32, bool)>,
+    /// The text gathered for each open element, by depth; the buffers
+    /// are reused from element to element.
+    texts: Vec<String>,
+    depth: usize,
+}
+
+impl IndexBuilder {
+    /// A builder whose tag table starts as `tags` (ids are kept), with
+    /// room for `rows` rows. Pass an upper bound: columns grown by
+    /// doubling move glibc's dynamic mmap threshold so that server
+    /// threads later keep their freed heap (+15–120 % `rss_mb` on the
+    /// benchmark's mapped workloads); `finish` trims the slack.
+    pub fn with_capacity(tags: TagInterner, rows: usize) -> Self {
+        Self {
+            tags,
+            columns: Columns::with_capacity(rows),
+            paths: vec![(0, 0)],
+            path_ids: HashMap::new(),
+            open: Vec::new(),
+            texts: Vec::new(),
+            depth: 0,
+        }
+    }
+
+    /// Open an element (or `@name` attribute node) of tag `tag` under
+    /// the innermost open one.
+    pub fn open_tag(&mut self, tag: TagId) {
+        let parent = self.open.last().map_or(0, |&(_, path, _)| path);
+        let fresh = self.paths.len() as u32;
+        let path = *self.path_ids.entry((parent, tag.0)).or_insert(fresh);
+        if path == fresh {
+            self.paths.push((parent, tag.0));
+        }
+        let row = self.columns.labels.len() as u32;
+        let level = self.open.len() + 1;
+        self.depth = self.depth.max(level);
+        let label = DLabel { start: 0, end: 0, level: level as u16 };
+        self.columns.push_columns(u128::from(path), label, tag, NO_VALUE);
+        self.open.push((row, path, false));
+        if self.texts.len() < level {
+            self.texts.push(String::new());
+        }
+        self.texts[level - 1].clear();
+    }
+
+    /// Finish the store: size the P-label domain from the tag count and
+    /// the depth (as [`PLabelDomain::for_document`]), label each
+    /// distinct path, then one pass over the rows assigns D-labels,
+    /// P-labels and value ids in first-occurrence order, so the store
+    /// equals [`NodeStore::build`]'s for the same document.
+    pub fn finish(mut self) -> Result<(NodeStore, TagInterner, PLabelDomain), LabelError> {
+        while !self.open.is_empty() {
+            self.close();
+        }
+        let domain = PLabelDomain::with_digits(self.tags.len(), self.depth as u32 + 1)?;
+        // `plabel(child) = (tag+1)·base^(H−1) + plabel(parent)/base`;
+        // a trie node always comes after its parent.
+        let top = domain.m() / domain.base();
+        let mut path_plabels = vec![0u128; self.paths.len()];
+        for (i, &(parent, tag)) in self.paths.iter().enumerate().skip(1) {
+            let parent = path_plabels[parent as usize];
+            path_plabels[i] = u128::from(tag + 1) * top + parent / domain.base();
+        }
+        let Columns { labels, plabels, tags, value_ids, values, intern } = &mut self.columns;
+        // The store keeps these columns as they are: no growth slack.
+        labels.shrink_to_fit();
+        plabels.shrink_to_fit();
+        tags.shrink_to_fit();
+        value_ids.shrink_to_fit();
+        // Values were interned in close order; the reference numbers
+        // them by first row.
+        let mut renumber = vec![NO_VALUE; values.len()];
+        let mut next_value = 0;
+        let mut pos = 0u32;
+        let mut ancestors: Vec<usize> = Vec::with_capacity(self.depth);
+        for row in 0..labels.len() {
+            while ancestors.len() >= usize::from(labels[row].level) {
+                let done = ancestors.pop().expect("an open ancestor");
+                labels[done].end = pos;
+                pos += 1;
+            }
+            labels[row].start = pos;
+            pos += 1;
+            let vid = &mut value_ids[row];
+            if *vid != NO_VALUE {
+                pos += 1;
+                let new = &mut renumber[*vid as usize];
+                if *new == NO_VALUE {
+                    *new = next_value;
+                    next_value += 1;
+                }
+                *vid = *new;
+            }
+            plabels[row] = path_plabels[plabels[row] as usize];
+            ancestors.push(row);
+        }
+        while let Some(done) = ancestors.pop() {
+            labels[done].end = pos;
+            pos += 1;
+        }
+        let mut renumbered = vec![String::new(); values.len()];
+        for (old, value) in values.drain(..).enumerate() {
+            renumbered[renumber[old] as usize] = value;
+        }
+        *values = renumbered;
+        for id in intern.values_mut() {
+            *id = renumber[*id as usize];
+        }
+        Ok((self.columns.into_store(), self.tags, domain))
+    }
+}
+
+impl ElementSink for IndexBuilder {
+    fn open(&mut self, name: &str) {
+        let tag = self.tags.intern(name);
+        self.open_tag(tag);
+    }
+
+    fn text(&mut self, text: &str) {
+        if let Some((_, _, has_text)) = self.open.last_mut() {
+            *has_text = true;
+            self.texts[self.open.len() - 1].push_str(text);
+        }
+    }
+
+    /// Interns the element's text.
+    fn close(&mut self) {
+        if let Some((row, _, true)) = self.open.pop() {
+            let id = self.columns.intern(&self.texts[self.open.len()]);
+            self.columns.value_ids[row as usize] = id;
+        }
     }
 }
 

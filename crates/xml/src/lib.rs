@@ -30,7 +30,7 @@ pub mod stats;
 pub mod tree;
 
 pub use error::{ParseError, ParseErrorKind};
-pub use sax::{SaxEvent, SaxParser};
+pub use sax::{feed, ElementSink, SaxEvent, SaxParser};
 pub use schema::SchemaGraph;
 pub use serialize::serialize_document;
 pub use stats::DocStats;

@@ -408,6 +408,37 @@ impl<'a> Iterator for SaxParser<'a> {
     }
 }
 
+/// What [`feed`] reports: a document's elements in document order, each
+/// attribute as an `@name` child carrying its value — the shape the
+/// BLAS labeling gives attributes.
+pub trait ElementSink {
+    /// An element opens under the innermost open one.
+    fn open(&mut self, name: &str);
+    /// Text of the innermost open element; it may come in pieces.
+    fn text(&mut self, text: &str);
+    /// The innermost open element closes.
+    fn close(&mut self);
+}
+
+/// Parse `input` into `sink`, stopping at the first error.
+pub fn feed(input: &str, sink: &mut impl ElementSink) -> Result<(), ParseError> {
+    for event in SaxParser::new(input) {
+        match event? {
+            SaxEvent::StartElement { name, attributes } => {
+                sink.open(name);
+                for attribute in attributes {
+                    sink.open(&format!("@{}", attribute.name));
+                    sink.text(&attribute.value);
+                    sink.close();
+                }
+            }
+            SaxEvent::EndElement { .. } => sink.close(),
+            SaxEvent::Text(text) => sink.text(&text),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 //! Fig. 12).
 
 use crate::error::ParseError;
-use crate::sax::{SaxEvent, SaxParser};
+use crate::sax::{feed, ElementSink};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -139,60 +139,9 @@ impl Document {
     /// value as text, matching the labeling treatment described in the
     /// crate docs.
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut tags = TagInterner::new();
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut root: Option<NodeId> = None;
-
-        for event in SaxParser::new(input) {
-            match event? {
-                SaxEvent::StartElement { name, attributes } => {
-                    let tag = tags.intern(name);
-                    let level = stack.len() as u16 + 1;
-                    let id = NodeId(nodes.len() as u32);
-                    nodes.push(Node {
-                        tag,
-                        kind: NodeKind::Element,
-                        parent: stack.last().copied(),
-                        children: Vec::new(),
-                        text: None,
-                        level,
-                    });
-                    if let Some(&parent) = stack.last() {
-                        nodes[parent.index()].children.push(id);
-                    } else {
-                        root = Some(id);
-                    }
-                    for attr in attributes {
-                        let pseudo = format!("@{}", attr.name);
-                        let atag = tags.intern(&pseudo);
-                        let aid = NodeId(nodes.len() as u32);
-                        nodes.push(Node {
-                            tag: atag,
-                            kind: NodeKind::Attribute,
-                            parent: Some(id),
-                            children: Vec::new(),
-                            text: Some(attr.value.into_owned()),
-                            level: level + 1,
-                        });
-                        nodes[id.index()].children.push(aid);
-                    }
-                    stack.push(id);
-                }
-                SaxEvent::EndElement { .. } => {
-                    stack.pop();
-                }
-                SaxEvent::Text(t) => {
-                    let &current = stack.last().expect("text outside root rejected by parser");
-                    match &mut nodes[current.index()].text {
-                        Some(existing) => existing.push_str(&t),
-                        slot @ None => *slot = Some(t.into_owned()),
-                    }
-                }
-            }
-        }
-        let root = root.expect("parser guarantees a root element");
-        Ok(Self { nodes, tags, root })
+        let mut builder = DocumentBuilder::new();
+        feed(input, &mut builder)?;
+        Ok(builder.finish().expect("the parser guarantees one root and balanced tags"))
     }
 
     /// The root element.
@@ -254,8 +203,8 @@ impl Document {
     }
 }
 
-/// Programmatic document construction (used by snapshot loading, which
-/// rebuilds the tree from stored tuples without reparsing XML).
+/// Programmatic document construction: what [`Document::parse`] feeds,
+/// and what rebuilds a tree from stored tuples without reparsing XML.
 ///
 /// ```
 /// use blas_xml::tree::DocumentBuilder;
@@ -334,6 +283,20 @@ impl DocumentBuilder {
         }
         let root = self.root.ok_or("no root element")?;
         Ok(Document { nodes: self.nodes, tags: self.tags, root })
+    }
+}
+
+impl ElementSink for DocumentBuilder {
+    fn open(&mut self, name: &str) {
+        DocumentBuilder::open(self, name);
+    }
+
+    fn text(&mut self, text: &str) {
+        DocumentBuilder::text(self, text);
+    }
+
+    fn close(&mut self) {
+        DocumentBuilder::close(self);
     }
 }
 

@@ -16,13 +16,14 @@ fn main() {
         let xml = ds.generate(1);
         let id = collection.add(ds.name(), &xml).expect("well-formed");
         let db = collection.doc(id);
+        let stats = db.stats(xml.len());
         println!(
             "  [{}] {:<12} {:>7} nodes, {:>2} tags, depth {:>2}, m = {}",
             id.0,
             ds.name(),
-            db.store().len(),
-            db.document().tags().len(),
-            db.document().depth(),
+            stats.nodes,
+            stats.tags,
+            stats.depth,
             db.domain().m()
         );
     }
