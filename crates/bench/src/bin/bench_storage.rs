@@ -26,7 +26,7 @@
 //! can run): per Fig. 10 auction query, trimmed-mean wall-clock on
 //! each engine.
 //! Each query row also records `EngineChoice::Auto`: its wall-clock,
-//! the engine the cost-based optimizer chose, and the `auto_vs_best`
+//! the engine its race resolved to, and the `auto_vs_best`
 //! ratio against the best manual engine (interleaved pairs, medians),
 //! gated at ≤ 1.1× **unconditionally** — a wrong pick blows the bound
 //! at any scale, so the CI scale-1 smoke asserts it too. The
@@ -408,10 +408,11 @@ fn main() {
         .expect("Fig. 10 has QA1");
 
     // --- plan-cache row (QA1 under Auto) ------------------------------
-    // What a repeat query saves: the uncached side re-pays parse plus
-    // the optimizer's candidate race (three lowerings estimated) every
-    // sample by clearing the cache first; the cached side runs the
-    // same query as a pure cache hit. Interleaved pairs, medians.
+    // What a repeat query saves: the uncached side re-pays parse,
+    // translation, lowering and pricing (QA1 is linear: one scan, one
+    // estimate) every sample by clearing the cache first; the cached
+    // side runs the same query as a pure cache hit. Interleaved pairs,
+    // medians.
     const CACHE_REPS: usize = 33;
     let (cache_cold_ns, cache_warm_ns) = measure_pair(
         CACHE_REPS,
@@ -1075,7 +1076,7 @@ fn main() {
         );
     }
     // Plan-cache gate: a repeat query must actually be cheaper than
-    // re-running parse + the optimizer's candidate race. Like the
+    // re-running parse, translation, lowering and pricing. Like the
     // gates above, medians of interleaved pairs make this stable
     // enough to assert everywhere.
     assert!(

@@ -36,8 +36,8 @@
 use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
 use blas_engine::{
-    estimate_plan, exec, lower_plan, lower_plan_costed, lower_twig, lower_twigstack,
-    order_twig_joins, CostModel, ExecStats, PhysOp, PhysPlan, PoolHandle, TwigQuery,
+    estimate_plan, exec, lower_plan, lower_twig, lower_twigstack, order_twig_joins, CostModel,
+    ExecStats, PhysOp, PhysPlan, PoolHandle, TwigQuery,
 };
 use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{
@@ -892,7 +892,7 @@ impl BlasDb {
             let est_cost_ns = estimate_plan(&phys, &gen.store, &model).cost_ns;
             PreparedPlan { phys, engine, translator, est_cost_ns }
         };
-        let best = price(Engine::Rdbms, lower_plan_costed(bound, &gen.store, &model));
+        let best = price(Engine::Rdbms, lower_plan(bound));
         if best.phys.ops().iter().any(|op| matches!(op, PhysOp::StructuralJoin { .. })) {
             let arms: Vec<TwigQuery> = TwigQuery::from_plan(bound)
                 .iter()

@@ -4,7 +4,10 @@
 //! One operator set executes any [`PhysPlan`] (see [`crate::physical`]
 //! for the operator ↔ paper-section map); all three engines —
 //! relational, holistic twig, TwigStack — funnel through
-//! [`execute_with`] and differ only in how they *lower*.
+//! [`execute_with`] and differ only in how they *lower*. A selection's
+//! value and level predicates run inside its [`PhysOp::ClusteredScan`]
+//! (the chunked kernels of `blas_storage::scan`); no operator filters
+//! another operator's output.
 //!
 //! # The walk
 //!
@@ -36,10 +39,10 @@ use crate::stats::ExecStats;
 use crate::stjoin::{
     filter_flagged_into, is_one_level, one_level_semi_join_into, structural_match_into, union_into,
 };
-use crate::stream::{materialize, resolve_filter, ExecBuffers, Labels};
+use crate::stream::{materialize, ExecBuffers, Labels};
 use crate::twigstack;
 use blas_labeling::DLabel;
-use blas_storage::{NodeStore, NO_VALUE};
+use blas_storage::NodeStore;
 use blas_translate::Side;
 use std::time::Instant;
 
@@ -129,69 +132,6 @@ fn walk<'a>(
 // Operators
 // ---------------------------------------------------------------------
 
-/// Standalone filter over a non-scan stream, run as a chunked
-/// pushdown: the value predicate resolves to one interned id up front
-/// (an un-interned value admits nothing without touching the rows);
-/// each fixed-width block gathers its value ids through the start
-/// rank, then compacts with a predicated-advance cursor — no
-/// per-element branch in the compaction loop, so the common level-only
-/// case autovectorizes and the value case keeps the gather and the
-/// compare in separate tight loops.
-fn eval_value_filter(
-    input: &[DLabel],
-    value_eq: Option<&str>,
-    level_eq: Option<u16>,
-    store: &NodeStore,
-    out: &mut Vec<DLabel>,
-) {
-    const ZERO: DLabel = DLabel { start: 0, end: 0, level: 0 };
-    const CHUNK: usize = 64;
-    let filter = resolve_filter(value_eq, level_eq, store);
-    if filter.is_pass_through() {
-        out.extend_from_slice(input);
-        return;
-    }
-    if filter.value_id == Some(NO_VALUE) {
-        return; // queried value occurs nowhere in the document
-    }
-    let base = out.len();
-    out.resize(base + input.len(), ZERO);
-    let mut k = base;
-    let mut vids = [NO_VALUE; CHUNK];
-    for chunk in input.chunks(CHUNK) {
-        if filter.value_id.is_some() {
-            for (i, l) in chunk.iter().enumerate() {
-                vids[i] = store
-                    .row_of_start(l.start)
-                    .map(|row| store.value_id_of_row(row))
-                    .unwrap_or(NO_VALUE);
-            }
-        }
-        match (filter.value_id, filter.level_eq) {
-            (Some(want), None) => {
-                for (i, l) in chunk.iter().enumerate() {
-                    out[k] = *l;
-                    k += (vids[i] == want) as usize;
-                }
-            }
-            (None, Some(lv)) => {
-                for l in chunk {
-                    out[k] = *l;
-                    k += (l.level == lv) as usize;
-                }
-            }
-            (Some(want), Some(lv)) => {
-                for (i, l) in chunk.iter().enumerate() {
-                    out[k] = *l;
-                    k += (vids[i] == want && l.level == lv) as usize;
-                }
-            }
-            (None, None) => unreachable!("pass-through handled above"),
-        }
-    }
-    out.truncate(k);
-}
-
 fn release<'a>(
     results: &mut [Option<Labels<'a>>],
     uses: &mut [usize],
@@ -222,13 +162,6 @@ fn exec_op<'a>(
     match op {
         PhysOp::ClusteredScan { source, value_eq, level_eq } => {
             materialize(source, value_eq.as_deref(), *level_eq, store, stats, bufs)
-        }
-        PhysOp::ValueFilter { input: inp, value_eq, level_eq } => {
-            // Scans carry their value filters fused (pushdown), so this
-            // operator usually sees only a level predicate.
-            let mut out = bufs.take();
-            eval_value_filter(input(results, *inp), value_eq.as_deref(), *level_eq, store, &mut out);
-            Labels::Owned(out)
         }
         PhysOp::StructuralJoin { anc, desc, level_diff, keep, tally } => {
             // Structural semi-join, keeping one side: a one-level
@@ -354,62 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn standalone_value_filter_executes_over_shared_scan() {
-        use crate::physical::PhysOp;
-        use blas_translate::BoundSource;
-        // Hand-build the DAG pushdown refuses to fuse: one scan feeding
-        // both a ValueFilter and a join, so the filter runs standalone.
-        let (_, store, _) = fixture(SAMPLE);
-        let ops = vec![
-            PhysOp::ClusteredScan {
-                source: BoundSource::All,
-                value_eq: None,
-                level_eq: None,
-            },
-            PhysOp::ValueFilter { input: 0, value_eq: Some("cyt".into()), level_eq: None },
-            PhysOp::StructuralJoin {
-                anc: 0,
-                desc: 1,
-                level_diff: None,
-                keep: blas_translate::Side::Desc,
-                tally: true,
-            },
-            PhysOp::Materialize { input: 2 },
-        ];
-        let plan = plan_from(ops, 3);
-        let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &mut stats);
-        assert_eq!(out.len(), 2, "two s-nodes carry 'cyt'");
-        // Level-only standalone filter.
-        let ops = vec![
-            PhysOp::ClusteredScan {
-                source: BoundSource::All,
-                value_eq: None,
-                level_eq: None,
-            },
-            PhysOp::ValueFilter { input: 0, value_eq: None, level_eq: Some(1) },
-            PhysOp::StructuralJoin {
-                anc: 0,
-                desc: 1,
-                level_diff: None,
-                keep: blas_translate::Side::Desc,
-                tally: false,
-            },
-            PhysOp::Materialize { input: 2 },
-        ];
-        let plan = plan_from(ops, 3);
-        let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &mut stats);
-        assert!(out.is_empty(), "the root has no ancestor to join with");
-    }
-
-    fn plan_from(ops: Vec<crate::physical::PhysOp>, root: usize) -> crate::physical::PhysPlan {
-        // These hand-built DAGs are already fusion-free, so no
-        // pushdown pass is wanted.
-        crate::physical::PhysPlan::from_ops(ops, root)
-    }
-
-    #[test]
     fn union_plan_stays_duplicate_free() {
         let (doc, store, dom) = fixture(SAMPLE);
         let q = parse("//s").unwrap();
@@ -431,9 +308,9 @@ mod tests {
         let (_, store, _) = fixture(SAMPLE);
         let ops = vec![
             PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
-            PhysOp::ValueFilter { input: 0, value_eq: Some("cyt".into()), level_eq: None },
+            PhysOp::Materialize { input: 0 },
         ];
-        let plan = plan_from(ops, 0);
+        let plan = PhysPlan::from_ops(ops, 0);
         let out = execute(&plan, &store, &mut ExecStats::default());
         assert_eq!(out.len(), store.live_len(), "the root's slot must hold its real output");
     }
@@ -520,14 +397,15 @@ mod tests {
         keys.truncate(5);
         let one = |p: u128| PInterval { p1: p, p2: p };
         let set = BoundSource::PLabels(vec![one(keys[0]), one(keys[2]), one(keys[4])]);
-        let with_root = |op: PhysOp| plan_from(vec![op, PhysOp::Materialize { input: 0 }], 1);
+        let with_root =
+            |op: PhysOp| PhysPlan::from_ops(vec![op, PhysOp::Materialize { input: 0 }], 1);
         // Answered: every source kind, a multi-interval set included.
         for source in [set.clone(), BoundSource::Tag(s), BoundSource::All] {
             let plan = with_root(scan(source.clone()));
             assert!(assert_count_matches(&plan, &store), "{source:?}");
         }
         // A root that is not a Materialize (only `from_ops` builds one).
-        let bare = plan_from(vec![scan(BoundSource::Tag(s))], 0);
+        let bare = PhysPlan::from_ops(vec![scan(BoundSource::Tag(s))], 0);
         assert!(assert_count_matches(&bare, &store));
         // Walked: a union deduplicates what a sum would count twice.
         for sources in [vec![set.clone(), set], vec![BoundSource::Tag(s), BoundSource::Tag(f)]] {
@@ -535,7 +413,7 @@ mod tests {
             let mut ops: Vec<PhysOp> = sources.into_iter().map(scan).collect();
             ops.push(PhysOp::Union { inputs: (0..n).collect() });
             ops.push(PhysOp::Materialize { input: n });
-            let plan = plan_from(ops, n + 1);
+            let plan = PhysPlan::from_ops(ops, n + 1);
             assert!(!assert_count_matches(&plan, &store), "{plan:?}");
         }
     }

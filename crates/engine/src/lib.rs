@@ -4,15 +4,15 @@
 //! configuration** over one shared physical-plan executor:
 //!
 //! * [`physical`] — the physical-plan IR: explicit operators
-//!   (`ClusteredScan{SP|SD}`, `ValueFilter`, `StructuralJoin`,
-//!   `Union`, `Materialize`, `TwigStackMatch`) in a flat arena DAG,
-//!   plus the three lowering strategies and the filter-pushdown pass.
+//!   (`ClusteredScan{SP|SD}` with its selection's predicates,
+//!   `StructuralJoin`, `Union`, `Materialize`, `TwigStackMatch`) in a
+//!   flat arena DAG, plus the three lowering strategies.
 //! * [`exec`] — the one executor: runs any physical plan in arena
 //!   order, start to finish on the calling thread, with pooled buffers.
-//! * [`opt`] — the cost-based optimizer behind `EngineChoice::Auto`:
-//!   O(log n) cardinalities from the SP/SD run directories, per-operator
-//!   ns/elem rates calibrated against the measured kernels, and the
-//!   engine/join-order/filter-placement decisions derived from them.
+//! * [`opt`] — the cost model behind `EngineChoice::Auto`'s race of the
+//!   relational against the twig lowering: O(log n) cardinalities from
+//!   the SP/SD run directories, per-operator ns/elem rates, and the
+//!   twig join order.
 //! * [`pool`] — the worker pool a server runs whole requests on: fixed
 //!   threads over one FIFO queue, with panics delivered at the join.
 //!   No query hands part of its plan to it.
@@ -53,14 +53,9 @@ pub mod stream;
 pub mod twig;
 pub mod twigstack;
 
-pub use opt::{
-    estimate_plan, lower_plan_costed, order_twig_joins, source_cardinality, CostModel,
-    PlanEstimate,
-};
+pub use opt::{estimate_plan, order_twig_joins, source_cardinality, CostModel, PlanEstimate};
 pub use pool::{PoolHandle, TaskHandle};
-pub use physical::{
-    lower_plan, lower_plan_raw, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern,
-};
+pub use physical::{lower_plan, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern};
 pub use rdbms::{execute_plan, execute_plan_with};
 pub use stats::ExecStats;
 pub use stream::{ExecBuffers, Labels};

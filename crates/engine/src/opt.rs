@@ -1,54 +1,26 @@
-//! The cost-based optimizer behind `EngineChoice::Auto`.
+//! The cost model behind `EngineChoice::Auto`'s engine race.
 //!
-//! BLAS's Fig. 11 story is plan *selection*: the same query admits
-//! several compositions of selections, structural joins and unions,
-//! and the measured spread between them is enormous — on the Fig. 10
-//! suite the TwigStack engine is 25–180× slower than the relational
-//! lowering of the very same bound plan. This module closes the loop
-//! the paper leaves to the reader: it prices each candidate lowering
-//! and lets the system pick.
+//! `blas::BlasDb` translates and binds a query once (Unfold). A plan
+//! without a join is one clustered scan and is lowered once,
+//! relationally. A plan with joins is also lowered for the twig engine,
+//! each twig node's children ordered by [`order_twig_joins`], and
+//! [`estimate_plan`] prices both lowerings with [`CostModel`]'s
+//! ns/element rates over exact scan cardinalities read off the SP/SD
+//! run directories ([`source_cardinality`]); the cheaper runs, and a tie
+//! keeps the relational plan. TwigStack is not a candidate: it is the
+//! paper's Fig. 14 baseline, reachable only by name.
 //!
-//! Three ingredients, all deliberately tiny:
-//!
-//! 1. **Cardinalities in O(log n)** — every leaf of a physical plan is
-//!    a clustered scan whose extent the store's SP/SD run directories
-//!    answer with two binary searches per interval
-//!    ([`source_cardinality`]: `plabels_size` / `tag_size` / `live_len`).
-//!    No histograms, no sampling: the clustering *is* the statistic.
-//! 2. **A per-operator cost model** ([`CostModel`]) — ns/element rates
-//!    calibrated against the measured kernel rows of
-//!    `BENCH_storage.json` (Auction ×10): clustered scans stream at
-//!    ~0.3–0.6 ns/elem, the structural-join merge at ~1.6 ns/elem,
-//!    and the literal TwigStack match at ~300+ ns/elem (its O(depth)
-//!    stack work per element is why the paper's own engines beat it).
-//!    Estimated selectivities propagate cardinalities up the DAG.
-//! 3. **A plan walk** ([`estimate_plan`]) — one pass over the operator
-//!    arena in execution order, producing total estimated cost and the
-//!    result cardinality.
-//!
-//! On top of the estimates sit the two decisions `EngineChoice::Auto`
-//! delegates here:
-//!
-//! * **engine/lowering** — `blas::BlasDb` translates and binds a query
-//!   once (Unfold, which every engine lowers); a plan without a join is
-//!   one clustered scan and is lowered once, a plan with joins is
-//!   lowered for the relational and the twig engine and the cheaper
-//!   estimate runs. The literal TwigStack lowering stays
-//!   priceable ([`estimate_plan`] handles its match operator) but no
-//!   longer races: it prices orders of magnitude worse on every query
-//!   the suites pin, so it is reachable only as an explicit engine
-//!   choice — the paper's Fig. 14 baseline;
-//! * **join order and filter placement** — [`order_twig_joins`] sorts
-//!   each twig node's child joins by ascending stream cardinality (the
-//!   bottom-up semi-joins against one parent commute, so smallest
-//!   stream first shrinks the ancestor side soonest), and
-//!   [`lower_plan_costed`] places each pushable filter by comparing
-//!   the fused and standalone costs per site.
+//! The race stays on measurement rather than on its picks: over 4 328
+//! generated twigs it kept the relational plan every time, yet the
+//! ordered twig lowering ran more than 10 % faster on 25 of them
+//! (ARCHITECTURE.md, "`Auto` and the plan cache"). The alternative it
+//! prices has a measured reason to exist; these rates do not yet find
+//! it.
 
-use crate::physical::{lower_plan_raw, PhysOp, PhysPlan};
+use crate::physical::{PhysOp, PhysPlan};
 use crate::twig::TwigQuery;
 use blas_storage::NodeStore;
-use blas_translate::{BoundPlan, BoundSource, Side};
+use blas_translate::{BoundSource, Side};
 
 /// Exact cardinality of a clustered scan, answered in O(log n) from
 /// the SP/SD run directories (two binary searches per interval). This is
@@ -77,15 +49,12 @@ pub struct CostModel {
     /// ns/elem, packed v3 ~0.55 ns/elem; we blend since the optimizer
     /// does not know the encoding per run.
     pub scan_ns_per_elem: f64,
-    /// `data = 'v'` filtering during a scan or over a buffer
-    /// (value-id resolution amortizes; the per-element compare
-    /// dominates).
+    /// `data = 'v'` filtering during a scan (value-id resolution
+    /// amortizes; the per-element compare dominates).
     pub value_filter_ns_per_elem: f64,
     /// `level = k` filtering (one integer compare).
     pub level_filter_ns_per_elem: f64,
-    /// Copying labels into an owned buffer (standalone filters and
-    /// materialization pay this; fused filters skip the unfiltered
-    /// copy).
+    /// Copying labels into an owned buffer (materialization).
     pub copy_ns_per_elem: f64,
     /// The structural-join merge over both inputs. Measured:
     /// 66 µs / 40 800 elements ≈ 1.6 ns/elem.
@@ -124,41 +93,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Estimated cost of filtering `n` elements with the given
-    /// predicates, and the estimated surviving fraction.
-    fn filter_cost_and_sel(&self, n: f64, value: bool, level: bool) -> (f64, f64) {
-        let mut cost = 0.0;
-        let mut sel = 1.0;
-        if value {
-            cost += n * self.value_filter_ns_per_elem;
-            sel *= self.value_selectivity;
-        }
-        if level {
-            cost += n * self.level_filter_ns_per_elem;
-            sel *= self.level_selectivity;
-        }
-        (cost, sel)
-    }
-
-    /// Should a pushable filter fuse into its scan? Fused, the
-    /// predicate runs during the run traversal; standalone, the scan
-    /// first materializes an unfiltered copy (`copy_ns_per_elem` per
-    /// element) and pays one extra operator dispatch. Under any
-    /// physically sensible rates fusion wins — the comparison exists
-    /// so the placement is *derived* per site rather than hard-coded,
-    /// and flips automatically should a future encoding make fused
-    /// filtering more expensive than a copy.
-    pub fn fused_filter_is_cheaper(&self, scan_elems: usize, value: bool, level: bool) -> bool {
-        let n = scan_elems as f64;
-        let (filter, _) = self.filter_cost_and_sel(n, value, level);
-        let fused = n * self.scan_ns_per_elem + filter;
-        let standalone =
-            n * self.scan_ns_per_elem + n * self.copy_ns_per_elem + self.op_overhead_ns + filter;
-        fused <= standalone
-    }
-}
-
 /// What [`estimate_plan`] computes for a candidate plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEstimate {
@@ -179,21 +113,18 @@ pub fn estimate_plan(plan: &PhysPlan, store: &NodeStore, model: &CostModel) -> P
         cost += model.op_overhead_ns;
         card[id] = match op {
             PhysOp::ClusteredScan { source, value_eq, level_eq } => {
-                let nf = source_cardinality(store, source) as f64;
-                cost += nf * model.scan_ns_per_elem;
-                let (fcost, sel) =
-                    model.filter_cost_and_sel(nf, value_eq.is_some(), level_eq.is_some());
-                cost += fcost;
-                nf * sel
-            }
-            PhysOp::ValueFilter { input, value_eq, level_eq } => {
-                let n = card[*input];
-                // A standalone filter reads a materialized copy of its
-                // input and writes the survivors.
-                cost += n * model.copy_ns_per_elem;
-                let (fcost, sel) =
-                    model.filter_cost_and_sel(n, value_eq.is_some(), level_eq.is_some());
-                cost += fcost;
+                let n = source_cardinality(store, source) as f64;
+                let (mut filter, mut sel) = (0.0, 1.0);
+                if value_eq.is_some() {
+                    filter += n * model.value_filter_ns_per_elem;
+                    sel *= model.value_selectivity;
+                }
+                if level_eq.is_some() {
+                    filter += n * model.level_filter_ns_per_elem;
+                    sel *= model.level_selectivity;
+                }
+                cost += n * model.scan_ns_per_elem;
+                cost += filter;
                 n * sel
             }
             PhysOp::StructuralJoin { anc, desc, keep, .. } => {
@@ -226,26 +157,6 @@ pub fn estimate_plan(plan: &PhysPlan, store: &NodeStore, model: &CostModel) -> P
     PlanEstimate { cost_ns: cost, result_card: card[plan.root()] }
 }
 
-/// Lower a bound plan for the relational engine with **cost-decided
-/// filter placement**: the raw lowering keeps scans and filters
-/// separate, then every fuseable (scan, filter) pair is fused exactly
-/// when [`CostModel::fused_filter_is_cheaper`] says so for that scan's
-/// directory-probed cardinality.
-pub fn lower_plan_costed(bound: &BoundPlan, store: &NodeStore, model: &CostModel) -> PhysPlan {
-    lower_plan_raw(bound).pushdown_filters_if(|scan, filter| {
-        let (PhysOp::ClusteredScan { source, .. }, PhysOp::ValueFilter { value_eq, level_eq, .. }) =
-            (scan, filter)
-        else {
-            return true;
-        };
-        model.fused_filter_is_cheaper(
-            source_cardinality(store, source),
-            value_eq.is_some(),
-            level_eq.is_some(),
-        )
-    })
-}
-
 /// Reorder each twig node's child joins by ascending stream
 /// cardinality. The bottom-up pass of the twig lowering semi-joins a
 /// parent's satisfaction stream against each child in children order;
@@ -268,7 +179,7 @@ mod tests {
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
     use blas_labeling::label_document;
     use blas_storage::NodeStore;
-    use blas_translate::bind;
+    use blas_translate::{bind, BoundPlan};
     use blas_xml::Document;
     use blas_xpath::parse;
 
@@ -344,37 +255,6 @@ mod tests {
         // Three e, three y and three n tuples are scanned at least.
         assert!(est.cost_ns > 9.0 * model.scan_ns_per_elem);
         assert!(est.result_card > 0.0);
-    }
-
-    #[test]
-    fn costed_lowering_fuses_filters_under_calibrated_model() {
-        // With the calibrated rates a fused filter always beats a
-        // standalone one (the standalone path adds a full unfiltered
-        // copy plus an operator dispatch), so the cost-decided plan
-        // equals the unconditional-pushdown plan.
-        let (doc, store) = fixture(SAMPLE);
-        let model = CostModel::default();
-        let b = bound_for(&doc, "/db/e[r/y='2001']/p/n");
-        let costed = lower_plan_costed(&b, &store, &model);
-        let unconditional = lower_plan(&b);
-        assert_eq!(costed, unconditional);
-        assert!(costed.ops().iter().any(
-            |op| matches!(op, PhysOp::ClusteredScan { value_eq: Some(_), .. })
-        ));
-    }
-
-    #[test]
-    fn filter_placement_is_per_site_decidable() {
-        // The same lowering keeps filters standalone when the
-        // placement predicate declines, proving placement is a real
-        // decision point, not a hard-coded pass.
-        let (doc, _) = fixture(SAMPLE);
-        let b = bound_for(&doc, "/db/e[r/y='2001']/p/n");
-        let unfused = lower_plan_raw(&b).pushdown_filters_if(|_, _| false);
-        assert!(unfused.ops().iter().any(|op| matches!(op, PhysOp::ValueFilter { .. })));
-        assert!(!unfused.ops().iter().any(
-            |op| matches!(op, PhysOp::ClusteredScan { value_eq: Some(_), .. })
-        ));
     }
 
     #[test]

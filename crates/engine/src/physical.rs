@@ -10,8 +10,7 @@
 //!
 //! | operator | paper artifact |
 //! |---|---|
-//! | [`PhysOp::ClusteredScan`] | the `σ` selections of Fig. 11 over the physically clustered SP (`plabel` equality/range) or SD (`tag`) relations — §4.2 / §5.2.1. Its runs are raw column extents or the packed v3 encodings, filtered by the same chunked kernels (`blas_storage::scan`) either way. |
-//! | [`PhysOp::ValueFilter`] | the `data = 'v'` / `level = k` conjuncts of Fig. 11's selection predicates; pushed down into the scan by [`PhysPlan::pushdown_filters`] so they run during the run traversal, as fixed-width-block branch-free compaction loops |
+//! | [`PhysOp::ClusteredScan`] | the `σ` selections of Fig. 11 over the physically clustered SP (`plabel` equality/range) or SD (`tag`) relations — §4.2 / §5.2.1 — with the selection's `data = 'v'` / `level = k` conjuncts applied during the run traversal. Its runs are raw column extents or the packed v3 encodings, filtered by the same chunked kernels (`blas_storage::scan`) either way. |
 //! | [`PhysOp::StructuralJoin`] | the `⋈` D-join of Fig. 11 (§3.1), as the structural *semi*-join both engines reduce to — keep one side's participants |
 //! | [`PhysOp::Union`] | the duplicate-free `∪` of unfolded paths (§4.1.3) |
 //! | [`PhysOp::Materialize`] | the final `π(start)` projection of Fig. 11: force an owned, start-sorted output |
@@ -48,24 +47,13 @@ pub type OpId = usize;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhysOp {
     /// Clustered scan over the SP (`PLabels`) or SD (`Tag`/`All`)
-    /// physical sort order. `value_eq`/`level_eq` are
-    /// filters fused into the scan by [`PhysPlan::pushdown_filters`];
-    /// they drop tuples *after* counting (the paper's "elements read"
-    /// counts the whole clustered run).
+    /// physical sort order. `value_eq`/`level_eq` are the selection's
+    /// predicates, applied during the run traversal; they drop tuples
+    /// *after* counting (the paper's "elements read" counts the whole
+    /// clustered run).
     ClusteredScan {
         /// Access path (which clustering, which key range).
         source: BoundSource,
-        /// Fused `data = 'v'` filter.
-        value_eq: Option<String>,
-        /// Fused exact-level filter.
-        level_eq: Option<u16>,
-    },
-    /// Standalone per-tuple filter over an arbitrary input stream.
-    /// Lowering emits it above scans; pushdown fuses that case away,
-    /// leaving this operator for inputs that are not scans.
-    ValueFilter {
-        /// Input stream.
-        input: OpId,
         /// `data = 'v'` filter.
         value_eq: Option<String>,
         /// Exact-level filter.
@@ -118,7 +106,7 @@ impl PhysOp {
     pub fn for_each_input(&self, mut f: impl FnMut(OpId)) {
         match self {
             PhysOp::ClusteredScan { .. } => {}
-            PhysOp::ValueFilter { input, .. } | PhysOp::Materialize { input } => f(*input),
+            PhysOp::Materialize { input } => f(*input),
             PhysOp::StructuralJoin { anc, desc, .. } => {
                 f(*anc);
                 f(*desc);
@@ -247,13 +235,13 @@ impl PhysPlan {
     /// Assemble a plan from raw operators already in topological
     /// order. This is the escape hatch the lowering strategies do
     /// *not* need — it exists for test harnesses and benchmarks that
-    /// exercise operator shapes no lowering emits (standalone filter
-    /// chains, shared scans, deliberately broken holistic patterns).
+    /// exercise operator shapes no lowering emits (operator chains,
+    /// roots with consumers, deliberately broken holistic patterns).
     ///
     /// Only the arena invariant is enforced — every input references
-    /// an **earlier** slot and `root` is in range; no filter pushdown
-    /// runs and operator payloads (e.g. a [`TwigPattern`]'s internal
-    /// consistency) are the caller's responsibility.
+    /// an **earlier** slot and `root` is in range; operator payloads
+    /// (e.g. a [`TwigPattern`]'s internal consistency) are the
+    /// caller's responsibility.
     ///
     /// # Panics
     ///
@@ -278,107 +266,21 @@ impl PhysPlan {
         self.ops.push(op);
         self.ops.len() - 1
     }
-
-    /// Fuse every [`PhysOp::ValueFilter`] sitting directly on a
-    /// single-consumer [`PhysOp::ClusteredScan`] into the scan, so the
-    /// filter runs during the run traversal instead
-    /// of materializing an unfiltered copy first. Operators are
-    /// renumbered; the plan stays topologically ordered.
-    pub fn pushdown_filters(self) -> PhysPlan {
-        self.pushdown_filters_if(|_, _| true)
-    }
-
-    /// [`PhysPlan::pushdown_filters`] with a per-site placement
-    /// predicate: `fuse(scan, filter)` is consulted for every fuseable
-    /// (single-consumer scan, filter) pair, and only approved pairs
-    /// fuse. The cost-based optimizer ([`crate::opt`]) uses this to
-    /// decide filter placement from estimated cardinalities instead of
-    /// fusing unconditionally.
-    pub fn pushdown_filters_if(
-        self,
-        mut fuse: impl FnMut(&PhysOp, &PhysOp) -> bool,
-    ) -> PhysPlan {
-        let consumers = self.consumer_counts();
-        // A scan is fused away when its only consumer is a ValueFilter
-        // and the placement predicate approves the pair.
-        let mut fused_into: Vec<Option<OpId>> = vec![None; self.ops.len()];
-        for (id, op) in self.ops.iter().enumerate() {
-            if let PhysOp::ValueFilter { input, .. } = op {
-                if consumers[*input] == 1
-                    && matches!(self.ops[*input], PhysOp::ClusteredScan { .. })
-                    && fuse(&self.ops[*input], op)
-                {
-                    fused_into[*input] = Some(id);
-                }
-            }
-        }
-        let mut out = PhysPlan::empty();
-        let mut map: Vec<OpId> = vec![usize::MAX; self.ops.len()];
-        for (id, op) in self.ops.iter().enumerate() {
-            if fused_into[id].is_some() {
-                continue; // emitted when its ValueFilter is reached
-            }
-            let new_id = match op {
-                PhysOp::ValueFilter { input, value_eq, level_eq }
-                    if fused_into[*input] == Some(id) =>
-                {
-                    let PhysOp::ClusteredScan { source, .. } = &self.ops[*input] else {
-                        unreachable!("fused input is a scan");
-                    };
-                    let fused = out.push(PhysOp::ClusteredScan {
-                        source: source.clone(),
-                        value_eq: value_eq.clone(),
-                        level_eq: *level_eq,
-                    });
-                    map[*input] = fused;
-                    fused
-                }
-                other => {
-                    let mut remapped = other.clone();
-                    remap_inputs(&mut remapped, &map);
-                    out.push(remapped)
-                }
-            };
-            map[id] = new_id;
-        }
-        out.root = map[self.root];
-        out
-    }
 }
 
-fn remap_inputs(op: &mut PhysOp, map: &[OpId]) {
-    match op {
-        PhysOp::ClusteredScan { .. } => {}
-        PhysOp::ValueFilter { input, .. } | PhysOp::Materialize { input } => *input = map[*input],
-        PhysOp::StructuralJoin { anc, desc, .. } => {
-            *anc = map[*anc];
-            *desc = map[*desc];
-        }
-        PhysOp::Union { inputs } => inputs.iter_mut().for_each(|i| *i = map[*i]),
-        PhysOp::TwigStackMatch { streams, .. } => {
-            streams.iter_mut().for_each(|i| *i = map[*i])
-        }
-    }
-}
-
-/// Emit a scan (plus a standalone filter when one applies) for one
-/// bound selection; shared by all lowering strategies.
+/// Emit the scan for one bound selection, its predicates applied
+/// during the run traversal; shared by all lowering strategies.
 fn lower_selection(
     plan: &mut PhysPlan,
     source: &BoundSource,
     value_eq: &Option<String>,
     level_eq: Option<u16>,
 ) -> OpId {
-    let scan = plan.push(PhysOp::ClusteredScan {
+    plan.push(PhysOp::ClusteredScan {
         source: source.clone(),
-        value_eq: None,
-        level_eq: None,
-    });
-    if value_eq.is_some() || level_eq.is_some() {
-        plan.push(PhysOp::ValueFilter { input: scan, value_eq: value_eq.clone(), level_eq })
-    } else {
-        scan
-    }
+        value_eq: value_eq.clone(),
+        level_eq,
+    })
 }
 
 /// Lower a bound plan for the **relational engine** (§5.2): the
@@ -386,14 +288,6 @@ fn lower_selection(
 /// SP/SD, semi-join `⋈`s keeping the projected side, `∪` for unfolded
 /// alternatives, and a final `π(start)` materialization.
 pub fn lower_plan(bound: &BoundPlan) -> PhysPlan {
-    lower_plan_raw(bound).pushdown_filters()
-}
-
-/// [`lower_plan`] without the filter-pushdown pass: scans and their
-/// filters stay separate operators. The cost-based optimizer lowers
-/// through this entry point and then decides filter placement per site
-/// with [`PhysPlan::pushdown_filters_if`].
-pub fn lower_plan_raw(bound: &BoundPlan) -> PhysPlan {
     let mut plan = PhysPlan::empty();
     let top = lower_plan_rec(bound, &mut plan);
     plan.root = plan.push(PhysOp::Materialize { input: top });
@@ -486,7 +380,7 @@ pub fn lower_twigstack(arms: &[TwigQuery]) -> PhysPlan {
 }
 
 /// Lower each arm with `arm`, union the arms' outputs (one arm needs no
-/// union; none is the empty union), materialize, and fuse filters.
+/// union; none is the empty union), and materialize.
 fn lower_arms(arms: &[TwigQuery], mut arm: impl FnMut(&mut PhysPlan, &TwigQuery) -> OpId) -> PhysPlan {
     let mut plan = PhysPlan::empty();
     let mut outs: Vec<OpId> = arms.iter().map(|q| arm(&mut plan, q)).collect();
@@ -495,7 +389,7 @@ fn lower_arms(arms: &[TwigQuery], mut arm: impl FnMut(&mut PhysPlan, &TwigQuery)
         _ => plan.push(PhysOp::Union { inputs: outs }),
     };
     plan.root = plan.push(PhysOp::Materialize { input: top });
-    plan.pushdown_filters()
+    plan
 }
 
 #[cfg(test)]
@@ -519,7 +413,7 @@ mod tests {
     fn selection_with_value_filter_is_fused_into_scan() {
         let (_, b) = bound("<a><b>x</b></a>", "/a/b='x'");
         let plan = lower_plan(&b);
-        // Scan (fused filter) + Materialize only.
+        // Scan (filter applied in the scan) + Materialize only.
         assert_eq!(plan.ops().len(), 2);
         match plan.op(0) {
             PhysOp::ClusteredScan { value_eq: Some(v), .. } => assert_eq!(v, "x"),
@@ -609,34 +503,5 @@ mod tests {
             .expect("holistic operator present");
         assert_eq!(m.0.len(), m.1.len());
         assert_eq!(m.1.edge_count(), twig.edge_count());
-    }
-
-    #[test]
-    fn pushdown_keeps_shared_scans_unfused() {
-        // Hand-build a plan where one scan feeds a ValueFilter AND a
-        // join: the scan must not be fused away.
-        let mut plan = PhysPlan::empty();
-        let scan = plan.push(PhysOp::ClusteredScan {
-            source: BoundSource::All,
-            value_eq: None,
-            level_eq: None,
-        });
-        let filter = plan.push(PhysOp::ValueFilter {
-            input: scan,
-            value_eq: Some("x".into()),
-            level_eq: None,
-        });
-        let join = plan.push(PhysOp::StructuralJoin {
-            anc: scan,
-            desc: filter,
-            level_diff: None,
-            keep: Side::Anc,
-            tally: true,
-        });
-        plan.root = plan.push(PhysOp::Materialize { input: join });
-        let out = plan.pushdown_filters();
-        assert_eq!(out.ops().len(), 4, "nothing fused");
-        assert!(matches!(out.op(0), PhysOp::ClusteredScan { value_eq: None, .. }));
-        assert!(matches!(out.op(1), PhysOp::ValueFilter { .. }));
     }
 }

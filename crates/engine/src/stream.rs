@@ -94,7 +94,7 @@ impl ExecBuffers {
 /// crate's [`ScanFilter`], whose chunked kernels run directly over raw
 /// or packed runs. An un-interned value becomes `Some(NO_VALUE)`, which
 /// admits nothing.
-pub(crate) fn resolve_filter(
+fn resolve_filter(
     value_eq: Option<&str>,
     level_eq: Option<u16>,
     store: &NodeStore,

@@ -276,3 +276,78 @@ fn a_ten_thousand_label_reply_is_the_database_answer_on_every_wire() {
     }
     server.shutdown();
 }
+
+/// The served `plan_info` reply, over JSON and binary, for `auto`,
+/// `rdbms` and `twig`: exactly `engine`, `translator`, `est_cost_ns`,
+/// `ops` and `cached`, each what [`BlasDb::plan_info`] says on a twin
+/// database, with `cached` false on the first call and true on the
+/// repeat. `auto` answers the relational plan over Unfold, with
+/// `rdbms`'s `ops`.
+#[test]
+fn plan_info_replies_carry_the_resolved_plan_on_both_wires() {
+    let twin = BlasDb::load(SRC).unwrap();
+    for binary in [false, true] {
+        let (_db, server) = serve();
+        let mut json = Client::connect(server.local_addr(), None).unwrap();
+        let mux = MuxClient::connect(server.local_addr(), None).unwrap();
+        for xpath in QUERIES {
+            for engine in ENGINES {
+                let req = Request::PlanInfo {
+                    db: String::new(),
+                    xpath: (*xpath).into(),
+                    engine: (*engine).into(),
+                };
+                let mut ask = || match binary {
+                    true => match mux.conn().call(&req).unwrap() {
+                        blas_server::wire::Response::Info(info) => info,
+                        other => panic!("plan_info answered {other:?}"),
+                    },
+                    false => {
+                        let Json::Obj(fields) = req.to_json(&Json::Null) else {
+                            unreachable!()
+                        };
+                        let params = fields.into_iter().find(|(k, _)| k == "params").unwrap().1;
+                        json.call("plan_info", params).unwrap()
+                    }
+                };
+                let shape = format!("binary={binary} {xpath} {engine}");
+                let want = twin.plan_info(xpath, engine.parse().unwrap()).unwrap();
+                for cached in [false, true] {
+                    let reply = ask();
+                    let Json::Obj(fields) = &reply else {
+                        panic!("{shape}: {reply:?}")
+                    };
+                    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(
+                        keys,
+                        ["engine", "translator", "est_cost_ns", "ops", "cached"],
+                        "{shape}"
+                    );
+                    let field = |k: &str| reply.get(k).unwrap();
+                    assert_eq!(
+                        field("engine").as_str(),
+                        Some(want.engine.to_string().as_str()),
+                        "{shape}"
+                    );
+                    assert_eq!(field("translator").as_str(), Some("Unfold"), "{shape}");
+                    assert_eq!(
+                        field("est_cost_ns").as_f64(),
+                        Some(want.est_cost_ns),
+                        "{shape}"
+                    );
+                    assert_eq!(field("ops").as_u64(), Some(want.ops as u64), "{shape}");
+                    assert_eq!(field("cached").as_bool(), Some(cached), "{shape}");
+                }
+                if *engine == "auto" {
+                    let rdbms = twin.plan_info(xpath, EngineChoice::rdbms()).unwrap();
+                    assert_eq!(
+                        (want.engine.to_string(), want.ops),
+                        ("rdbms".into(), rdbms.ops),
+                        "{shape}"
+                    );
+                }
+            }
+        }
+        server.shutdown();
+    }
+}

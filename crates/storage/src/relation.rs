@@ -1043,8 +1043,7 @@ impl NodeStore {
     }
 
     /// Value id of one global row ([`NO_VALUE`] for rows without
-    /// PCDATA) — the point-read form the engine's value-filter
-    /// pushdown uses over node lists.
+    /// PCDATA) — the point read behind [`NodeStore::scan_value`].
     #[inline]
     pub fn value_id_of_row(&self, row: RowId) -> u32 {
         let i = row.index();

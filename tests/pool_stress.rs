@@ -148,11 +148,14 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
     ));
     let healthy = Arc::new(PhysPlan::from_ops(
         vec![
-            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
-            PhysOp::ValueFilter { input: 0, value_eq: Some("y".into()), level_eq: None },
-            PhysOp::Materialize { input: 1 },
+            PhysOp::ClusteredScan {
+                source: BoundSource::All,
+                value_eq: Some("y".into()),
+                level_eq: None,
+            },
+            PhysOp::Materialize { input: 0 },
         ],
-        2,
+        1,
     ));
     let run = |plan: &Arc<PhysPlan>| {
         let (task_db, plan) = (Arc::clone(&db), Arc::clone(plan));
@@ -173,7 +176,7 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
 
 #[test]
 fn chain_heavy_pipelines_collapse_under_contention() {
-    // Long linear pipelines (scan → pass-through filters → materialize)
+    // Long linear pipelines (scan → a chain of materializations)
     // executed from 8 OS threads at once over one store. However
     // contended, every execution is byte-identical to a lone one and
     // counts the same elements.
@@ -185,18 +188,17 @@ fn chain_heavy_pipelines_collapse_under_contention() {
     let db = auction_db();
     let store = db.store();
     let item = db.tags().get("item").expect("auction has item");
-    const FILTERS: usize = 8;
+    const HOPS: usize = 8;
     let mut ops = vec![PhysOp::ClusteredScan {
         source: BoundSource::Tag(item),
         value_eq: None,
         level_eq: None,
     }];
-    for i in 0..FILTERS {
-        // A pass-through filter: a real operator hop that keeps the
-        // stream intact, so the chain stays long and checkable.
-        ops.push(PhysOp::ValueFilter { input: i, value_eq: None, level_eq: None });
+    for i in 0..=HOPS {
+        // A materialization: a real operator hop that keeps the stream
+        // intact, so the chain stays long and checkable.
+        ops.push(PhysOp::Materialize { input: i });
     }
-    ops.push(PhysOp::Materialize { input: FILTERS });
     let root = ops.len() - 1;
     let plan = PhysPlan::from_ops(ops, root);
 
