@@ -160,6 +160,16 @@ fn fig10_choices_are_pinned_and_correct() {
     }
 }
 
+/// QA1 (a suffix path) resolves to the relational lowering.
+#[test]
+fn qa1_suffix_path_picks_the_relational_lowering() {
+    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
+    let qa1 = query_set(DatasetId::Auction)[0];
+    assert_eq!(qa1.id, "QA1");
+    let info = db.plan_info(qa1.xpath, EngineChoice::auto()).unwrap();
+    assert_eq!(info.engine, Engine::Rdbms, "{info:?}");
+}
+
 /// The counterexample that keeps the engine race. On this twig the
 /// race's twig lowering (children ordered by stream size) ran more than
 /// 10 % faster than the relational plan at Auction ×1 and ×10 (median
