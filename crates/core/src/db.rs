@@ -37,7 +37,7 @@ use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
 use blas_engine::{
     estimate_plan, exec, lower_plan, lower_twig, lower_twigstack, order_twig_joins, CostModel,
-    ExecStats, PhysOp, PhysPlan, PoolHandle, TwigQuery,
+    ExecStats, PhysOp, PhysPlan, TwigQuery,
 };
 use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{
@@ -506,9 +506,6 @@ pub struct BlasDb {
     compactor: Mutex<()>,
     /// [`BlasDb::compact_in_background`]'s hand-off to its thread.
     background: Mutex<Background>,
-    /// The worker pool a server runs this document's binary requests
-    /// on ([`BlasDb::pool`]); no query of this API touches it.
-    pool: OnceLock<PoolHandle>,
     /// Resolved plans keyed by (query string, requested choice,
     /// generation). PR 7 keyed on the first two and leaned on store
     /// immutability for freshness; with mutations the generation
@@ -658,7 +655,6 @@ impl BlasDb {
             writer: Mutex::new(WriterState { base_store: store, edits: DeltaEdits::new() }),
             compactor: Mutex::new(()),
             background: Mutex::new(Background::default()),
-            pool: OnceLock::new(),
             plan_cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
             publish_hooks: Mutex::new(PublishHooks::default()),
             _trim: HeapTrim,
@@ -689,18 +685,6 @@ impl BlasDb {
             let schema = SchemaGraph::from_source_paths(paths);
             PathDirectory { keys, schema }
         })
-    }
-
-    /// The worker pool a server runs this document's admitted binary
-    /// requests on, one whole request per task, for the lifetime of the
-    /// `BlasDb`. Queries never use it: every query runs on the thread
-    /// that asks, so an in-process workload spawns no pool thread.
-    ///
-    /// Created lazily with [`PoolHandle::with_default_parallelism`]
-    /// (one worker per core, at least two); its threads start with the
-    /// first task.
-    pub fn pool(&self) -> &PoolHandle {
-        self.pool.get_or_init(PoolHandle::with_default_parallelism)
     }
 
     /// Run `xpath` in one call under an [`EngineChoice`]: parse →
@@ -1323,9 +1307,10 @@ impl BlasDb {
     ///
     /// The fold runs on a **compactor thread of its own**, started by
     /// the first request and gone once no request is waiting — never
-    /// on the request pool, where the O(n) fold would hold a worker
-    /// that binary requests queue behind, and where its big columns
-    /// would grow a worker thread's allocator arena. Requests made while one is already waiting coalesce:
+    /// on the caller's thread, which may be a server's request worker:
+    /// there the O(n) fold would hold a worker that requests queue
+    /// behind, and its big columns would grow that thread's allocator
+    /// arena. Requests made while one is already waiting coalesce:
     /// that compaction folds everything published before it starts.
     pub fn compact_in_background(self: &Arc<Self>) {
         {
@@ -1693,32 +1678,26 @@ mod tests {
                 });
             }
         });
-        // No query, whatever its choice, hands work to the pool.
-        assert_eq!(db.pool().jobs_submitted(), 0);
     }
 
     #[test]
     fn parallel_queries_share_the_db_pool() {
-        // Whole queries submitted as tasks — a server's binary path —
-        // run on the database's one pool and answer what a direct call
-        // does, counters included; a direct call never touches it.
+        // Whole queries run at once on other threads — a server's
+        // workers — answer what a direct call does, counters included.
         let xml = format!("<db>{}</db>", "<e><n>x</n></e>".repeat(10_000));
-        let db = Arc::new(BlasDb::load(&xml).unwrap());
+        let db = BlasDb::load(&xml).unwrap();
         let seq = db.query("/db/e/n", EngineChoice::rdbms()).unwrap();
-        assert_eq!(db.pool().jobs_submitted(), 0);
-        let tasks: Vec<_> = (0..3)
-            .map(|_| {
-                let task_db = Arc::clone(&db);
-                db.pool().spawn_task(move || task_db.query("/db/e/n", EngineChoice::rdbms()))
-            })
-            .collect();
-        for task in tasks {
-            let par = task.join().unwrap().unwrap();
-            assert_eq!(par.nodes, seq.nodes);
-            assert_eq!(par.stats.elements_visited, seq.stats.elements_visited);
-            assert_eq!(par.stats.d_joins, seq.stats.d_joins);
-        }
-        assert_eq!(db.pool().jobs_submitted(), 3, "one task per query, on the one pool");
+        std::thread::scope(|s| {
+            let tasks: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| db.query("/db/e/n", EngineChoice::rdbms())))
+                .collect();
+            for task in tasks {
+                let par = task.join().unwrap().unwrap();
+                assert_eq!(par.nodes, seq.nodes);
+                assert_eq!(par.stats.elements_visited, seq.stats.elements_visited);
+                assert_eq!(par.stats.d_joins, seq.stats.d_joins);
+            }
+        });
     }
 
     #[test]

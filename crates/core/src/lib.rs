@@ -43,9 +43,6 @@ pub use db::{
 pub use error::BlasError;
 pub use gen_cache::{GenCache, GenKey};
 
-// Re-export the worker pool `BlasDb::pool` hands out.
-pub use blas_engine::PoolHandle;
-
 // Re-export the building blocks for advanced use.
 pub use blas_engine::{ExecStats, TwigQuery};
 pub use blas_labeling::{DLabel, DocumentLabels, PInterval, PLabelDomain};

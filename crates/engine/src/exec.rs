@@ -213,7 +213,6 @@ fn exec_op<'a>(
 mod tests {
     use super::*;
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
-    use crate::pool::PoolHandle;
     use crate::twig::TwigQuery;
     use blas_labeling::{label_document, PInterval};
     use blas_translate::{
@@ -222,7 +221,6 @@ mod tests {
     };
     use blas_xml::{Document, SchemaGraph};
     use blas_xpath::parse;
-    use std::sync::Arc;
 
     const SAMPLE: &str = concat!(
         "<db>",
@@ -246,24 +244,22 @@ mod tests {
 
     #[test]
     fn pooled_execution_equals_sequential() {
-        // The executor is thread-agnostic: a plan run as a task on a
-        // pool worker — how a server runs a binary request — returns
-        // the same labels and counters as on the calling thread.
+        // The executor is thread-agnostic: a plan run on another thread
+        // — how a server's worker runs a binary request — returns the
+        // same labels and counters as on the calling thread.
         let (doc, store, dom) = fixture(SAMPLE);
-        let store = Arc::new(store);
-        let pool = PoolHandle::new(2);
         for xpath in ["/db/e/r/f/t", "//f", "/db/e[p//s='cyt']/r/f[y='2001']/t", "//s='cyt'"] {
-            let plan = Arc::new(lower_plan(&bound(&doc, &dom, xpath)));
+            let plan = lower_plan(&bound(&doc, &dom, xpath));
             let mut seq_stats = ExecStats::default();
             let seq = execute(&plan, &store, &mut seq_stats);
-            let (p, s) = (Arc::clone(&plan), Arc::clone(&store));
-            let (par, mut par_stats) = pool
-                .spawn_task(move || {
+            let (par, mut par_stats) = std::thread::scope(|s| {
+                s.spawn(|| {
                     let mut stats = ExecStats::default();
-                    (execute(&p, &s, &mut stats), stats)
+                    (execute(&plan, &store, &mut stats), stats)
                 })
                 .join()
-                .unwrap();
+                .unwrap()
+            });
             assert_eq!(par, seq, "{xpath}");
             par_stats.elapsed = seq_stats.elapsed;
             assert_eq!(par_stats, seq_stats, "{xpath}");

@@ -13,9 +13,6 @@
 //!   relational against the twig lowering: O(log n) cardinalities from
 //!   the SP/SD run directories, per-operator ns/elem rates, and the
 //!   twig join order.
-//! * [`pool`] — the worker pool a server runs whole requests on: fixed
-//!   threads over one FIFO queue, with panics delivered at the join.
-//!   No query hands part of its plan to it.
 //! * [`rdbms`] — the relational engine (§5.2): lowers a [`BoundPlan`]
 //!   into the Fig. 11 operator shape (selections, semi-join D-joins,
 //!   unions).
@@ -45,7 +42,6 @@ pub mod exec;
 pub mod naive;
 pub mod opt;
 pub mod physical;
-pub mod pool;
 pub mod rdbms;
 pub mod stats;
 pub mod stjoin;
@@ -54,7 +50,6 @@ pub mod twig;
 pub mod twigstack;
 
 pub use opt::{estimate_plan, order_twig_joins, source_cardinality, CostModel, PlanEstimate};
-pub use pool::{PoolHandle, TaskHandle};
 pub use physical::{lower_plan, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern};
 pub use rdbms::{execute_plan, execute_plan_with};
 pub use stats::ExecStats;

@@ -6,7 +6,6 @@
 
 use blas_engine::exec::execute;
 use blas_engine::physical::{lower_plan, lower_twig, lower_twigstack};
-use blas_engine::pool::PoolHandle;
 use blas_engine::{naive, rdbms::execute_plan, ExecStats, TwigQuery};
 use blas_labeling::label_document;
 use blas_storage::NodeStore;
@@ -14,7 +13,6 @@ use blas_translate::{bind, translate_dlabeling, translate_pushup, translate_spli
 use blas_xml::{Document, SchemaGraph};
 use blas_xpath::parse;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
 
@@ -117,17 +115,15 @@ proptest! {
 
     /// Execution is thread-agnostic: for random plans over random
     /// stores, each lowering (relational tree, twig semi-join DAG,
-    /// holistic TwigStack) run as a task on a shared two-worker pool —
-    /// how a server runs a binary request — returns byte-identical
-    /// results and an identical `ExecStats`, every field but the wall
-    /// clock, to the calling thread. The one pool serves every case.
+    /// holistic TwigStack) run on another thread — how a server's
+    /// worker runs a binary request — returns byte-identical results
+    /// and an identical `ExecStats`, every field but the wall clock, to
+    /// the calling thread.
     #[test]
     fn pooled_execution_matches_sequential(src in xml_doc(), qsrc in xpath_query()) {
-        static POOL: OnceLock<PoolHandle> = OnceLock::new();
-        let pool = POOL.get_or_init(|| PoolHandle::new(2));
         let doc = Document::parse(&src).unwrap();
         let labels = label_document(&doc).unwrap();
-        let store = Arc::new(NodeStore::build(&doc, &labels));
+        let store = NodeStore::build(&doc, &labels);
         let schema = SchemaGraph::infer(&doc);
         let q = parse(&qsrc).unwrap();
 
@@ -148,14 +144,14 @@ proptest! {
             for (engine, pplan) in phys {
                 let mut seq_stats = ExecStats::default();
                 let seq = execute(&pplan, &store, &mut seq_stats);
-                let task_store = Arc::clone(&store);
-                let (par, par_stats) = pool
-                    .spawn_task(move || {
+                let (par, par_stats) = std::thread::scope(|s| {
+                    s.spawn(|| {
                         let mut stats = ExecStats::default();
-                        (execute(&pplan, &task_store, &mut stats), stats)
+                        (execute(&pplan, &store, &mut stats), stats)
                     })
                     .join()
-                    .unwrap();
+                    .unwrap()
+                });
                 prop_assert_eq!(&par, &seq, "{}/{} on {} over {}", engine, name, qsrc, src);
                 prop_assert_eq!(
                     untimed(par_stats), untimed(seq_stats),

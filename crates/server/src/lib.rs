@@ -1,7 +1,7 @@
 //! # blas-server — the network front door for [`BlasDb`](blas::BlasDb)
 //!
 //! A deliberately small serving layer: **length-prefixed JSON-RPC over
-//! TCP** built on `std::net` blocking sockets and each document's
+//! TCP** built on `std::net` blocking sockets and one server-wide
 //! worker pool — no async runtime, no serde, no new dependencies.
 //!
 //! The pieces:
@@ -10,7 +10,8 @@
 //!   typed [`ErrorCode`] vocabulary.
 //! - [`json`] — a minimal total JSON reader/writer sized for this
 //!   protocol.
-//! - [`Server`] — acceptor + a thread per live connection, per-query
+//! - [`Server`] — acceptor + a thread per live connection + one worker
+//!   pool sized to the host's cores at bind, per-query
 //!   admission control (bounded in-flight, typed
 //!   [`ErrorCode::Overloaded`] rejection — never an unbounded queue),
 //!   per-connection idle/write timeouts, a generation-keyed result
@@ -38,6 +39,7 @@ pub mod proto;
 pub mod wire;
 
 mod client;
+mod pool;
 mod server;
 
 pub use client::{Client, ClientError, MuxClient, MuxConn, Proto, QueryReply};

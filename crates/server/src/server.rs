@@ -28,10 +28,15 @@
 //! logical in-flight requests. The connection thread probes an
 //! admitted `query`'s result-cache entry itself and answers a **hit**
 //! on the spot, writing the stored node array as it lies; a miss, and
-//! every other admitted request, runs on the routed document's request
-//! pool ([`BlasDb::pool`], one worker per core) while the connection
-//! thread keeps reading. A hit therefore never waits behind a slow
-//! miss, and costs no thread hand-off.
+//! every other admitted request, runs on the server's worker pool while
+//! the connection thread keeps reading. A hit therefore never waits
+//! behind a slow miss, and costs no thread hand-off.
+//!
+//! The pool is the server's: [`Server::bind`] starts one worker per
+//! core (at least two) whatever the number of documents it serves, so
+//! the thread budget is fixed at startup — an acceptor, the pool, and
+//! one thread per live connection. A query run in process, or over the
+//! JSON wire, runs on its caller's thread and never touches it.
 //!
 //! ## Admission control
 //!
@@ -41,9 +46,9 @@
 //! immediately with [`ErrorCode::Overloaded`] — the server never
 //! builds an unbounded queue in front of the database. On a
 //! multiplexed connection the permit is acquired *at frame-read time*,
-//! before the cache is probed or the request is handed to the
-//! execution pool, so the rejection is per-stream and the pool's queue
-//! stays bounded by the permit count. Cheap admin methods (`stats`,
+//! before the cache is probed or the request is handed to the worker
+//! pool, so the rejection is per-stream and the pool's queue stays
+//! bounded by the permit count. Cheap admin methods (`stats`,
 //! `plan_info`, `clear_cache`) bypass admission.
 //!
 //! ## Result cache
@@ -77,7 +82,7 @@
 //! finishes the requests it is executing (multiplexed streams each get
 //! their response), answers any frame already buffered with
 //! [`ErrorCode::ShuttingDown`], and exits; shutdown joins every
-//! connection thread before it returns.
+//! connection thread, then the pool's workers, before it returns.
 
 use crate::json::{self, Json};
 use crate::proto::{
@@ -85,13 +90,13 @@ use crate::proto::{
     ErrorCode, FrameReader, ReadEvent,
 };
 use crate::wire::{self, NodesBlob, Request, Response};
+use crate::pool::Pool;
 use blas::{BlasCollection, BlasDb, DocId, EngineChoice, GenCache, GenKey, SharedSnapshot};
-use blas_engine::TaskHandle;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -278,6 +283,9 @@ pub struct ServerStats {
     pub cache_invalidated: u64,
     /// Result-cache current occupancy.
     pub cache_entries: usize,
+    /// Binary requests run on the worker pool: every admitted one but a
+    /// result-cache hit.
+    pub pool_tasks: u64,
 }
 
 struct Inner {
@@ -292,6 +300,8 @@ struct Inner {
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     timeouts: AtomicU64,
+    pool: Pool,
+    pool_tasks: AtomicU64,
 }
 
 impl Inner {
@@ -314,6 +324,7 @@ impl Inner {
             cache_misses: cache.misses(),
             cache_invalidated: self.cache.invalidated.load(Ordering::Relaxed),
             cache_entries: cache.len(),
+            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
         }
     }
 }
@@ -351,7 +362,8 @@ impl Server {
     /// Bind `addr` and front a whole collection: requests route by
     /// database name (`"db"` param / field), an empty or absent name
     /// selects the first member. The returned handle owns the acceptor
-    /// thread, which owns the connection threads.
+    /// thread, which owns the connection threads, and the worker pool:
+    /// one worker per core, at least two, for every member.
     pub fn bind_collection(
         coll: BlasCollection,
         addr: impl ToSocketAddrs,
@@ -365,6 +377,8 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).max(2);
+        let pool = Pool::start(workers)?;
         let inner = Arc::new(Inner {
             inflight: Arc::new(Semaphore::new(cfg.max_inflight)),
             conn_slots: Arc::new(Semaphore::new(cfg.max_connections)),
@@ -375,6 +389,8 @@ impl Server {
             conns_accepted: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
+            pool,
+            pool_tasks: AtomicU64::new(0),
             coll,
             cfg,
         });
@@ -392,10 +408,16 @@ impl Server {
             });
         }
         let acceptor_inner = Arc::clone(&inner);
-        let acceptor = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("blas-accept".into())
-            .spawn(move || accept_loop(acceptor_inner, listener))?;
-        Ok(Server { inner, addr: local, acceptor: Some(acceptor) })
+            .spawn(move || accept_loop(acceptor_inner, listener));
+        match spawned {
+            Ok(acceptor) => Ok(Server { inner, addr: local, acceptor: Some(acceptor) }),
+            Err(e) => {
+                inner.pool.join();
+                Err(e)
+            }
+        }
     }
 
     /// The bound address (resolves port 0).
@@ -409,7 +431,7 @@ impl Server {
     }
 
     /// Stop accepting, drain in-flight requests, join every connection
-    /// thread, and return the final counters.
+    /// thread and the worker pool, and return the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.shutdown_impl();
         self.stats()
@@ -432,6 +454,9 @@ impl Server {
                 let _ = conn.thread.join();
             }
         }
+        // Every connection has waited out its streams: the queue is
+        // empty and no worker is busy.
+        self.inner.pool.join();
     }
 }
 
@@ -678,17 +703,31 @@ fn serve_json(inner: &Inner, mut stream: &TcpStream, mut input: Input<'_>) {
 }
 
 /// The shared write half of a multiplexed connection: response frames
-/// from the connection thread and from concurrent execution tasks
-/// interleave under one lock (a frame is written atomically), and the
-/// first write failure marks the connection dead so the read loop stops
-/// feeding it.
+/// from the connection thread and from pool tasks interleave under one
+/// lock (a frame is written atomically), and the first write failure
+/// marks the connection dead so the read loop stops feeding it. It also
+/// counts the replies the pool still owes.
 struct MuxWriter {
     stream: Arc<TcpStream>,
     lock: Mutex<()>,
     dead: AtomicBool,
+    /// Streams handed to the pool whose reply is not yet sent.
+    in_flight: Mutex<usize>,
+    /// Signalled when `in_flight` falls to zero.
+    settled: Condvar,
 }
 
 impl MuxWriter {
+    fn new(stream: Arc<TcpStream>) -> MuxWriter {
+        MuxWriter {
+            stream,
+            lock: Mutex::new(()),
+            dead: AtomicBool::new(false),
+            in_flight: Mutex::new(0),
+            settled: Condvar::new(),
+        }
+    }
+
     /// Send `resp` on `stream_id`. Its envelope is encoded into `head`
     /// (a buffer the caller may reuse), and a query reply's node array
     /// follows it on the wire from where its blob holds it — a cached
@@ -696,7 +735,7 @@ impl MuxWriter {
     fn send_with(&self, head: &mut Vec<u8>, stream_id: u64, resp: &Response) {
         clear_frame(head);
         let tail = wire::encode_response_head(stream_id, resp, head);
-        let _guard = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         if self.dead.load(Ordering::Acquire) {
             return;
         }
@@ -708,6 +747,19 @@ impl MuxWriter {
     fn send(&self, stream_id: u64, resp: &Response) {
         self.send_with(&mut frame_buf(ENVELOPE_HINT), stream_id, resp);
     }
+
+    /// The in-flight count; every update is one add or subtract.
+    fn in_flight(&self) -> MutexGuard<'_, usize> {
+        self.in_flight.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until every stream handed to the pool has sent its reply.
+    fn settle(&self) {
+        let mut open = self.in_flight();
+        while *open > 0 {
+            open = self.settled.wait(open).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 fn send_binary_error(stream: &TcpStream, stream_id: u64, code: ErrorCode, message: &str) {
@@ -715,28 +767,47 @@ fn send_binary_error(stream: &TcpStream, stream_id: u64, code: ErrorCode, messag
     let _ = send_frame(&mut &*stream, &mut binary_frame(stream_id, &resp));
 }
 
+/// Run one admitted stream's `body` on `pool` and send its reply. A
+/// body that panics is answered [`ErrorCode::Internal`] on its stream,
+/// and the worker goes on to its next task.
+fn spawn_stream(
+    pool: &Pool,
+    writer: &Arc<MuxWriter>,
+    stream_id: u64,
+    body: impl FnOnce() -> Response + Send + 'static,
+) {
+    *writer.in_flight() += 1;
+    let writer = Arc::clone(writer);
+    pool.submit(move || {
+        let resp = catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|_| Response::Error {
+            code: ErrorCode::Internal,
+            message: "the request panicked".into(),
+        });
+        writer.send(stream_id, &resp);
+        let mut open = writer.in_flight();
+        *open -= 1;
+        if *open == 0 {
+            writer.settled.notify_all();
+        }
+    });
+}
+
 /// The multiplexed binary serve loop. The connection thread reads
 /// frames; admission happens here, at read time. An admitted `query` is
 /// probed here too: a result-cache hit is answered from this thread,
 /// straight from the stored bytes. A miss, a held query and every other
-/// admitted request move their permit onto the routed document's pool
-/// and the thread keeps reading; a rejected one is answered
-/// `overloaded` on its own stream.
+/// admitted request move their permit onto the server's pool and the
+/// thread keeps reading; a rejected one is answered `overloaded` on its
+/// own stream.
 fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_>) {
-    let writer = Arc::new(MuxWriter {
-        stream: Arc::clone(stream),
-        lock: Mutex::new(()),
-        dead: AtomicBool::new(false),
-    });
+    let writer = Arc::new(MuxWriter::new(Arc::clone(stream)));
     let mut reader = FrameReader::new();
     // The envelope of every reply this thread sends.
     let mut head = frame_buf(ENVELOPE_HINT);
-    let mut tasks: Vec<TaskHandle<()>> = Vec::new();
     while !writer.dead.load(Ordering::Acquire) {
         match reader.poll_ref(&mut input) {
             Ok(ReadEvent::Frame(payload)) => {
                 input.get_mut().restart();
-                tasks.retain(|t| !t.is_done());
                 let (sid, body) = match wire::split_stream_id(payload) {
                     Ok(x) => x,
                     Err(e) => {
@@ -793,26 +864,19 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
                     }
                     _ => None,
                 };
-                // An unknown name is the dispatch's to answer, from the
-                // first document's pool.
-                let db = resolve(inner, req.db())
-                    .map_or(inner.coll.doc_shared(DocId(0)), |(_, db)| db);
-                let (task_inner, task_writer) = (Arc::clone(inner), Arc::clone(&writer));
-                tasks.push(db.pool().spawn_task(move || {
-                    let resp = match (missed, &req) {
-                        (Some(probe), Request::Query { xpath, engine, labels, .. }) => {
-                            let resp = execute(&task_inner, probe, xpath, engine, *labels);
-                            drop(permit);
-                            account(&task_inner, resp)
-                        }
-                        _ => dispatch(&task_inner, &req, Some(permit)),
-                    };
-                    task_writer.send(sid, &resp);
-                }));
+                inner.pool_tasks.fetch_add(1, Ordering::Relaxed);
+                let task_inner = Arc::clone(inner);
+                spawn_stream(&inner.pool, &writer, sid, move || match (missed, &req) {
+                    (Some(probe), Request::Query { xpath, engine, labels, .. }) => {
+                        let resp = execute(&task_inner, probe, xpath, engine, *labels);
+                        drop(permit);
+                        account(&task_inner, resp)
+                    }
+                    _ => dispatch(&task_inner, &req, Some(permit)),
+                });
             }
             Ok(ReadEvent::Idle) => {
-                tasks.retain(|t| !t.is_done());
-                if tasks.is_empty() {
+                if *writer.in_flight() == 0 {
                     inner.timeouts.fetch_add(1, Ordering::Relaxed);
                     let message = IDLE.into();
                     writer.send(0, &Response::Error { code: ErrorCode::Timeout, message });
@@ -822,9 +886,7 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
                 // budget for them — or, when the budget is zero and a
                 // re-read would only spin, for the streams themselves.
                 if inner.cfg.read_timeout == Some(Duration::ZERO) {
-                    for t in tasks.drain(..) {
-                        let _ = t.join();
-                    }
+                    writer.settle();
                 }
                 input.get_mut().restart();
             }
@@ -838,9 +900,7 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
     }
     // Drain: every admitted stream gets its response before the
     // connection closes.
-    for t in tasks {
-        let _ = t.join();
-    }
+    writer.settle();
 }
 
 /// Best-effort id extraction for error responses to frames we will not
@@ -1147,6 +1207,7 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
         ("generation".into(), Json::uint(db.generation())),
         ("served".into(), Json::uint(s.served)),
         ("overloaded".into(), Json::uint(s.overloaded)),
+        ("pool_tasks".into(), Json::uint(s.pool_tasks)),
         (
             "inflight".into(),
             Json::uint(inner.inflight.in_use(inner.cfg.max_inflight) as u64),
@@ -1250,6 +1311,42 @@ mod tests {
         // The same blob, not a re-stored one, and it still answers binary.
         assert!(Arc::ptr_eq(&blob, &stored(&server)));
         assert_eq!(mux.query("//n", "auto").unwrap().nodes, first.nodes);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_stream_is_answered_internal_and_its_worker_serves_on() {
+        let db = Arc::new(BlasDb::load(SRC).unwrap());
+        let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        // A connected pair: replies go out on the accepted end, and
+        // are read on `far`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        far.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let writer = Arc::new(MuxWriter::new(Arc::new(listener.accept().unwrap().0)));
+        // One worker runs both streams, the panicking one first.
+        let pool = Pool::start(1).unwrap();
+        spawn_stream(&pool, &writer, 1, || panic!("stream boom"));
+        let req = Request::Query {
+            db: String::new(),
+            xpath: "//n".into(),
+            engine: "auto".into(),
+            labels: false,
+            cache: false,
+            hold_ms: None,
+        };
+        let inner = Arc::clone(&server.inner);
+        spawn_stream(&pool, &writer, 2, move || dispatch(&inner, &req, None));
+        writer.settle();
+        pool.join();
+
+        let mut reader = FrameReader::new();
+        let mut next = || match reader.poll(&mut far).unwrap() {
+            ReadEvent::Frame(f) => wire::decode_response(&f).unwrap(),
+            other => panic!("expected a frame, got {other:?}"),
+        };
+        assert!(matches!(next(), (1, Response::Error { code: ErrorCode::Internal, .. })));
+        assert!(matches!(next(), (2, Response::Query { count: 3, .. })));
         server.shutdown();
     }
 

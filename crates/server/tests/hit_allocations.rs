@@ -87,8 +87,8 @@ fn a_binary_hit_allocates_on_the_server_alike_for_three_labels_and_ten_thousand(
     }
 
     // The fewest over a few rounds: a thread that allocates once while
-    // a round counts (a pool worker the misses above started, still
-    // starting up on a loaded host) inflates that round only.
+    // a round counts (a pool worker still winding down from the misses
+    // above, on a loaded host) inflates that round only.
     let hits = |client: &MuxClient| {
         let rounds = (0..ROUNDS).map(|_| {
             elsewhere(|| {

@@ -1,9 +1,9 @@
 //! Concurrency stress suite: one `BlasDb` hammered by many OS threads
-//! at once — directly, and as whole-query tasks on the document's
-//! worker pool, the way a server runs binary requests — with every
+//! at once — directly, and as whole queries each on a thread of its
+//! own, the way a server's workers run binary requests — with every
 //! answer checked against the single-threaded baseline, plus panic
-//! isolation: a panicking task must surface as an error at its join
-//! and leave the pool fully usable.
+//! isolation: a query thread that panics must surface as an error at
+//! its join and leave the database fully usable.
 //!
 //! The CI `concurrency` job runs this file with `RUST_TEST_THREADS=4`
 //! on multi-core runners so the schedules here are genuinely
@@ -12,7 +12,6 @@
 
 use blas::{BlasDb, DLabel, EngineChoice};
 use blas_datagen::{query_set, DatasetId};
-use blas_engine::pool::PoolHandle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -30,12 +29,10 @@ fn choices() -> [EngineChoice; 4] {
     [EngineChoice::auto(), EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack()]
 }
 
-/// Run `xpath` as one whole-query task on `pool`, the way the server
-/// runs a binary request, and wait for it.
-fn query_on(pool: &PoolHandle, db: &Arc<BlasDb>, xpath: &str, choice: EngineChoice) -> Vec<DLabel> {
-    let (task_db, task_xpath) = (Arc::clone(db), xpath.to_string());
-    pool.spawn_task(move || task_db.query(&task_xpath, choice).unwrap().nodes)
-        .join()
+/// Run `xpath` start to finish on a thread of its own, the way a
+/// server's worker runs a binary request, and wait for it.
+fn query_on_thread(db: &BlasDb, xpath: &str, choice: EngineChoice) -> Vec<DLabel> {
+    std::thread::scope(|s| s.spawn(|| db.query(xpath, choice).unwrap().nodes).join())
         .unwrap_or_else(|_| panic!("{xpath:?} under {choice:?} panicked"))
 }
 
@@ -52,13 +49,10 @@ fn auction_queries_from_many_threads_share_one_pool() {
         .chain(["//text"])
         .map(|xpath| (xpath, db.query(xpath, EngineChoice::auto()).unwrap().nodes))
         .collect();
-    // In-process queries never touch the pool.
-    assert_eq!(db.pool().jobs_submitted(), 0);
 
-    // Every client alternates direct calls with whole-query tasks on
-    // the one pool, so both kinds of execution interleave on the same
-    // store.
-    let pool_before = db.pool().clone();
+    // Every client alternates direct calls with whole queries on
+    // threads of their own, so both kinds of execution interleave on
+    // the same store.
     let executed = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for client in 0..CLIENT_THREADS {
@@ -68,7 +62,7 @@ fn auction_queries_from_many_threads_share_one_pool() {
                     let choice = choices()[(client + round) % choices().len()];
                     for (xpath, expected) in baselines {
                         let got = if round % 2 == 0 {
-                            query_on(db.pool(), db, xpath, choice)
+                            query_on_thread(db, xpath, choice)
                         } else {
                             db.query(xpath, choice).unwrap().nodes
                         };
@@ -85,13 +79,6 @@ fn auction_queries_from_many_threads_share_one_pool() {
     });
 
     assert_eq!(executed.load(Ordering::Relaxed), CLIENT_THREADS * ROUNDS * baselines.len());
-    // Exactly the whole-query tasks reached the one pool, and no query
-    // added a job of its own.
-    assert_eq!(
-        db.pool().jobs_submitted() as usize,
-        CLIENT_THREADS * ROUNDS / 2 * baselines.len()
-    );
-    assert_eq!(db.pool().threads(), pool_before.threads());
 }
 
 #[test]
@@ -99,34 +86,40 @@ fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
     let db = auction_db();
     let q = "/site/regions/asia/item/description";
     let expected = db.query(q, EngineChoice::auto()).unwrap().nodes;
-    let pool = db.pool().clone();
-    assert_eq!(query_on(&pool, &db, q, EngineChoice::auto()), expected);
+    assert_eq!(query_on_thread(&db, q, EngineChoice::auto()), expected);
 
-    // A task that panics: the panic is *delivered* as an Err, not
-    // re-raised, and the worker that ran it survives.
-    let joined = pool.spawn_task(|| -> u32 { panic!("injected failure") }).join();
-    let payload = joined.expect_err("a panicking task must surface as an error");
+    // A query thread that panics while it holds a pinned generation:
+    // the panic is *delivered* as an Err at the join, not re-raised.
+    let joined = std::thread::scope(|s| {
+        s.spawn(|| -> u32 {
+            let snap = db.snapshot();
+            assert_eq!(snap.query(q, EngineChoice::auto()).unwrap().nodes, expected);
+            panic!("injected failure")
+        })
+        .join()
+    });
+    let payload = joined.expect_err("a panicking query thread must surface as an error");
     assert_eq!(payload.downcast_ref::<&str>().copied(), Some("injected failure"));
 
-    // The pool is not poisoned: the same database keeps answering
-    // queries correctly on the same pool instance.
+    // Nothing is poisoned: the same database keeps answering queries
+    // correctly, on this thread and on others.
     for _ in 0..3 {
-        assert_eq!(query_on(&pool, &db, q, EngineChoice::auto()), expected);
+        assert_eq!(query_on_thread(&db, q, EngineChoice::auto()), expected);
+        assert_eq!(db.query(q, EngineChoice::auto()).unwrap().nodes, expected);
     }
-    assert_eq!(db.pool().threads(), pool.threads());
 }
 
 #[test]
 fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
-    // An operator that panics mid-plan inside a pool task must reach
-    // the joiner as an error, and the same pool must keep executing
+    // An operator that panics mid-plan on a query thread must reach
+    // the joiner as an error, and the same store must keep executing
     // healthy plans byte-identical to a direct call.
     use blas_engine::exec::execute;
     use blas_engine::physical::{PhysOp, PhysPlan, TwigPattern};
     use blas_engine::ExecStats;
     use blas_translate::BoundSource;
 
-    let db = Arc::new(BlasDb::load("<a><b>x</b><b>y</b></a>").unwrap());
+    let db = BlasDb::load("<a><b>x</b><b>y</b></a>").unwrap();
     // A deliberately inconsistent holistic pattern (root index out of
     // range): `PhysPlan::from_ops` only enforces the arena invariant,
     // so the plan builds — and the match operator panics the moment it
@@ -138,15 +131,15 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
         root: 7,
         output: 0,
     };
-    let broken = Arc::new(PhysPlan::from_ops(
+    let broken = PhysPlan::from_ops(
         vec![
             PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
             PhysOp::TwigStackMatch { streams: vec![0], pattern },
             PhysOp::Materialize { input: 1 },
         ],
         2,
-    ));
-    let healthy = Arc::new(PhysPlan::from_ops(
+    );
+    let healthy = PhysPlan::from_ops(
         vec![
             PhysOp::ClusteredScan {
                 source: BoundSource::All,
@@ -156,22 +149,22 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
             PhysOp::Materialize { input: 0 },
         ],
         1,
-    ));
-    let run = |plan: &Arc<PhysPlan>| {
-        let (task_db, plan) = (Arc::clone(&db), Arc::clone(plan));
-        db.pool().spawn_task(move || execute(&plan, task_db.store(), &mut ExecStats::default()))
+    );
+    let run = |plan: &PhysPlan| {
+        std::thread::scope(|s| {
+            s.spawn(|| execute(plan, db.store(), &mut ExecStats::default())).join()
+        })
     };
 
-    assert!(run(&broken).join().is_err(), "the operator's panic must surface at the join");
+    assert!(run(&broken).is_err(), "the operator's panic must surface at the join");
     let mut direct_stats = ExecStats::default();
     let direct = execute(&healthy, db.store(), &mut direct_stats);
     assert_eq!(direct.len(), 1);
-    // No worker died with the panic: the same pool instance keeps
-    // executing healthy plans.
+    // Nothing died with the panic: the same store keeps executing
+    // healthy plans on other threads.
     for _ in 0..3 {
-        assert_eq!(run(&healthy).join().unwrap(), direct, "pool must survive a panicked operator");
+        assert_eq!(run(&healthy).unwrap(), direct, "the store must survive a panicked operator");
     }
-    assert_eq!(db.pool().jobs_submitted(), 4);
 }
 
 #[test]
@@ -218,13 +211,12 @@ fn chain_heavy_pipelines_collapse_under_contention() {
             });
         }
     });
-    assert_eq!(db.pool().jobs_submitted(), 0, "execution never hands work to the pool");
 }
 
 /// Satellite of the delta-store tentpole: OS reader threads hammer
 /// queries through pinned [`blas::DbSnapshot`]s while one writer
 /// mutates the database and folds the delta — synchronously and on the
-/// shared pool. Every answer must match the oracle for **exactly** the
+/// background compactor. Every answer must match the oracle for **exactly** the
 /// generation the reader pinned, and a snapshot pinned at the start
 /// must keep answering its own generation after a dozen publishes.
 #[test]
@@ -353,7 +345,7 @@ fn readers_pin_generations_while_a_writer_mutates_and_compacts() {
             });
         }
 
-        // The writer: paced mutations, then a pool-side compaction.
+        // The writer: paced mutations, then a background compaction.
         let (db, done) = (&db, &done);
         s.spawn(move || {
             for step in 0..STEPS {
@@ -491,26 +483,22 @@ fn concurrent_compactions_rebase_a_writers_edits_without_losing_any() {
 
 #[test]
 fn external_pool_can_be_shared_across_databases() {
-    // Two databases, one externally owned pool: whole queries of both,
-    // submitted from several threads, run interleaved on its workers
-    // and answer exactly what a direct call does.
+    // Two databases queried whole from several threads at once, each
+    // query on a thread of its own: they interleave and answer exactly
+    // what a direct call does.
     let xpath = "/site/regions/asia/item[shipping]/description";
-    let db_a = Arc::new(BlasDb::load(&blas_datagen::auction(1, 7)).unwrap());
-    let db_b = Arc::new(BlasDb::load(&blas_datagen::auction(1, 8)).unwrap());
-    let pool = PoolHandle::new(3);
+    let db_a = BlasDb::load(&blas_datagen::auction(1, 7)).unwrap();
+    let db_b = BlasDb::load(&blas_datagen::auction(1, 8)).unwrap();
     let seq_a = db_a.query(xpath, EngineChoice::auto()).unwrap().nodes;
     let seq_b = db_b.query(xpath, EngineChoice::auto()).unwrap().nodes;
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
                 for _ in 0..3 {
-                    assert_eq!(query_on(&pool, &db_a, xpath, EngineChoice::rdbms()), seq_a);
-                    assert_eq!(query_on(&pool, &db_b, xpath, EngineChoice::twig()), seq_b);
+                    assert_eq!(query_on_thread(&db_a, xpath, EngineChoice::rdbms()), seq_a);
+                    assert_eq!(query_on_thread(&db_b, xpath, EngineChoice::twig()), seq_b);
                 }
             });
         }
     });
-    assert_eq!(pool.jobs_submitted(), 4 * 3 * 2);
-    // Neither database's own pool was touched.
-    assert_eq!(db_a.pool().jobs_submitted() + db_b.pool().jobs_submitted(), 0);
 }

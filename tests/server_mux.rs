@@ -286,6 +286,38 @@ fn a_cached_hit_returns_while_a_held_stream_is_in_flight() {
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
 }
 
+/// The miss form of the pin above: a miss sent behind a held stream on
+/// the same socket executes beside it and returns first. Run inline on
+/// the connection thread, the miss would wait for the held stream, as
+/// its frame would not be read until that stream finished.
+#[test]
+fn a_cache_miss_returns_while_a_held_stream_is_in_flight() {
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { debug_hold: true, ..Default::default() },
+    )
+    .unwrap();
+    let mux = MuxClient::connect(server.local_addr(), Some(Duration::from_secs(30))).unwrap();
+
+    let held = mux.clone();
+    std::thread::scope(|s| {
+        let started = Instant::now();
+        let slow = s.spawn(move || held.query_hold("//n", "auto", 600));
+        // Give the held stream time to be admitted first.
+        std::thread::sleep(Duration::from_millis(100));
+        let miss = mux.query_count("//n", "auto", false).expect("the miss answers");
+        let answered = started.elapsed();
+        assert_eq!((miss.cached, miss.count), (false, 2));
+        assert!(!slow.is_finished(), "the held stream must still be in flight");
+        assert!(answered < Duration::from_millis(600), "the miss waited {answered:?}");
+        assert_eq!(slow.join().unwrap().expect("the held stream answers").count, 2);
+    });
+    let stats = server.shutdown();
+    assert_eq!((stats.cache_hits, stats.pool_tasks), (0, 2));
+}
+
 /// Admission control is per stream: with one in-flight slot held, a
 /// second stream on the same socket is rejected with a typed
 /// `overloaded` on *its* stream id — the connection survives, and
