@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for design choices ARCHITECTURE.md describes:
 //!
 //! * **twig matcher**: semi-join reduction vs the literal TwigStack
 //!   algorithm (path-solution enumeration + merge);

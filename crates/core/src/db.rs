@@ -182,8 +182,8 @@ impl fmt::Display for EngineChoice {
     }
 }
 
-/// Parse the stock engine choices by name, for CLI flags (the fig
-/// bins' `--engine`):
+/// Parse the stock engine choices by name, the tokens a server
+/// request's `engine` field carries:
 ///
 /// ```
 /// use blas::EngineChoice;
@@ -1681,7 +1681,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_queries_share_the_db_pool() {
+    fn parallel_queries_answer_like_one_call() {
         // Whole queries run at once on other threads — a server's
         // workers — answer what a direct call does, counters included.
         let xml = format!("<db>{}</db>", "<e><n>x</n></e>".repeat(10_000));

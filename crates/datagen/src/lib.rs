@@ -17,7 +17,8 @@
 //! times" (§5.3.2, §5.3.4).
 //!
 //! [`queries`] holds the Fig. 10 query sets and the XPath renderings of
-//! the XMark benchmark queries used in Fig. 15.
+//! the XMark benchmark queries used in Fig. 15; [`evaluation_queries`]
+//! lists both with their datasets.
 
 pub mod auction;
 pub mod protein;
@@ -27,7 +28,7 @@ pub mod writer;
 
 pub use auction::auction;
 pub use protein::protein;
-pub use queries::{query_set, xmark_benchmark, BenchQuery, QueryKind};
+pub use queries::{evaluation_queries, query_set, xmark_benchmark, BenchQuery, QueryKind};
 pub use shakespeare::shakespeare;
 
 /// The three datasets, for harness iteration.

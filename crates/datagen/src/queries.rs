@@ -121,6 +121,16 @@ pub fn xmark_benchmark() -> [BenchQuery; 5] {
     ]
 }
 
+/// Every query of the paper's evaluation with the dataset it runs on:
+/// the Fig. 10 sets of the three datasets, then the Fig. 15 XMark
+/// queries on Auction — the rows of §5's table.
+pub fn evaluation_queries() -> impl Iterator<Item = (DatasetId, BenchQuery)> {
+    DatasetId::ALL
+        .into_iter()
+        .flat_map(|ds| query_set(ds).into_iter().map(move |q| (ds, q)))
+        .chain(xmark_benchmark().into_iter().map(|q| (DatasetId::Auction, q)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

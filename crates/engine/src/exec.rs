@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_execution_equals_sequential() {
+    fn execution_on_another_thread_equals_the_calling_thread() {
         // The executor is thread-agnostic: a plan run on another thread
         // — how a server's worker runs a binary request — returns the
         // same labels and counters as on the calling thread.

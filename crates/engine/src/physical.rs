@@ -321,8 +321,8 @@ fn lower_plan_rec(bound: &BoundPlan, plan: &mut PhysPlan) -> OpId {
 /// per arm, one clustered scan per twig node (its label *stream*), then
 /// the two stack passes expressed as a DAG of structural semi-joins —
 /// bottom-up satisfaction (keep ancestors, tallied as the twig's
-/// D-joins) and top-down reachability (keep descendants, untallied:
-/// the paper counts each twig edge once).
+/// D-joins) and top-down reachability along the root → output path
+/// (keep descendants, untallied: the paper counts each twig edge once).
 pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
     lower_arms(arms, |plan, q| {
         let pattern = TwigPattern::from_query(q);
@@ -331,8 +331,7 @@ pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
             .iter()
             .map(|n| lower_selection(plan, &n.source, &n.value_eq, n.level_eq))
             .collect();
-        let order = pattern.post_order();
-        for &qi in &order {
+        for qi in pattern.post_order() {
             for &c in &pattern.children[qi] {
                 sat[qi] = plan.push(PhysOp::StructuralJoin {
                     anc: sat[qi],
@@ -343,20 +342,25 @@ pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
                 });
             }
         }
-        let mut alive: Vec<OpId> = vec![usize::MAX; pattern.len()];
-        alive[pattern.root] = sat[pattern.root];
-        for &qi in order.iter().rev() {
-            for &c in &pattern.children[qi] {
-                alive[c] = plan.push(PhysOp::StructuralJoin {
-                    anc: alive[qi],
-                    desc: sat[c],
-                    level_diff: pattern.level_diff[c],
-                    keep: Side::Desc,
-                    tally: false,
-                });
-            }
+        // Top-down only along the root → output path: nothing reads a
+        // branch node's reachable set.
+        let mut path = Vec::new();
+        let mut n = pattern.output;
+        while let Some(p) = pattern.parent[n] {
+            path.push(n);
+            n = p;
         }
-        alive[pattern.output]
+        let mut alive = sat[pattern.root];
+        for &c in path.iter().rev() {
+            alive = plan.push(PhysOp::StructuralJoin {
+                anc: alive,
+                desc: sat[c],
+                level_diff: pattern.level_diff[c],
+                keep: Side::Desc,
+                tally: false,
+            });
+        }
+        alive
     })
 }
 
@@ -476,9 +480,9 @@ mod tests {
                 if *tally { tallied += 1 } else { untallied += 1 }
             }
         }
-        // One bottom-up + one top-down join per twig edge.
-        assert_eq!(tallied, twig.edge_count());
-        assert_eq!(untallied, twig.edge_count());
+        // One bottom-up join per twig edge (`db/e`–`p`, `db/e`–`r/f`);
+        // top-down only on the root → output path (`db/e`–`r/f`).
+        assert_eq!((twig.edge_count(), tallied, untallied), (2, 2, 1));
         // Scan outputs are shared between the passes: the plan is a DAG,
         // so some operator has more than one consumer.
         let mut consumers = vec![0usize; plan.ops().len()];

@@ -19,8 +19,8 @@
 //! compute the output-binding set instead of enumerating full match
 //! tuples — the time and elements-read metrics the paper reports are
 //! preserved (each stream is still scanned once per incident edge with
-//! O(depth) stack work per element); see DESIGN.md's substitution
-//! table.
+//! O(depth) stack work per element); see ARCHITECTURE.md, "Where this
+//! departs from the paper".
 //!
 //! Since the physical-plan refactor this module owns no execution
 //! loop: [`TwigQuery`] is a *lowering strategy*. `crate::physical`'s

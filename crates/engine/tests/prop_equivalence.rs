@@ -120,7 +120,7 @@ proptest! {
     /// and an identical `ExecStats`, every field but the wall clock, to
     /// the calling thread.
     #[test]
-    fn pooled_execution_matches_sequential(src in xml_doc(), qsrc in xpath_query()) {
+    fn execution_on_another_thread_matches_the_calling_thread(src in xml_doc(), qsrc in xpath_query()) {
         let doc = Document::parse(&src).unwrap();
         let labels = label_document(&doc).unwrap();
         let store = NodeStore::build(&doc, &labels);

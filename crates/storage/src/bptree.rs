@@ -214,8 +214,9 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         }
     }
 
-    /// Height of the tree (1 for a lone leaf). Exposed for tests and the
-    /// storage-size accounting in EXPERIMENTS.md.
+    /// Height of the tree (1 for a lone leaf). Exposed for tests and
+    /// `bench_storage`'s index accounting (ARCHITECTURE.md, "Clustered
+    /// storage").
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut at = self.root;

@@ -26,7 +26,7 @@
 //! Example 4.1 does) because dropping it is unsound when a suffix path
 //! can match deeper than the branch requires. Fig. 11 elides the
 //! predicate; Example 4.1 and correctness both keep it. See
-//! EXPERIMENTS.md.
+//! ARCHITECTURE.md, "Where this departs from the paper".
 
 pub mod bind;
 pub mod decompose;

@@ -308,7 +308,7 @@ fn run_bypasses_the_plan_cache() {
     assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
 }
 
-/// The engine-name round-trip the fig bins rely on.
+/// The engine-name round-trip a server request's `engine` field relies on.
 #[test]
 fn engine_choice_parses_and_displays() {
     for (token, choice) in [

@@ -1,11 +1,13 @@
 //! Golden plan-shape tests: for every Fig. 10 query, pin the exact
 //! join/selection mix each translator produces. These are the §4.2 and
 //! §5.2.2 accounting claims, frozen so a translator regression is
-//! caught immediately — plus which shapes a count answers off the run
-//! directory, so a change that loses that shortcut fails here instead
-//! of quietly costing the count-only path its speed, and Unfold's
-//! exactness: a linear query selects exactly its matching live keys,
-//! bound to runs of consecutive keys — one scan on every engine.
+//! caught immediately. Beside them, §5's evaluation as one table of
+//! pinned counts and visits, the rows the `paper` binary prints. Then
+//! which shapes a count answers off the run directory, so a change
+//! that loses that shortcut fails here instead of quietly costing the
+//! count-only path its speed, and Unfold's exactness: a linear query
+//! selects exactly its matching live keys, bound to runs of
+//! consecutive keys — one scan on every engine.
 
 use blas::{BlasDb, EngineChoice, Plan, PlanSummary, Translator};
 use blas_datagen::DatasetId;
@@ -109,6 +111,92 @@ fn fig10_plan_shapes_are_pinned() {
         assert!(s.0 <= d.0 && p.0 <= d.0, "{}", g.id);
         // Push-up is at least as anchored as Split.
         assert!(p.1 >= s.1, "{} eq-selections", g.id);
+    }
+}
+
+/// The translators in §5's column order.
+const TRANSLATORS: [Translator; 4] =
+    [Translator::DLabeling, Translator::Split, Translator::PushUp, Translator::Unfold];
+
+/// §5 as one table at ×1. Each row is a query of the evaluation
+/// (Fig. 10's nine, Fig. 15's five) in full or value-stripped (§5.3.1),
+/// pinned as its result count and, per translator, elements visited
+/// and D-joins. Every engine gives the row's triple, every translator
+/// returns as many nodes as the naive tree walk, and visits keep the
+/// order Unfold ≤ Push-up ≤ Split ≤ D-labeling. Figs. 16–18: each
+/// translator's visits on QA1–QA3 double with the data.
+#[test]
+fn paper_evaluation_table_is_pinned() {
+    // (id, stripped, count, [visited; D, S, P, U], [d_joins; D, S, P, U]).
+    type Row = (&'static str, bool, usize, [u64; 4], [u32; 4]);
+    let table: [Row; 28] = [
+        ("QS1", false, 14_634, [21_351, 14_634, 14_634, 14_634], [5, 0, 0, 0]),
+        ("QS1", true, 14_634, [21_351, 14_634, 14_634, 14_634], [5, 0, 0, 0]),
+        ("QS2", false, 11, [16_212, 901, 901, 11], [4, 1, 1, 0]),
+        ("QS2", true, 11, [16_212, 901, 901, 11], [4, 1, 1, 0]),
+        ("QS3", false, 397, [16_301, 16_102, 15_851, 15_804], [5, 2, 2, 2]),
+        ("QS3", true, 14_634, [16_301, 16_102, 15_851, 15_804], [5, 2, 2, 2]),
+        ("QP1", false, 3_700, [11_101, 3_700, 3_700, 3_700], [3, 0, 0, 0]),
+        ("QP1", true, 3_700, [11_101, 3_700, 3_700, 3_700], [3, 0, 0, 0]),
+        ("QP2", false, 40, [20_453, 14_892, 14_892, 11_192], [3, 1, 1, 0]),
+        ("QP2", true, 11_192, [20_453, 14_892, 14_892, 11_192], [3, 1, 1, 0]),
+        ("QP3", false, 2_987, [31_679, 22_418, 22_418, 22_418], [7, 4, 4, 4]),
+        ("QP3", true, 2_987, [31_679, 22_418, 22_418, 22_418], [7, 4, 4, 4]),
+        ("QA1", false, 168, [9_804, 168, 168, 168], [3, 0, 0, 0]),
+        ("QA1", true, 168, [9_804, 168, 168, 168], [3, 0, 0, 0]),
+        ("QA2", false, 1_320, [4_082, 1_321, 1_321, 1_320], [3, 1, 1, 0]),
+        ("QA2", true, 1_320, [4_082, 1_321, 1_321, 1_320], [3, 1, 1, 0]),
+        ("QA3", false, 133, [4_863, 3_760, 573, 573], [5, 2, 2, 2]),
+        ("QA3", true, 133, [4_863, 3_760, 573, 573], [5, 2, 2, 2]),
+        ("Q1", false, 850, [3_262, 850, 850, 850], [3, 0, 0, 0]),
+        ("Q1", true, 850, [3_262, 850, 850, 850], [3, 0, 0, 0]),
+        ("Q2", false, 1_120, [2_962, 1_120, 1_120, 1_120], [4, 0, 0, 0]),
+        ("Q2", true, 1_120, [2_962, 1_120, 1_120, 1_120], [4, 0, 0, 0]),
+        ("Q4", false, 275, [3_327, 2_205, 2_205, 2_205], [5, 2, 2, 2]),
+        ("Q4", true, 275, [3_327, 2_205, 2_205, 2_205], [5, 2, 2, 2]),
+        ("Q5", false, 480, [962, 480, 480, 480], [3, 0, 0, 0]),
+        ("Q5", true, 480, [962, 480, 480, 480], [3, 0, 0, 0]),
+        ("Q6", false, 1_320, [1_322, 1_321, 1_321, 1_320], [2, 1, 1, 0]),
+        ("Q6", true, 1_320, [1_322, 1_321, 1_321, 1_320], [2, 1, 1, 0]),
+    ];
+    let engines =
+        [EngineChoice::rdbms(), EngineChoice::twig(), EngineChoice::twigstack(), EngineChoice::auto()];
+    let mut pins = table.iter();
+    let mut loaded: Option<(DatasetId, BlasDb)> = None;
+    for (ds, q) in blas_datagen::evaluation_queries() {
+        if loaded.as_ref().map(|(d, _)| *d) != Some(ds) {
+            loaded = Some((ds, BlasDb::load(&ds.generate(1)).unwrap()));
+        }
+        let db = &loaded.as_ref().unwrap().1;
+        for stripped in [false, true] {
+            let &(id, pinned_stripped, count, visited, d_joins) = pins.next().expect("a pin per row");
+            assert_eq!((id, pinned_stripped), (q.id, stripped), "table order");
+            let full = parse(q.xpath).unwrap();
+            let tree = if stripped { full.without_value_predicates() } else { full };
+            assert_eq!(naive::evaluate(&tree, db.document()).len(), count, "{id} stripped={stripped}");
+            assert!(visited.windows(2).all(|w| w[0] >= w[1]), "{id}: D ≥ S ≥ P ≥ U: {visited:?}");
+            let xpath = tree.to_string();
+            for (t, (&visited, &d_joins)) in TRANSLATORS.into_iter().zip(visited.iter().zip(&d_joins)) {
+                for engine in engines {
+                    let r = db.query(&xpath, engine.with_translator(t)).unwrap();
+                    let got = (r.nodes.len(), r.stats.elements_visited, r.stats.d_joins);
+                    assert_eq!(got, (count, visited, d_joins), "{id} stripped={stripped} {t:?} on {engine}");
+                }
+            }
+        }
+    }
+    assert!(pins.next().is_none(), "a row per pin");
+
+    // Figs. 16–18 on the twig engine, ×1 → ×2: each ratio measured
+    // 1.988–2.024.
+    let x2 = BlasDb::load(&DatasetId::Auction.generate(2)).unwrap();
+    for q in blas_datagen::query_set(DatasetId::Auction) {
+        let &(.., visited, _) = table.iter().find(|r| r.0 == q.id).unwrap();
+        for (t, x1) in TRANSLATORS.into_iter().zip(visited) {
+            let x2 = x2.query(q.xpath, EngineChoice::twig().with_translator(t)).unwrap();
+            let ratio = x2.stats.elements_visited as f64 / x1 as f64;
+            assert!((1.95..=2.05).contains(&ratio), "{} {t:?}: ×2 / ×1 = {ratio:.3}", q.id);
+        }
     }
 }
 
@@ -388,7 +476,7 @@ fn one_level_and_multi_level_joins_answer_like_naive() {
 /// from four threads at once: directory counts read no element, and
 /// the QA3 and Q4 counts read what their queries read.
 #[test]
-fn parallel_directory_counts_read_nothing_and_submit_no_job() {
+fn parallel_directory_counts_read_nothing() {
     let (db, path) = mapped_auction(1);
     let auto = EngineChoice::auto();
     std::thread::scope(|s| {

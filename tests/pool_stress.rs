@@ -37,7 +37,7 @@ fn query_on_thread(db: &BlasDb, xpath: &str, choice: EngineChoice) -> Vec<DLabel
 }
 
 #[test]
-fn auction_queries_from_many_threads_share_one_pool() {
+fn auction_queries_from_many_threads_match_one_thread() {
     let db = auction_db();
     let queries = query_set(DatasetId::Auction);
 
@@ -82,7 +82,7 @@ fn auction_queries_from_many_threads_share_one_pool() {
 }
 
 #[test]
-fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
+fn panicking_query_thread_surfaces_as_error_without_poisoning_the_db() {
     let db = auction_db();
     let q = "/site/regions/asia/item/description";
     let expected = db.query(q, EngineChoice::auto()).unwrap().nodes;
@@ -110,7 +110,7 @@ fn panicking_job_surfaces_as_error_without_poisoning_the_pool() {
 }
 
 #[test]
-fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
+fn panicking_operator_surfaces_and_the_store_serves_on() {
     // An operator that panics mid-plan on a query thread must reach
     // the joiner as an error, and the same store must keep executing
     // healthy plans byte-identical to a direct call.
@@ -482,7 +482,7 @@ fn concurrent_compactions_rebase_a_writers_edits_without_losing_any() {
 }
 
 #[test]
-fn external_pool_can_be_shared_across_databases() {
+fn two_databases_queried_from_many_threads_interleave() {
     // Two databases queried whole from several threads at once, each
     // query on a thread of its own: they interleave and answer exactly
     // what a direct call does.
