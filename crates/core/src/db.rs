@@ -35,10 +35,7 @@
 
 use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
-use blas_engine::{
-    estimate_plan, exec, lower_plan, lower_twig, lower_twigstack, order_twig_joins, CostModel,
-    ExecStats, PhysOp, PhysPlan, TwigQuery,
-};
+use blas_engine::{exec, lower_plan, lower_twig, lower_twigstack, ExecStats, PhysPlan, TwigQuery};
 use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{
     DeltaEdits, DeltaStore, IndexBuilder, MappedBytes, NodeRecord, NodeStore, RecordView,
@@ -82,11 +79,8 @@ pub enum Engine {
     /// The literal TwigStack algorithm of Bruno et al. (SIGMOD'02) —
     /// the paper's citation \[6\]; same answers as [`Engine::Twig`].
     TwigStack,
-    /// Cost-based selection: [`BlasDb::query`] translates and binds the
-    /// query once; a plan with joins is lowered for the rdbms and the
-    /// twig engine, priced with [`blas_engine::opt`]'s cardinality
-    /// estimates from the SP/SD run directories, and the cheaper runs.
-    /// Same answers as every manual engine.
+    /// The recommended configuration: the relational plan (§5.2) over
+    /// the resolved translator; it resolves to [`Engine::Rdbms`].
     Auto,
 }
 
@@ -132,10 +126,9 @@ impl Default for EngineChoice {
 }
 
 impl EngineChoice {
-    /// Cost-based selection ([`Engine::Auto`]): candidate lowerings
-    /// are priced from run-directory cardinality estimates and the
-    /// cheapest one runs. Resolved decisions are cached per query
-    /// string in the database's plan cache
+    /// The recommended configuration ([`Engine::Auto`]): Unfold and
+    /// the relational plan, i.e. [`EngineChoice::rdbms`]. Resolved plans
+    /// are cached per query string in the database's plan cache
     /// ([`BlasDb::plan_cache_stats`]).
     pub const fn auto() -> Self {
         Self { engine: Engine::Auto, translator: Translator::Auto }
@@ -239,19 +232,17 @@ struct PreparedPlan {
     phys: PhysPlan,
     engine: Engine,
     translator: Translator,
-    est_cost_ns: f64,
 }
 
-/// How a query will execute after optimizer resolution — the observable
-/// face of a cached prepared plan, returned by [`BlasDb::plan_info`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How a query will execute once its choice is resolved — the
+/// observable face of a cached prepared plan, returned by
+/// [`BlasDb::plan_info`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanInfo {
     /// Resolved engine (never [`Engine::Auto`]).
     pub engine: Engine,
     /// Resolved translator (never [`Translator::Auto`]).
     pub translator: Translator,
-    /// The optimizer's cost estimate for the chosen plan (ns).
-    pub est_cost_ns: f64,
     /// Physical operator count of the chosen plan.
     pub ops: usize,
     /// Whether this resolution came from the plan cache.
@@ -507,12 +498,10 @@ pub struct BlasDb {
     /// [`BlasDb::compact_in_background`]'s hand-off to its thread.
     background: Mutex<Background>,
     /// Resolved plans keyed by (query string, requested choice,
-    /// generation). PR 7 keyed on the first two and leaned on store
-    /// immutability for freshness; with mutations the generation
-    /// number *is* the invalidation rule — every edit publishes a new
-    /// generation, so the next lookup misses and re-costs against the
-    /// delta-adjusted cardinalities. Publishing prunes entries of
-    /// superseded generations.
+    /// generation). The generation number *is* the invalidation
+    /// rule — every edit publishes a new generation, so the next lookup
+    /// misses and re-binds against the new live source paths.
+    /// Publishing prunes entries of superseded generations.
     plan_cache: Mutex<PlanCache>,
     /// Observers notified after every generation publication — the
     /// invalidation signal for caches layered above the database
@@ -690,17 +679,15 @@ impl BlasDb {
     /// Run `xpath` in one call under an [`EngineChoice`]: parse →
     /// decompose (translate) → bind → lower → execute. This is the
     /// whole pipeline of Fig. 6 behind a single method.
-    /// `EngineChoice::auto()` picks engine, join order and filter
-    /// placement by cost, from cardinalities the SP/SD run directories
-    /// answer in O(log n) (see [`blas_engine::opt`]).
+    /// `EngineChoice::auto()` runs the relational plan over Unfold.
     ///
     /// Resolved plans are cached per (query string, choice,
     /// generation): a repeat of the same query against an unchanged
-    /// database skips parse → translate → bind → lower → cost entirely
+    /// database skips parse → translate → bind → lower entirely
     /// and goes straight to execution ([`BlasDb::plan_cache_stats`]
     /// counts the hits). A mutation publishes a new generation, so the
-    /// next occurrence re-costs against the delta-adjusted
-    /// cardinalities.
+    /// next occurrence re-binds against the new generation's live
+    /// source paths.
     ///
     /// ```
     /// use blas::{BlasDb, EngineChoice};
@@ -762,8 +749,8 @@ impl BlasDb {
     }
 
     /// How `xpath` will execute under `choice` once every Auto
-    /// decision is resolved: chosen engine, translator and the
-    /// optimizer's cost estimate. Resolution itself goes
+    /// decision is resolved: engine, translator and operator count.
+    /// Resolution itself goes
     /// through (and populates) the plan cache, so inspecting a plan
     /// is as cheap as running it and `cached` reports whether this
     /// call hit.
@@ -773,7 +760,6 @@ impl BlasDb {
         Ok(PlanInfo {
             engine: p.engine,
             translator: p.translator,
-            est_cost_ns: p.est_cost_ns,
             ops: p.phys.ops().len(),
             cached,
         })
@@ -837,8 +823,8 @@ impl BlasDb {
     }
 
     /// Resolve every Auto decision and lower to a physical plan:
-    /// translate and bind once, then lower for a manual engine directly
-    /// or let [`Engine::Auto`] price the candidate lowerings.
+    /// translate and bind once, then lower for the engine, where
+    /// [`Engine::Auto`] is the relational one.
     fn prepare(
         &self,
         gen: &DbGen,
@@ -847,47 +833,14 @@ impl BlasDb {
     ) -> Result<PreparedPlan, BlasError> {
         let translator = resolved_translator(choice.translator);
         let bound = self.bind_in(gen, &self.translate(gen, query, translator)?);
-        if choice.engine == Engine::Auto {
-            return Ok(self.prepare_auto(gen, &bound, translator));
-        }
-        let engine = choice.engine;
-        let phys = match engine {
-            Engine::Rdbms => lower_plan(&bound),
-            Engine::Twig => lower_twig(&TwigQuery::from_plan(&bound)),
-            Engine::TwigStack => lower_twigstack(&TwigQuery::from_plan(&bound)),
-            Engine::Auto => unreachable!("handled above"),
-        };
-        let est = estimate_plan(&phys, &gen.store, &CostModel::default());
-        Ok(PreparedPlan { phys, engine, translator, est_cost_ns: est.cost_ns })
-    }
-
-    /// The cost-based path over one bound plan (translated once, with
-    /// Unfold unless a translator is named). A plan without a join is
-    /// one scan, or a union of them, and every engine runs it alike:
-    /// it is lowered once, relationally. A plan with joins is lowered
-    /// for the relational and the twig engine, each priced with
-    /// run-directory cardinalities, and the cheaper is kept. TwigStack
-    /// never races: it is the paper's Fig. 14 baseline, reachable only
-    /// as an explicit [`EngineChoice::twigstack`], and never priced
-    /// cheapest.
-    fn prepare_auto(&self, gen: &DbGen, bound: &BoundPlan, translator: Translator) -> PreparedPlan {
-        let model = CostModel::default();
-        let price = |engine, phys| {
-            let est_cost_ns = estimate_plan(&phys, &gen.store, &model).cost_ns;
-            PreparedPlan { phys, engine, translator, est_cost_ns }
-        };
-        let best = price(Engine::Rdbms, lower_plan(bound));
-        if best.phys.ops().iter().any(|op| matches!(op, PhysOp::StructuralJoin { .. })) {
-            let arms: Vec<TwigQuery> = TwigQuery::from_plan(bound)
-                .iter()
-                .map(|q| order_twig_joins(q, &gen.store))
-                .collect();
-            let twig = price(Engine::Twig, lower_twig(&arms));
-            if twig.est_cost_ns < best.est_cost_ns {
-                return twig;
+        let (engine, phys) = match choice.engine {
+            Engine::Rdbms | Engine::Auto => (Engine::Rdbms, lower_plan(&bound)),
+            Engine::Twig => (Engine::Twig, lower_twig(&TwigQuery::from_plan(&bound))),
+            Engine::TwigStack => {
+                (Engine::TwigStack, lower_twigstack(&TwigQuery::from_plan(&bound)))
             }
-        }
-        best
+        };
+        Ok(PreparedPlan { phys, engine, translator })
     }
 
     /// Execute a resolved plan.

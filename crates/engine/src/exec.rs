@@ -33,7 +33,6 @@
 //! other plan takes the same walk as [`execute_with`] and stops before
 //! the root [`PhysOp::Materialize`], whose copy a count never needs.
 
-use crate::opt::source_cardinality;
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::stats::ExecStats;
 use crate::stjoin::{
@@ -43,7 +42,7 @@ use crate::stream::{materialize, ExecBuffers, Labels};
 use crate::twigstack;
 use blas_labeling::DLabel;
 use blas_storage::NodeStore;
-use blas_translate::Side;
+use blas_translate::{BoundSource, Side};
 use std::time::Instant;
 
 /// Execute a physical plan, returning the root's output (start-sorted,
@@ -96,6 +95,18 @@ pub fn count(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> usize
     stats.result_count = n;
     stats.elapsed = t0.elapsed();
     n
+}
+
+/// Exact cardinality of a clustered scan, answered in O(log n) from
+/// the SP/SD run directories (two binary searches per interval); the
+/// directories apply delta inserts and tombstones.
+fn source_cardinality(store: &NodeStore, source: &BoundSource) -> usize {
+    match source {
+        BoundSource::PLabels(intervals) => store.plabels_size(intervals),
+        BoundSource::Tag(t) => store.tag_size(*t),
+        BoundSource::All => store.live_len(),
+        BoundSource::Empty => 0,
+    }
 }
 
 /// The one arena-order walk [`execute_with`] and [`count`] share. Runs
@@ -240,6 +251,26 @@ mod tests {
     fn bound(doc: &Document, dom: &blas_labeling::PLabelDomain, xpath: &str) -> BoundPlan {
         let q = parse(xpath).unwrap();
         bind(&translate_pushup(&q).unwrap(), doc.tags(), dom, &[])
+    }
+
+    #[test]
+    fn source_cardinality_matches_store_directories() {
+        let (doc, store, dom) = fixture(SAMPLE);
+        // The bound plan's leaf scan must report exactly the matching
+        // nodes (three <s> elements down one path).
+        let plan = lower_plan(&bound(&doc, &dom, "/db/e/p/c/s"));
+        let scan_cards: Vec<usize> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                PhysOp::ClusteredScan { source, .. } => Some(source_cardinality(&store, source)),
+                _ => None,
+            })
+            .collect();
+        assert!(!scan_cards.is_empty());
+        assert!(scan_cards.iter().all(|&c| c == 3), "{scan_cards:?}");
+        assert_eq!(source_cardinality(&store, &BoundSource::All), store.live_len());
+        assert_eq!(source_cardinality(&store, &BoundSource::Empty), 0);
     }
 
     #[test]

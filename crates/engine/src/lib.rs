@@ -8,11 +8,8 @@
 //!   `StructuralJoin`, `Union`, `Materialize`, `TwigStackMatch`) in a
 //!   flat arena DAG, plus the three lowering strategies.
 //! * [`exec`] — the one executor: runs any physical plan in arena
-//!   order, start to finish on the calling thread, with pooled buffers.
-//! * [`opt`] — the cost model behind `EngineChoice::Auto`'s race of the
-//!   relational against the twig lowering: O(log n) cardinalities from
-//!   the SP/SD run directories, per-operator ns/elem rates, and the
-//!   twig join order.
+//!   order, start to finish on the calling thread, with pooled buffers,
+//!   and counts an unfiltered scan off the SP/SD run directories.
 //! * [`rdbms`] — the relational engine (§5.2): lowers a [`BoundPlan`]
 //!   into the Fig. 11 operator shape (selections, semi-join D-joins,
 //!   unions).
@@ -40,7 +37,6 @@
 
 pub mod exec;
 pub mod naive;
-pub mod opt;
 pub mod physical;
 pub mod rdbms;
 pub mod stats;
@@ -49,7 +45,6 @@ pub mod stream;
 pub mod twig;
 pub mod twigstack;
 
-pub use opt::{estimate_plan, order_twig_joins, source_cardinality, CostModel, PlanEstimate};
 pub use physical::{lower_plan, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern};
 pub use rdbms::{execute_plan, execute_plan_with};
 pub use stats::ExecStats;

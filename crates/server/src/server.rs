@@ -1191,7 +1191,6 @@ fn plan_info(inner: &Inner, db: &str, xpath: &str, engine_tok: &str) -> MethodRe
     Ok(Response::Info(Json::Obj(vec![
         ("engine".into(), Json::str(info.engine.to_string())),
         ("translator".into(), Json::str(format!("{:?}", info.translator))),
-        ("est_cost_ns".into(), Json::Num(info.est_cost_ns)),
         ("ops".into(), Json::uint(info.ops as u64)),
         ("cached".into(), Json::Bool(info.cached)),
     ])))

@@ -117,7 +117,7 @@ pub enum Request {
         /// `ServerConfig::debug_hold`).
         hold_ms: Option<u64>,
     },
-    /// Optimizer's plan summary for a query.
+    /// The resolved plan's summary for a query.
     PlanInfo {
         /// Database name; empty selects the first member.
         db: String,

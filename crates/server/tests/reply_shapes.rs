@@ -278,8 +278,8 @@ fn a_ten_thousand_label_reply_is_the_database_answer_on_every_wire() {
 }
 
 /// The served `plan_info` reply, over JSON and binary, for `auto`,
-/// `rdbms` and `twig`: exactly `engine`, `translator`, `est_cost_ns`,
-/// `ops` and `cached`, each what [`BlasDb::plan_info`] says on a twin
+/// `rdbms` and `twig`: exactly `engine`, `translator`, `ops` and
+/// `cached`, each what [`BlasDb::plan_info`] says on a twin
 /// database, with `cached` false on the first call and true on the
 /// repeat. `auto` answers the relational plan over Unfold, with
 /// `rdbms`'s `ops`.
@@ -318,11 +318,7 @@ fn plan_info_replies_carry_the_resolved_plan_on_both_wires() {
                         panic!("{shape}: {reply:?}")
                     };
                     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                    assert_eq!(
-                        keys,
-                        ["engine", "translator", "est_cost_ns", "ops", "cached"],
-                        "{shape}"
-                    );
+                    assert_eq!(keys, ["engine", "translator", "ops", "cached"], "{shape}");
                     let field = |k: &str| reply.get(k).unwrap();
                     assert_eq!(
                         field("engine").as_str(),
@@ -330,11 +326,6 @@ fn plan_info_replies_carry_the_resolved_plan_on_both_wires() {
                         "{shape}"
                     );
                     assert_eq!(field("translator").as_str(), Some("Unfold"), "{shape}");
-                    assert_eq!(
-                        field("est_cost_ns").as_f64(),
-                        Some(want.est_cost_ns),
-                        "{shape}"
-                    );
                     assert_eq!(field("ops").as_u64(), Some(want.ops as u64), "{shape}");
                     assert_eq!(field("cached").as_bool(), Some(cached), "{shape}");
                 }

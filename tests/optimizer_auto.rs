@@ -1,10 +1,8 @@
-//! `EngineChoice::Auto` end-to-end: its engine race must be a pure
-//! performance feature — byte-identical answers to every manual engine
-//! on random documents and queries (owned *and* mapped stores) — and it
-//! resolves every Fig. 10 query to the relational plan. The measured
-//! counterexample that keeps the race (a twig the ordered twig lowering
-//! runs faster) is pinned, and the plan cache's counters prove repeat
-//! queries skip preparation.
+//! `EngineChoice::Auto` end-to-end: it is the relational plan over
+//! Unfold — byte-identical answers to every manual engine on random
+//! documents and queries (owned *and* mapped stores), and `rdbms()`'s
+//! plan on every query of the paper's evaluation — and the plan cache's
+//! counters prove repeat queries skip preparation.
 
 use blas::{BlasDb, Engine, EngineChoice, Translator};
 use blas_datagen::{query_set, DatasetId};
@@ -128,32 +126,36 @@ proptest! {
     }
 }
 
-/// On every Fig. 10 query of the three datasets, Auto resolves to the
-/// relational plan over Unfold: the same engine, translator, operator
-/// count and estimate as `rdbms()`, the same nodes and the same
-/// `elements_visited` / `d_joins`.
+/// On every query of the paper's evaluation (Fig. 10 and the XMark
+/// set), Auto resolves to the relational plan over Unfold: the same
+/// engine, translator and operator count as `rdbms()`, and the same
+/// nodes and `elements_visited` / `d_joins` as `rdbms()` and `twig()`.
 #[test]
 fn fig10_choices_are_pinned_and_correct() {
-    for ds in DatasetId::ALL {
-        let db = BlasDb::load(&ds.generate(1)).unwrap();
-        for q in query_set(ds) {
-            let auto = db.plan_info(q.xpath, EngineChoice::auto()).unwrap();
-            let rdbms = db.plan_info(q.xpath, EngineChoice::rdbms()).unwrap();
-            assert_eq!(
-                (auto.engine, auto.translator, auto.ops, auto.est_cost_ns),
-                (Engine::Rdbms, Translator::Unfold, rdbms.ops, rdbms.est_cost_ns),
-                "{}",
-                q.id
-            );
-            assert!(auto.est_cost_ns > 0.0, "{}", q.id);
+    let mut loaded: Option<(DatasetId, BlasDb)> = None;
+    for (ds, q) in blas_datagen::evaluation_queries() {
+        if loaded.as_ref().map(|(d, _)| *d) != Some(ds) {
+            loaded = Some((ds, BlasDb::load(&ds.generate(1)).unwrap()));
+        }
+        let db = &loaded.as_ref().unwrap().1;
+        let auto = db.plan_info(q.xpath, EngineChoice::auto()).unwrap();
+        let rdbms = db.plan_info(q.xpath, EngineChoice::rdbms()).unwrap();
+        assert_eq!(
+            (auto.engine, auto.translator, auto.ops),
+            (rdbms.engine, rdbms.translator, rdbms.ops),
+            "{}",
+            q.id
+        );
+        assert_eq!((auto.engine, auto.translator), (Engine::Rdbms, Translator::Unfold), "{}", q.id);
 
-            let a = db.query(q.xpath, EngineChoice::auto()).unwrap();
-            let r = db.query(q.xpath, EngineChoice::rdbms()).unwrap();
-            assert_eq!(a.nodes, r.nodes, "{}", q.id);
+        let a = db.query(q.xpath, EngineChoice::auto()).unwrap();
+        for other in [EngineChoice::rdbms(), EngineChoice::twig()] {
+            let r = db.query(q.xpath, other).unwrap();
+            assert_eq!(a.nodes, r.nodes, "{} {other}", q.id);
             assert_eq!(
                 (a.stats.elements_visited, a.stats.d_joins),
                 (r.stats.elements_visited, r.stats.d_joins),
-                "{}",
+                "{} {other}",
                 q.id
             );
         }
@@ -168,44 +170,6 @@ fn qa1_suffix_path_picks_the_relational_lowering() {
     assert_eq!(qa1.id, "QA1");
     let info = db.plan_info(qa1.xpath, EngineChoice::auto()).unwrap();
     assert_eq!(info.engine, Engine::Rdbms, "{info:?}");
-}
-
-/// The counterexample that keeps the engine race. On this twig the
-/// race's twig lowering (children ordered by stream size) ran more than
-/// 10 % faster than the relational plan at Auction ×1 and ×10 (median
-/// of 201 interleaved `count` runs; ARCHITECTURE.md has the probe). The
-/// reason is deterministic: both plans read the same elements, but the
-/// twig lowering semi-joins `person` with its smallest child stream
-/// first, so its D-joins take fewer input tuples. The cost model still
-/// prices it above the relational plan, so Auto keeps `rdbms`; a model
-/// that catches it flips the last assertion.
-#[test]
-fn twig_lowering_counterexample_is_pinned() {
-    use blas_engine::{exec, lower_plan, lower_twig, order_twig_joins, ExecStats, TwigQuery};
-    use blas_translate::{bind, translate_unfold};
-
-    let xpath = "/site/people/person[address][creditcard]/homepage";
-    let db = BlasDb::load(&DatasetId::Auction.generate(1)).unwrap();
-    let plan = translate_unfold(&blas_xpath::parse(xpath).unwrap(), db.schema()).unwrap();
-    let bound = bind(&plan, db.tags(), db.domain(), &db.store().live_plabels());
-    let arms: Vec<TwigQuery> =
-        TwigQuery::from_plan(&bound).iter().map(|q| order_twig_joins(q, db.store())).collect();
-    let run = |phys| {
-        let mut stats = ExecStats::default();
-        (exec::execute(&phys, db.store(), &mut stats), stats)
-    };
-    let (rdbms_nodes, rdbms) = run(lower_plan(&bound));
-    let (twig_nodes, twig) = run(lower_twig(&arms));
-    assert_eq!(twig_nodes, rdbms_nodes);
-    assert_eq!(rdbms_nodes, db.query(xpath, EngineChoice::twig()).unwrap().nodes);
-    assert_eq!((twig.elements_visited, twig.d_joins), (rdbms.elements_visited, rdbms.d_joins));
-    assert!(
-        twig.join_input_tuples < rdbms.join_input_tuples,
-        "twig {} vs rdbms {} join input tuples",
-        twig.join_input_tuples,
-        rdbms.join_input_tuples
-    );
-    assert_eq!(db.plan_info(xpath, EngineChoice::auto()).unwrap().engine, Engine::Rdbms);
 }
 
 /// The plan cache, counter-verified: the second identical query hits;
