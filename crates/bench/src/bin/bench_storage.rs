@@ -86,22 +86,30 @@ fn measure(mut op: impl FnMut() -> u64) -> f64 {
 
 /// Interleaved A/B measurement: both closures sampled back-to-back per
 /// iteration so both populations see the same ambient noise, compared
-/// by median. This is the protocol for any row that *compares* two
-/// variants (the sequentially-measured version of the scratch-reuse
-/// row once reported the reused-buffer kernel as slower than the
-/// allocating one purely from clock drift between the two blocks).
+/// by median, with the side that runs first alternating every rep so
+/// neither inherits the other's warm caches more often. This is the
+/// protocol for any row that *compares* two variants (the
+/// sequentially-measured version of the scratch-reuse row once reported
+/// the reused-buffer kernel as slower than the allocating one purely
+/// from clock drift between the two blocks).
 fn measure_pair(reps: usize, mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (f64, f64) {
     black_box(a());
     black_box(b());
     let mut a_ns = Vec::with_capacity(reps);
     let mut b_ns = Vec::with_capacity(reps);
-    for _ in 0..reps {
+    let time = |op: &mut dyn FnMut() -> u64, into: &mut Vec<f64>| {
         let t0 = Instant::now();
-        black_box(a());
-        a_ns.push(t0.elapsed().as_nanos() as f64);
-        let t0 = Instant::now();
-        black_box(b());
-        b_ns.push(t0.elapsed().as_nanos() as f64);
+        black_box(op());
+        into.push(t0.elapsed().as_nanos() as f64);
+    };
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            time(&mut a, &mut a_ns);
+            time(&mut b, &mut b_ns);
+        } else {
+            time(&mut b, &mut b_ns);
+            time(&mut a, &mut a_ns);
+        }
     }
     (median(&mut a_ns), median(&mut b_ns))
 }
@@ -370,9 +378,13 @@ fn main() {
             .plan_info(xpath, EngineChoice::auto())
             .expect("Fig. 10 queries plan under Auto");
         // The optimizer gate: Auto within 1.1x of the best manual
-        // engine, both sides sampled interleaved and compared by
-        // median. `best` is whichever manual configuration the trimmed
-        // means above rank fastest — the bar Auto has to clear.
+        // engine, both sides sampled in alternating interleaved pairs
+        // and compared by median. Auto runs the relational plan, so
+        // when the relational engine ranks fastest this times one plan
+        // against itself and the row reads the host's noise; the gate
+        // fails only if a manual engine beats the relational plan by
+        // more than 10 %. `best` is whichever manual configuration the
+        // trimmed means above rank fastest.
         let best_choice = [
             (rdbms, manual(Engine::Rdbms)),
             (twig, manual(Engine::Twig)),

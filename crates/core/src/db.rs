@@ -439,6 +439,25 @@ impl DbSnapshot<'_> {
         let (prepared, _) = self.db.prepared(&self.gen, xpath, choice)?;
         Ok(self.db.count_prepared(&self.gen, &prepared))
     }
+
+    /// [`DbSnapshot::count`] when its cost is bounded before it runs:
+    /// the pinned generation's plan for `(xpath, choice)` is already in
+    /// the plan cache, and the run directory answers it (a linear query
+    /// without a value test: `elements_visited` 0, O(intervals · log n)).
+    /// `None` otherwise — a plan not yet prepared, or one that must be
+    /// walked — and nothing is parsed, prepared or counted, so the
+    /// caller's `count` does all of that as if this call never ran. An
+    /// answer counts the request's one plan-cache lookup, a hit.
+    pub fn directory_count(&self, xpath: &str, choice: EngineChoice) -> Option<QueryCount> {
+        let mut stats = ExecStats::default();
+        let mut count = None;
+        let key = plan_key(&self.gen, xpath, choice);
+        lock_recover(&self.db.plan_cache).get_if(&key, |p| {
+            count = exec::directory_count(&p.phys, &self.gen.store, &mut stats);
+            count.is_some()
+        });
+        Some(QueryCount { count: count?, stats })
+    }
 }
 
 /// A [`DbSnapshot`] that holds its database by [`Arc`]
@@ -806,7 +825,7 @@ impl BlasDb {
         xpath: &str,
         choice: EngineChoice,
     ) -> Result<(Arc<PreparedPlan>, bool), BlasError> {
-        let key = GenKey { scope: 0, key: (xpath.to_string(), choice), generation: gen.number };
+        let key = plan_key(gen, xpath, choice);
         if let Some(hit) = lock_recover(&self.plan_cache).get(&key) {
             return Ok((Arc::clone(hit), true));
         }
@@ -1416,6 +1435,12 @@ fn label_fragment(
     *unit += 1;
 }
 
+/// The plan cache's key for `(xpath, choice)` in `gen`: the one key
+/// every plan lookup builds.
+fn plan_key(gen: &DbGen, xpath: &str, choice: EngineChoice) -> GenKey<(String, EngineChoice)> {
+    GenKey { scope: 0, key: (xpath.to_string(), choice), generation: gen.number }
+}
+
 /// The concrete translator a request resolves to: [`Translator::Auto`]
 /// is Unfold, one translation every engine lowers (the §7
 /// recommendation); Split, Push-up and D-labeling run only when named.
@@ -1784,6 +1809,34 @@ mod tests {
         let s = db.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (1, 2), "a new generation is a cache miss");
         assert_eq!(s.entries, 1, "superseded generations were pruned");
+    }
+
+    #[test]
+    fn directory_count_answers_only_a_prepared_directory_plan() {
+        let db = BlasDb::load(SAMPLE).unwrap();
+        let auto = EngineChoice::auto();
+        let lookups = || {
+            let s = db.plan_cache_stats();
+            (s.hits, s.misses, s.entries)
+        };
+        let snap = db.snapshot();
+        assert_eq!(snap.directory_count("//n", auto), None, "not prepared yet");
+        assert_eq!(lookups(), (0, 0, 0), "nothing was counted, parsed or prepared");
+        let counted = snap.count("//n", auto).unwrap();
+        let in_place = snap.directory_count("//n", auto).expect("a prepared directory plan");
+        assert_eq!((in_place.count, in_place.stats.elements_visited), (counted.count, 0));
+        assert_eq!(counted.stats.elements_visited, 0);
+        assert_eq!(lookups(), (1, 1, 1), "the answer counts one hit");
+
+        let twig = snap.count("//e[p]", auto).unwrap();
+        assert!(twig.stats.elements_visited > 0);
+        assert_eq!(snap.directory_count("//e[p]", auto), None, "a twig is walked");
+        assert_eq!(lookups(), (1, 2, 2), "a declined plan counts nothing");
+        assert_eq!(
+            snap.directory_count("//n", EngineChoice::twig()),
+            None,
+            "another choice is another plan"
+        );
     }
 
     #[test]

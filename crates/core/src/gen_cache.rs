@@ -103,6 +103,18 @@ impl<K: Hash + Eq + Clone, V> GenCache<K, V> {
         found.map(|slot| &slot.value)
     }
 
+    /// Look `key` up and keep what is found only if `accept` takes it:
+    /// an accepted value counts a hit; a declined value or an absent
+    /// key counts nothing, so the caller's fallback [`GenCache::get`]
+    /// counts the request's one lookup.
+    pub fn get_if(&mut self, key: &GenKey<K>, accept: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let found = self.map.get(key).map(|slot| &slot.value).filter(|v| accept(v));
+        if found.is_some() {
+            self.hits += 1;
+        }
+        found
+    }
+
     /// Store `value` under `key`, making room first if the cache is
     /// full. `live_gen` is the latest generation `key.scope` has
     /// published — which is *not* `key.generation` when a pinned
@@ -447,5 +459,17 @@ mod tests {
             "the refreshed key did not"
         );
         assert_eq!(cache.evictions(), 1);
+    }
+
+    #[test]
+    fn get_if_counts_a_hit_only_when_it_keeps_the_value() {
+        let mut cache: GenCache<&str, u32> = GenCache::new(4);
+        let k = |key| GenKey { scope: 0, key, generation: 0 };
+        cache.insert(k("a"), 7, 0);
+        assert_eq!(cache.get_if(&k("b"), |_| true), None, "absent");
+        assert_eq!(cache.get_if(&k("a"), |&v| v > 7), None, "declined");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "neither counts");
+        assert_eq!(cache.get_if(&k("a"), |&v| v == 7), Some(&7));
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 }

@@ -28,10 +28,11 @@
 //! linear query is one selection over a P-label interval set (a suffix
 //! path one interval, an unfolded chain the runs of live keys it
 //! matched, §4.1), so for those plans the SP/SD run directory already
-//! holds the answer: an unfiltered scan is counted in two binary
-//! searches per interval and reads no tuple, on every engine. Every
-//! other plan takes the same walk as [`execute_with`] and stops before
-//! the root [`PhysOp::Materialize`], whose copy a count never needs.
+//! holds the answer: [`directory_count`] counts an unfiltered scan in
+//! two binary searches per interval and reads no tuple, on every
+//! engine. Every other plan takes the same walk as [`execute_with`] and
+//! stops before the root [`PhysOp::Materialize`], whose copy a count
+//! never needs.
 
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::stats::ExecStats;
@@ -69,32 +70,49 @@ pub fn execute_with(
 /// The count sink: how many nodes [`execute`] would return, without
 /// building the result.
 ///
-/// When the answer is an unfiltered [`PhysOp::ClusteredScan`], the run
-/// directory's size accessors give the count — they already apply
-/// delta inserts and tombstones — and no tuple is read: `stats`
-/// reports `elements_visited == 0` and `d_joins == 0`. Every other
-/// plan runs the same walk as [`execute`], minus the root
-/// [`PhysOp::Materialize`] copy, and reports exactly the counters
-/// `execute` reports. Either way `stats.result_count` is the returned
-/// count.
+/// A plan [`directory_count`] answers reads no tuple: `stats` reports
+/// `elements_visited == 0` and `d_joins == 0`. Every other plan runs
+/// the same walk as [`execute`], minus the root [`PhysOp::Materialize`]
+/// copy, and reports exactly the counters `execute` reports. Either way
+/// `stats.result_count` is the returned count.
 pub fn count(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> usize {
+    if let Some(n) = directory_count(plan, store, stats) {
+        return n;
+    }
     let t0 = Instant::now();
-    let root = plan.root();
-    // The operator whose output length is the answer: a root
-    // Materialize only copies its input.
-    let answer = match plan.op(root) {
-        PhysOp::Materialize { input } if plan.consumer_counts()[root] == 0 => *input,
-        _ => root,
-    };
-    let n = match plan.op(answer) {
-        PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } => {
-            source_cardinality(store, source)
-        }
-        _ => walk(plan, store, stats, &mut ExecBuffers::default(), answer).len(),
-    };
+    let n = walk(plan, store, stats, &mut ExecBuffers::default(), answer_op(plan)).len();
     stats.result_count = n;
     stats.elapsed = t0.elapsed();
     n
+}
+
+/// The count of a plan whose answer is an unfiltered
+/// [`PhysOp::ClusteredScan`], read off the run directory's size
+/// accessors — they already apply delta inserts and tombstones — in
+/// O(intervals · log n), reading no tuple; `None` for any other plan,
+/// with `stats` untouched. Whether it answers is a property of the
+/// plan alone, so a caller can tell before running anything that the
+/// count's cost is bounded.
+pub fn directory_count(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> Option<usize> {
+    let t0 = Instant::now();
+    let PhysOp::ClusteredScan { source, value_eq: None, level_eq: None } = plan.op(answer_op(plan))
+    else {
+        return None;
+    };
+    let n = source_cardinality(store, source);
+    stats.result_count = n;
+    stats.elapsed = t0.elapsed();
+    Some(n)
+}
+
+/// The operator whose output length is a plan's answer: a root
+/// Materialize only copies its input.
+fn answer_op(plan: &PhysPlan) -> OpId {
+    let root = plan.root();
+    match plan.op(root) {
+        PhysOp::Materialize { input } if plan.consumer_counts()[root] == 0 => *input,
+        _ => root,
+    }
 }
 
 /// Exact cardinality of a clustered scan, answered in O(log n) from

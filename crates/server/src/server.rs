@@ -26,11 +26,17 @@
 //! carries a stream id, and responses come back tagged with their
 //! stream id in *completion* order — one socket interleaves many
 //! logical in-flight requests. The connection thread probes an
-//! admitted `query`'s result-cache entry itself and answers a **hit**
-//! on the spot, writing the stored node array as it lies; a miss, and
-//! every other admitted request, runs on the server's worker pool while
-//! the connection thread keeps reading. A hit therefore never waits
-//! behind a slow miss, and costs no thread hand-off.
+//! admitted `query` itself and answers on the spot every query whose
+//! cost is bounded before it runs: a result-cache **hit**, written as
+//! the stored node array lies, and a `labels:false, cache:false`
+//! **directory count** — a plan already in the plan cache whose answer
+//! is one unfiltered clustered scan, counted off the run directory in
+//! O(intervals · log n). Everything else — a held, walked, labelled,
+//! cache-filling or not-yet-prepared query, and every other admitted
+//! request — runs on the server's worker pool while the connection
+//! thread keeps reading. An answer in place therefore never waits
+//! behind a slow stream, and costs no thread hand-off; nothing is
+//! parsed or prepared on a connection thread.
 //!
 //! The pool is the server's: [`Server::bind`] starts one worker per
 //! core (at least two) whatever the number of documents it serves, so
@@ -63,7 +69,9 @@
 //! [`GenCache`] the database's plan cache is.
 //!
 //! A miss pays for the reply it sends. `labels:false, cache:false`
-//! builds no result at all: it goes to [`blas::DbSnapshot::count`],
+//! builds no result at all: when the probe's
+//! [`blas::DbSnapshot::directory_count`] does not answer it, it goes to
+//! [`blas::DbSnapshot::count`],
 //! which answers a suffix or unfolded path off the run directory
 //! (`elements_visited` 0) and any other plan by executing it without
 //! the final copy, and encodes nothing. A reply that
@@ -283,8 +291,9 @@ pub struct ServerStats {
     pub cache_invalidated: u64,
     /// Result-cache current occupancy.
     pub cache_entries: usize,
-    /// Binary requests run on the worker pool: every admitted one but a
-    /// result-cache hit.
+    /// Binary requests run on the worker pool: every admitted one but
+    /// those the probe answers (a result-cache hit, or a count off the
+    /// run directory for an already-prepared plan).
     pub pool_tasks: u64,
 }
 
@@ -794,11 +803,11 @@ fn spawn_stream(
 
 /// The multiplexed binary serve loop. The connection thread reads
 /// frames; admission happens here, at read time. An admitted `query` is
-/// probed here too: a result-cache hit is answered from this thread,
-/// straight from the stored bytes. A miss, a held query and every other
-/// admitted request move their permit onto the server's pool and the
-/// thread keeps reading; a rejected one is answered `overloaded` on its
-/// own stream.
+/// probed here too: a result-cache hit (straight from the stored bytes)
+/// or a directory count is answered from this thread. Anything else the
+/// probe leaves, a held query and every other admitted request move
+/// their permit onto the server's pool and the thread keeps reading; a
+/// rejected one is answered `overloaded` on its own stream.
 fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_>) {
     let writer = Arc::new(MuxWriter::new(Arc::clone(stream)));
     let mut reader = FrameReader::new();
@@ -849,10 +858,10 @@ fn serve_binary(inner: &Arc<Inner>, stream: &Arc<TcpStream>, mut input: Input<'_
                     Request::Query { db, xpath, engine, labels, cache, hold_ms }
                         if inner.hold(*hold_ms).is_none() =>
                     {
-                        match probe(inner, db, xpath, engine, *cache) {
+                        match probe(inner, db, xpath, engine, *labels, *cache) {
                             Ok(Probed::Miss(probe)) => Some(probe),
-                            Ok(Probed::Hit(hit)) => {
-                                let resp = account(inner, Ok(hit.reply(engine, *labels)));
+                            Ok(Probed::Answered(resp)) => {
+                                let resp = account(inner, Ok(resp));
                                 writer.send_with(&mut head, sid, &resp);
                                 continue;
                             }
@@ -1059,33 +1068,26 @@ struct Probe {
 
 /// What a probe found.
 enum Probed {
-    /// The stored answer for the pinned generation.
-    Hit(Hit),
-    /// Nothing stored (or the cache is not in play): execute it.
+    /// The reply, made on the probing thread: the stored answer for the
+    /// pinned generation, or a count the run directory gives — both
+    /// bounded before they run, like the lookup itself.
+    Answered(Response),
+    /// Nothing stored (or the cache is not in play), and no count the
+    /// directory can give: execute it.
     Miss(Probe),
 }
 
-/// A result-cache hit: the stored answer and the generation it is for.
-struct Hit {
-    generation: u64,
-    entry: CachedResult,
-}
-
-impl Hit {
-    /// The reply: the stored counts, and the stored node array when the
-    /// request asked for labels.
-    fn reply(self, engine_tok: &str, want_labels: bool) -> Response {
-        let Hit { generation, entry } = self;
-        let nodes = want_labels.then_some(entry.nodes);
-        query_reply(generation, engine_tok, true, entry.count, entry.elements_visited, nodes)
-    }
-}
-
+/// Resolve a `query` up to what can be answered without running it: a
+/// result-cache hit, or — for a count that neither reads nor fills the
+/// cache — [`blas::DbSnapshot::directory_count`], which answers only
+/// when the plan is already prepared and is one unfiltered clustered
+/// scan. Nothing here parses or prepares a query.
 fn probe(
     inner: &Inner,
     db: &str,
     xpath: &str,
     engine_tok: &str,
+    want_labels: bool,
     use_cache: bool,
 ) -> Result<Probed, (ErrorCode, String)> {
     let (doc, handle) = resolve(inner, db)?;
@@ -1101,7 +1103,17 @@ fn probe(
         generation,
     });
     if let Some(entry) = key.as_ref().and_then(|key| inner.cache.get(key)) {
-        return Ok(Probed::Hit(Hit { generation, entry }));
+        let nodes = want_labels.then_some(entry.nodes);
+        let (count, visited) = (entry.count, entry.elements_visited);
+        let reply = query_reply(generation, engine_tok, true, count, visited, nodes);
+        return Ok(Probed::Answered(reply));
+    }
+    if !want_labels && key.is_none() {
+        if let Some(c) = snap.view().directory_count(xpath, choice) {
+            let (count, visited) = (c.count as u64, c.stats.elements_visited);
+            let reply = query_reply(generation, engine_tok, false, count, visited, None);
+            return Ok(Probed::Answered(reply));
+        }
     }
     Ok(Probed::Miss(Probe { snap, choice, key }))
 }
@@ -1136,8 +1148,8 @@ fn query(
     if let Some(hold) = inner.hold(hold_ms) {
         std::thread::sleep(hold);
     }
-    match probe(inner, db, xpath, engine_tok, use_cache)? {
-        Probed::Hit(hit) => Ok(hit.reply(engine_tok, want_labels)),
+    match probe(inner, db, xpath, engine_tok, want_labels, use_cache)? {
+        Probed::Answered(resp) => Ok(resp),
         Probed::Miss(probe) => execute(inner, probe, xpath, engine_tok, want_labels),
     }
 }

@@ -5,66 +5,15 @@
 //! bytes. Server-side
 //! allocations are counted as every allocation in the process minus
 //! those on the calling thread, which is where a multiplexed client
-//! reads its replies. A test binary of its own (and a single test),
-//! because it installs a counting global allocator and no other test's
-//! threads may allocate while it counts.
+//! reads its replies ([`counting`]). A test binary of its own (and a
+//! single test), because it installs a counting global allocator and
+//! no other test's threads may allocate while it counts.
+
+mod counting;
 
 use blas::BlasCollection;
 use blas_server::{MuxClient, Server, ServerConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-/// Counts allocations (and reallocations) and their bytes: all of
-/// them, and per thread.
-struct Counting;
-
-static ALL: AtomicUsize = AtomicUsize::new(0);
-static ALL_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// `(allocations, bytes)` made on this thread.
-    static MINE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn tally(bytes: usize) {
-    ALL.fetch_add(1, Ordering::Relaxed);
-    ALL_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    let _ = MINE.try_with(|m| {
-        let (n, b) = m.get();
-        m.set((n + 1, b + bytes));
-    });
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `(allocations, bytes)` made on other threads than this one while
-/// `f` runs.
-fn elsewhere(f: impl FnOnce()) -> (usize, usize) {
-    let all = || (ALL.load(Ordering::SeqCst), ALL_BYTES.load(Ordering::SeqCst));
-    let ((n0, b0), (m0, c0)) = (all(), MINE.with(Cell::get));
-    f();
-    let ((n1, b1), (m1, c1)) = (all(), MINE.with(Cell::get));
-    ((n1 - n0) - (m1 - m0), (b1 - b0) - (c1 - c0))
-}
 
 const HITS: usize = 32;
 const ROUNDS: usize = 4;
@@ -86,18 +35,12 @@ fn a_binary_hit_allocates_on_the_server_alike_for_three_labels_and_ten_thousand(
         assert!(client.query("//n", "auto").unwrap().cached);
     }
 
-    // The fewest over a few rounds: a thread that allocates once while
-    // a round counts (a pool worker still winding down from the misses
-    // above, on a loaded host) inflates that round only.
     let hits = |client: &MuxClient| {
-        let rounds = (0..ROUNDS).map(|_| {
-            elsewhere(|| {
-                for _ in 0..HITS {
-                    assert!(client.query("//n", "auto").unwrap().cached);
-                }
-            })
-        });
-        rounds.reduce(|a, b| (a.0.min(b.0), a.1.min(b.1))).unwrap()
+        counting::fewest_elsewhere(ROUNDS, || {
+            for _ in 0..HITS {
+                assert!(client.query("//n", "auto").unwrap().cached);
+            }
+        })
     };
     let (on_small, on_large) = (hits(&small), hits(&large));
     assert_eq!(

@@ -187,8 +187,9 @@ impl<'a> PlaneRef<'a> {
         (self.n - b * BLOCK).min(BLOCK)
     }
 
+    /// Block `b`'s frame of reference, payload offset and delta width.
     #[inline]
-    fn block_meta(&self, b: usize) -> (u32, usize, usize) {
+    pub(crate) fn block_meta(&self, b: usize) -> (u32, usize, usize) {
         (
             read_u32_le(self.mins, 4 * b),
             read_u32_le(self.offs, 4 * b) as usize,

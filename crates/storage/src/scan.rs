@@ -282,24 +282,22 @@ impl<'a> ScanRun<'a> {
                 let mut starts = [0u32; BLOCK];
                 let mut extents = [0u32; BLOCK];
                 let mut levels = [0u32; BLOCK];
-                let base = out.len();
-                out.resize(base + run.len(), ZERO_LABEL);
-                let mut written = base;
+                out.reserve(run.len());
                 let mut pos = run.range.start;
                 while pos < run.range.end {
                     let take = (BLOCK - (pos & (BLOCK - 1))).min(run.range.end - pos);
                     run.labels.starts.decode_in_block(pos, &mut starts[..take]);
                     run.labels.extents.decode_in_block(pos, &mut extents[..take]);
                     run.labels.levels.decode_in_block(pos, &mut levels[..take]);
-                    for j in 0..take {
-                        out[written + j] = DLabel {
-                            start: starts[j],
-                            end: starts[j].wrapping_add(extents[j]),
-                            level: levels[j] as u16,
-                        };
-                    }
+                    // Zipped slices extend in one pass, with no per-slot
+                    // bounds check and no zero-fill to overwrite.
+                    let planes = starts[..take].iter().zip(&extents[..take]).zip(&levels[..take]);
+                    out.extend(planes.map(|((&start, &extent), &level)| DLabel {
+                        start,
+                        end: start.wrapping_add(extent),
+                        level: level as u16,
+                    }));
                     pos += take;
-                    written += take;
                 }
             }
         }
@@ -459,6 +457,11 @@ mod tests {
                 level: (i % 9) as u16 + 1,
             })
             .collect();
+        fixture_of(labels)
+    }
+
+    fn fixture_of(labels: Vec<DLabel>) -> Fixture {
+        let n = labels.len() as u32;
         let value_ids: Vec<u32> = (0..n).map(|i| if i % 3 == 0 { i % 7 } else { 1000 }).collect();
         let starts: Vec<u32> = labels.iter().map(|l| l.start).collect();
         let extents: Vec<u32> = labels.iter().map(|l| l.end - l.start).collect();
@@ -493,6 +496,32 @@ mod tests {
         (raw, packed)
     }
 
+    /// One block per FOR width: in block `w`, each plane's values span
+    /// a range that needs exactly `w` bytes per delta (levels stop at 2,
+    /// the width of a `u16`).
+    fn every_width_fixture() -> Fixture {
+        let spread = |w: usize, i: u32| match w {
+            0 => 0,
+            1 => i % 200,
+            2 => i * 50,
+            3 => i * 10_000,
+            _ => i * 4_000_000,
+        };
+        let labels = (0..5)
+            .flat_map(|w| {
+                (0..BLOCK as u32).map(move |i| {
+                    let start = spread(w, i);
+                    DLabel {
+                        start,
+                        end: start + spread(w, BLOCK as u32 - 1 - i),
+                        level: spread(w.min(2), i) as u16 + 1,
+                    }
+                })
+            })
+            .collect();
+        fixture_of(labels)
+    }
+
     #[test]
     fn packed_decode_matches_raw() {
         let f = fixture(3000);
@@ -504,6 +533,28 @@ mod tests {
         assert_eq!(raw.sum_starts(), packed.sum_starts());
         for i in [0, 1, 1023, 1024, 2999] {
             assert_eq!(raw.label_at(i), packed.label_at(i), "label_at({i})");
+        }
+
+        // Every FOR width, sub-runs that start and end mid-block, each
+        // appended after labels already in `out`.
+        let f = every_width_fixture();
+        let (_, packed) = runs_of(&f);
+        let ScanRun::Packed(run) = &packed else { unreachable!() };
+        for (plane, name) in [
+            (&run.labels.starts, "starts"),
+            (&run.labels.extents, "extents"),
+            (&run.labels.levels, "levels"),
+        ] {
+            let widths: Vec<u8> = (0..5).map(|b| plane.block_meta(b).2 as u8).collect();
+            let want: &[u8] = if name == "levels" { &[0, 1, 2, 2, 2] } else { &[0, 1, 2, 3, 4] };
+            assert_eq!(widths, want, "{name} widths");
+        }
+        let prefix = [DLabel { start: 7, end: 9, level: 3 }; 3];
+        for r in [0..5 * BLOCK, 5..5, 100..900, 1000..3100, 1023..1025, 2500..4100, 4000..5120] {
+            let mut out = prefix.to_vec();
+            packed.slice(r.clone()).decode_labels_into(&mut out);
+            assert_eq!(out[..3], prefix, "{r:?}: the prefix is kept");
+            assert_eq!(out[3..], f.labels[r.clone()], "{r:?}");
         }
     }
 

@@ -318,6 +318,109 @@ fn a_cache_miss_returns_while_a_held_stream_is_in_flight() {
     assert_eq!((stats.cache_hits, stats.pool_tasks), (0, 2));
 }
 
+/// A count-only, cache-bypassing query is answered on the connection
+/// thread when its cost is bounded before it runs: its plan is already
+/// prepared and the run directory answers it. The first ask of a
+/// linear query prepares it on the pool; the repeat is counted in
+/// place. A twig is walked, so both of its asks go to the pool. Either
+/// way every request counts one plan-cache lookup, and every answer is
+/// what the database counts.
+#[test]
+fn a_directory_count_on_a_prepared_plan_runs_on_the_connection_thread() {
+    let oracle = BlasDb::load(SRC).unwrap();
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mux = MuxClient::connect(server.local_addr(), Some(Duration::from_secs(30))).unwrap();
+    // `(pool tasks, plan-cache hits, plan-cache misses)` one count adds.
+    let count_adds = |xpath: &str| {
+        let before = (server.stats().pool_tasks, db.plan_cache_stats());
+        let reply = mux.query_count(xpath, "auto", false).unwrap();
+        let after = (server.stats().pool_tasks, db.plan_cache_stats());
+        let want = oracle.count(xpath, EngineChoice::auto()).unwrap();
+        let got = (reply.generation, reply.cached, reply.count, reply.elements_visited);
+        assert_eq!(got, (0, false, want.count, want.stats.elements_visited), "{xpath}");
+        let plan = (after.1.hits - before.1.hits, after.1.misses - before.1.misses);
+        (after.0 - before.0, plan.0, plan.1)
+    };
+
+    assert_eq!(oracle.count("//n", EngineChoice::auto()).unwrap().stats.elements_visited, 0);
+    assert_eq!(count_adds("//n"), (1, 0, 1), "the first ask prepares on the pool");
+    assert_eq!(count_adds("//n"), (0, 1, 0), "the repeat is counted in place");
+
+    assert!(oracle.count("//e[p]", EngineChoice::auto()).unwrap().stats.elements_visited > 0);
+    assert_eq!(count_adds("//e[p]"), (1, 0, 1), "a twig prepares on the pool");
+    assert_eq!(count_adds("//e[p]"), (1, 1, 0), "a twig is walked on the pool");
+
+    let stats = server.shutdown();
+    assert_eq!((stats.cache_hits, stats.cache_misses, stats.pool_tasks), (0, 0, 3));
+}
+
+/// After a write publishes a new generation, an in-place count answers
+/// that generation: its plan is prepared once against it (on the pool),
+/// then counted off the new run directory, and both answers equal the
+/// naive walk of the edited document.
+#[test]
+fn a_directory_count_after_a_write_answers_the_new_generation() {
+    let fragment = "<e><p><n>myoglobin</n></p></e>";
+    let edited = SRC.replace("</db>", &format!("{fragment}</db>"));
+    let naive = blas_engine::naive::evaluate(
+        &blas_xpath::parse("//n").unwrap(),
+        &blas_xml::Document::parse(&edited).unwrap(),
+    )
+    .len();
+    assert_eq!(naive, 3);
+
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mux = MuxClient::connect(server.local_addr(), Some(Duration::from_secs(30))).unwrap();
+    for _ in 0..2 {
+        assert_eq!(mux.query_count("//n", "auto", false).unwrap().count, 2);
+    }
+    assert_eq!(server.stats().pool_tasks, 1);
+    assert_eq!(mux.insert_subtree(0, fragment).unwrap(), 1);
+    let pool_before = server.stats().pool_tasks;
+    for pool_tasks in [1, 1] {
+        let reply = mux.query_count("//n", "auto", false).unwrap();
+        let got = (reply.generation, reply.count, reply.elements_visited);
+        assert_eq!(got, (1, naive, 0));
+        assert_eq!(server.stats().pool_tasks - pool_before, pool_tasks);
+    }
+    server.shutdown();
+}
+
+/// Head of line for the in-place count: a directory count on a prepared
+/// plan, sent behind a held stream on the same socket, is answered by
+/// the connection thread while the held stream is still in flight, and
+/// never reaches the pool.
+#[test]
+fn a_directory_count_returns_while_a_held_stream_is_in_flight() {
+    let db = Arc::new(BlasDb::load(SRC).unwrap());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { debug_hold: true, ..Default::default() },
+    )
+    .unwrap();
+    let mux = MuxClient::connect(server.local_addr(), Some(Duration::from_secs(30))).unwrap();
+    assert_eq!(mux.query_count("//n", "auto", false).unwrap().count, 2, "prepares the plan");
+
+    let held = mux.clone();
+    std::thread::scope(|s| {
+        let started = Instant::now();
+        let slow = s.spawn(move || held.query_hold("//y", "auto", 600));
+        // Give the held stream time to be admitted first.
+        std::thread::sleep(Duration::from_millis(100));
+        let counted = mux.query_count("//n", "auto", false).expect("the count answers");
+        let answered = started.elapsed();
+        assert_eq!((counted.cached, counted.count, counted.elements_visited), (false, 2, 0));
+        assert!(!slow.is_finished(), "the held stream must still be in flight");
+        assert!(answered < Duration::from_millis(600), "the count waited {answered:?}");
+        assert_eq!(slow.join().unwrap().expect("the held stream answers").count, 2);
+    });
+    let stats = server.shutdown();
+    assert_eq!((stats.cache_hits, stats.pool_tasks), (0, 2), "priming and the held stream");
+}
+
 /// Admission control is per stream: with one in-flight slot held, a
 /// second stream on the same socket is rejected with a typed
 /// `overloaded` on *its* stream id — the connection survives, and

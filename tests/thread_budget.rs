@@ -4,7 +4,8 @@
 //! bind whatever the number of documents served. A query runs start to
 //! finish on the thread that asks for it, so neither an in-process
 //! query nor a JSON one ever reaches the pool, however wide its scan,
-//! and a binary cache hit is answered on its connection's thread. The
+//! and a binary cache hit, or a count the run directory answers for an
+//! already-prepared plan, is answered on its connection's thread. The
 //! multiplexed client has no thread of its own. Nothing is sized by a
 //! configuration bound, nothing is left behind by a closed connection,
 //! and nothing outlives the server.
@@ -110,6 +111,11 @@ fn server_threads_are_one_per_live_connection_plus_one_pool() {
     let hit = mux.query("/db/n", "auto").unwrap();
     assert_eq!((hit.cached, hit.count), (true, WIDE));
     assert_eq!(server.stats().pool_tasks, 1, "a cache hit ran on the pool");
+    // Counted without the cache, the prepared linear query is answered
+    // off the run directory on the connection's thread too.
+    let counted = mux.query_count("/db/n", "auto", false).unwrap();
+    assert_eq!((counted.cached, counted.count, counted.elements_visited), (false, WIDE, 0));
+    assert_eq!(server.stats().pool_tasks, 1, "a directory count ran on the pool");
     // The multiplexed client reads its replies on the calling thread.
     assert_eq!(threads_named(&["blas-mux-read"]), 0, "a client reader thread is running");
     let open = server_threads();
