@@ -35,7 +35,7 @@
 
 use crate::error::BlasError;
 use crate::gen_cache::{GenCache, GenKey};
-use blas_engine::{exec, lower_plan, lower_twig, lower_twigstack, ExecStats, PhysPlan, TwigQuery};
+use blas_engine::{exec, lower_plan, lower_twig, lower_twigstack, ExecStats, PhysPlan};
 use blas_labeling::{DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{
     DeltaEdits, DeltaStore, IndexBuilder, MappedBytes, NodeRecord, NodeStore, RecordView,
@@ -854,10 +854,8 @@ impl BlasDb {
         let bound = self.bind_in(gen, &self.translate(gen, query, translator)?);
         let (engine, phys) = match choice.engine {
             Engine::Rdbms | Engine::Auto => (Engine::Rdbms, lower_plan(&bound)),
-            Engine::Twig => (Engine::Twig, lower_twig(&TwigQuery::from_plan(&bound))),
-            Engine::TwigStack => {
-                (Engine::TwigStack, lower_twigstack(&TwigQuery::from_plan(&bound)))
-            }
+            Engine::Twig => (Engine::Twig, lower_twig(&bound)),
+            Engine::TwigStack => (Engine::TwigStack, lower_twigstack(&bound)),
         };
         Ok(PreparedPlan { phys, engine, translator })
     }

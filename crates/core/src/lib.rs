@@ -44,7 +44,7 @@ pub use error::BlasError;
 pub use gen_cache::{GenCache, GenKey};
 
 // Re-export the building blocks for advanced use.
-pub use blas_engine::{ExecStats, TwigQuery};
+pub use blas_engine::ExecStats;
 pub use blas_labeling::{DLabel, DocumentLabels, PInterval, PLabelDomain};
 pub use blas_storage::{DeltaEdits, NodeRecord, NodeStore, RecordView};
 pub use blas_translate::{BoundPlan, Plan, PlanSummary};

@@ -3,8 +3,8 @@
 //!
 //! One operator set executes any [`PhysPlan`] (see [`crate::physical`]
 //! for the operator ↔ paper-section map); all three engines —
-//! relational, holistic twig, TwigStack — funnel through
-//! [`execute_with`] and differ only in how they *lower*. A selection's
+//! relational, holistic twig, TwigStack — run through [`execute`] (or
+//! [`count`]) and differ only in how they *lower*. A selection's
 //! value and level predicates run inside its [`PhysOp::ClusteredScan`]
 //! (the chunked kernels of `blas_storage::scan`); no operator filters
 //! another operator's output.
@@ -14,7 +14,7 @@
 //! Operators run in arena order (plan order is topological order) on
 //! the calling thread. Each result parks in its slot until its last
 //! consumer has read it ([`PhysPlan::consumer_counts`]), then its
-//! buffer recycles through the caller's [`ExecBuffers`]; a
+//! buffer recycles through the execution's [`ExecBuffers`]; a
 //! [`PhysOp::Materialize`] that is its input's last consumer moves the
 //! buffer instead of copying it. No operator leaves the thread: at
 //! BLAS's µs-scale plans a queue round-trip costs more than the work it
@@ -30,7 +30,7 @@
 //! matched, §4.1), so for those plans the SP/SD run directory already
 //! holds the answer: [`directory_count`] counts an unfiltered scan in
 //! two binary searches per interval and reads no tuple, on every
-//! engine. Every other plan takes the same walk as [`execute_with`] and
+//! engine. Every other plan takes the same walk as [`execute`] and
 //! stops before the root [`PhysOp::Materialize`], whose copy a count
 //! never needs.
 
@@ -49,19 +49,9 @@ use std::time::Instant;
 /// Execute a physical plan, returning the root's output (start-sorted,
 /// owned) and filling `stats` (counters, `result_count`, `elapsed`).
 pub fn execute(plan: &PhysPlan, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
-    execute_with(plan, store, stats, &mut ExecBuffers::default())
-}
-
-/// Like [`execute`], reusing caller-held scratch buffers across
-/// executions (batch drivers, benches).
-pub fn execute_with(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Vec<DLabel> {
     let t0 = Instant::now();
-    let result = walk(plan, store, stats, bufs, plan.root()).into_vec(bufs);
+    let mut bufs = ExecBuffers::default();
+    let result = walk(plan, store, stats, &mut bufs, plan.root()).into_vec(&mut bufs);
     stats.result_count = result.len();
     stats.elapsed = t0.elapsed();
     result
@@ -127,7 +117,7 @@ fn source_cardinality(store: &NodeStore, source: &BoundSource) -> usize {
     }
 }
 
-/// The one arena-order walk [`execute_with`] and [`count`] share. Runs
+/// The one arena-order walk [`execute`] and [`count`] share. Runs
 /// every operator — except a root that is not `answer` (the root
 /// `Materialize` a count skips) — and returns `answer`'s output.
 fn walk<'a>(
@@ -241,54 +231,30 @@ fn exec_op<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::{Fixture, TRANSLATORS};
     use crate::physical::{lower_plan, lower_twig, lower_twigstack};
-    use crate::twig::TwigQuery;
-    use blas_labeling::{label_document, PInterval};
-    use blas_translate::{
-        bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold, BoundPlan,
-        BoundSelection, BoundSource,
-    };
-    use blas_xml::{Document, SchemaGraph};
-    use blas_xpath::parse;
-
-    const SAMPLE: &str = concat!(
-        "<db>",
-        "<e><p><c><s>cyt</s></c></p><r><f><a>Evans</a><y>2001</y><t>T1</t></f></r></e>",
-        "<e><p><c><s>hb</s></c></p><r><f><a>Smith</a><y>1999</y><t>T2</t></f></r></e>",
-        "<e><p><c><s>cyt</s></c></p><r><f><a>Evans</a><y>1999</y><t>T3</t></f></r></e>",
-        "</db>"
-    );
-
-    fn fixture(src: &str) -> (Document, NodeStore, blas_labeling::PLabelDomain) {
-        let doc = Document::parse(src).unwrap();
-        let labels = label_document(&doc).unwrap();
-        let store = NodeStore::build(&doc, &labels);
-        (doc, store, labels.domain)
-    }
-
-    fn bound(doc: &Document, dom: &blas_labeling::PLabelDomain, xpath: &str) -> BoundPlan {
-        let q = parse(xpath).unwrap();
-        bind(&translate_pushup(&q).unwrap(), doc.tags(), dom, &[])
-    }
+    use blas_labeling::PInterval;
+    use blas_translate::{BoundPlan, BoundSelection};
 
     #[test]
     fn source_cardinality_matches_store_directories() {
-        let (doc, store, dom) = fixture(SAMPLE);
+        let fx = Fixture::sample();
+        let store = &fx.store;
         // The bound plan's leaf scan must report exactly the matching
         // nodes (three <s> elements down one path).
-        let plan = lower_plan(&bound(&doc, &dom, "/db/e/p/c/s"));
+        let plan = lower_plan(&fx.bind("/db/e/p/c/s", "pushup"));
         let scan_cards: Vec<usize> = plan
             .ops()
             .iter()
             .filter_map(|op| match op {
-                PhysOp::ClusteredScan { source, .. } => Some(source_cardinality(&store, source)),
+                PhysOp::ClusteredScan { source, .. } => Some(source_cardinality(store, source)),
                 _ => None,
             })
             .collect();
         assert!(!scan_cards.is_empty());
         assert!(scan_cards.iter().all(|&c| c == 3), "{scan_cards:?}");
-        assert_eq!(source_cardinality(&store, &BoundSource::All), store.live_len());
-        assert_eq!(source_cardinality(&store, &BoundSource::Empty), 0);
+        assert_eq!(source_cardinality(store, &BoundSource::All), store.live_len());
+        assert_eq!(source_cardinality(store, &BoundSource::Empty), 0);
     }
 
     #[test]
@@ -296,15 +262,16 @@ mod tests {
         // The executor is thread-agnostic: a plan run on another thread
         // — how a server's worker runs a binary request — returns the
         // same labels and counters as on the calling thread.
-        let (doc, store, dom) = fixture(SAMPLE);
+        let fx = Fixture::sample();
+        let store = &fx.store;
         for xpath in ["/db/e/r/f/t", "//f", "/db/e[p//s='cyt']/r/f[y='2001']/t", "//s='cyt'"] {
-            let plan = lower_plan(&bound(&doc, &dom, xpath));
+            let plan = lower_plan(&fx.bind(xpath, "pushup"));
             let mut seq_stats = ExecStats::default();
-            let seq = execute(&plan, &store, &mut seq_stats);
+            let seq = execute(&plan, store, &mut seq_stats);
             let (par, mut par_stats) = std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut stats = ExecStats::default();
-                    (execute(&plan, &store, &mut stats), stats)
+                    (execute(&plan, store, &mut stats), stats)
                 })
                 .join()
                 .unwrap()
@@ -317,15 +284,14 @@ mod tests {
 
     #[test]
     fn all_lowerings_agree_on_one_executor() {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let b = bound(&doc, &dom, "/db/e[p/c/s]/r/f/t");
-        let twig = TwigQuery::from_plan(&b);
+        let fx = Fixture::sample();
+        let b = fx.bind("/db/e[p/c/s]/r/f/t", "pushup");
         let mut s1 = ExecStats::default();
-        let rdbms = execute(&lower_plan(&b), &store, &mut s1);
+        let rdbms = execute(&lower_plan(&b), &fx.store, &mut s1);
         let mut s2 = ExecStats::default();
-        let semi = execute(&lower_twig(&twig), &store, &mut s2);
+        let semi = execute(&lower_twig(&b), &fx.store, &mut s2);
         let mut s3 = ExecStats::default();
-        let holistic = execute(&lower_twigstack(&twig), &store, &mut s3);
+        let holistic = execute(&lower_twigstack(&b), &fx.store, &mut s3);
         assert_eq!(rdbms, semi);
         assert_eq!(rdbms, holistic);
         assert_eq!(s2.elements_visited, s3.elements_visited);
@@ -333,24 +299,21 @@ mod tests {
 
     #[test]
     fn union_plan_stays_duplicate_free() {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let q = parse("//s").unwrap();
-        let b = bind(&translate_split(&q).unwrap(), doc.tags(), &dom, &[]);
-        let plan = lower_plan(&b);
+        let fx = Fixture::sample();
+        let plan = lower_plan(&fx.bind("//s", "split"));
         let mut stats = ExecStats::default();
-        let out = execute(&plan, &store, &mut stats);
+        let out = execute(&plan, &fx.store, &mut stats);
         assert_eq!(out.len(), 3);
         assert!(out.windows(2).all(|w| w[0].start < w[1].start));
     }
 
     #[test]
     fn root_with_a_consumer_is_never_handed_over() {
-        use blas_translate::BoundSource;
         // No lowering emits a root that something else consumes, but
         // PhysPlan::from_ops permits it — the walk must keep the root's
         // output alive past its consumer (the root's extra use) instead
         // of recycling it.
-        let (_, store, _) = fixture(SAMPLE);
+        let store = Fixture::sample().store;
         let ops = vec![
             PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
             PhysOp::Materialize { input: 0 },
@@ -383,59 +346,41 @@ mod tests {
 
     #[test]
     fn count_matches_execute_on_every_lowering_and_config() {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let (schema, live) = (SchemaGraph::infer(&doc), store.live_plabels());
+        let fx = Fixture::sample();
         for xpath in
             ["//f", "//s", "/db/e/r/f/t", "//s='cyt'", "/db/e[p//s='cyt']/r/f/t", "/db/e[*]/r", "//zz"]
         {
-            let q = parse(xpath).unwrap();
-            let mut plans = Vec::new();
-            for plan in [
-                translate_pushup(&q),
-                translate_split(&q),
-                translate_dlabeling(&q),
-                translate_unfold(&q, &schema),
-            ] {
-                let b = bind(&plan.unwrap(), doc.tags(), &dom, &live);
-                let twig = TwigQuery::from_plan(&b);
-                plans.extend([lower_plan(&b), lower_twig(&twig), lower_twigstack(&twig)]);
-            }
-            for plan in &plans {
-                assert_count_matches(plan, &store);
+            for translator in TRANSLATORS {
+                let b = fx.bind(xpath, translator);
+                for plan in [lower_plan(&b), lower_twig(&b), lower_twigstack(&b)] {
+                    assert_count_matches(&plan, &fx.store);
+                }
             }
         }
     }
 
     #[test]
     fn suffix_and_unfolded_paths_count_off_the_directory() {
-        let (doc, store, dom) = fixture(SAMPLE);
-        let (schema, live) = (SchemaGraph::infer(&doc), store.live_plabels());
-        let q = parse("//f").unwrap();
-        let range = bind(&translate_pushup(&q).unwrap(), doc.tags(), &dom, &[]);
-        let unfolded = bind(
-            &translate_unfold(&parse("/db/e//s").unwrap(), &schema).unwrap(),
-            doc.tags(),
-            &dom,
-            &live,
-        );
+        let fx = Fixture::sample();
+        let range = fx.bind("//f", "pushup");
+        let unfolded = fx.bind("/db/e//s", "unfold");
         for b in [&range, &unfolded] {
             assert!(matches!(
                 b,
                 BoundPlan::Select(BoundSelection { source: BoundSource::PLabels(..), .. })
             ));
-            let twig = TwigQuery::from_plan(b);
-            for plan in [lower_plan(b), lower_twig(&twig), lower_twigstack(&twig)] {
-                assert!(assert_count_matches(&plan, &store), "{plan:?}");
+            for plan in [lower_plan(b), lower_twig(b), lower_twigstack(b)] {
+                assert!(assert_count_matches(&plan, &fx.store), "{plan:?}");
             }
         }
         // A filtered scan walks.
-        let filtered = lower_plan(&bound(&doc, &dom, "//s='cyt'"));
-        assert!(!assert_count_matches(&filtered, &store));
+        let filtered = lower_plan(&fx.bind("//s='cyt'", "pushup"));
+        assert!(!assert_count_matches(&filtered, &fx.store));
     }
 
     #[test]
     fn only_unfiltered_scans_count_off_the_directory() {
-        let (doc, store, _) = fixture(SAMPLE);
+        let Fixture { doc, store, .. } = Fixture::sample();
         let (s, f) = (doc.tags().get("s").unwrap(), doc.tags().get("f").unwrap());
         let scan = |source| PhysOp::ClusteredScan { source, value_eq: None, level_eq: None };
         let mut keys = store.live_plabels();

@@ -27,9 +27,11 @@
 //! * [`lower_twigstack`] — the literal TwigStack configuration: the
 //!   same per-node streams feeding one [`PhysOp::TwigStackMatch`].
 //!
-//! Both twig lowerings take the arms of a union of rewritings (Unfold's
-//! output) and lower them one after another under one [`PhysOp::Union`],
-//! so every engine runs every translator's plans.
+//! All three take the same [`BoundPlan`]. The twig lowerings convert
+//! each arm of a union of rewritings (Unfold's output) into a
+//! [`TwigPattern`] with [`TwigPattern::from_arm`] and lower the arms one
+//! after another under one [`PhysOp::Union`], so every engine runs every
+//! translator's plans.
 //!
 //! The IR is a DAG: operators may be consumed by several later
 //! operators (the twig lowering reads each satisfaction stream in both
@@ -37,8 +39,7 @@
 //! directly. Operators only ever reference *earlier* arena slots, so
 //! plan order is execution order.
 
-use crate::twig::TwigQuery;
-use blas_translate::{BoundPlan, BoundSource, Side};
+use blas_translate::{BoundPlan, BoundSelection, BoundSource, Side};
 
 /// Index of an operator in a [`PhysPlan`] arena.
 pub type OpId = usize;
@@ -135,15 +136,27 @@ pub struct TwigPattern {
 }
 
 impl TwigPattern {
-    /// Extract the shape of a twig query.
-    pub fn from_query(q: &TwigQuery) -> Self {
-        TwigPattern {
-            parent: q.nodes.iter().map(|n| n.parent).collect(),
-            children: q.nodes.iter().map(|n| n.children.clone()).collect(),
-            level_diff: q.nodes.iter().map(|n| n.level_diff).collect(),
-            root: q.root,
-            output: q.output,
-        }
+    /// Convert one union-free arm of a bound plan ([`BoundPlan::arms`])
+    /// into its twig: one pattern node per selection, returned beside
+    /// the pattern in node order, and one edge per D-join, carrying the
+    /// join's exact level offset when it has one.
+    ///
+    /// # Panics
+    ///
+    /// On a union nested under a join, which no translator emits.
+    pub fn from_arm(arm: &BoundPlan) -> (TwigPattern, Vec<&BoundSelection>) {
+        let mut pattern = TwigPattern {
+            parent: Vec::new(),
+            children: Vec::new(),
+            level_diff: Vec::new(),
+            root: 0,
+            output: 0,
+        };
+        let mut sels = Vec::new();
+        let conv = conv(arm, &mut pattern, &mut sels);
+        pattern.root = conv.root;
+        pattern.output = conv.rep;
+        (pattern, sels)
     }
 
     /// Number of pattern nodes.
@@ -176,6 +189,59 @@ impl TwigPattern {
             }
         }
         order
+    }
+}
+
+struct Conv {
+    root: usize,
+    rep: usize,
+    /// Depth of `rep` below `root` in child steps, when exactly known.
+    rep_depth: Option<u16>,
+}
+
+fn conv<'p>(
+    plan: &'p BoundPlan,
+    pattern: &mut TwigPattern,
+    sels: &mut Vec<&'p BoundSelection>,
+) -> Conv {
+    match plan {
+        BoundPlan::Select(sel) => {
+            let id = sels.len();
+            sels.push(sel);
+            pattern.parent.push(None);
+            pattern.children.push(Vec::new());
+            pattern.level_diff.push(None);
+            Conv { root: id, rep: id, rep_depth: Some(0) }
+        }
+        BoundPlan::DJoin { anc, desc, level_diff, output } => {
+            let a = conv(anc, pattern, sels);
+            let d = conv(desc, pattern, sels);
+            // The join constrains anc.rep vs desc.rep at offset k; the
+            // twig edge runs anc.rep → desc.root, so subtract the
+            // depth of desc.rep below its own root.
+            let edge = match (level_diff, d.rep_depth) {
+                (Some(k), Some(dd)) => {
+                    debug_assert!(*k > dd, "representative below its twig root");
+                    Some(k - dd)
+                }
+                _ => None,
+            };
+            pattern.parent[d.root] = Some(a.rep);
+            pattern.level_diff[d.root] = edge;
+            pattern.children[a.rep].push(d.root);
+            let (rep, rep_depth) = match output {
+                Side::Anc => (a.rep, a.rep_depth),
+                Side::Desc => (
+                    d.rep,
+                    match (a.rep_depth, level_diff) {
+                        (Some(ad), Some(k)) => Some(ad + k),
+                        _ => None,
+                    },
+                ),
+            };
+            Conv { root: a.root, rep, rep_depth }
+        }
+        BoundPlan::Union(_) => unreachable!("nested unions are not produced by the translators"),
     }
 }
 
@@ -270,16 +336,11 @@ impl PhysPlan {
 
 /// Emit the scan for one bound selection, its predicates applied
 /// during the run traversal; shared by all lowering strategies.
-fn lower_selection(
-    plan: &mut PhysPlan,
-    source: &BoundSource,
-    value_eq: &Option<String>,
-    level_eq: Option<u16>,
-) -> OpId {
+fn lower_selection(plan: &mut PhysPlan, sel: &BoundSelection) -> OpId {
     plan.push(PhysOp::ClusteredScan {
-        source: source.clone(),
-        value_eq: value_eq.clone(),
-        level_eq,
+        source: sel.source.clone(),
+        value_eq: sel.value_eq.clone(),
+        level_eq: sel.level_eq,
     })
 }
 
@@ -296,9 +357,7 @@ pub fn lower_plan(bound: &BoundPlan) -> PhysPlan {
 
 fn lower_plan_rec(bound: &BoundPlan, plan: &mut PhysPlan) -> OpId {
     match bound {
-        BoundPlan::Select(sel) => {
-            lower_selection(plan, &sel.source, &sel.value_eq, sel.level_eq)
-        }
+        BoundPlan::Select(sel) => lower_selection(plan, sel),
         BoundPlan::DJoin { anc, desc, level_diff, output } => {
             let a = lower_plan_rec(anc, plan);
             let d = lower_plan_rec(desc, plan);
@@ -317,20 +376,18 @@ fn lower_plan_rec(bound: &BoundPlan, plan: &mut PhysPlan) -> OpId {
     }
 }
 
-/// Lower twig queries for the **holistic semi-join engine** (§5.3):
+/// Lower a bound plan for the **holistic semi-join engine** (§5.3):
 /// per arm, one clustered scan per twig node (its label *stream*), then
 /// the two stack passes expressed as a DAG of structural semi-joins —
 /// bottom-up satisfaction (keep ancestors, tallied as the twig's
 /// D-joins) and top-down reachability along the root → output path
 /// (keep descendants, untallied: the paper counts each twig edge once).
-pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
-    lower_arms(arms, |plan, q| {
-        let pattern = TwigPattern::from_query(q);
-        let mut sat: Vec<OpId> = q
-            .nodes
-            .iter()
-            .map(|n| lower_selection(plan, &n.source, &n.value_eq, n.level_eq))
-            .collect();
+/// It computes the set of output bindings that take part in a match,
+/// not the match tuples; each stream is still read once per incident
+/// edge, so the paper's elements-read metric is unchanged.
+pub fn lower_twig(bound: &BoundPlan) -> PhysPlan {
+    lower_arms(bound, |plan, pattern, sels| {
+        let mut sat: Vec<OpId> = sels.iter().map(|s| lower_selection(plan, s)).collect();
         for qi in pattern.post_order() {
             for &c in &pattern.children[qi] {
                 sat[qi] = plan.push(PhysOp::StructuralJoin {
@@ -364,30 +421,37 @@ pub fn lower_twig(arms: &[TwigQuery]) -> PhysPlan {
     })
 }
 
-/// Lower twig queries for the **TwigStack engine**: per arm, the same
+/// Lower a bound plan for the **TwigStack engine**: per arm, the same
 /// per-node streams as [`lower_twig`], feeding the single holistic
 /// [`PhysOp::TwigStackMatch`] operator instead of a semi-join DAG.
-pub fn lower_twigstack(arms: &[TwigQuery]) -> PhysPlan {
-    lower_arms(arms, |plan, q| {
-        let streams: Vec<OpId> = q
-            .nodes
-            .iter()
-            .map(|n| lower_selection(plan, &n.source, &n.value_eq, n.level_eq))
-            .collect();
+pub fn lower_twigstack(bound: &BoundPlan) -> PhysPlan {
+    lower_arms(bound, |plan, pattern, sels| {
+        let streams: Vec<OpId> = sels.iter().map(|s| lower_selection(plan, s)).collect();
         match streams[..] {
             // A one-node twig has no edge to match: its stream is the
             // answer.
             [only] => only,
-            _ => plan.push(PhysOp::TwigStackMatch { streams, pattern: TwigPattern::from_query(q) }),
+            _ => plan.push(PhysOp::TwigStackMatch { streams, pattern }),
         }
     })
 }
 
-/// Lower each arm with `arm`, union the arms' outputs (one arm needs no
-/// union; none is the empty union), and materialize.
-fn lower_arms(arms: &[TwigQuery], mut arm: impl FnMut(&mut PhysPlan, &TwigQuery) -> OpId) -> PhysPlan {
+/// Convert each of the plan's arms into a twig ([`TwigPattern::from_arm`]),
+/// lower it with `arm`, union the arms' outputs (one arm needs no union;
+/// none is the empty union), and materialize.
+fn lower_arms(
+    bound: &BoundPlan,
+    mut arm: impl FnMut(&mut PhysPlan, TwigPattern, &[&BoundSelection]) -> OpId,
+) -> PhysPlan {
     let mut plan = PhysPlan::empty();
-    let mut outs: Vec<OpId> = arms.iter().map(|q| arm(&mut plan, q)).collect();
+    let mut outs: Vec<OpId> = bound
+        .arms()
+        .iter()
+        .map(|a| {
+            let (pattern, sels) = TwigPattern::from_arm(a);
+            arm(&mut plan, pattern, &sels)
+        })
+        .collect();
     let top = match outs.len() {
         1 => outs.pop().expect("length checked"),
         _ => plan.push(PhysOp::Union { inputs: outs }),
@@ -399,23 +463,46 @@ fn lower_arms(arms: &[TwigQuery], mut arm: impl FnMut(&mut PhysPlan, &TwigQuery)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blas_labeling::label_document;
-    use blas_translate::{bind, translate_pushup, translate_unfold};
-    use blas_xml::{Document, SchemaGraph};
-    use blas_xpath::parse;
+    use crate::exec::execute;
+    use crate::fixture::{Fixture, SAMPLE, TRANSLATORS};
+    use crate::stats::ExecStats;
+    use blas_labeling::DLabel;
+    use blas_translate::{bind, DJoinNode, Plan};
 
-    fn bound(src: &str, xpath: &str) -> (Document, BoundPlan) {
-        let doc = Document::parse(src).unwrap();
-        let labels = label_document(&doc).unwrap();
-        let q = parse(xpath).unwrap();
-        let plan = translate_pushup(&q).unwrap();
-        let b = bind(&plan, doc.tags(), &labels.domain, &[]);
-        (doc, b)
+    fn run(plan: &PhysPlan, fx: &Fixture) -> (Vec<DLabel>, ExecStats) {
+        let mut stats = ExecStats::default();
+        let out = execute(plan, &fx.store, &mut stats);
+        (out, stats)
+    }
+
+    /// Ground truth: the text (or, for an element without text, the
+    /// tag) of each result node, in document order.
+    fn texts_of(fx: &Fixture, results: &[DLabel]) -> Vec<String> {
+        let labels = blas_labeling::label_document(&fx.doc).unwrap();
+        let mut out = Vec::new();
+        for id in fx.doc.node_ids() {
+            let d = labels.dlabels[id.index()];
+            if results.iter().any(|r| r.start == d.start) {
+                out.push(
+                    fx.doc
+                        .node(id)
+                        .text
+                        .clone()
+                        .unwrap_or_else(|| fx.doc.tag_name(id).to_string()),
+                );
+            }
+        }
+        out
+    }
+
+    /// The relational engine's answer and counters for `xpath`.
+    fn rdbms(fx: &Fixture, xpath: &str, translator: &str) -> (Vec<DLabel>, ExecStats) {
+        run(&lower_plan(&fx.bind(xpath, translator)), fx)
     }
 
     #[test]
     fn selection_with_value_filter_is_fused_into_scan() {
-        let (_, b) = bound("<a><b>x</b></a>", "/a/b='x'");
+        let b = Fixture::load("<a><b>x</b></a>").bind("/a/b='x'", "pushup");
         let plan = lower_plan(&b);
         // Scan (filter applied in the scan) + Materialize only.
         assert_eq!(plan.ops().len(), 2);
@@ -428,7 +515,7 @@ mod tests {
 
     #[test]
     fn djoin_lowers_to_semi_join_keeping_output_side() {
-        let (_, b) = bound("<a><b><c/></b></a>", "/a/b[c]");
+        let b = Fixture::load("<a><b><c/></b></a>").bind("/a/b[c]", "pushup");
         let plan = lower_plan(&b);
         let joins: Vec<&PhysOp> = plan
             .ops()
@@ -447,33 +534,21 @@ mod tests {
 
     #[test]
     fn union_plan_lowers_to_union_op() {
-        let doc = Document::parse("<a><b><c/></b><d><c/></d></a>").unwrap();
-        let labels = label_document(&doc).unwrap();
-        let schema = SchemaGraph::infer(&doc);
-        let bound = |xpath: &str| {
-            let plan = translate_unfold(&parse(xpath).unwrap(), &schema).unwrap();
-            bind(&plan, doc.tags(), &labels.domain, &[])
-        };
+        let fx = Fixture::load("<a><b><c/></b><d><c/></d></a>");
         // A twig's rewritings are a union on every engine; a linear
         // query's matching paths are one scan.
-        let twig = bound("/a/*[c]");
-        let twig_arms = TwigQuery::from_plan(&twig);
-        for phys in [lower_plan(&twig), lower_twig(&twig_arms), lower_twigstack(&twig_arms)] {
+        let twig = fx.bind("/a/*[c]", "unfold");
+        for phys in [lower_plan(&twig), lower_twig(&twig), lower_twigstack(&twig)] {
             assert_eq!(phys.ops().iter().filter(|o| matches!(o, PhysOp::Union { .. })).count(), 1);
         }
-        let linear = lower_plan(&bound("/a//c"));
+        let linear = lower_plan(&fx.bind("/a//c", "unfold"));
         assert!(!linear.ops().iter().any(|o| matches!(o, PhysOp::Union { .. })));
     }
 
     #[test]
     fn twig_lowering_builds_two_pass_dag() {
-        let (doc, b) = bound(
-            "<db><e><p/><r><f/></r></e></db>",
-            "/db/e[p]/r/f",
-        );
-        let _ = doc;
-        let twig = TwigQuery::from_plan(&b).remove(0);
-        let plan = lower_twig(std::slice::from_ref(&twig));
+        let b = Fixture::load("<db><e><p/><r><f/></r></e></db>").bind("/db/e[p]/r/f", "pushup");
+        let plan = lower_twig(&b);
         let (mut tallied, mut untallied) = (0, 0);
         for op in plan.ops() {
             if let PhysOp::StructuralJoin { tally, .. } = op {
@@ -482,7 +557,7 @@ mod tests {
         }
         // One bottom-up join per twig edge (`db/e`–`p`, `db/e`–`r/f`);
         // top-down only on the root → output path (`db/e`–`r/f`).
-        assert_eq!((twig.edge_count(), tallied, untallied), (2, 2, 1));
+        assert_eq!((tallied, untallied), (2, 1));
         // Scan outputs are shared between the passes: the plan is a DAG,
         // so some operator has more than one consumer.
         let mut consumers = vec![0usize; plan.ops().len()];
@@ -494,9 +569,8 @@ mod tests {
 
     #[test]
     fn twigstack_lowering_uses_holistic_operator() {
-        let (_, b) = bound("<db><e><p/></e></db>", "/db/e[p]");
-        let twig = TwigQuery::from_plan(&b).remove(0);
-        let plan = lower_twigstack(std::slice::from_ref(&twig));
+        let b = Fixture::load("<db><e><p/></e></db>").bind("/db/e[p]", "pushup");
+        let plan = lower_twigstack(&b);
         let m = plan
             .ops()
             .iter()
@@ -506,6 +580,207 @@ mod tests {
             })
             .expect("holistic operator present");
         assert_eq!(m.0.len(), m.1.len());
-        assert_eq!(m.1.edge_count(), twig.edge_count());
+        assert_eq!(m.1.edge_count(), 1);
+    }
+
+    // --- The twig lowerings over the sample --------------------------
+
+    #[test]
+    fn twig_engine_matches_rdbms_engine() {
+        let fx = Fixture::sample();
+        let queries = [
+            "/db/e/r/f/t",
+            "//f/t",
+            "/db/e//s",
+            "/db/e[p//s]/r/f/t",
+            "/db/e[p//s='cyt']/r/f[y='2001']/t",
+            "/db/e[r/f/a='Evans' and r/f/y='1999']/p/c/s",
+        ];
+        for src in queries {
+            for name in ["dlabel", "split", "pushup"] {
+                let bound = fx.bind(src, name);
+                let (rdbms_out, rs) = run(&lower_plan(&bound), &fx);
+                let (twig_out, ts) = run(&lower_twig(&bound), &fx);
+                assert_eq!(rdbms_out, twig_out, "{src} ({name})");
+                assert_eq!(
+                    rs.elements_visited, ts.elements_visited,
+                    "both engines read the same tuples: {src} ({name})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn union_plans_lower_arm_by_arm() {
+        let fx = Fixture::sample();
+        // The branch `*` unfolds through e/p and e/r: two rewritings.
+        let bound = fx.bind("/db/e[*]/r/f/t", "unfold");
+        assert_eq!(bound.arms().len(), 2);
+        let (expected, _) = run(&lower_plan(&bound), &fx);
+        assert_eq!(expected.len(), 3);
+        for phys in [lower_twig(&bound), lower_twigstack(&bound)] {
+            let unions = phys.ops().iter().filter(|o| matches!(o, PhysOp::Union { .. })).count();
+            assert_eq!(unions, 1, "one union over the arms");
+            assert_eq!(run(&phys, &fx).0, expected);
+        }
+    }
+
+    #[test]
+    fn twig_structure_from_plan() {
+        let fx = Fixture::sample();
+        let bound = fx.bind("/db/e[p]/r/f", "pushup");
+        let (twig, sels) = TwigPattern::from_arm(&bound);
+        // Nodes: /db/e, /db/e/p, /db/e/r/f, one selection each.
+        assert_eq!((twig.len(), sels.len()), (3, 3));
+        assert_eq!(twig.edge_count(), 2);
+        let children = &twig.children[twig.root];
+        assert_eq!(children.len(), 2);
+        // Edge offsets: p is 1 below e; f is 2 below e.
+        let offsets: Vec<Option<u16>> = children.iter().map(|&c| twig.level_diff[c]).collect();
+        assert_eq!(offsets, [Some(1), Some(2)]);
+        // Output is the f node.
+        assert_eq!(twig.output, children[1]);
+    }
+
+    #[test]
+    fn stream_sizes_drive_visited_counts() {
+        let fx = Fixture::sample();
+        let (_, ds) = run(&lower_twig(&fx.bind("/db/e/r/f/y", "dlabel")), &fx);
+        let (_, ps) = run(&lower_twig(&fx.bind("/db/e/r/f/y", "pushup")), &fx);
+        // Baseline reads db(1)+e(3)+r(3)+f(3)+y(3)=13; push-up reads 3.
+        assert_eq!(ds.elements_visited, 13);
+        assert_eq!(ps.elements_visited, 3);
+    }
+
+    #[test]
+    fn post_order_children_first() {
+        let fx = Fixture::sample();
+        let (twig, _) = TwigPattern::from_arm(&fx.bind("/db/e[p][r]/r/f", "pushup"));
+        // The lowering orders the bottom-up joins by the pattern's
+        // post order: children always precede their parents.
+        let order = twig.post_order();
+        for (pos, &q) in order.iter().enumerate() {
+            for &c in &twig.children[q] {
+                assert!(order.iter().position(|&x| x == c).unwrap() < pos);
+            }
+        }
+    }
+
+    #[test]
+    fn level_offset_below_a_nested_joins_root_is_its_own() {
+        // `/db/e` joined at +2 to (`//r` joined at +1 to `//f`, output
+        // `f`), output `f`. The outer join constrains e vs f; the twig
+        // edge runs e → r, so its offset is 2 − (f's depth below r) = 1.
+        let join = |anc: Plan, desc: Plan, k| {
+            Plan::DJoin(DJoinNode {
+                anc: Box::new(anc),
+                desc: Box::new(desc),
+                level_diff: Some(k),
+                output: Side::Desc,
+            })
+        };
+        let plan = join(
+            Plan::path(true, &["db", "e"], None),
+            join(Plan::path(false, &["r"], None), Plan::path(false, &["f"], None), 1),
+            2,
+        );
+        // One more entry, whose `r` sits one level too deep: the +1 edge
+        // must exclude its `f`.
+        let fx = Fixture::load(&SAMPLE.replace(
+            "</db>",
+            "<e><x><r><f><a>Jones</a><y>2002</y><t>T4</t></f></r></x></e></db>",
+        ));
+        let bound = bind(&plan, fx.doc.tags(), &fx.domain, &[]);
+        let (twig, _) = TwigPattern::from_arm(&bound);
+        assert_eq!(twig.level_diff, [None, Some(1), Some(1)]);
+        assert_eq!((twig.root, twig.children[0].as_slice()), (0, &[1][..]));
+        assert_eq!((twig.children[1].as_slice(), twig.output), (&[2][..], 2));
+        let f_under_e_r = fx.bind("/db/e/r/f", "pushup");
+        let (expected, _) = run(&lower_plan(&f_under_e_r), &fx);
+        assert_eq!(expected.len(), 3);
+        for phys in [lower_plan(&bound), lower_twig(&bound), lower_twigstack(&bound)] {
+            assert_eq!(run(&phys, &fx).0, expected, "{phys:?}");
+        }
+    }
+
+    // --- The relational lowering over the sample ---------------------
+
+    #[test]
+    fn suffix_path_all_strategies_agree() {
+        let fx = Fixture::sample();
+        for strat in TRANSLATORS {
+            let (out, _) = rdbms(&fx, "/db/e/r/f/t", strat);
+            assert_eq!(texts_of(&fx, &out), ["T1", "T2", "T3"], "{strat}");
+        }
+    }
+
+    #[test]
+    fn twig_with_value_predicates_agree() {
+        let fx = Fixture::sample();
+        // Entries with superfamily 'cyt' and year '2001' → title T1.
+        let q = "/db/e[p//s='cyt']/r/f[y='2001']/t";
+        for strat in TRANSLATORS {
+            let (out, _) = rdbms(&fx, q, strat);
+            assert_eq!(texts_of(&fx, &out), ["T1"], "{strat}");
+        }
+    }
+
+    #[test]
+    fn interior_descendant_agrees() {
+        let fx = Fixture::sample();
+        for strat in TRANSLATORS {
+            let (out, _) = rdbms(&fx, "/db/e//s", strat);
+            assert_eq!(texts_of(&fx, &out), ["cyt", "hb", "cyt"], "{strat}");
+        }
+    }
+
+    #[test]
+    fn blas_reads_fewer_elements_than_dlabeling() {
+        let fx = Fixture::sample();
+        let (_, d) = rdbms(&fx, "/db/e/r/f/t", "dlabel");
+        let (_, p) = rdbms(&fx, "/db/e/r/f/t", "pushup");
+        assert!(d.elements_visited > p.elements_visited, "{d:?} vs {p:?}");
+        assert_eq!(d.d_joins, 4); // l − 1
+        assert_eq!(p.d_joins, 0); // single selection
+        // Push-up reads exactly the 3 matching tuples.
+        assert_eq!(p.elements_visited, 3);
+    }
+
+    #[test]
+    fn unfold_replaces_joins_with_selections() {
+        let fx = Fixture::sample();
+        let (_, split) = rdbms(&fx, "/db/e//s", "split");
+        let (_, unfold) = rdbms(&fx, "/db/e//s", "unfold");
+        assert!(unfold.d_joins < split.d_joins);
+        assert!(unfold.elements_visited <= split.elements_visited);
+    }
+
+    #[test]
+    fn output_side_respected() {
+        let fx = Fixture::sample();
+        // Output is the ancestor side: entries having a 2001 reference.
+        let (out, _) = rdbms(&fx, "/db/e[r/f/y='2001']", "pushup");
+        assert_eq!(out.len(), 1);
+        // Output is the descendant side.
+        let (out, _) = rdbms(&fx, "/db/e[p]/r/f/a", "pushup");
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn empty_results() {
+        let fx = Fixture::sample();
+        for strat in TRANSLATORS {
+            let (out, _) = rdbms(&fx, "/db/e/zzz", strat);
+            assert!(out.is_empty(), "{strat}");
+            let (out, _) = rdbms(&fx, "/db/e[r/f/y='1850']/r/f/t", strat);
+            assert!(out.is_empty(), "{strat}");
+        }
+    }
+
+    #[test]
+    fn results_are_start_sorted_and_unique() {
+        let fx = Fixture::sample();
+        let (out, _) = rdbms(&fx, "//f", "split");
+        assert!(out.windows(2).all(|w| w[0].start < w[1].start));
     }
 }

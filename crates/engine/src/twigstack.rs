@@ -16,40 +16,26 @@
 //! preserves completeness) and the level constraints are enforced on
 //! the enumerated path solutions.
 //!
-//! Since the physical-plan refactor this module no longer owns an
-//! execution loop: the algorithm is packaged as the crate-internal
-//! `run_match`, the implementation of the
-//! [`PhysOp::TwigStackMatch`] operator. The
-//! engine entry point [`execute_twigstack`] is a lowering strategy —
-//! per-node [`PhysOp::ClusteredScan`] streams feeding the one
-//! holistic operator — over the shared executor in [`crate::exec`].
-//! The per-node streams load one after another in arena order, and
-//! the match operator runs after the last of them. The default twig engine in
-//! [`crate::twig`] computes the same answer with a semi-join DAG; the
-//! `ablation` Criterion bench compares the two.
+//! The algorithm is packaged as the crate-internal `run_match`, the
+//! implementation of the [`PhysOp::TwigStackMatch`] operator.
+//! [`lower_twigstack`] is the engine: per-node
+//! [`PhysOp::ClusteredScan`] streams feeding the one holistic operator,
+//! run by the shared executor in [`crate::exec`]. The per-node streams
+//! load one after another in arena order, and the match operator runs
+//! after the last of them. [`lower_twig`] computes the same answer with
+//! a semi-join DAG; the `ablation` Criterion bench compares the two.
 //!
+//! [`lower_twigstack`]: crate::physical::lower_twigstack
+//! [`lower_twig`]: crate::physical::lower_twig
 //! [`PhysOp::TwigStackMatch`]: crate::physical::PhysOp::TwigStackMatch
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 
-use crate::exec;
-use crate::physical::{lower_twigstack, TwigPattern};
+use crate::physical::TwigPattern;
 use crate::stats::ExecStats;
-use crate::twig::TwigQuery;
 use blas_labeling::DLabel;
-use blas_storage::NodeStore;
 use std::collections::{HashMap, HashSet};
 
 const INF: u32 = u32::MAX;
-
-/// Run TwigStack over `query` against `store`, returning the output
-/// node's bindings (start-sorted, duplicate-free).
-pub fn execute_twigstack(
-    query: &TwigQuery,
-    store: &NodeStore,
-    stats: &mut ExecStats,
-) -> Vec<DLabel> {
-    exec::execute(&lower_twigstack(std::slice::from_ref(query)), store, stats)
-}
 
 /// The [`PhysOp::TwigStackMatch`] operator: match `pattern` over one
 /// start-sorted stream per pattern node, tallying pushed elements into
@@ -351,31 +337,13 @@ impl<'a> TwigStack<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twig::TwigQuery;
-    use blas_labeling::label_document;
-    use blas_storage::NodeStore;
-    use blas_translate::{bind, translate_dlabeling, translate_pushup, translate_split};
-    use blas_xml::Document;
-    use blas_xpath::parse;
-
-    const SAMPLE: &str = concat!(
-        "<db>",
-        "<e><p><c><s>cyt</s></c></p><r><f><a>Evans</a><y>2001</y><t>T1</t></f></r></e>",
-        "<e><p><c><s>hb</s></c></p><r><f><a>Smith</a><y>1999</y><t>T2</t></f></r></e>",
-        "<e><p><c><s>cyt</s></c></p><r><f><a>Evans</a><y>1999</y><t>T3</t></f></r></e>",
-        "</db>"
-    );
-
-    fn fixture() -> (Document, NodeStore, blas_labeling::PLabelDomain) {
-        let doc = Document::parse(SAMPLE).unwrap();
-        let labels = label_document(&doc).unwrap();
-        let store = NodeStore::build(&doc, &labels);
-        (doc, store, labels.domain)
-    }
+    use crate::exec::execute;
+    use crate::fixture::Fixture;
+    use crate::physical::{lower_twig, lower_twigstack};
 
     #[test]
     fn twigstack_matches_semijoin_engine() {
-        let (doc, store, dom) = fixture();
+        let fx = Fixture::sample();
         for src in [
             "/db/e/r/f/t",
             "//f/t",
@@ -384,18 +352,12 @@ mod tests {
             "/db/e[p/c/s][r/f/y]/r/f/a",
             "//e[r]",
         ] {
-            let q = parse(src).unwrap();
-            for plan in [
-                translate_dlabeling(&q).unwrap(),
-                translate_split(&q).unwrap(),
-                translate_pushup(&q).unwrap(),
-            ] {
-                let bound = bind(&plan, doc.tags(), &dom, &[]);
-                let twig = TwigQuery::from_plan(&bound).remove(0);
+            for translator in ["dlabel", "split", "pushup"] {
+                let bound = fx.bind(src, translator);
                 let mut s1 = ExecStats::default();
-                let expect = twig.execute(&store, &mut s1);
+                let expect = execute(&lower_twig(&bound), &fx.store, &mut s1);
                 let mut s2 = ExecStats::default();
-                let got = execute_twigstack(&twig, &store, &mut s2);
+                let got = execute(&lower_twigstack(&bound), &fx.store, &mut s2);
                 assert_eq!(got, expect, "{src}");
                 assert_eq!(
                     s1.elements_visited, s2.elements_visited,
@@ -409,12 +371,10 @@ mod tests {
     fn getnext_skips_hopeless_elements() {
         // Baseline plan for //e/t on data where most `e`s have no `t`:
         // TwigStack should push strictly fewer elements than it reads.
-        let (doc, store, dom) = fixture();
-        let q = parse("/db/e[p/c/s='cyt']/r/f/t").unwrap();
-        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
-        let twig = TwigQuery::from_plan(&bound).remove(0);
+        let fx = Fixture::sample();
+        let bound = fx.bind("/db/e[p/c/s='cyt']/r/f/t", "dlabel");
         let mut stats = ExecStats::default();
-        let out = execute_twigstack(&twig, &store, &mut stats);
+        let out = execute(&lower_twigstack(&bound), &fx.store, &mut stats);
         assert_eq!(out.len(), 2, "T1 and T3 both have s='cyt'");
         assert!(
             stats.join_input_tuples < stats.elements_visited,
@@ -426,11 +386,9 @@ mod tests {
 
     #[test]
     fn empty_stream_short_circuits() {
-        let (doc, store, dom) = fixture();
-        let q = parse("/db/e/zzz").unwrap();
-        let bound = bind(&translate_dlabeling(&q).unwrap(), doc.tags(), &dom, &[]);
-        let twig = TwigQuery::from_plan(&bound).remove(0);
+        let fx = Fixture::sample();
+        let bound = fx.bind("/db/e/zzz", "dlabel");
         let mut stats = ExecStats::default();
-        assert!(execute_twigstack(&twig, &store, &mut stats).is_empty());
+        assert!(execute(&lower_twigstack(&bound), &fx.store, &mut stats).is_empty());
     }
 }

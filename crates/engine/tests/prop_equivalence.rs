@@ -6,7 +6,7 @@
 
 use blas_engine::exec::execute;
 use blas_engine::physical::{lower_plan, lower_twig, lower_twigstack};
-use blas_engine::{naive, rdbms::execute_plan, ExecStats, TwigQuery};
+use blas_engine::{naive, ExecStats};
 use blas_labeling::label_document;
 use blas_storage::NodeStore;
 use blas_translate::{bind, translate_dlabeling, translate_pushup, translate_split, translate_unfold};
@@ -95,15 +95,14 @@ proptest! {
         for (name, plan) in &plans {
             let bound = bind(plan, doc.tags(), &labels.domain, &live);
             let mut stats = ExecStats::default();
-            let got: Vec<u32> = execute_plan(&bound, &store, &mut stats)
+            let got: Vec<u32> = execute(&lower_plan(&bound), &store, &mut stats)
                 .into_iter()
                 .map(|l| l.start)
                 .collect();
             prop_assert_eq!(&got, &expected, "rdbms/{} on {} over {}", name, qsrc, src);
 
-            // Twig engines: one twig query per union arm.
-            let arms = TwigQuery::from_plan(&bound);
-            for (engine, pplan) in [("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))] {
+            // Twig engines: one twig per union arm.
+            for (engine, pplan) in [("twig", lower_twig(&bound)), ("twigstack", lower_twigstack(&bound))] {
                 let got: Vec<u32> = execute(&pplan, &store, &mut ExecStats::default())
                     .into_iter()
                     .map(|l| l.start)
@@ -138,9 +137,8 @@ proptest! {
         let live = store.live_plabels();
         for (name, plan) in &plans {
             let bound = bind(plan, doc.tags(), &labels.domain, &live);
-            let arms = TwigQuery::from_plan(&bound);
             let phys =
-                [("rdbms", lower_plan(&bound)), ("twig", lower_twig(&arms)), ("twigstack", lower_twigstack(&arms))];
+                [("rdbms", lower_plan(&bound)), ("twig", lower_twig(&bound)), ("twigstack", lower_twigstack(&bound))];
             for (engine, pplan) in phys {
                 let mut seq_stats = ExecStats::default();
                 let seq = execute(&pplan, &store, &mut seq_stats);
